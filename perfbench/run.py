@@ -2,11 +2,14 @@
 
     python3 perfbench/run.py --workload centroid --seed 1 --seconds 15 --trace 0
 
-``--workload`` takes one name, a comma-separated list, or ``all``.  Run
-from the root of a checkout: the program is imported from ``src``.  The
-last line of stdout is one JSON object with the keys ``correct``,
-``attempted``, ``failed`` and ``metrics``; the lines before it give every
-metric by name with its unit, and the machine the run was made on.
+``--workload`` takes one name, a comma-separated list, or ``all``.  One
+workload runs in this process; several run one after another, each in a
+child ``run.py`` of its own, so that no workload's memory peak or state
+shows in another's figures.  Run from the root of a checkout: the
+program is imported from ``src``.  The last line of stdout is one JSON
+object with the keys ``correct``, ``attempted``, ``failed`` and
+``metrics``; the lines before it give every metric by name with its
+unit, and the machine the run was made on.
 See ``perfbench/README.md``.
 """
 
@@ -52,15 +55,15 @@ def machine_facts():
 
 
 def worker_json(*args):
-    _, code, out, err = run_child([sys.executable, WORKER]
-                                  + [str(a) for a in args])
+    _, code, out, err, _ = run_child([sys.executable, WORKER]
+                                     + [str(a) for a in args])
     if code != 0:
         raise RuntimeError("worker %s failed:\n%s" % (args, err))
     return json.loads(out.strip().splitlines()[-1])
 
 
 def checked_child(args):
-    wall, code, _, err = run_child(args)
+    wall, code, _, err, _ = run_child(args)
     if code != 0:
         raise RuntimeError("%s failed:\n%s" % (args, err))
     return wall
@@ -106,9 +109,11 @@ def tail(latencies):
     return None
 
 
-def peak_rss_mb(name):
-    who = resource.RUSAGE_CHILDREN if name == "cli" else resource.RUSAGE_SELF
-    return resource.getrusage(who).ru_maxrss / 1024
+def peak_rss_mb(state):
+    """This process's peak; for ``cli``, the highest of its job children."""
+    if state.name == "cli":
+        return state.child_peak_mb
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 # -- untraced run: end-to-end metrics ----------------------------------------
@@ -156,7 +161,7 @@ def timed_run(name, seed, seconds):
     metrics = {
         "jobs_per_s": ((attempted - failed) / sum(scaled), "1/s"),
         "job_p50_ms": (statistics.median(scaled) * 1000, "ms"),
-        "peak_rss_mb": (peak_rss_mb(name), "MB"),
+        "peak_rss_mb": (peak_rss_mb(state), "MB"),
         "setup_s": (setup_s, "s"),
     }
     raw = {"jobs_per_s": (attempted - failed) / elapsed,
@@ -198,13 +203,13 @@ def traced_run(name, seed):
         plain_wall = traced_wall = 0.0
         plain, traced = [], []
         for argv, want in workloads.CLI_COMMANDS:
-            wall, code, out, _ = run_child(workloads.cli_command(argv))
+            wall, code, out, _, _ = run_child(workloads.cli_command(argv))
             plain_wall += wall
-            plain.append((workloads.cli_verdict(argv, want, code, out), out))
-            wall, code, out, err = run_child([sys.executable, WORKER, "cli"]
-                                             + argv)
+            plain.append((workloads.cli_verdict(want, code, out), out))
+            wall, code, out, err, _ = run_child(
+                [sys.executable, WORKER, "cli"] + argv)
             traced_wall += wall
-            traced.append((workloads.cli_verdict(argv, want, code, out), out))
+            traced.append((workloads.cli_verdict(want, code, out), out))
             tracer.merge(json.loads(err.strip().splitlines()[-1]))
         floor = wall_median([sys.executable, "-c", "pass"])
         extra["cli.interpreter_s"] = (floor, "s")
@@ -257,31 +262,53 @@ def parse_args(argv):
     return args, names
 
 
+def run_each(args, names):
+    """Run each workload in a child ``run.py`` and merge their results."""
+    correct, attempted, failed, metrics = True, 0, 0, {}
+    for name in names:
+        argv = [sys.executable, os.path.abspath(__file__), "--workload", name,
+                "--seed", args.seed, "--seconds", args.seconds,
+                "--trace", args.trace]
+        _, code, out, err, _ = run_child([str(a) for a in argv], timeout=None)
+        lines = out.strip().splitlines()
+        if code != 0 or not lines:
+            print(out + err, file=sys.stderr)
+            return code or 1
+        print("\n".join(lines[:-1]))
+        result = json.loads(lines[-1])
+        correct = correct and result["correct"]
+        attempted += result["attempted"]
+        failed += result["failed"]
+        for key, value in result["metrics"].items():
+            metrics["%s.%s" % (name, key)] = value
+    print(json.dumps({"correct": correct, "attempted": attempted,
+                      "failed": failed, "metrics": metrics}))
+    return 0
+
+
 def main(argv=None):
     args, names = parse_args(argv)
     if not os.path.isfile(os.path.join(SRC, "csalg", "__init__.py")):
         print("error: no csalg sources under %s; run from the root of a "
               "checkout" % SRC, file=sys.stderr)
         return 2
+    if len(names) > 1:
+        return run_each(args, names)
+    (name,) = names
     sys.path.insert(0, SRC)
     print("machine: %s" % json.dumps(machine_facts()))
-    print("seed %d, %s s per workload, trace %d"
-          % (args.seed, args.seconds, args.trace))
+    print("seed %d, %s s, trace %d" % (args.seed, args.seconds, args.trace))
     prewarm()
-    correct, attempted, failed, metrics = True, 0, 0, {}
-    for name in names:
-        if args.trace:
-            n, bad, got, report, same = traced_run(name, args.seed)
-            correct = correct and same
-        else:
-            n, bad, got, report = timed_run(name, args.seed, args.seconds)
-        print("\n".join(report))
-        attempted += n
-        failed += bad
-        for key, (value, unit) in got.items():
-            full = key if len(names) == 1 else "%s.%s" % (name, key)
-            metrics[full] = {"value": value, "unit": unit}
-    print(json.dumps({"correct": correct and failed == 0,
+    if args.trace:
+        attempted, failed, got, report, same = traced_run(name, args.seed)
+    else:
+        attempted, failed, got, report = timed_run(name, args.seed,
+                                                   args.seconds)
+        same = True
+    print("\n".join(report))
+    metrics = {key: {"value": value, "unit": unit}
+               for key, (value, unit) in got.items()}
+    print(json.dumps({"correct": same and failed == 0,
                       "attempted": attempted, "failed": failed,
                       "metrics": metrics}))
     return 0

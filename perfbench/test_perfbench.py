@@ -3,8 +3,8 @@
 They check what the per-layer numbers rest on: the tracer reaches every
 binding, each per-layer counter is nonzero on the workloads named for it,
 traced runs reproduce the plain outputs and repeat their counts exactly,
-a wrong pinned value is reported as a failure, and a checkout without
-``src`` gives no result.
+a child's peak memory is its own, a wrong pinned value is reported as a
+failure, and a checkout without ``src`` gives no result.
 """
 
 import json
@@ -39,9 +39,12 @@ def _result(proc):
 
 @pytest.fixture(scope="module")
 def traced_twice():
-    first = _result(_run("--workload", "all", "--seed", SEED, "--trace", 1))
-    second = _result(_run("--workload", "all", "--seed", SEED, "--trace", 1))
-    return first, second
+    """Two traced runs of every workload: (stdout, result) of each."""
+    runs = []
+    for _ in range(2):
+        proc = _run("--workload", "all", "--seed", SEED, "--trace", 1)
+        runs.append((proc.stdout, _result(proc)))
+    return runs
 
 
 def test_tracer_wraps_every_binding():
@@ -67,8 +70,10 @@ def test_tracer_wraps_every_binding():
 
 
 def test_every_layer_counter_is_nonzero_where_listed(traced_twice):
-    result, _ = traced_twice
+    (stdout, result), _ = traced_twice
     assert result["correct"] and result["failed"] == 0
+    assert stdout.count("traced outputs equal untraced outputs: True") \
+        == len(workloads.WORKLOADS)
     metrics = result["metrics"]
     names = [m[0] for m in tracer.LAYER_METRICS]
     for name, _, _, where in tracer.LAYER_METRICS:
@@ -84,17 +89,22 @@ def test_every_layer_counter_is_nonzero_where_listed(traced_twice):
 
 
 def test_traced_counts_repeat_exactly(traced_twice):
-    first, second = traced_twice
+    (_, first), (_, second) = traced_twice
     counts = [k for k, v in first["metrics"].items() if v["unit"] == "count"]
     assert counts
     for key in counts:
         assert first["metrics"][key] == second["metrics"][key], key
 
 
-def test_traced_outputs_equal_plain_outputs():
-    proc = _run("--workload", "axioms", "--seed", SEED, "--trace", 1)
-    assert _result(proc)["correct"]
-    assert "traced outputs equal untraced outputs: True" in proc.stdout
+def test_child_peak_memory_is_its_own():
+    big = "x = bytearray(64 << 20); x[::4096] = b'1' * len(x[::4096])"
+    peaks = []
+    for code in (big, "pass"):
+        _, status, _, err, peak_mb = workloads.run_child(
+            [sys.executable, "-c", code])
+        assert status == 0, err
+        peaks.append(peak_mb)
+    assert peaks[0] > 64 > peaks[1]
 
 
 def test_wrong_pinned_value_is_a_failure(monkeypatch):

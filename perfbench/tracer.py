@@ -16,6 +16,7 @@ module are not counted twice.  Counts repeat exactly at a fixed seed;
 times do not.
 """
 
+import functools
 import inspect
 import sys
 from fractions import Fraction
@@ -57,6 +58,7 @@ class Tracer:
         mod = self.modules.setdefault(module, [0, 0.0])
         stack = self._stack
 
+        @functools.wraps(fn)
         def traced(*args, **kwargs):
             if before is not None:
                 before(args)
@@ -83,10 +85,6 @@ class Tracer:
                 after(result)
             return result
 
-        traced.__wrapped__ = fn
-        traced.__name__ = getattr(fn, "__name__", qualname)
-        traced.__qualname__ = getattr(fn, "__qualname__", qualname)
-        traced.__doc__ = getattr(fn, "__doc__", None)
         return traced
 
     # -- hooks for the counters that need arguments or results ------------

@@ -24,6 +24,7 @@ conductor a workload uses is built during set-up and counted in
 
 import math
 import os
+import selectors
 import subprocess
 import sys
 from fractions import Fraction
@@ -41,35 +42,37 @@ PGL2_ORDERS = range(1, 9)
 #: Mode window of the spectrum and split-form jobs of ``modes``.
 MODE_WINDOW = 6
 
-#: The README command list, run once per ``cli`` pass.  Entries whose
-#: expected stdout is given are pinned to it exactly.
+#: The ``cli`` commands, run once per cycle: the README command list,
+#: ``pgl2-classes 2`` for its pinned text, and the untwisted ``loop``.
+#: Each comes with its check: a string is the exact expected stdout, a
+#: list holds lines the stdout must contain.  The lines are derived by
+#: hand from the algebra tables, not read back from the program.
+#:
+#: Five commands take about 48 ms (scaled) and the rest 55 ms or more.
+#: With ten commands the median fell in the gap between the two groups
+#: and jumped between ~49 and ~57 ms from run to run; the eleventh puts
+#: it inside the upper group.
 CLI_COMMANDS = [
-    (["check", "n2.csa"], None),
-    (["bracket", "n2.csa", "G+", "G-"], None),
+    (["check", "n2.csa"],
+     ["  CS4: pass (16 pairs)", "  CS5: pass (64 triples)"]),
+    (["bracket", "n2.csa", "G+", "G-"], []),
     (["bracket", "n2.csa", "G+", "G-", "--n", "1"], "J\n"),
-    (["hom", "n2.csa", "omega.csm"], None),
-    (["loop", "n2.csa", "--auto", "omega", "--window", "3"], None),
+    (["hom", "n2.csa", "omega.csm"], ["  homomorphism: pass"]),
+    (["loop", "n2.csa", "--auto", "omega", "--window", "3"],
+     ["odd L0 fractional parts: {0, 1/2}"]),
+    (["loop", "n2.csa", "--auto", "id", "--window", "3"],
+     ["odd L0 fractional parts: {1/2}"]),
     (["alg", "n2.csa", "--auto", "id", "--bracket", "L[2] L[-1]"],
      "3*L[0]\n"),
-    (["classify-n4", "--matrix", "zeta^6,0;0,-zeta^6"], None),
-    (["pgl2-classes", "4"], None),
+    (["classify-n4", "--matrix", "zeta^6,0;0,-zeta^6"], ["class {-1, -1}"]),
+    (["pgl2-classes", "4"], ["3 classes of order dividing 4:"]),
     (["pgl2-classes", "2"],
      "2 classes of order dividing 2:\n  {1, 1}\n  {-1, -1}\n"),
     (["centroid", "n2.csa", "--auto", "omega", "--window", "3",
-      "--interior", "1"], None),
+      "--interior", "1"],
+     ["3 centroid solutions on window 3 (interior 1):",
+      "  r = t^{-1}", "  r = 1", "  r = t^{1}"]),
 ]
-
-#: Lines each unpinned command must print; derived by hand from the
-#: algebra tables, not read back from the program.
-CLI_EXPECT_LINES = {
-    "check": ["  CS4: pass (16 pairs)", "  CS5: pass (64 triples)"],
-    "hom": ["  homomorphism: pass"],
-    "loop": ["odd L0 fractional parts: {0, 1/2}"],
-    "classify-n4": ["class {-1, -1}"],
-    "pgl2-classes": ["3 classes of order dividing 4:"],
-    "centroid": ["3 centroid solutions on window 3 (interior 1):",
-                 "  r = t^{-1}", "  r = 1", "  r = t^{1}"],
-}
 
 
 def child_env():
@@ -94,6 +97,8 @@ class State:
     def __init__(self, name):
         self.name = name
         self.cycle_index = 0
+        #: Highest peak resident memory of a ``cli`` job child, in MB.
+        self.child_peak_mb = 0.0
 
 
 def setup(name):
@@ -339,7 +344,8 @@ def _pgl2_job(n, field):
 
 
 def _cli_jobs(state, rng):
-    return [(argv[0], (lambda argv=argv, want=want: cli_job(argv, want)))
+    return [(argv[0],
+             (lambda argv=argv, want=want: cli_job(state, argv, want)))
             for argv, want in CLI_COMMANDS]
 
 
@@ -348,26 +354,62 @@ def cli_command(argv):
 
 
 def run_child(args, timeout=170):
-    """Run one child to completion: (wall_s, returncode, stdout, stderr)."""
+    """Run one child to completion.
+
+    Returns ``(wall_s, returncode, stdout, stderr, peak_rss_mb)``.  The
+    child is reaped with ``os.wait4``, so its peak resident memory is its
+    own and not the maximum over every child this process has reaped.
+    ``timeout=None`` waits as long as the child runs.
+    """
     t0 = perf_counter()
-    proc = subprocess.run(args, cwd=ROOT, env=child_env(), capture_output=True,
-                          text=True, timeout=timeout)
-    return perf_counter() - t0, proc.returncode, proc.stdout, proc.stderr
+    proc = subprocess.Popen(args, cwd=ROOT, env=child_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    chunks = {proc.stdout: [], proc.stderr: []}
+    timed_out = False
+    with selectors.DefaultSelector() as selector:
+        for pipe in chunks:
+            selector.register(pipe, selectors.EVENT_READ)
+        while selector.get_map():
+            left = None if timeout is None else t0 + timeout - perf_counter()
+            if left is not None and left <= 0:
+                timed_out = True
+                proc.kill()
+                break
+            for key, _ in selector.select(left):
+                data = os.read(key.fd, 1 << 16)
+                if data:
+                    chunks[key.fileobj].append(data)
+                else:
+                    selector.unregister(key.fileobj)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    proc.stdout.close()
+    proc.stderr.close()
+    if timed_out:
+        raise subprocess.TimeoutExpired(args, timeout)
+    out, err = (b"".join(chunks[pipe]).decode() for pipe in
+                (proc.stdout, proc.stderr))
+    return wall, proc.returncode, out, err, usage.ru_maxrss / 1024
 
 
-def cli_job(argv, want):
-    """Run one ``csalg`` command in a fresh process and check its output."""
-    _, code, out, _ = run_child(cli_command(argv))
-    return cli_verdict(argv, want, code, out), out
+def cli_job(state, argv, want):
+    """Run one ``csalg`` command in a fresh process and check its output.
+
+    The child's peak resident memory raises ``state.child_peak_mb``.
+    """
+    _, code, out, _, peak_mb = run_child(cli_command(argv))
+    state.child_peak_mb = max(state.child_peak_mb, peak_mb)
+    return cli_verdict(want, code, out), out
 
 
-def cli_verdict(argv, want, code, out):
+def cli_verdict(want, code, out):
     if code != 0:
         return False
-    if want is not None:
+    if isinstance(want, str):
         return out == want
     lines = out.splitlines()
-    return all(line in lines for line in CLI_EXPECT_LINES.get(argv[0], []))
+    return all(line in lines for line in want)
 
 
 _JOB_LISTS = {
