@@ -70,7 +70,10 @@ class _Frame:
             raise DomainError("eigenbasis does not span the generators")
         dinv = d.inverse()
         adj = adjugate(ematrix, self.field.one())
-        self._einv = [[e * dinv for e in row] for row in adj]
+        # sparse rows of the inverse: (generator index, nonzero entry)
+        self._einv = [[(r, e * dinv) for r, e in enumerate(row)
+                       if not e.is_zero()]
+                      for row in adj]
 
         self.maxl = A.table_degrees()[0]
         self._hat_cache = {}
@@ -90,18 +93,18 @@ class _Frame:
 
     def decompose(self, x):
         """Coordinates of x on the keys (alpha, l, q), via the hat basis."""
-        A = self.algebra
         zero = self.field.zero()
         grouped = {}
-        for (g, l, q), c in to_hat_basis(A, x).items():
-            vec = grouped.setdefault((l, q), [zero] * A.ngens())
-            vec[g] = vec[g] + c
+        for (g, l, q), c in to_hat_basis(self.algebra, x).items():
+            _add_to(grouped.setdefault((l, q), {}), g, c)
         out = {}
         for (l, q), vec in grouped.items():
-            for ai in range(len(self.alphas)):
+            for ai, row in enumerate(self._einv):
                 coord = zero
-                for r in range(A.ngens()):
-                    coord = coord + self._einv[ai][r] * vec[r]
+                for r, e in row:
+                    v = vec.get(r)
+                    if v is not None:
+                        coord = coord + e * v
                 if not coord.is_zero():
                     out[(ai, l, q)] = coord
         return out
@@ -178,50 +181,17 @@ class CentroidSolution:
             len(self.entries), self._frame.window)
 
 
-def _echelon_insert(pivots, row):
-    """Insert a sparse row into an echelon set; pivot on the least column."""
-    while row:
-        lead = min(row)
-        piv = pivots.get(lead)
-        if piv is None:
-            inv = row[lead].inverse()
-            pivots[lead] = {u: c * inv for u, c in row.items()}
-            return lead
-        coef = row.pop(lead)
-        for u, c in piv.items():
-            if u == lead:
-                continue
-            _add_to(row, u, -(coef * c))
-    return None
-
-
-def _back_substitute(pivots):
-    for u in sorted(pivots, reverse=True):
-        row = pivots[u]
-        for k in sorted(k for k in row if k != u and k in pivots):
-            coef = row.pop(k, None)
-            if coef is None:
-                continue
-            for u2, c2 in pivots[k].items():
-                if u2 == k:
-                    continue
-                _add_to(row, u2, -(coef * c2))
-
-
-def _null_basis(pivots, touched):
-    free = sorted(u for u in touched if u not in pivots)
-    basis = []
-    for f in free:
-        vec = {f: None}
-        for u, row in pivots.items():
-            c = row.get(f)
-            if c is not None:
-                vec[u] = -c
-        basis.append((f, vec))
-    return basis
+# Pivot rows are kept solved for their lead column: pivots[lead] = {u: m_u}
+# stands for x_lead = sum_u m_u x_u, every u greater than lead.  Eliminating
+# a lead with coefficient coef then adds coef * m_u, and a null vector reads
+# the m_u off directly, with no negation on either path.
 
 
 def _reduce_against(pivots, vec):
+    """Reduce a copy of vec until its least column is no pivot.
+
+    Returns the reduced vector and that column (None when it vanished).
+    """
     vec = dict(vec)
     while vec:
         lead = min(vec)
@@ -230,10 +200,40 @@ def _reduce_against(pivots, vec):
             return vec, lead
         coef = vec.pop(lead)
         for u, c in piv.items():
-            if u == lead:
-                continue
-            _add_to(vec, u, -(coef * c))
+            _add_to(vec, u, coef * c)
     return vec, None
+
+
+def _echelon_insert(pivots, row):
+    """Insert a sparse row into an echelon set; pivot on the least column."""
+    row, lead = _reduce_against(pivots, row)
+    if lead is not None:
+        coef = row.pop(lead)
+        ninv = -coef.inverse() if row else None
+        pivots[lead] = {u: c * ninv for u, c in row.items()}
+    return lead
+
+
+def _back_substitute(pivots):
+    for u in sorted(pivots, reverse=True):
+        row = pivots[u]
+        for k in sorted(k for k in row if k in pivots):
+            coef = row.pop(k)
+            for u2, c2 in pivots[k].items():
+                _add_to(row, u2, coef * c2)
+
+
+def _null_basis(pivots, touched, one):
+    """One null vector per free column f: x_f = 1, the other free columns 0."""
+    basis = []
+    for f in sorted(u for u in touched if u not in pivots):
+        vec = {f: one}
+        for u, row in pivots.items():
+            c = row.get(f)
+            if c is not None:
+                vec[u] = c
+        basis.append(vec)
+    return basis
 
 
 def centroid_basis(L, window, interior):
@@ -303,55 +303,51 @@ def centroid_basis(L, window, interior):
                            if frame.parity_of(c) == sig[0]
                            and (c[2] * L.order - sig[1]) % L.order == 0]
     unknowns = {}
+    cols = {}  # domain key -> {codomain key: unknown id}
     for dkey in domain:
         sig = (frame.parity_of(dkey), frame.residue_of(dkey))
+        col = cols[dkey] = {}
         for ckey in cod_of[sig]:
-            unknowns[(dkey, ckey)] = len(unknowns)
+            col[ckey] = unknowns[(dkey, ckey)] = len(unknowns)
 
     # assemble the strict rows, n running one past the table degree so the
     # vanishing products constrain the unknowns too
-    rhs_cache = {}
     pivots = {}
     touched = set()
     for a in interior0:
         xa = frame.hat_elt(a)
+        minus = {}  # codomain key -> {n: -coordinates of [xa lambda c]_n}
         for b in interior0:
-            bsig = (frame.parity_of(b), frame.residue_of(b))
-            bcods = cod_of[bsig]
+            rhs = []
+            for ckey, uid in cols[b].items():
+                got = minus.get(ckey)
+                if got is None:
+                    poly = lambda_bracket(A, xa, frame.hat_elt(ckey))
+                    got = minus[ckey] = {
+                        m: {k: -v for k, v in frame.decompose(elt).items()}
+                        for m, elt in poly.coeffs.items() if not elt.is_zero()}
+                rhs.append((uid, got))
             comps_by_n = pair_brackets[(a, b)]
             for n in range(frame.maxl + 2):
                 eq = {}
                 for dkey, w in comps_by_n.get(n, {}).items():
-                    dsig = (frame.parity_of(dkey), frame.residue_of(dkey))
-                    for ckey in cod_of[dsig]:
-                        uid = unknowns[(dkey, ckey)]
+                    for ckey, uid in cols[dkey].items():
                         _add_to(eq.setdefault(ckey, {}), uid, w)
-                for ckey in bcods:
-                    uid = unknowns[(b, ckey)]
-                    got = rhs_cache.get((a, ckey))
-                    if got is None:
-                        poly = lambda_bracket(A, xa, frame.hat_elt(ckey))
-                        got = {m: frame.decompose(elt)
-                               for m, elt in poly.coeffs.items()
-                               if not elt.is_zero()}
-                        rhs_cache[(a, ckey)] = got
+                for uid, got in rhs:
                     for ekey, v in got.get(n, {}).items():
-                        _add_to(eq.setdefault(ekey, {}), uid, -v)
+                        _add_to(eq.setdefault(ekey, {}), uid, v)
                 for row in eq.values():
                     if row:
                         touched.update(row)
                         _echelon_insert(pivots, row)
 
     _back_substitute(pivots)
-    raw = []
-    for f, vec in _null_basis(pivots, touched):
-        vec = {u: (one if c is None else c) for u, c in vec.items()}
-        raw.append((f, vec))
+    raw = _null_basis(pivots, touched, one)
 
     # span-membership echelon over the raw solutions
     span = {}
-    for _, vec in raw:
-        _echelon_insert(span, dict(vec))
+    for vec in raw:
+        _echelon_insert(span, vec)
 
     solutions = []
     chosen = {}
@@ -363,7 +359,7 @@ def centroid_basis(L, window, interior):
         for dkey in domain:
             img = frame.decompose(frame.hat_elt(dkey).mul_laurent(r))
             for ckey, v in img.items():
-                uid = unknowns.get((dkey, ckey))
+                uid = cols[dkey].get(ckey)
                 if uid is None or uid not in touched:
                     ok = False
                     break
@@ -375,21 +371,20 @@ def centroid_basis(L, window, interior):
         residue, _ = _reduce_against(span, entries)
         if residue:
             continue
-        vec = dict(entries)
-        _echelon_insert(chosen, dict(vec))
+        _echelon_insert(chosen, entries)
         mat = {}
         for (pos, uid) in unknowns.items():
-            if uid in vec:
-                mat[pos] = vec[uid]
+            if uid in entries:
+                mat[pos] = entries[uid]
         solutions.append(CentroidSolution(frame, mat))
 
-    for f, vec in raw:
+    for vec in raw:
         residue, lead = _reduce_against(chosen, vec)
         if not residue:
             continue
         inv = residue[lead].inverse()
         residue = {u: c * inv for u, c in residue.items()}
-        _echelon_insert(chosen, dict(residue))
+        _echelon_insert(chosen, residue)
         mat = {}
         for (pos, uid) in unknowns.items():
             if uid in residue:

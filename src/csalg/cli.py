@@ -358,6 +358,17 @@ def _fraction(text):
     return Fraction(text)
 
 
+def _nonnegative_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            "must be a non-negative integer, got %d" % value)
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="csalg",
@@ -379,7 +390,7 @@ def build_parser():
     q.add_argument("file", help=".csa file")
     q.add_argument("a", help="left element expression")
     q.add_argument("b", help="right element expression")
-    q.add_argument("--n", type=int, default=None,
+    q.add_argument("--n", type=_nonnegative_int, default=None,
                    help="print only the n-th product")
 
     q = subcommand("hom", cmd_hom, "check a morphism file")

@@ -141,13 +141,6 @@ class ConfElt:
 
     __hash__ = None
 
-    def key(self):
-        """A hashable snapshot used for memoization."""
-        return tuple(sorted(
-            ((g, j, q, tuple(sorted(c.coeffs.items())))
-             for (g, j, q), c in self.terms.items()),
-            key=lambda item: (item[0], item[1], item[2])))
-
     def __repr__(self):
         return "<ConfElt %d terms>" % len(self.terms)
 

@@ -164,7 +164,13 @@ def _solve_rational(matrix, rhs):
 
 
 class CycloScalar:
-    """An element of Q(zeta_N), immutable after construction."""
+    """An element of Q(zeta_N), immutable after construction.
+
+    ``coeffs`` maps exponents 0 <= e < phi(N) to nonzero Fractions.  The
+    ring operations may return one of their operands unchanged (adding
+    or subtracting zero, multiplying by zero), so a result can share its
+    ``coeffs`` dict with an input: ``coeffs`` must never be mutated.
+    """
 
     __slots__ = ("field", "coeffs")
 
@@ -217,13 +223,20 @@ class CycloScalar:
         if pair is None:
             return NotImplemented
         a, b = pair
+        if not b.coeffs:
+            return a
+        if not a.coeffs:
+            return b
         out = dict(a.coeffs)
         for e, c in b.coeffs.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
+            if e in out:
+                s = out[e] + c
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
             else:
-                out.pop(e, None)
+                out[e] = c
         return CycloScalar(a.field, out)
 
     __radd__ = __add__
@@ -236,25 +249,53 @@ class CycloScalar:
         if pair is None:
             return NotImplemented
         a, b = pair
-        return a + (-b)
+        if not b.coeffs:
+            return a
+        out = dict(a.coeffs)
+        for e, c in b.coeffs.items():
+            if e in out:
+                s = out[e] - c
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+            else:
+                out[e] = -c
+        return CycloScalar(a.field, out)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        # same-field scalars first: isinstance against Fraction is an ABC check
+        if other.__class__ is CycloScalar and other.field is self.field:
+            a, b = self, other
+        elif isinstance(other, (int, Fraction)):
             f = Fraction(other)
             if not f:
                 return self.field.zero()
             return CycloScalar(self.field,
                                {e: c * f for e, c in self.coeffs.items()})
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
+        else:
+            pair = self._pair(other)
+            if pair is None:
+                return NotImplemented
+            a, b = pair
+        ac, bc = a.coeffs, b.coeffs
+        if not ac:
+            return a
+        if not bc:
+            return b
+        # a rational factor scales the other operand's reduced coefficients
+        if len(bc) == 1 and 0 in bc:
+            f = bc[0]
+            return CycloScalar(a.field, {e: c * f for e, c in ac.items()})
+        if len(ac) == 1 and 0 in ac:
+            f = ac[0]
+            return CycloScalar(a.field, {e: f * c for e, c in bc.items()})
         raw = {}
-        for e1, c1 in a.coeffs.items():
-            for e2, c2 in b.coeffs.items():
+        for e1, c1 in ac.items():
+            for e2, c2 in bc.items():
                 e = e1 + e2
                 raw[e] = raw.get(e, Fraction(0)) + c1 * c2
         return CycloScalar(a.field, a.field.reduce_terms(raw))

@@ -96,9 +96,6 @@ class LaurentElt:
         return (len(self.terms) == 1
                 and self.terms.get(Fraction(0)) == self.field.one())
 
-    def constant_coefficient(self):
-        return self.terms.get(Fraction(0), self.field.zero())
-
     # -- arithmetic -------------------------------------------------------
 
     def _coerce(self, other):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from csalg.algebras import make_n2
-from csalg.centroid import centroid_basis, is_scalar_action
+from csalg.centroid import _Frame, centroid_basis, is_scalar_action
 from csalg.core import apply_partial
 from csalg.errors import DomainError
 from csalg.laurent import LaurentElt, delta_t
@@ -102,3 +102,22 @@ def test_apply_rejects_elements_off_the_window():
     sol = by_exponent(centroid_basis(UNTWISTED, 3, 1))[0]
     with pytest.raises(DomainError):
         sol.apply(N2.elt("L", q=10))
+
+
+@pytest.mark.parametrize("loop", [UNTWISTED, OMEGA_LOOP], ids=["id", "omega"])
+def test_decompose_inverts_the_hat_basis(loop):
+    frame = _Frame(loop, 3, 1)
+    one = FIELD.one()
+    keys = [(ai, l, q)
+            for ai, (res, _, _, _) in enumerate(frame.alphas)
+            for q in frame.exponents(res, frame.window) for l in (0, 1)]
+    for key in keys:
+        assert frame.decompose(frame.hat_elt(key)) == {key: one}
+    # a fixed combination with rational and non-rational coefficients
+    coeffs = [FIELD.rational(Fraction(-3, 2)), FIELD.zeta(5),
+              FIELD.zeta(1) + FIELD.rational(2), one]
+    combo = dict(zip(keys[1::7], coeffs * 2))
+    x = frame.algebra.zero_elt()
+    for key, c in combo.items():
+        x = x + frame.hat_elt(key).scale(c)
+    assert frame.decompose(x) == combo

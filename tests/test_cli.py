@@ -195,3 +195,10 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["loop", "n2.csa"])
     assert err.value.code == 2
+
+
+def test_negative_product_index_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["bracket", "n2.csa", "G+", "G-", "--n", "-1"])
+    assert err.value.code == 2
+    assert "--n" in capsys.readouterr().err

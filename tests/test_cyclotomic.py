@@ -131,3 +131,119 @@ def test_printing():
     assert str(field.rational(-2)) == "-2"
     assert str(field.zeta(5)) == "zeta^5"
     assert str(1 - field.zeta(3)) == "1 - zeta^3"
+
+
+# -- exhaustive check of add/sub/mul against schoolbook arithmetic ----------
+
+# Phi_N, little-endian, written out by hand for the conductors swept below
+PHI = {1: (-1, 1), 2: (1, 1), 3: (1, 1, 1), 4: (1, 0, 1), 8: (1, 0, 0, 0, 1),
+       12: (1, 0, -1, 0, 1), 24: (1, 0, 0, 0, -1, 0, 0, 0, 1)}
+SWEPT = (1, 2, 3, 4, 8, 12, 24)
+
+
+def _oracle_reduce(raw, n):
+    """Remainder of a raw {exponent: coefficient} polynomial modulo Phi_n."""
+    phi = PHI[n]
+    d = len(phi) - 1
+    coeffs = [Fraction(0)] * (max(list(raw) + [d]) + 1)
+    for e, c in raw.items():
+        coeffs[e] += c
+    for i in range(len(coeffs) - 1, d - 1, -1):
+        c = coeffs[i]
+        if c:
+            for j in range(d + 1):
+                if phi[j]:
+                    coeffs[i - d + j] -= c * phi[j]
+    return {e: c for e, c in enumerate(coeffs[:d]) if c}
+
+
+def _oracle_add(x, y, sign=1):
+    out = dict(x)
+    for e, c in y.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return out
+
+
+def _oracle_mul(x, y):
+    out = {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + c1 * c2
+    return out
+
+
+def _operands(n, powers=None):
+    """Raw polynomials (exponents below n) covering every fast path.
+
+    They hold zeta^k for every k in ``powers``, by default every k < n.
+    """
+    half = Fraction(1, 2)
+    raws = [{}, {0: Fraction(1)}, {0: Fraction(-1)}, {0: half}]
+    raws += [{k: Fraction(1)} for k in (range(n) if powers is None else powers)]
+    raws += [{0: Fraction(1), 1 % n: Fraction(1)},
+             {(n - 1) % n: Fraction(-3), n // 2: half},
+             {n // 3: Fraction(2), n // 4: Fraction(-1, 3)},
+             {0: half, (n - 1) % n: Fraction(1)}]
+    return raws
+
+
+def test_ring_operations_match_schoolbook_arithmetic():
+    for n in SWEPT:
+        assert cyclotomic_poly(n) == PHI[n]
+        field = CycloField.get(n)
+        raws = _operands(n)
+        scalars = [field.element(raw) for raw in raws]
+        snapshots = [dict(s.coeffs) for s in scalars]
+        for raw, s in zip(raws, scalars):
+            assert s.coeffs == _oracle_reduce(raw, n)
+        for rx, x in zip(raws, scalars):
+            for ry, y in zip(raws, scalars):
+                where = (n, rx, ry)
+                assert (x + y).coeffs == _oracle_reduce(
+                    _oracle_add(rx, ry), n), where
+                assert (x - y).coeffs == _oracle_reduce(
+                    _oracle_add(rx, ry, -1), n), where
+                assert (x * y).coeffs == _oracle_reduce(
+                    _oracle_mul(rx, ry), n), where
+            for r in (0, 1, -2, Fraction(1, 2)):
+                rr = {0: Fraction(r)}
+                assert (x + r).coeffs == (r + x).coeffs == _oracle_reduce(
+                    _oracle_add(rx, rr), n)
+                assert (x - r).coeffs == _oracle_reduce(
+                    _oracle_add(rx, rr, -1), n)
+                assert (r - x).coeffs == _oracle_reduce(
+                    _oracle_add(rr, rx, -1), n)
+                assert (x * r).coeffs == (r * x).coeffs == _oracle_reduce(
+                    _oracle_mul(rx, rr), n)
+        # results may share a dict with an operand; no operand may change
+        assert [s.coeffs for s in scalars] == snapshots
+
+
+def test_mixed_conductors_embed_and_agree():
+    for small in SWEPT:
+        for big in SWEPT:
+            if small >= big or big % small:
+                continue
+            scale = big // small
+            fs, fb = CycloField.get(small), CycloField.get(big)
+            bigs = [(ry, fb.element(ry), _oracle_reduce(ry, big))
+                    for ry in _operands(big, powers=(1, big - 1))]
+            for rx in _operands(small, powers=(1, small - 1)):
+                x = fs.element(rx)
+                lifted = {e * scale: c for e, c in rx.items()}
+                ox = _oracle_reduce(lifted, big)
+                for ry, y, oy in bigs:
+                    where = (small, big, rx, ry)
+                    assert (x == y) == (y == x) == (ox == oy), where
+                    for got in (x + y, y + x):
+                        assert got.field is fb
+                        assert got.coeffs == _oracle_reduce(
+                            _oracle_add(lifted, ry), big), where
+                    assert (x - y).coeffs == _oracle_reduce(
+                        _oracle_add(lifted, ry, -1), big), where
+                    assert (y - x).coeffs == _oracle_reduce(
+                        _oracle_add(ry, lifted, -1), big), where
+                    for got in (x * y, y * x):
+                        assert got.field is fb
+                        assert got.coeffs == _oracle_reduce(
+                            _oracle_mul(lifted, ry), big), where
