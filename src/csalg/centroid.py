@@ -25,18 +25,10 @@ from fractions import Fraction
 from .core import apply_partial_power, lambda_bracket, to_hat_basis
 from .errors import DomainError
 from .laurent import LaurentElt
-from .linalg import adjugate, det
+from .linalg import (_add_to, _back_substitute, _echelon_insert,
+                     _null_basis, _reduce_against, adjugate, det)
 
 __all__ = ["CentroidSolution", "centroid_basis", "is_scalar_action"]
-
-
-def _add_to(acc, key, val):
-    s = acc.get(key)
-    s = val if s is None else s + val
-    if s.is_zero():
-        acc.pop(key, None)
-    else:
-        acc[key] = s
 
 
 class _Frame:
@@ -179,61 +171,6 @@ class CentroidSolution:
     def __repr__(self):
         return "CentroidSolution(%d entries on window %s)" % (
             len(self.entries), self._frame.window)
-
-
-# Pivot rows are kept solved for their lead column: pivots[lead] = {u: m_u}
-# stands for x_lead = sum_u m_u x_u, every u greater than lead.  Eliminating
-# a lead with coefficient coef then adds coef * m_u, and a null vector reads
-# the m_u off directly, with no negation on either path.
-
-
-def _reduce_against(pivots, vec):
-    """Reduce a copy of vec until its least column is no pivot.
-
-    Returns the reduced vector and that column (None when it vanished).
-    """
-    vec = dict(vec)
-    while vec:
-        lead = min(vec)
-        piv = pivots.get(lead)
-        if piv is None:
-            return vec, lead
-        coef = vec.pop(lead)
-        for u, c in piv.items():
-            _add_to(vec, u, coef * c)
-    return vec, None
-
-
-def _echelon_insert(pivots, row):
-    """Insert a sparse row into an echelon set; pivot on the least column."""
-    row, lead = _reduce_against(pivots, row)
-    if lead is not None:
-        coef = row.pop(lead)
-        ninv = -coef.inverse() if row else None
-        pivots[lead] = {u: c * ninv for u, c in row.items()}
-    return lead
-
-
-def _back_substitute(pivots):
-    for u in sorted(pivots, reverse=True):
-        row = pivots[u]
-        for k in sorted(k for k in row if k in pivots):
-            coef = row.pop(k)
-            for u2, c2 in pivots[k].items():
-                _add_to(row, u2, coef * c2)
-
-
-def _null_basis(pivots, touched, one):
-    """One null vector per free column f: x_f = 1, the other free columns 0."""
-    basis = []
-    for f in sorted(u for u in touched if u not in pivots):
-        vec = {f: one}
-        for u, row in pivots.items():
-            c = row.get(f)
-            if c is not None:
-                vec[u] = c
-        basis.append(vec)
-    return basis
 
 
 def centroid_basis(L, window, interior):

@@ -358,16 +358,14 @@ def pgl2_classes(n, field=None):
     """Invariants of the conjugacy classes of order dividing n in PGL_2.
 
     Each class of a finite-order element is pinned by {rho, rho^{-1}} with
-    rho^n = 1, giving floor(n/2) + 1 distinct pairs.  The conductor must
-    contain the 2n-th roots so that every class has a matrix representative
-    diag(lambda, lambda^{-1}) with lambda^2 = rho over the same field.
+    rho^n = 1, giving floor(n/2) + 1 distinct pairs.  The pairs need no
+    field; a given ``field`` must contain the 2n-th roots so that every
+    class has a matrix representative diag(lambda, lambda^{-1}) with
+    lambda^2 = rho over it.
     """
     if n < 1:
         raise DomainError("order bound must be positive")
-    if field is None:
-        lead = DEFAULT_CONDUCTOR * 2 * n // math.gcd(DEFAULT_CONDUCTOR, 2 * n)
-        field = CycloField.get(lead)
-    if field.conductor % (2 * n):
+    if field is not None and field.conductor % (2 * n):
         raise ConductorError(
             "enumerating classes of order %d needs 2*%d dividing the "
             "conductor %d" % (n, n, field.conductor))

@@ -1,9 +1,13 @@
 """Small exact linear algebra helpers.
 
-Row reduction and null spaces work over any of our field-like scalars
-(CycloScalar entries, all in one field).  Determinants and adjugates
-are also provided over the Laurent ring, where division is not
-available, via minor expansion.
+All elimination over a field goes through one sparse exact eliminator,
+the solved-form echelon below: rows are dicts {column: scalar} of
+field-like scalars (CycloScalar entries, all in one field), and each
+pivot is kept solved for its least column.  ``rref``, ``rank``,
+``null_space`` and ``solve`` are dense adapters over it; the windowed
+centroid solve drives it directly.  Determinants and adjugates are also
+provided over the Laurent ring, where division is not available, via
+minor expansion.
 """
 
 from __future__ import annotations
@@ -11,40 +15,105 @@ from __future__ import annotations
 from .errors import DomainError
 
 
+def _add_to(acc, key, val):
+    s = acc.get(key)
+    s = val if s is None else s + val
+    if s.is_zero():
+        acc.pop(key, None)
+    else:
+        acc[key] = s
+
+
+# Pivot rows are kept solved for their lead column: pivots[lead] = {u: m_u}
+# stands for x_lead = sum_u m_u x_u, every u greater than lead.  Eliminating
+# a lead with coefficient coef then adds coef * m_u, and a null vector reads
+# the m_u off directly, with no negation on either path.
+
+
+def _reduce_against(pivots, vec):
+    """Reduce a copy of vec until its least column is no pivot.
+
+    Returns the reduced vector and that column (None when it vanished).
+    """
+    vec = dict(vec)
+    while vec:
+        lead = min(vec)
+        piv = pivots.get(lead)
+        if piv is None:
+            return vec, lead
+        coef = vec.pop(lead)
+        for u, c in piv.items():
+            _add_to(vec, u, coef * c)
+    return vec, None
+
+
+def _echelon_insert(pivots, row):
+    """Insert a sparse row into an echelon set; pivot on the least column."""
+    row, lead = _reduce_against(pivots, row)
+    if lead is not None:
+        coef = row.pop(lead)
+        ninv = -coef.inverse() if row else None
+        pivots[lead] = {u: c * ninv for u, c in row.items()}
+    return lead
+
+
+def _back_substitute(pivots):
+    for u in sorted(pivots, reverse=True):
+        row = pivots[u]
+        for k in sorted(k for k in row if k in pivots):
+            coef = row.pop(k)
+            for u2, c2 in pivots[k].items():
+                _add_to(row, u2, coef * c2)
+
+
+def _null_basis(pivots, touched, one):
+    """One null vector per free column f: x_f = 1, the other free columns 0."""
+    basis = []
+    for f in sorted(u for u in touched if u not in pivots):
+        vec = {f: one}
+        for u, row in pivots.items():
+            c = row.get(f)
+            if c is not None:
+                vec[u] = c
+        basis.append(vec)
+    return basis
+
+
+def _echelon(rows):
+    """Back-substituted solved-form pivots of dense rows."""
+    pivots = {}
+    for row in rows:
+        _echelon_insert(pivots, {c: v for c, v in enumerate(row)
+                                 if not v.is_zero()})
+    _back_substitute(pivots)
+    return pivots
+
+
 def rref(rows, zero):
     """Reduced row echelon form.
 
     ``rows`` is a list of equal-length lists of field scalars; ``zero``
-    the field's zero (used to pad and to test emptiness).  Returns
-    (reduced rows with zero rows dropped, pivot column list).
+    the field's zero (used to pad the reduced rows).  Returns (reduced
+    rows with zero rows dropped, pivot column list).
     """
-    rows = [list(r) for r in rows]
     if not rows:
         return [], []
     ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if not rows[i][col].is_zero()),
-                     None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][col].inverse()
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+    pivots = _echelon(rows)
+    leads = sorted(pivots)
+    one = zero + 1
+    reduced = []
+    for lead in leads:
+        row = [zero] * ncols
+        row[lead] = one
+        for u, m in pivots[lead].items():
+            row[u] = -m
+        reduced.append(row)
+    return reduced, leads
 
 
 def rank(rows, zero):
-    return len(rref(rows, zero)[0])
+    return len(_echelon(rows))
 
 
 def null_space(rows, ncols, one, zero):
@@ -52,31 +121,22 @@ def null_space(rows, ncols, one, zero):
 
     Rows may be empty, in which case the identity basis is returned.
     """
-    reduced, pivots = rref(rows, zero)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for free in free_cols:
-        vec = [zero] * ncols
-        vec[free] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][free]
-        basis.append(vec)
-    return basis
+    basis = _null_basis(_echelon(rows), range(ncols), one)
+    return [[vec.get(c, zero) for c in range(ncols)] for vec in basis]
 
 
 def solve(rows, rhs, ncols, zero):
     """One solution of A x = b over a field, or None if inconsistent.
 
-    Free variables are set to zero.
+    Free variables are set to zero.  The system is eliminated as
+    [A | -b] (x, 1) = 0, so x reads off the column of -b.
     """
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    reduced, pivots = rref(aug, zero)
+    pivots = _echelon(list(r) + [-b] for r, b in zip(rows, rhs))
+    if ncols in pivots:  # pivot in the constant column: inconsistent
+        return None
     sol = [zero] * ncols
-    for r, pc in enumerate(pivots):
-        if pc == ncols:  # pivot in the constant column: inconsistent
-            return None
-        sol[pc] = reduced[r][ncols]
+    for lead, row in pivots.items():
+        sol[lead] = row.get(ncols, zero)
     # verify (cheap, and catches free-variable interactions)
     for row, b in zip(rows, rhs):
         acc = zero
@@ -138,7 +198,7 @@ def adjugate(matrix, one):
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
+    n, k, m = len(a), len(b), len(b[0]) if b else 0
     out = []
     for i in range(n):
         row = []

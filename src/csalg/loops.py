@@ -22,7 +22,7 @@ from .core import EVEN, ODD, find_virasoro, lambda_bracket, to_hat_basis
 from .cyclotomic import CycloScalar
 from .errors import CsalgError, DomainError
 from .laurent import binom_frac
-from .linalg import null_space, rank, solve
+from .linalg import mat_mul, null_space, rank, solve
 
 __all__ = [
     "AlgElt",
@@ -130,9 +130,7 @@ def eigenspaces(A, sigma, m):
     power = [[field.one() if r == c else field.zero() for c in range(n)]
              for r in range(n)]
     for _ in range(m):
-        power = [[sum((power[r][k] * matrix[k][c] for k in range(n)),
-                      field.zero())
-                  for c in range(n)] for r in range(n)]
+        power = mat_mul(power, matrix)
     for r in range(n):
         for c in range(n):
             want = field.one() if r == c else field.zero()

@@ -202,3 +202,21 @@ def test_negative_product_index_is_a_usage_error(capsys):
         main(["bracket", "n2.csa", "G+", "G-", "--n", "-1"])
     assert err.value.code == 2
     assert "--n" in capsys.readouterr().err
+
+
+def test_large_pgl2_class_count(capsys):
+    code, out, _ = run(capsys, ["pgl2-classes", "5000"])
+    assert code == 0
+    assert out.splitlines()[0] == "2501 classes of order dividing 5000:"
+
+
+def test_conductor_bound_exits_3(capsys, tmp_path):
+    big = tmp_path / "big.csa"
+    big.write_text(data_text("n2.csa").replace("cyclotomic 24",
+                                               "cyclotomic 30030"))
+    for argv, conductor in ((["check", str(big)], "30030"),
+                            (["classify-n4", "--matrix", "1,0;0,1",
+                              "--conductor", "5005"], "5005")):
+        code, _, err = run(capsys, argv)
+        assert code == 3, argv
+        assert err.startswith("error:") and conductor in err, err

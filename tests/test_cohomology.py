@@ -268,6 +268,14 @@ def test_pgl2_conductor_guard():
     assert len(classes) == 3
 
 
+def test_pgl2_classes_build_no_field():
+    before = set(CycloField._instances)
+    classes = pgl2_classes(35)
+    assert len(classes) == 18
+    assert 840 not in CycloField._instances
+    assert set(CycloField._instances) == before
+
+
 def test_root_pair_rendering():
     assert str(RootPair(1, 0)) == "{1, 1}"
     assert str(RootPair(2, 1)) == "{-1, -1}"

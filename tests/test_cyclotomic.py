@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from csalg.cyclotomic import CycloField, cyclotomic_poly, root_of_unity
+from csalg.cyclotomic import (MAX_CONDUCTOR, CycloField, cyclotomic_poly,
+                              root_of_unity)
 from csalg.errors import ConductorError, DomainError
 
 
@@ -92,6 +93,28 @@ def test_inverse_sampled():
         assert a * a.inverse() == 1
     with pytest.raises(DomainError):
         field.zero().inverse()
+
+
+def test_inverse_at_every_small_conductor():
+    # the inverse is a product of Galois conjugates over the norm; check it
+    # where the unit group is not cyclic and where N = 2 mod 4
+    rng = random.Random(12)
+    for n in (3, 5, 6, 8, 9, 10, 12, 15, 20, 30):
+        field = CycloField.get(n)
+        for _ in range(8):
+            a = _random_scalar(field, rng, size=4)
+            if not a.is_zero():
+                assert a * a.inverse() == 1, (n, a)
+
+
+def test_conductor_bound():
+    with pytest.raises(ConductorError, match="1001.*1000"):
+        CycloField.get(1001)
+    assert 1001 not in CycloField._instances
+    try:
+        assert CycloField.get(MAX_CONDUCTOR).degree == 400
+    finally:
+        CycloField._instances.pop(MAX_CONDUCTOR, None)
 
 
 def test_inverse_of_root_is_negative_power():

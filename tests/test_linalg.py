@@ -60,6 +60,100 @@ def test_solve_consistent_and_inconsistent():
                  FIELD.zero()) is None
 
 
+def _regular_rank(matrix, power_of_zeta):
+    """Rank over Q of the phi x phi regular-representation blow-up."""
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+    phi = FIELD.degree
+    rows = [[QQ(0)] * (phi * len(matrix[0])) for _ in range(phi * len(matrix))]
+    for i, row in enumerate(matrix):
+        for j, entry in enumerate(row):
+            for e, c in entry.coeffs.items():
+                block = power_of_zeta[e]
+                for r in range(phi):
+                    for s in range(phi):
+                        if block[r][s]:
+                            rows[phi * i + r][phi * j + s] += \
+                                QQ(c.numerator, c.denominator) * block[r][s]
+    return DomainMatrix(rows, (len(rows), len(rows[0])), QQ).rank()
+
+
+def _zeta_powers():
+    """Matrices of multiplication by zeta^e on the power basis, from sympy."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    poly = sympy.Poly(sympy.cyclotomic_poly(FIELD.conductor, x), x)
+    low = [int(c) for c in reversed(poly.all_coeffs())][:-1]
+    phi = len(low)
+    # companion matrix: column j holds the coordinates of x * x^j
+    comp = [[0] * phi for _ in range(phi)]
+    for j in range(phi - 1):
+        comp[j + 1][j] = 1
+    for i in range(phi):
+        comp[i][phi - 1] = -low[i]
+    powers = [[[int(r == s) for s in range(phi)] for r in range(phi)]]
+    for _ in range(1, FIELD.conductor):
+        prev = powers[-1]
+        powers.append([[sum(comp[r][k] * prev[k][s] for k in range(phi))
+                        for s in range(phi)] for r in range(phi)])
+    return powers
+
+
+def _root_matrix(rng, nrows, ncols):
+    """Entries c * zeta^k, with zero entries, zero rows and zero matrices."""
+    if rng.random() < 0.1:
+        return [[FIELD.zero()] * ncols for _ in range(nrows)]
+    out = []
+    for _ in range(nrows):
+        if rng.random() < 0.15:
+            out.append([FIELD.zero()] * ncols)
+            continue
+        out.append([FIELD.zeta(rng.randrange(24)) * rng.choice((-2, -1, 1, 3))
+                    if rng.random() < 0.6 else FIELD.zero()
+                    for _ in range(ncols)])
+    return out
+
+
+def test_eliminator_over_roots_of_unity_matches_regular_rank():
+    powers = _zeta_powers()
+    phi = FIELD.degree
+    zero = FIELD.zero()
+    rng = random.Random(2024)
+    for _ in range(40):
+        nrows, ncols = rng.randrange(1, 5), rng.randrange(1, 6)
+        m = _root_matrix(rng, nrows, ncols)
+        reduced, pivots = rref(m, zero)
+        # reduced row echelon form
+        assert len(reduced) == len(pivots)
+        assert pivots == sorted(set(pivots))
+        for i, (row, lead) in enumerate(zip(reduced, pivots)):
+            assert len(row) == ncols
+            assert row[lead] == 1
+            assert all(v.is_zero() for v in row[:lead])
+            assert all(other[lead].is_zero()
+                       for k, other in enumerate(reduced) if k != i)
+        # same row space as m, so it is the reduced form of m
+        r = len(reduced)
+        assert _regular_rank(m, powers) == phi * r
+        if reduced:
+            assert _regular_rank(reduced, powers) == phi * r
+        assert _regular_rank(m + reduced, powers) == phi * r
+        assert rank(m, zero) == r
+        basis = null_space(m, ncols, FIELD.one(), zero)
+        assert len(basis) == ncols - r
+        for vec in basis:
+            for row in m:
+                assert sum((a * x for a, x in zip(row, vec)), zero).is_zero()
+        b = _root_matrix(rng, nrows, 1)
+        sol = solve(m, [row[0] for row in b], ncols, zero)
+        augmented = [row + rhs for row, rhs in zip(m, b)]
+        consistent = _regular_rank(augmented, powers) == phi * r
+        assert (sol is not None) == consistent
+        if sol is not None:
+            for row, rhs in zip(m, b):
+                assert sum((a * x for a, x in zip(row, sol)), zero) == rhs[0]
+
+
 def test_det_matches_permanent_formula_3x3():
     rng = random.Random(4)
     import itertools

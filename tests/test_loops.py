@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from csalg.algebras import make_n2, make_n4
-from csalg.core import ODD, apply_partial, lambda_bracket
+from csalg.core import ODD, AlgebraDef, apply_partial, lambda_bracket
 from csalg.errors import DomainError
 from csalg.laurent import LaurentElt
 from csalg.loops import (
@@ -63,6 +63,12 @@ def test_identity_twist_is_untwisted():
             x = x + N2.elt(rng.randrange(4), dpow=rng.randint(0, 2),
                            q=rng.randint(-2, 2), coeff=rng.randint(1, 4))
         assert loop_membership(UNTWISTED, x)
+
+
+def test_algebra_without_generators_has_empty_eigenspaces():
+    empty = AlgebraDef("E", FIELD, [], {})
+    loop = eigenspaces(empty, identity_morphism(empty), 2)
+    assert [len(p) for p in loop.eigenbasis] == [0, 0]
 
 
 def test_quarter_twist_eigenspaces():
