@@ -4,7 +4,8 @@ Every subcommand reads exact data and prints exact data; nothing is ever
 rounded.  Output goes to stdout, diagnostics to stderr, and the exit code
 tells scripts what happened: 0 success, 1 a check ran and failed, 2 the
 input could not be parsed, 3 the input parsed but asked for something
-outside the mathematics (wrong determinant, infinite order, bad window).
+outside the mathematics (wrong determinant, infinite order, bad window),
+141 the reader closed stdout before the output was written.
 
 Bare file names with no directory part fall back to the data files
 shipped with the package, so `csalg check n2.csa` works from anywhere.
@@ -22,10 +23,10 @@ from .centroid import centroid_basis, is_scalar_action
 from .cohomology import n4_invariant, pgl2_classes
 from .core import check_axioms, lambda_bracket
 from .cyclotomic import CycloField, DEFAULT_CONDUCTOR
-from .dsl import SourceFile, parse_element, parse_morphism, _tokenize
+from .dsl import SourceFile, parse_element, parse_scalar
 from .errors import (CsalgError, DomainError, ParseError,
                      TableInconsistencyError)
-from .loops import alg_bracket, eigenspaces, l0_spectrum, loop_membership, \
+from .loops import alg_bracket, bracket_closure, eigenspaces, l0_spectrum, \
     split_check
 from .morphisms import check_hom, identity_morphism, n2_omega, order_of
 
@@ -67,8 +68,7 @@ def _resolve_auto(A, name):
         return identity_morphism(A)
     if name == "omega":
         return n2_omega(A)
-    src = _read_source(name)
-    return parse_morphism(src.text, A)[1]
+    return _read_source(name).morphism(A)[1]
 
 
 def _build_loop(args, A):
@@ -89,22 +89,7 @@ def _build_loop(args, A):
 def cmd_check(args):
     A = _read_source(args.file).algebra()
     report = check_axioms(A)
-    payload = {
-        "algebra": A.name,
-        "ok": report.ok,
-        "verdicts": {k: v for k, v in report.verdicts.items()},
-        "counts": {k: str(v) for k, v in report.counts.items()},
-        "failures": [{"axiom": f.axiom, "location": str(f.location),
-                      "detail": f.detail} for f in report.failures],
-    }
-    lines = ["algebra %s:" % A.name]
-    for axiom in sorted(report.verdicts):
-        count = report.counts.get(axiom)
-        lines.append("  %s: %s%s" % (axiom, _verdict(report.verdicts[axiom]),
-                                     " (%s)" % count if count else ""))
-    for f in report.failures[:10]:
-        lines.append("    %s at %s %s" % (f.axiom, f.location, f.detail))
-    _emit(args, payload, lines)
+    _emit(args, report.as_json(), report.lines(_verdict))
     return 0 if report.ok else 1
 
 
@@ -125,52 +110,19 @@ def cmd_bracket(args):
 
 def cmd_hom(args):
     A = _read_source(args.file).algebra()
-    name, phi = parse_morphism(_read_source(args.morphism).text, A)
+    name, phi = _read_source(args.morphism).morphism(A)
     report = check_hom(A, phi)
-    payload = {
-        "algebra": A.name,
-        "morphism": name,
-        "level": phi.level,
-        "homomorphism": report.homomorphism,
-        "invertible": report.invertible,
-        "determinant": None if report.determinant is None
-        else str(report.determinant),
-        "failures": [list(pair) for pair in report.failures],
-        "ok": report.ok,
-    }
-    lines = ["morphism %s on %s:" % (name, A.name),
-             "  homomorphism: %s" % _verdict(report.homomorphism)]
-    for pair in report.failures:
-        lines.append("    bracket mismatch on (%s, %s)" % pair)
-    if report.invertible is None:
-        lines.append("  invertibility: not tested "
-                     "(derivation-decorated images)")
-    else:
-        lines.append("  invertible: %s (matrix determinant %s)"
-                     % (_verdict(report.invertible), report.determinant))
-    _emit(args, payload, lines)
+    payload = dict(report.as_json(), algebra=A.name, morphism=name,
+                   level=phi.level)
+    _emit(args, payload, ["morphism %s on %s:" % (name, A.name)]
+          + report.lines(_verdict))
     return 0 if report.ok else 1
-
-
-def _closure_ok(L):
-    A = L.base
-    m = L.order
-    for i, piece in enumerate(L.eigenbasis):
-        for j, other in enumerate(L.eigenbasis):
-            for v in piece:
-                for w in other:
-                    poly = lambda_bracket(A, v.shift_t(Fraction(i, m)),
-                                          w.shift_t(Fraction(j, m)))
-                    for elt in poly.coeffs.values():
-                        if not loop_membership(L, elt):
-                            return False
-    return True
 
 
 def cmd_loop(args):
     A = _read_source(args.file).algebra()
     L, order = _build_loop(args, A)
-    closed = _closure_ok(L)
+    closed = bracket_closure(L)
     split = split_check(L, args.window)
     spectrum = l0_spectrum(L, "odd", args.window)
     fractional = sorted(spectrum.fractional_parts)
@@ -202,7 +154,8 @@ def cmd_loop(args):
     return 0 if closed and split.bijective else 1
 
 
-_MODE = re.compile(r"(.+)\[(-?\d+(?:/\d+)?)\]\Z")
+# mu is an integer or a fraction with a nonzero denominator
+_MODE = re.compile(r"(.+)\[(-?\d+(?:/0*[1-9]\d*)?)\]\Z")
 
 
 def _parse_mode(L, text):
@@ -213,17 +166,7 @@ def _parse_mode(L, text):
         g = L.base.gen_index(got.group(1))
     except CsalgError:
         raise ParseError("unknown generator %r" % got.group(1)) from None
-    mu = Fraction(got.group(2))
-    res = L.residue_of(mu)
-    if res is None:
-        raise DomainError("mode %s is off the 1/%d lattice"
-                          % (text, L.order))
-    unit = [L.base.field.zero()] * L.base.ngens()
-    unit[g] = L.base.field.one()
-    if not L.piece_contains(res, unit):
-        raise DomainError(
-            "%s carries no t^{%s} mode in this loop" % (got.group(1), mu))
-    return L.mode(g, mu)
+    return L.mode(g, Fraction(got.group(2)))
 
 
 def cmd_alg(args):
@@ -242,73 +185,17 @@ def cmd_alg(args):
     return 0
 
 
-def _matrix_entry(field, text):
-    """One constant scalar: signed products of rationals and zeta powers."""
-    toks = _tokenize(text.strip(), 1)
-    total = field.zero()
-    pos = 0
-    if not toks:
-        raise ParseError("empty matrix entry")
-    while pos < len(toks):
-        sign = 1
-        while pos < len(toks) and toks[pos].text in "+-" \
-                and toks[pos].kind == "SYM":
-            if toks[pos].text == "-":
-                sign = -sign
-            pos += 1
-        term = field.rational(sign)
-        factors = 0
-        while pos < len(toks):
-            tok = toks[pos]
-            if tok.kind == "SYM" and tok.text in "+-":
-                break
-            if tok.kind == "SYM" and tok.text == "*":
-                pos += 1
-                continue
-            if tok.kind == "INT":
-                num = int(tok.text)
-                pos += 1
-                if pos + 1 < len(toks) and toks[pos].text == "/" \
-                        and toks[pos + 1].kind == "INT":
-                    term = term * field.rational(
-                        Fraction(num, int(toks[pos + 1].text)))
-                    pos += 2
-                else:
-                    term = term * field.rational(num)
-            elif tok.kind == "NAME" and tok.text == "zeta":
-                pos += 1
-                k = 1
-                if pos < len(toks) and toks[pos].text == "^":
-                    if pos + 1 >= len(toks) or toks[pos + 1].kind != "INT":
-                        raise ParseError("zeta power needs an integer",
-                                         tok.line, tok.col)
-                    k = int(toks[pos + 1].text)
-                    pos += 2
-                term = term * field.zeta(k)
-            else:
-                raise ParseError("bad matrix entry %r" % text,
-                                 tok.line, tok.col)
-            factors += 1
-        if not factors:
-            raise ParseError("bad matrix entry %r" % text)
-        total = total + term
-    return total
-
-
 def _parse_matrix(field, text):
     rows = text.split(";")
     if len(rows) != 2 or any(len(r.split(",")) != 2 for r in rows):
         raise ParseError("expected a 2x2 matrix as 'a,b;c,d', got %r" % text)
-    return [[_matrix_entry(field, e) for e in row.split(",")]
+    return [[parse_scalar(field, e) for e in row.split(",")]
             for row in rows]
 
 
 def cmd_classify_n4(args):
     field = CycloField.get(args.conductor)
     mat = _parse_matrix(field, args.matrix)
-    d = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    if d != field.one():
-        raise DomainError("matrix determinant is %s, not 1" % d)
     inv = n4_invariant(mat, field)
     payload = {"matrix": [[str(e) for e in row] for row in mat],
                "order": inv.order, "exponent": inv.exponent,
@@ -355,7 +242,10 @@ def cmd_centroid(args):
 
 
 def _fraction(text):
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError("zero denominator in %r" % text)
 
 
 def _nonnegative_int(text):
@@ -438,13 +328,20 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (ParseError, TableInconsistencyError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
     except DomainError as err:
         print("error: %s" % err, file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader closed the pipe: drop the unwritten rest of stdout and
+        # exit as a process killed by SIGPIPE would, with 128 + 13.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

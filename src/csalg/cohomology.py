@@ -108,7 +108,7 @@ def _x_matrix(field, entries):
            for r in range(2)]
     det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
     if det != field.one():
-        raise DomainError("constant part must have determinant 1")
+        raise DomainError("matrix determinant is %s, not 1" % det)
     return mat
 
 

@@ -531,10 +531,15 @@ class AxiomFailure:
             ": " + self.detail if self.detail else "")
 
 
+def _plain_verdict(ok):
+    return "pass" if ok else "FAIL"
+
+
 class AxiomReport:
     """Outcome of check_axioms: per-axiom verdicts plus failure details."""
 
-    def __init__(self):
+    def __init__(self, name):
+        self.name = name
         self.verdicts = {}
         self.failures = []
         self.counts = {}
@@ -547,16 +552,30 @@ class AxiomReport:
         self.failures.append(AxiomFailure(axiom, location, detail))
         self.verdicts[axiom] = False
 
-    def lines(self):
-        out = []
+    def lines(self, verdict=_plain_verdict):
+        """The report as printed by ``csalg check``: a header, one line per
+        axiom, and the first ten failures.  ``verdict`` renders a boolean
+        verdict."""
+        out = ["algebra %s:" % self.name]
         for axiom in sorted(self.verdicts):
-            verdict = "pass" if self.verdicts[axiom] else "FAIL"
             count = self.counts.get(axiom)
             suffix = " (%s)" % count if count else ""
-            out.append("%s: %s%s" % (axiom, verdict, suffix))
+            out.append("  %s: %s%s" % (axiom, verdict(self.verdicts[axiom]),
+                                       suffix))
         for f in self.failures[:10]:
-            out.append("  %s at %s %s" % (f.axiom, f.location, f.detail))
+            out.append("    %s at %s %s" % (f.axiom, f.location, f.detail))
         return out
+
+    def as_json(self):
+        """The ``csalg check --json`` payload."""
+        return {
+            "algebra": self.name,
+            "ok": self.ok,
+            "verdicts": dict(self.verdicts),
+            "counts": {k: str(v) for k, v in self.counts.items()},
+            "failures": [{"axiom": f.axiom, "location": str(f.location),
+                          "detail": f.detail} for f in self.failures],
+        }
 
     def __str__(self):
         return "\n".join(self.lines())
@@ -584,7 +603,7 @@ def check_axioms(A, seed=0):
     import random
 
     rng = random.Random(seed)
-    report = AxiomReport()
+    report = AxiomReport(A.name)
     ngen = A.ngens()
 
     # CS0: finiteness is structural; confirm the table is finite in lambda.

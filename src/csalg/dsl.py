@@ -42,6 +42,7 @@ __all__ = [
     "parse_algebra",
     "parse_element",
     "parse_morphism",
+    "parse_scalar",
 ]
 
 _SYMBOLS = "*+-/^(){}=[],"
@@ -204,7 +205,7 @@ class _ExprParser:
             nxt = self.peek()
             if nxt is not None and nxt.text == "/":
                 self.take()
-                den = int(self.expect_int().text)
+                den = self.denominator()
             scalar = self.A.field.rational(Fraction(num, den))
             return [self.scaled(m, scalar) for m in acc]
         if t.text == "(":
@@ -271,8 +272,14 @@ class _ExprParser:
         den = 1
         if self.peek() is not None and self.peek().text == "/":
             self.take()
-            den = int(self.expect_int().text)
+            den = self.denominator()
         return Fraction(sign * num, den)
+
+    def denominator(self):
+        t = self.expect_int()
+        if int(t.text) == 0:
+            self.fail("zero denominator", t)
+        return int(t.text)
 
     def scaled(self, m, scalar):
         m.coeff = m.coeff * scalar
@@ -298,12 +305,15 @@ class _ExprParser:
 
     # -- entry points ----------------------------------------------------
 
-    def finish_poly(self):
+    def finish_sum(self):
         monos = self.parse_sum()
         if self.pos != len(self.toks):
             self.fail("trailing input")
+        return monos
+
+    def finish_poly(self):
         coeffs = {}
-        for m in monos:
+        for m in self.finish_sum():
             if m.coeff.is_zero():
                 continue
             if m.gen is None:
@@ -335,6 +345,24 @@ def parse_element(algebra, text, line=1):
             raise ParseError("x is only allowed in bracket tables",
                              line, toks[0].col)
     return poly.get(0)
+
+
+def parse_scalar(field, text):
+    """Parse one constant of ``field`` in the coefficient grammar.
+
+    The text is a sum of terms built from rationals and powers of zeta, as
+    in the coefficients of a .csa file, e.g. ``1/2*zeta^6 + 1/2``; a
+    generator, D, x or t is an error.
+    """
+    toks = _tokenize(text, 1)
+    for tok in toks:
+        if tok.kind == "NAME" and tok.text != "zeta":
+            raise ParseError("%r is not allowed in a constant" % tok.text,
+                             tok.line, tok.col)
+    if not toks:
+        raise ParseError("empty expression", 1, 1)
+    monos = _ExprParser(AlgebraDef("", field, [], {}), toks).finish_sum()
+    return sum((m.coeff for m in monos), field.zero())
 
 
 # -- file parsing ----------------------------------------------------------

@@ -30,6 +30,7 @@ __all__ = [
     "SplitReport",
     "alg_bracket",
     "alg_reduce",
+    "bracket_closure",
     "eigenspaces",
     "l0_spectrum",
     "loop_membership",
@@ -126,6 +127,8 @@ def eigenspaces(A, sigma, m):
     for i in range(n):
         cols.append(_plain_vector(A, sigma.images[i]))
     matrix = [[cols[c][r] for c in range(n)] for r in range(n)]
+    # The conductor bounds the order before the m-th power is built.
+    xi = field.root_of_unity(m)
 
     power = [[field.one() if r == c else field.zero() for c in range(n)]
              for r in range(n)]
@@ -138,7 +141,6 @@ def eigenspaces(A, sigma, m):
                 raise DomainError(
                     "automorphism does not have order dividing %d" % m)
 
-    xi = field.root_of_unity(m)
     eigenbasis = []
     total = 0
     for i in range(m):
@@ -181,6 +183,27 @@ def loop_membership(L, x):
             return False
         if not L.piece_contains(i, vec):
             return False
+    return True
+
+
+def bracket_closure(L):
+    """Whether the loop algebra is closed under the lambda-bracket.
+
+    Brackets every pair of eigenbasis vectors, each at the lowest exponent
+    i/m of its residue, and tests that every coefficient of the result
+    lies in the loop algebra again.
+    """
+    A = L.base
+    m = L.order
+    for i, piece in enumerate(L.eigenbasis):
+        for j, other in enumerate(L.eigenbasis):
+            for v in piece:
+                for w in other:
+                    poly = lambda_bracket(A, v.shift_t(Fraction(i, m)),
+                                          w.shift_t(Fraction(j, m)))
+                    for elt in poly.coeffs.values():
+                        if not loop_membership(L, elt):
+                            return False
     return True
 
 
@@ -290,14 +313,17 @@ class AlgElt:
             vec[g] = vec[g] + c
         for mu, vec in grouped.items():
             i = self.loop.residue_of(mu)
+            if i is not None and self.loop.piece_contains(i, vec):
+                continue
+            mode = AlgElt(self.loop, {k: c for k, c in self.terms.items()
+                                      if k[1] == mu}, validate=False)
             if i is None:
                 raise DomainError(
                     "mode %s is outside the exponent lattice (1/%d)Z"
-                    % (mu, self.loop.order))
-            if not self.loop.piece_contains(i, vec):
-                raise DomainError(
-                    "vector at mode %s misses its eigenspace (residue %d)"
-                    % (mu, i))
+                    % (mode, self.loop.order))
+            raise DomainError(
+                "mode %s misses its eigenspace: the loop has no t^{%s} "
+                "mode in that direction (residue %d)" % (mode, mu, i))
 
     def is_zero(self):
         return not self.terms

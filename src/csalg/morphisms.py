@@ -12,7 +12,8 @@ from fractions import Fraction
 from math import lcm
 
 from .algebras import _pauli, make_n2, make_n4
-from .core import ConfElt, apply_partial_power, lambda_bracket, to_hat_basis
+from .core import (ConfElt, _plain_verdict, apply_partial_power,
+                   lambda_bracket, to_hat_basis)
 from .cyclotomic import DEFAULT_CONDUCTOR, CycloField, CycloScalar
 from .errors import CsalgError, DomainError
 from .laurent import LaurentElt, delta_t
@@ -131,19 +132,30 @@ class HomReport:
     def ok(self):
         return self.homomorphism and self.invertible is not False
 
-    def lines(self):
-        out = ["homomorphism: %s"
-               % ("pass" if self.homomorphism else "FAIL")]
+    def lines(self, verdict=_plain_verdict):
+        """The report as printed by ``csalg hom`` under its header line;
+        ``verdict`` renders a boolean verdict."""
+        out = ["  homomorphism: %s" % verdict(self.homomorphism)]
         for pair in self.failures:
-            out.append("  bracket mismatch on (%s, %s)" % pair)
+            out.append("    bracket mismatch on (%s, %s)" % pair)
         if self.invertible is None:
-            out.append("invertibility: not tested "
+            out.append("  invertibility: not tested "
                        "(derivation-decorated images)")
         else:
-            out.append("invertible: %s (matrix determinant %s)"
-                       % ("yes" if self.invertible else "NO",
-                          self.determinant))
+            out.append("  invertible: %s (matrix determinant %s)"
+                       % (verdict(self.invertible), self.determinant))
         return out
+
+    def as_json(self):
+        """The verdict fields of the ``csalg hom --json`` payload."""
+        return {
+            "homomorphism": self.homomorphism,
+            "invertible": self.invertible,
+            "determinant": None if self.determinant is None
+            else str(self.determinant),
+            "failures": [list(pair) for pair in self.failures],
+            "ok": self.ok,
+        }
 
     def __str__(self):
         return "\n".join(self.lines())

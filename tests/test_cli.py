@@ -1,11 +1,22 @@
 """Exit codes and output of the csalg command."""
 
 import json
+import os
+import shlex
+import subprocess
+import sys
+import time
+from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from csalg.cli import main
+from csalg.cyclotomic import CycloField
+from csalg.dsl import parse_scalar
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, argv):
@@ -220,3 +231,269 @@ def test_conductor_bound_exits_3(capsys, tmp_path):
         code, _, err = run(capsys, argv)
         assert code == 3, argv
         assert err.startswith("error:") and conductor in err, err
+
+
+# -- golden output: the exact text of each report ------------------------
+
+
+def broken_jacobi(tmp_path):
+    path = tmp_path / "bad.csa"
+    path.write_text(data_text("n2.csa").replace("bracket J G+ = G+",
+                                                "bracket J G+ = 2*G+"))
+    return str(path)
+
+
+def test_check_golden(capsys):
+    code, out, _ = run(capsys, ["check", "n2.csa"])
+    assert code == 0
+    assert out == (
+        "algebra N2:\n"
+        "  CS0: pass (16 table entries)\n"
+        "  CS1: pass (16 spot checks)\n"
+        "  CS2: pass (8 spot checks)\n"
+        "  CS3: pass (16 spot checks)\n"
+        "  CS4: pass (16 pairs)\n"
+        "  CS5: pass (64 triples)\n")
+
+
+def test_check_failures_golden(capsys, tmp_path):
+    code, out, _ = run(capsys, ["check", broken_jacobi(tmp_path)])
+    assert code == 1
+    assert out == (
+        "algebra N2:\n"
+        "  CS0: pass (16 table entries)\n"
+        "  CS1: pass (16 spot checks)\n"
+        "  CS2: pass (8 spot checks)\n"
+        "  CS3: pass (16 spot checks)\n"
+        "  CS4: pass (16 pairs)\n"
+        "  CS5: FAIL (64 triples)\n"
+        "    CS5 at ('J', 'G+', 'G-') m=0 n=0\n"
+        "    CS5 at ('J', 'G+', 'G-') m=1 n=0\n"
+        "    CS5 at ('J', 'G+', 'G-') m=0 n=1\n"
+        "    CS5 at ('J', 'G-', 'G+') m=0 n=0\n"
+        "    CS5 at ('J', 'G-', 'G+') m=0 n=1\n"
+        "    CS5 at ('G+', 'J', 'G-') m=0 n=0\n"
+        "    CS5 at ('G+', 'J', 'G-') m=1 n=0\n"
+        "    CS5 at ('G+', 'J', 'G-') m=0 n=1\n"
+        "    CS5 at ('G+', 'G+', 'G-') m=0 n=0\n"
+        "    CS5 at ('G+', 'G+', 'G-') m=1 n=0\n")
+
+
+def test_check_json_golden(capsys):
+    code, out, _ = run(capsys, ["check", "n2.csa", "--json"])
+    assert code == 0
+    assert out == """{
+  "algebra": "N2",
+  "counts": {
+    "CS0": "16 table entries",
+    "CS1": "16 spot checks",
+    "CS2": "8 spot checks",
+    "CS3": "16 spot checks",
+    "CS4": "16 pairs",
+    "CS5": "64 triples"
+  },
+  "failures": [],
+  "ok": true,
+  "verdicts": {
+    "CS0": true,
+    "CS1": true,
+    "CS2": true,
+    "CS3": true,
+    "CS4": true,
+    "CS5": true
+  }
+}
+"""
+
+
+def test_check_json_failure_entries(capsys, tmp_path):
+    code, out, _ = run(capsys, ["check", broken_jacobi(tmp_path), "--json"])
+    assert code == 1
+    payload = json.loads(out)
+    assert not payload["ok"] and payload["verdicts"]["CS5"] is False
+    assert len(payload["failures"]) == 21
+    assert payload["failures"][0] == {"axiom": "CS5", "detail": "m=0 n=0",
+                                      "location": "('J', 'G+', 'G-')"}
+
+
+def test_hom_golden(capsys):
+    code, out, _ = run(capsys, ["hom", "n2.csa", "omega.csm"])
+    assert code == 0
+    assert out == ("morphism omega on N2:\n"
+                   "  homomorphism: pass\n"
+                   "  invertible: pass (matrix determinant 1)\n")
+
+
+def test_hom_json_golden(capsys):
+    code, out, _ = run(capsys, ["hom", "n2.csa", "omega.csm", "--json"])
+    assert code == 0
+    assert out == """{
+  "algebra": "N2",
+  "determinant": "1",
+  "failures": [],
+  "homomorphism": true,
+  "invertible": true,
+  "level": 1,
+  "morphism": "omega",
+  "ok": true
+}
+"""
+
+
+def test_hom_decorated_golden(capsys, tmp_path):
+    path = tmp_path / "dec.csm"
+    path.write_text("morphism dec on N2 level 1\nimage L = L + D J\n"
+                    "image J = J\nimage G+ = G+\nimage G- = G-\n")
+    code, out, _ = run(capsys, ["hom", "n2.csa", str(path)])
+    assert code == 1
+    assert out == ("morphism dec on N2:\n"
+                   "  homomorphism: FAIL\n"
+                   "    bracket mismatch on (L, G+)\n"
+                   "    bracket mismatch on (L, G-)\n"
+                   "    bracket mismatch on (G+, L)\n"
+                   "    bracket mismatch on (G+, G-)\n"
+                   "    bracket mismatch on (G-, L)\n"
+                   "    bracket mismatch on (G-, G+)\n"
+                   "  invertibility: not tested "
+                   "(derivation-decorated images)\n")
+    code, out, _ = run(capsys, ["hom", "n2.csa", str(path), "--json"])
+    payload = json.loads(out)
+    assert payload["determinant"] is None and payload["invertible"] is None
+    assert payload["morphism"] == "dec" and payload["level"] == 1
+
+
+def test_loop_golden(capsys):
+    code, out, _ = run(capsys, ["loop", "n2.csa", "--auto", "omega",
+                                "--window", "3"])
+    assert code == 0
+    assert out == ("loop of N2 under omega: order 2\n"
+                   "eigenspaces:\n"
+                   "  residue 0/2: L, G+ + G-\n"
+                   "  residue 1/2: J, -G+ + G-\n"
+                   "bracket closure: pass\n"
+                   "multiplication map on window 3:\n"
+                   "  injective: yes\n"
+                   "  surjective: yes\n"
+                   "odd L0 fractional parts: {0, 1/2}\n")
+
+
+def test_centroid_golden(capsys):
+    code, out, _ = run(capsys, ["centroid", "n2.csa", "--auto", "omega",
+                                "--window", "3", "--interior", "1"])
+    assert code == 0
+    assert out == ("3 centroid solutions on window 3 (interior 1):\n"
+                   "  r = t^{-1}\n"
+                   "  r = 1\n"
+                   "  r = t^{1}\n")
+
+
+def test_verdicts_are_coloured_on_a_terminal(capsys, monkeypatch):
+    monkeypatch.delenv("NO_COLOR", raising=False)
+    monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+    code, out, _ = run(capsys, ["hom", "n2.csa", "omega.csm"])
+    assert code == 0
+    assert "  homomorphism: \x1b[32mpass\x1b[0m\n" in out
+
+
+# -- matrix entries use the coefficient grammar --------------------------
+
+
+def test_matrix_entries_parse_as_constants():
+    field = CycloField.get(24)
+    half = field.rational(Fraction(1, 2))
+    cases = [
+        ("0", field.zero()),
+        ("-zeta^6", field.rational(-1) * field.zeta(6)),
+        ("2 zeta", field.rational(2) * field.zeta(1)),
+        ("1/2*zeta^6 + 1/2", half * field.zeta(6) + half),
+    ]
+    for text, want in cases:
+        assert parse_scalar(field, text) == want, text
+
+
+def test_bad_matrix_entries_exit_2(capsys):
+    for entry in ("w", "D", "t^{1}", "x", "L", "2 G+", "--1", ""):
+        code, _, err = run(capsys, ["classify-n4",
+                                    "--matrix=1,0;0,%s" % entry])
+        assert code == 2, entry
+        assert err.startswith("error:"), entry
+
+
+def test_zero_denominators_exit_2(capsys):
+    cases = [
+        ["classify-n4", "--matrix", "1/0,0;0,1"],
+        ["bracket", "n2.csa", "1/0*G+", "G-"],
+        ["bracket", "n2.csa", "G+ t^{1/0}", "G-"],
+    ]
+    for argv in cases:
+        code, _, err = run(capsys, argv)
+        assert code == 2, argv
+        assert err.startswith("error:") and "zero denominator" in err, err
+    code, _, err = run(capsys, ["alg", "n2.csa", "--auto", "id",
+                                "--bracket", "L[1/0] L[0]"])
+    assert code == 2
+    assert err.startswith("error: bad mode 'L[1/0]'"), err
+    for argv in (["loop", "n2.csa", "--auto", "omega", "--window", "1/0"],
+                 ["centroid", "n2.csa", "--auto", "omega", "--window", "3",
+                  "--interior", "1/0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+
+def test_mode_errors_name_the_mode(capsys):
+    code, _, err = run(capsys, ["alg", "n2.csa", "--auto", "id",
+                                "--bracket", "L[1/3] L[0]"])
+    assert code == 3
+    assert "L[1/3]" in err and "(1/1)Z" in err
+    code, _, err = run(capsys, ["alg", "n2.csa", "--auto", "omega",
+                                "--bracket", "J[0] J[1]"])
+    assert code == 3
+    assert "J[0]" in err and "no t^{0} mode" in err
+
+
+def test_twist_order_is_bounded_by_the_conductor(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, ["loop", "n2.csa", "--auto", "omega",
+                                "--order", "1000000", "--window", "3"])
+    assert code == 3
+    assert "conductor 24" in err
+    assert time.perf_counter() - start < 2
+
+
+# -- the process boundary ------------------------------------------------
+
+
+def csalg_process(argv, **kwargs):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.Popen([sys.executable, "-m", "csalg.cli"] + argv,
+                            env=env, **kwargs)
+
+
+def test_closed_pipe_ends_quietly():
+    proc = csalg_process(["pgl2-classes", "5000"], stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
+def readme_commands():
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line, comments=True)
+            for line in block.splitlines() if line.startswith("csalg ")]
+
+
+def test_readme_commands_run(capsys):
+    commands = readme_commands()
+    assert len(commands) >= 9
+    for argv in commands:
+        code, out, err = run(capsys, argv[1:])
+        assert code == 0, argv
+        assert out and not err, argv

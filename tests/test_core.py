@@ -109,6 +109,18 @@ def test_check_axioms_passes_on_n2():
     assert report.verdicts["CS4"] and report.verdicts["CS5"]
 
 
+def test_axiom_report_renders_itself():
+    report = check_axioms(N2)
+    lines = report.lines(lambda ok: "yes" if ok else "no")
+    assert lines[0] == "algebra N2:"
+    assert lines[5] == "  CS4: yes (16 pairs)"
+    assert str(report).splitlines()[6] == "  CS5: pass (64 triples)"
+    payload = report.as_json()
+    assert payload["algebra"] == "N2" and payload["ok"] is True
+    assert payload["counts"]["CS5"] == "64 triples"
+    assert payload["failures"] == []
+
+
 def test_check_axioms_detects_skew_mutation():
     bad_table = dict(N2.table)
     L = N2.gen_index("L")

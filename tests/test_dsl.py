@@ -114,6 +114,12 @@ def test_element_rejects_lambda_powers():
         parse_element(N2, "x L")
 
 
+def test_zero_denominators_are_parse_errors():
+    for text in ("1/0*G+", "G+ t^{1/0}", "G+ t^{-3/00}"):
+        with pytest.raises(ParseError, match="zero denominator"):
+            parse_element(N2, text)
+
+
 def test_element_rejects_two_generators():
     with pytest.raises(ParseError, match="two generators"):
         parse_element(N2, "L J")

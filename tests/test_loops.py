@@ -12,6 +12,7 @@ from csalg.loops import (
     LoopAlgebra,
     alg_bracket,
     alg_reduce,
+    bracket_closure,
     eigenspaces,
     l0_spectrum,
     loop_membership,
@@ -113,6 +114,17 @@ def test_loop_closure_under_n_products():
                                               b.shift_t(Fraction(j, m)))
                         for elt in poly.coeffs.values():
                             assert loop_membership(loop, elt)
+
+
+def test_bracket_closure_of_real_and_doctored_loops():
+    assert bracket_closure(OMEGA_LOOP)
+    assert bracket_closure(QUARTER_LOOP)
+    # [J lambda G+] = G+ puts G+ at t^{1/2 + 1/2} = t^1, outside residue 0
+    doctored = LoopAlgebra(N2, 2, [
+        [N2.elt("L")],
+        [N2.elt("J"), N2.elt("G+"), N2.elt("G-")],
+    ])
+    assert not bracket_closure(doctored)
 
 
 # -- the split-form check ------------------------------------------------

@@ -90,6 +90,15 @@ def test_check_hom_omega():
     assert report.ok
 
 
+def test_hom_report_renders_itself():
+    report = check_hom(N2, n2_omega(N2))
+    assert report.lines(lambda ok: "yes" if ok else "no") == [
+        "  homomorphism: yes", "  invertible: yes (matrix determinant 1)"]
+    assert report.as_json() == {"homomorphism": True, "invertible": True,
+                                "determinant": "1", "failures": [],
+                                "ok": True}
+
+
 def test_check_hom_theta_with_scalar_coefficient():
     report = check_hom(N2, n2_theta(mono(2, 3), N2))
     assert report.homomorphism
