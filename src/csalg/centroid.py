@@ -67,6 +67,13 @@ class _Frame:
                        if not e.is_zero()]
                       for row in adj]
 
+        self.interior0 = [(ai, 0, q)
+                          for ai, (res, _, _, _) in enumerate(self.alphas)
+                          for q in loop.exponents(res, -self.interior,
+                                                  self.interior)]
+        if not self.interior0:
+            raise DomainError("interior window contains no basis elements")
+
         self.maxl = A.table_degrees()[0]
         self._hat_cache = {}
         self._decomp_cache = {}
@@ -99,18 +106,6 @@ class _Frame:
                         coord = coord + e * v
                 if not coord.is_zero():
                     out[(ai, l, q)] = coord
-        return out
-
-    def exponents(self, res, bound):
-        """Exponents of the residue coset with absolute value <= bound."""
-        start = Fraction(res, self.loop.order)
-        out = []
-        k = math.ceil(-bound - start)
-        while start + k <= bound:
-            q = start + k
-            k += 1
-            if q >= -bound:
-                out.append(q)
         return out
 
     def parity_of(self, key):
@@ -185,19 +180,11 @@ def centroid_basis(L, window, interior):
     field = frame.field
     one = field.one()
 
-    interior0 = []
-    for ai, (res, _, _, _) in enumerate(frame.alphas):
-        for q in frame.exponents(res, frame.interior):
-            interior0.append((ai, 0, q))
-    if not interior0:
-        raise DomainError("interior window contains no basis elements")
-    interior_all = sorted(
-        ((ai, l, q) for (ai, _, q) in interior0 for l in (0, 1)),
-        key=lambda k: (k[0], k[2], k[1]))
+    interior0 = frame.interior0
 
     # product closure: every component of a_(n) b must stay in the window
     pair_brackets = {}
-    domain = set(interior_all)
+    domain = {(ai, l, q) for (ai, _, q) in interior0 for l in (0, 1)}
     for a in interior0:
         xa = frame.hat_elt(a)
         for b in interior0:
@@ -218,18 +205,9 @@ def centroid_basis(L, window, interior):
     dlo = min(k[2] for k in domain) - frame.maxl
     dhi = max(k[2] for k in domain) + frame.maxl
 
-    codomain = []
-    for bi, (res, _, _, _) in enumerate(frame.alphas):
-        start = Fraction(res, L.order)
-        k = math.ceil(dlo - start)
-        while start + k <= dhi:
-            q = start + k
-            k += 1
-            if q < dlo:
-                continue
-            for l in (0, 1):
-                codomain.append((bi, l, q))
-    codomain.sort(key=lambda k: (k[0], k[2], k[1]))
+    codomain = [(bi, l, q)
+                for bi, (res, _, _, _) in enumerate(frame.alphas)
+                for q in L.exponents(res, dlo, dhi) for l in (0, 1)]
 
     # legal matrix positions: same parity, exponent difference an integer
     cod_of = {}
@@ -339,11 +317,7 @@ def is_scalar_action(chi):
     """
     frame = chi._frame
     field = frame.field
-    interior0 = []
-    for ai, (res, _, _, _) in enumerate(frame.alphas):
-        for q in frame.exponents(res, frame.interior):
-            interior0.append((ai, 0, q))
-    interior0.sort(key=lambda k: (k[0], k[2]))
+    interior0 = frame.interior0
 
     d0 = interior0[0]
     terms = {}

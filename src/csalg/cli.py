@@ -135,10 +135,7 @@ def cmd_loop(args):
         "basis": {str(i): [A.elt_string(v) for v in piece]
                   for i, piece in enumerate(L.eigenbasis)},
         "closure": closed,
-        "split": {"injective": split.injective,
-                  "surjective": split.surjective,
-                  "missed": ["%s (x) t^{%s}" % (name, q)
-                             for name, q in split.missed]},
+        "split": split.as_json(),
         "l0_odd_fractional": [str(v) for v in fractional],
     }
     lines = ["loop of %s under %s: order %d" % (A.name, args.auto, order),

@@ -16,7 +16,9 @@ from fractions import Fraction
 from .cyclotomic import DEFAULT_CONDUCTOR, CycloField, CycloScalar
 from .errors import ConductorError, DomainError
 from .laurent import LaurentElt
-from .morphisms import SL2MatrixOverS, compose, n2_omega, n2_theta, n4_auto
+from .linalg import mat_mul
+from .morphisms import (SL2MatrixOverS, _x_matrix, compose, n2_omega,
+                        n2_theta, n4_auto)
 
 __all__ = [
     "Cocycle",
@@ -95,30 +97,6 @@ class N2AutElt:
         return "N2AutElt(%s, eps=%d)" % (self.s, self.eps)
 
 
-def _x_entry(field, value):
-    if isinstance(value, CycloScalar):
-        if value.field is not field:
-            raise DomainError("matrix entries use a different scalar field")
-        return value
-    return field.rational(value)
-
-
-def _x_matrix(field, entries):
-    mat = [[_x_entry(field, entries[r][c]) for c in range(2)]
-           for r in range(2)]
-    det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    if det != field.one():
-        raise DomainError("matrix determinant is %s, not 1" % det)
-    return mat
-
-
-def _x_mul(a, b):
-    return [[a[0][0] * b[0][0] + a[0][1] * b[1][0],
-             a[0][0] * b[0][1] + a[0][1] * b[1][1]],
-            [a[1][0] * b[0][0] + a[1][1] * b[1][0],
-             a[1][0] * b[0][1] + a[1][1] * b[1][1]]]
-
-
 def _leading_is_positive(c):
     exp = min(c.coeffs)
     return c.coeffs[exp] > 0
@@ -174,7 +152,7 @@ class N4AutElt:
     def __mul__(self, other):
         if not isinstance(other, N4AutElt):
             return NotImplemented
-        return N4AutElt(self.y * other.y, _x_mul(self.x, other.x))
+        return N4AutElt(self.y * other.y, mat_mul(self.x, other.x))
 
     def inverse(self):
         xinv = [[self.x[1][1], -self.x[0][1]],

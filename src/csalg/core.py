@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .cyclotomic import CycloField, CycloScalar
+from .cyclotomic import CycloField, CycloScalar, _scaled_terms, _signed_sum
 from .errors import CsalgError, DomainError, TableInconsistencyError
 from .laurent import LaurentElt, binom_frac
 
@@ -297,38 +297,19 @@ class AlgebraDef:
 
     # -- printing ---------------------------------------------------------
 
-    def term_string(self, key, coeff):
-        g, j, q = key
-        cs = str(coeff)
-        symbols = []
-        if j == 1:
-            symbols.append("D")
-        elif j > 1:
-            symbols.append("D^(%d)" % j)
-        symbols.append(self.generators[g].name)
-        if q:
-            symbols.append("t^{%s}" % q)
-        body = " ".join(symbols)
-        if cs == "1":
-            return body
-        if cs == "-1":
-            return "-" + body
-        return "%s*%s" % (cs, body)
-
     def elt_string(self, x):
-        if x.is_zero():
-            return "0"
         parts = []
-        for key in sorted(x.terms, key=lambda k: (k[0], k[1], k[2])):
-            coeff = x.terms[key]
-            # split multi-term cyclotomic coefficients into printable pieces
-            for e, c in sorted(coeff.coeffs.items()):
-                parts.append(self.term_string(key,
-                                              CycloScalar(coeff.field, {e: c})))
-        text = parts[0]
-        for p in parts[1:]:
-            text += " - " + p[1:] if p.startswith("-") else " + " + p
-        return text
+        for (g, j, q) in sorted(x.terms):
+            symbols = []
+            if j == 1:
+                symbols.append("D")
+            elif j > 1:
+                symbols.append("D^(%d)" % j)
+            symbols.append(self.generators[g].name)
+            if q:
+                symbols.append("t^{%s}" % q)
+            parts.extend(_scaled_terms(x.terms[(g, j, q)], " ".join(symbols)))
+        return _signed_sum(parts)
 
     def poly_string(self, poly):
         if poly.is_zero():
@@ -349,10 +330,7 @@ class AlgebraDef:
 
 def apply_partial_algebra(A, x):
     """Apply D_A (x) 1 only: raises the divided D-power."""
-    out = {}
-    for (g, j, q), c in x.terms.items():
-        out[(g, j + 1, q)] = c * (j + 1)
-    return ConfElt(x.field, out)
+    return x.apply_dpow(1)
 
 
 def apply_partial(A, x):
@@ -726,35 +704,22 @@ def check_axioms(A, seed=0):
 # -- hat basis (full-derivation divided powers) -----------------------------
 
 
-def hat_elt(A, g, l, q):
-    """The element Dhat^{(l)} (v_g (x) t^q) expanded in the working basis."""
-    q = Fraction(q)
-    terms = {}
-    for i in range(l + 1):
-        w = binom_frac(q, l - i)
-        if w:
-            terms[(g, i, q - (l - i))] = A.field.rational(w)
-    return ConfElt(A.field, terms)
-
-
 def _hat_rep(A, g, j, q):
-    """Represent D_A^{(j)} v_g (x) t^q on the hat basis; memoized."""
+    """Represent D_A^{(j)} v_g (x) t^q on the hat basis; memoized.
+
+    D_A = Dhat - d/dt with commuting parts, so
+    D_A^{(j)} (v (x) t^q) = sum_{i<=j} (-1)^{j-i} C(q, j-i)
+    Dhat^{(i)} (v (x) t^{q-(j-i)}).
+    """
     key = (g, j, q)
     got = A._hat_cache.get(key)
     if got is not None:
         return got
-    rep = {(g, j, q): Fraction(1)}
+    rep = {key: Fraction(1)}
     for i in range(j):
         w = binom_frac(q, j - i)
-        if not w:
-            continue
-        sub = _hat_rep(A, g, i, q - (j - i))
-        for k, c in sub.items():
-            s = rep.get(k, Fraction(0)) - w * c
-            if s:
-                rep[k] = s
-            else:
-                rep.pop(k, None)
+        if w:
+            rep[(g, i, q - (j - i))] = -w if (j - i) % 2 else w
     A._hat_cache[key] = rep
     return rep
 
@@ -776,7 +741,7 @@ def from_hat_basis(A, mapping):
     """Inverse of to_hat_basis."""
     out = A.zero_elt()
     for (g, l, q), c in mapping.items():
-        out = out + hat_elt(A, g, l, q).scale(c)
+        out = out + apply_partial_power(A, A.elt(g, q=q), l).scale(c)
     return out
 
 

@@ -359,13 +359,32 @@ class CycloScalar:
         return parts
 
     def __str__(self):
-        parts = self._term_strings()
-        if not parts:
-            return "0"
-        text = parts[0]
-        for p in parts[1:]:
-            text += " - " + p[1:] if p.startswith("-") else " + " + p
-        return text
+        return _signed_sum(self._term_strings())
 
     def __repr__(self):
         return "<CycloScalar %s (N=%d)>" % (self, self.field.conductor)
+
+
+def _signed_sum(parts):
+    """Join printed terms into a sum, a leading '-' becoming ' - '; no
+    terms print as 0."""
+    if not parts:
+        return "0"
+    text = parts[0]
+    for p in parts[1:]:
+        text += " - " + p[1:] if p.startswith("-") else " + " + p
+    return text
+
+
+def _scaled_terms(coeff, body):
+    """The printed terms c*body, one per monomial c of the scalar coeff."""
+    out = []
+    for e, c in sorted(coeff.coeffs.items()):
+        cs = str(CycloScalar(coeff.field, {e: c}))
+        if cs == "1":
+            out.append(body)
+        elif cs == "-1":
+            out.append("-" + body)
+        else:
+            out.append("%s*%s" % (cs, body))
+    return out

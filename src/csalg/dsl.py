@@ -47,15 +47,23 @@ __all__ = [
 
 _SYMBOLS = "*+-/^(){}=[],"
 
+#: Largest divided power D^(j) or x^(n) a term may carry.  The bracket
+#: evaluator grows faster than linearly in the power of its arguments:
+#: ``csalg bracket n2.csa "D^(k) G+ t^{1/2}" "D^(k) G- t^{-1/2}"`` takes
+#: about 2 s at this bound, 4 s at k = 100 and 28 s at k = 200 (single
+#: runs, CPython 3.11).
+MAX_DIVIDED_POWER = 64
+
 
 class _Tok:
-    __slots__ = ("kind", "text", "line", "col")
+    __slots__ = ("kind", "text", "line", "col", "value")
 
-    def __init__(self, kind, text, line, col):
+    def __init__(self, kind, text, line, col, value=None):
         self.kind = kind
         self.text = text
         self.line = line
         self.col = col
+        self.value = value
 
     def __repr__(self):
         return "<%s %r at %d:%d>" % (self.kind, self.text, self.line, self.col)
@@ -81,7 +89,12 @@ def _tokenize(text, line):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            toks.append(_Tok("INT", text[i:j], line, col))
+            try:
+                value = int(text[i:j])
+            except ValueError:
+                raise ParseError("integer literal of %d digits is too long"
+                                 % (j - i), line, col) from None
+            toks.append(_Tok("INT", text[i:j], line, col, value))
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -200,7 +213,7 @@ class _ExprParser:
     def mul_factor(self, acc):
         t = self.take()
         if t.kind == "INT":
-            num = int(t.text)
+            num = t.value
             den = 1
             nxt = self.peek()
             if nxt is not None and nxt.text == "/":
@@ -222,7 +235,7 @@ class _ExprParser:
             k = 1
             if self.peek() is not None and self.peek().text == "^":
                 self.take()
-                k = int(self.expect_int().text)
+                k = self.expect_int().value
             return [self.scaled(m, self.A.field.zeta(k)) for m in acc]
         if t.text == "D":
             return self.apply_power(acc, t, "j")
@@ -250,7 +263,7 @@ class _ExprParser:
         if self.peek() is not None and self.peek().text == "^":
             self.take()
             self.expect("(")
-            exp = int(self.expect_int().text)
+            exp = self.expect_int().value
             self.expect(")")
         return [self.mul_mono(m, _Mono(self.A.field.one(), **{slot: exp}),
                               tok)
@@ -268,7 +281,7 @@ class _ExprParser:
         if t is not None and t.text == "-":
             sign = -1
             self.take()
-        num = int(self.expect_int().text)
+        num = self.expect_int().value
         den = 1
         if self.peek() is not None and self.peek().text == "/":
             self.take()
@@ -277,9 +290,9 @@ class _ExprParser:
 
     def denominator(self):
         t = self.expect_int()
-        if int(t.text) == 0:
+        if t.value == 0:
             self.fail("zero denominator", t)
-        return int(t.text)
+        return t.value
 
     def scaled(self, m, scalar):
         m.coeff = m.coeff * scalar
@@ -292,11 +305,15 @@ class _ExprParser:
             self.fail("two generators in one term", tok)
         if m1.gen is not None and (m2.j or m2.n):
             self.fail("decorations must precede the generator", tok)
-        coeff = m1.coeff * m2.coeff
         n = m1.n + m2.n
+        j = m1.j + m2.j
+        for name, power in (("D", j), ("x", n)):
+            if power > MAX_DIVIDED_POWER:
+                self.fail("divided power %s^(%d) exceeds the bound %d"
+                          % (name, power, MAX_DIVIDED_POWER), tok)
+        coeff = m1.coeff * m2.coeff
         if m1.n and m2.n:
             coeff = coeff * _binom(n, m1.n)
-        j = m1.j + m2.j
         if m1.j and m2.j:
             coeff = coeff * _binom(j, m1.j)
         return _Mono(coeff, n, j,
@@ -447,7 +464,7 @@ def parse_algebra(text):
                                  head.line, head.col)
             if len(toks) != 2 or toks[1].kind != "INT":
                 raise ParseError("usage: cyclotomic N", head.line, head.col)
-            conductor = int(toks[1].text)
+            conductor = toks[1].value
         elif head.text == "generator":
             if len(toks) < 2 or toks[1].kind != "NAME":
                 raise ParseError("usage: generator NAME parity=even|odd",
@@ -537,7 +554,7 @@ def parse_morphism(text, algebra):
                                  % (words[3], algebra.name),
                                  toks[3].line, toks[3].col)
             name = words[1]
-            level = int(words[5])
+            level = toks[5].value
             if level < 1:
                 raise ParseError("level must be positive",
                                  toks[5].line, toks[5].col)

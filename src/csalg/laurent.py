@@ -10,7 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .cyclotomic import DEFAULT_CONDUCTOR, CycloField, CycloScalar
+from .cyclotomic import (DEFAULT_CONDUCTOR, CycloField, CycloScalar,
+                         _signed_sum)
 from .errors import DomainError
 
 
@@ -173,11 +174,7 @@ class LaurentElt:
 
     def delta(self):
         """Apply the derivation d/dt."""
-        out = {}
-        for q, c in self.terms.items():
-            if q:
-                out[q - 1] = c * q
-        return LaurentElt(self.field, out, level=self.level)
+        return self.delta_power(1)
 
     def delta_power(self, j):
         """Divided power delta^{(j)} = (d/dt)^j / j!; acts by C(q,j) t^{q-j}."""
@@ -215,8 +212,6 @@ class LaurentElt:
     # -- printing ---------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         parts = []
         for q in sorted(self.terms):
             c = self.terms[q]
@@ -234,10 +229,7 @@ class LaurentElt:
                 parts.append("-" + mono)
             else:
                 parts.append("%s*%s" % (cs, mono))
-        text = parts[0]
-        for p in parts[1:]:
-            text += " - " + p[1:] if p.startswith("-") else " + " + p
-        return text
+        return _signed_sum(parts)
 
     def __repr__(self):
         return "<LaurentElt %s (level %d)>" % (self, self.level)

@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 
 from .core import EVEN, ODD, find_virasoro, lambda_bracket, to_hat_basis
-from .cyclotomic import CycloScalar
+from .cyclotomic import CycloScalar, _scaled_terms, _signed_sum
 from .errors import CsalgError, DomainError
 from .laurent import binom_frac
 from .linalg import mat_mul, null_space, rank, solve
@@ -102,6 +102,12 @@ class LoopAlgebra:
         if scaled.denominator != 1:
             return None
         return int(scaled) % self.order
+
+    def exponents(self, res, lo, hi):
+        """The exponents res/m + k with lo <= q <= hi, in increasing order."""
+        start = Fraction(res, self.order)
+        return [start + k for k in range(math.ceil(lo - start),
+                                         math.floor(hi - start) + 1)]
 
     def mode(self, ref, mu, coeff=1):
         """The single mode  coeff * v_mu  as an AlgElt."""
@@ -223,16 +229,23 @@ class SplitReport:
     def bijective(self):
         return self.injective and self.surjective
 
+    def _missed_strings(self):
+        return ["%s (x) t^{%s}" % (name, q) for name, q in self.missed]
+
     def lines(self):
         out = ["multiplication map on window %s:" % self.window]
         out.append("  injective: %s" % ("yes" if self.injective else "NO"))
         if self.missed:
             out.append("  surjective: NO, missed:")
-            for name, q in self.missed:
-                out.append("    %s (x) t^{%s}" % (name, q))
+            out.extend("    " + m for m in self._missed_strings())
         else:
             out.append("  surjective: yes")
         return out
+
+    def as_json(self):
+        """The ``split`` part of the ``csalg loop --json`` payload."""
+        return {"injective": self.injective, "surjective": self.surjective,
+                "missed": self._missed_strings()}
 
     def __str__(self):
         return "\n".join(self.lines())
@@ -266,13 +279,9 @@ def split_check(L, window):
         if not hit:
             missing_gens.append(g)
 
-    missed = []
-    j = -math.floor(W * L.order)
     top = math.floor(W * L.order)
-    while j <= top:
-        for g in missing_gens:
-            missed.append((A.generators[g].name, Fraction(j, L.order)))
-        j += 1
+    missed = [(A.generators[g].name, Fraction(j, L.order))
+              for j in range(-top, top + 1) for g in missing_gens]
     return SplitReport(W, injective, missed)
 
 
@@ -373,25 +382,12 @@ class AlgElt:
     __hash__ = None
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        A = self.loop.base
+        names = self.loop.base.generators
         parts = []
-        for (g, mu) in sorted(self.terms, key=lambda k: (k[0], k[1])):
-            coeff = self.terms[(g, mu)]
-            body = "%s[%s]" % (A.generators[g].name, mu)
-            for e, c in sorted(coeff.coeffs.items()):
-                cs = str(CycloScalar(coeff.field, {e: c}))
-                if cs == "1":
-                    parts.append(body)
-                elif cs == "-1":
-                    parts.append("-" + body)
-                else:
-                    parts.append("%s*%s" % (cs, body))
-        text = parts[0]
-        for p in parts[1:]:
-            text += " - " + p[1:] if p.startswith("-") else " + " + p
-        return text
+        for (g, mu) in sorted(self.terms):
+            parts.extend(_scaled_terms(self.terms[(g, mu)],
+                                       "%s[%s]" % (names[g].name, mu)))
+        return _signed_sum(parts)
 
     def __repr__(self):
         return "AlgElt(%s)" % self
@@ -494,13 +490,7 @@ def l0_spectrum(L, parity, window):
         for a in piece:
             if L.base.homogeneous_parity(a) != parity:
                 continue
-            start = Fraction(i, L.order)
-            k = math.ceil(-W - start)
-            while start + k <= W:
-                mu = start + k
-                k += 1
-                if mu < -W:
-                    continue
+            for mu in L.exponents(i, -W, W):
                 am = AlgElt(L, {(g, mu): c
                                 for (g, _, _), c in a.terms.items()},
                             validate=False)

@@ -382,10 +382,7 @@ def n4_auto(Y, X, algebra=None):
     field = A.field
     if Y.field is not field:
         raise DomainError("Y lives over a different scalar field")
-    x = [[_scalar(field, X[r][c]) for c in range(2)] for r in range(2)]
-    if x[0][0] * x[1][1] - x[0][1] * x[1][0] != field.one():
-        raise DomainError("X must have determinant 1")
-    (c, d), (e, f) = x
+    (c, d), (e, f) = _x_matrix(field, X)
 
     ye = Y.entries
     yinv = Y.inverse().entries
@@ -429,3 +426,13 @@ def _scalar(field, value):
             raise DomainError("matrix entry over a different scalar field")
         return value
     return field.rational(value)
+
+
+def _x_matrix(field, entries):
+    """A constant 2x2 matrix over ``field``, checked to have determinant 1."""
+    mat = [[_scalar(field, entries[r][c]) for c in range(2)]
+           for r in range(2)]
+    det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
+    if det != field.one():
+        raise DomainError("matrix determinant is %s, not 1" % det)
+    return mat

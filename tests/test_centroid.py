@@ -108,9 +108,10 @@ def test_apply_rejects_elements_off_the_window():
 def test_decompose_inverts_the_hat_basis(loop):
     frame = _Frame(loop, 3, 1)
     one = FIELD.one()
+    w = frame.window
     keys = [(ai, l, q)
             for ai, (res, _, _, _) in enumerate(frame.alphas)
-            for q in frame.exponents(res, frame.window) for l in (0, 1)]
+            for q in loop.exponents(res, -w, w) for l in (0, 1)]
     for key in keys:
         assert frame.decompose(frame.hat_elt(key)) == {key: one}
     # a fixed combination with rational and non-rational coefficients

@@ -8,7 +8,9 @@ from csalg.core import (
     AlgebraDef,
     LambdaPoly,
     apply_partial,
+    _hat_rep,
     apply_partial_algebra,
+    apply_partial_power,
     check_axioms,
     complete_table_cs4,
     cs4_transform,
@@ -19,6 +21,7 @@ from csalg.core import (
     to_hat_basis,
 )
 from csalg.errors import CsalgError, TableInconsistencyError
+from csalg.laurent import binom_frac
 
 N2 = make_n2()
 HALF = Fraction(1, 2)
@@ -178,6 +181,50 @@ def test_hat_basis_round_trip():
 
         x = ConfElt(N2.field, terms)
         assert from_hat_basis(N2, to_hat_basis(N2, x)) == x
+
+
+def _hat_rep_by_recursion(g, j, q, memo):
+    """D_A^{(j)} v_g (x) t^q on the hat basis, from
+    D_A^{(j)} = Dhat^{(j)} - sum_{i<j} (d/dt)^{(j-i)} D_A^{(i)}."""
+    key = (g, j, q)
+    if key in memo:
+        return memo[key]
+    rep = {key: Fraction(1)}
+    for i in range(j):
+        w = binom_frac(q, j - i)
+        if not w:
+            continue
+        for k, c in _hat_rep_by_recursion(g, i, q - (j - i), memo).items():
+            s = rep.get(k, Fraction(0)) - w * c
+            if s:
+                rep[k] = s
+            else:
+                rep.pop(k, None)
+    memo[key] = rep
+    return rep
+
+
+def test_hat_rep_closed_form_matches_the_recursion():
+    A = make_n2()
+    memo = {}
+    for g in range(A.ngens()):
+        for j in range(7):
+            for k in range(-18, 19):
+                q = Fraction(k, 6)
+                want = _hat_rep_by_recursion(g, j, q, memo)
+                # same keys, values and insertion order
+                assert list(_hat_rep(A, g, j, q).items()) == \
+                    list(want.items())
+
+
+def test_hat_elements_are_unit_vectors_on_the_hat_basis():
+    one = N2.field.one()
+    for g in range(N2.ngens()):
+        for l in range(5):
+            for k in range(-12, 13):
+                q = Fraction(k, 6)
+                hat = apply_partial_power(N2, N2.elt(g, q=q), l)
+                assert to_hat_basis(N2, hat) == {(g, l, q): one}
 
 
 def test_cs1_evaluator_laws():

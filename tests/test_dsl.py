@@ -11,9 +11,9 @@ from csalg.core import (AlgebraDef, ConfElt, EVEN, Generator, LambdaPoly,
                         ODD, complete_table_cs4)
 from csalg.cyclotomic import CycloField
 from csalg.errors import CsalgError, ParseError, TableInconsistencyError
-from csalg.dsl import (SourceFile, format_algebra, format_element,
-                       format_morphism, parse_algebra, parse_element,
-                       parse_morphism)
+from csalg.dsl import (MAX_DIVIDED_POWER, SourceFile, format_algebra,
+                       format_element, format_morphism, parse_algebra,
+                       parse_element, parse_morphism)
 from csalg.laurent import LaurentElt
 from csalg.morphisms import n2_omega, n2_theta
 
@@ -118,6 +118,30 @@ def test_zero_denominators_are_parse_errors():
     for text in ("1/0*G+", "G+ t^{1/0}", "G+ t^{-3/00}"):
         with pytest.raises(ParseError, match="zero denominator"):
             parse_element(N2, text)
+
+
+def test_overlong_integer_literals_are_parse_errors():
+    big = "9" * 5000
+    with pytest.raises(ParseError, match="5000 digits"):
+        parse_element(N2, big + " L")
+    with pytest.raises(ParseError, match="5000 digits") as err:
+        parse_algebra("algebra X\ncyclotomic %s\n"
+                      "generator L parity=even\n" % big)
+    assert err.value.line == 2
+
+
+def test_divided_powers_are_bounded():
+    assert MAX_DIVIDED_POWER == 64
+    top = parse_element(N2, "D^(64) L t^{1/2}")
+    assert top == N2.elt("L", dpow=64, q=Fraction(1, 2))
+    # D D^(64) combines to 65 D^(65), one past the bound
+    for text in ("D^(65) L", "D D^(64) L", "D^(40) (D^(40) G+)",
+                 "D^(" + "9" * 40 + ") L"):
+        with pytest.raises(ParseError, match=r"D\^\(\d+\) exceeds the bound 64"):
+            parse_element(N2, text)
+    with pytest.raises(ParseError, match=r"x\^\(65\) exceeds the bound 64"):
+        parse_algebra(N2_SOURCE.replace("bracket L L = ",
+                                        "bracket L L = x^(65)*(L) + "))
 
 
 def test_element_rejects_two_generators():

@@ -148,6 +148,38 @@ def test_split_check_flags_a_missing_piece():
     assert ("J", HALF) in report.missed
 
 
+def test_split_report_renders_missed_pieces_once():
+    doctored = LoopAlgebra(N2, 2, [
+        [N2.elt("L"), N2.elt("G+") + N2.elt("G-")],
+        [],
+    ])
+    report = split_check(doctored, 1)
+    lines = report.lines()
+    missed = lines[lines.index("  surjective: NO, missed:") + 1:]
+    payload = report.as_json()
+    assert payload["missed"] == [line.strip() for line in missed]
+    assert "J (x) t^{1/2}" in payload["missed"]
+    assert payload["injective"] is True and payload["surjective"] is False
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
+def test_exponents_enumerate_one_coset(m):
+    loop = LoopAlgebra(N2, m, [[] for _ in range(m)])
+    lattice = [Fraction(k, m) for k in range(-4 * m, 4 * m + 1)]
+    # lo and hi run over a grid finer than every lattice, so both
+    # endpoints on the lattice and between its points occur
+    grid = [Fraction(k, 12) for k in range(-30, 31, 1 if m < 4 else 2)]
+    for res in range(m):
+        coset = [q for q in lattice if (q * m - res) % m == 0]
+        for lo in grid:
+            for hi in grid:
+                want = [q for q in coset if lo <= q <= hi]
+                assert loop.exponents(res, lo, hi) == want
+    assert loop.exponents(0, 1, 0) == []
+    assert loop.exponents(m - 1, Fraction(-1, 2 * m), Fraction(1, 2 * m)) \
+        == ([0] if m == 1 else [])
+
+
 def test_split_check_flags_dependent_generators():
     doctored = LoopAlgebra(N2, 2, [
         [N2.elt("L"), N2.elt("L").scale(2)],

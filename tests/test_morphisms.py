@@ -266,6 +266,11 @@ def test_n4_auto_rejects_bad_determinants():
         n4_auto([[2, 0], [0, 1]], [[1, 0], [0, 1]], N4)
 
 
+def test_n4_auto_names_the_determinant_of_x():
+    with pytest.raises(DomainError, match="matrix determinant is 2, not 1"):
+        n4_auto([[1, 0], [0, 1]], [[2, 0], [0, 1]], N4)
+
+
 def random_sl2(rng):
     m = SL2MatrixOverS.identity(field=FIELD)
     for _ in range(rng.randint(1, 3)):
