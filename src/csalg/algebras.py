@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import EVEN, ODD, AlgebraDef, ConfElt, Generator, LambdaPoly, complete_table_cs4
-from .cyclotomic import DEFAULT_CONDUCTOR, CycloField
+from .cyclotomic import DEFAULT_CONDUCTOR, CycloField, _add_to
 from .errors import ConductorError, CsalgError
 
 
@@ -29,16 +29,11 @@ class StructureConstants:
         self.dim = len(self.names)
         full = {}
         for (i, j), row in c.items():
-            full[(i, j)] = {k: self._scalar(v) for k, v in row.items()
-                            if not self._scalar(v).is_zero()}
+            entry = full[(i, j)] = {}
+            for k, v in row.items():
+                _add_to(entry, k, self.field.scalar(v))
         self.c = full
         self._validate()
-
-    def _scalar(self, v):
-        from .cyclotomic import CycloScalar
-        if isinstance(v, CycloScalar):
-            return v
-        return self.field.rational(v)
 
     def bracket(self, i, j):
         return self.c.get((i, j), {})
@@ -47,23 +42,19 @@ class StructureConstants:
         return -1 if self.parities[i] and self.parities[j] else 1
 
     def _validate(self):
-        zero = self.field.zero()
         dim = self.dim
         for i in range(dim):
             for j in range(dim):
-                left = self.bracket(i, j)
-                right = self.bracket(j, i)
-                for k in range(dim):
-                    a = left.get(k, zero)
-                    b = right.get(k, zero)
-                    if not (a + b * self._sign(i, j)).is_zero():
-                        raise CsalgError(
-                            "structure constants are not super-antisymmetric "
-                            "at (%s, %s)" % (self.names[i], self.names[j]))
+                flip = -self._sign(i, j)
+                if self.bracket(i, j) != {k: v * flip for k, v
+                                          in self.bracket(j, i).items()}:
+                    raise CsalgError(
+                        "structure constants are not super-antisymmetric "
+                        "at (%s, %s)" % (self.names[i], self.names[j]))
         # super Jacobi: [a,[b,c]] = [[a,b],c] + p(a,b) [b,[a,c]]
         def add(vec, scale, acc):
             for k, v in vec.items():
-                acc[k] = acc.get(k, zero) + v * scale
+                _add_to(acc, k, v * scale)
 
         for a in range(dim):
             for b in range(dim):
@@ -77,13 +68,11 @@ class StructureConstants:
                     sign = self._sign(a, b)
                     for m, v in self.bracket(a, c).items():
                         add(self.bracket(b, m), v * sign, rhs)
-                    for k in set(lhs) | set(rhs):
-                        if not (lhs.get(k, zero) - rhs.get(k, zero)).is_zero():
-                            raise CsalgError(
-                                "structure constants fail the Jacobi identity "
-                                "at (%s, %s, %s)" % (self.names[a],
-                                                     self.names[b],
-                                                     self.names[c]))
+                    if lhs != rhs:
+                        raise CsalgError(
+                            "structure constants fail the Jacobi identity "
+                            "at (%s, %s, %s)" % (self.names[a], self.names[b],
+                                                 self.names[c]))
 
 
 def make_current(sc, name=None):
@@ -137,8 +126,7 @@ def _poly(field, pairs):
     for n, terms in pairs.items():
         elt = {}
         for (g, j), c in terms.items():
-            elt[(g, j, Fraction(0))] = c if not isinstance(c, (int, Fraction)) \
-                else field.rational(c)
+            elt[(g, j, Fraction(0))] = field.scalar(c)
         coeffs[n] = ConfElt(field, elt)
     return LambdaPoly(field, coeffs)
 

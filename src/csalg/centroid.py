@@ -23,10 +23,11 @@ import math
 from fractions import Fraction
 
 from .core import apply_partial_power, lambda_bracket, to_hat_basis
+from .cyclotomic import _add_to
 from .errors import DomainError
 from .laurent import LaurentElt
-from .linalg import (_add_to, _back_substitute, _echelon_insert,
-                     _null_basis, _reduce_against, adjugate, det)
+from .linalg import (_back_substitute, _echelon_insert, _null_basis,
+                     _reduce_against, adjugate, det)
 
 __all__ = ["CentroidSolution", "centroid_basis", "is_scalar_action"]
 
@@ -76,7 +77,6 @@ class _Frame:
 
         self.maxl = A.table_degrees()[0]
         self._hat_cache = {}
-        self._decomp_cache = {}
 
     # -- basis bookkeeping -------------------------------------------------
 
@@ -259,6 +259,11 @@ def centroid_basis(L, window, interior):
     _back_substitute(pivots)
     raw = _null_basis(pivots, touched, one)
 
+    def solution(vec):
+        return CentroidSolution(frame, {pos: vec[uid]
+                                        for pos, uid in unknowns.items()
+                                        if uid in vec})
+
     # span-membership echelon over the raw solutions
     span = {}
     for vec in raw:
@@ -287,11 +292,7 @@ def centroid_basis(L, window, interior):
         if residue:
             continue
         _echelon_insert(chosen, entries)
-        mat = {}
-        for (pos, uid) in unknowns.items():
-            if uid in entries:
-                mat[pos] = entries[uid]
-        solutions.append(CentroidSolution(frame, mat))
+        solutions.append(solution(entries))
 
     for vec in raw:
         residue, lead = _reduce_against(chosen, vec)
@@ -300,11 +301,7 @@ def centroid_basis(L, window, interior):
         inv = residue[lead].inverse()
         residue = {u: c * inv for u, c in residue.items()}
         _echelon_insert(chosen, residue)
-        mat = {}
-        for (pos, uid) in unknowns.items():
-            if uid in residue:
-                mat[pos] = residue[uid]
-        solutions.append(CentroidSolution(frame, mat))
+        solutions.append(solution(residue))
     return solutions
 
 

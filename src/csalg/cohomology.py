@@ -11,7 +11,6 @@ other, enumerated by conjugacy classes of finite-order elements of PGL_2.
 """
 
 import math
-from fractions import Fraction
 
 from .cyclotomic import DEFAULT_CONDUCTOR, CycloField, CycloScalar
 from .errors import ConductorError, DomainError

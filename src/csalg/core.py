@@ -21,14 +21,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .cyclotomic import CycloField, CycloScalar, _scaled_terms, _signed_sum
-from .errors import CsalgError, DomainError, TableInconsistencyError
-from .laurent import LaurentElt, binom_frac
+from .cyclotomic import _add_to, _scaled_terms, _signed_sum
+from .errors import CsalgError, TableInconsistencyError
+from .laurent import binom_frac
 
 EVEN = 0
 ODD = 1
-
-_Q0 = Fraction(0)
 
 
 class Generator:
@@ -89,12 +87,7 @@ class ConfElt:
             return NotImplemented
         out = dict(self.terms)
         for k, v in other.terms.items():
-            s = out.get(k)
-            s = v if s is None else s + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+            _add_to(out, k, v)
         return ConfElt(self.field, out)
 
     def __neg__(self):
@@ -167,9 +160,7 @@ class LambdaPoly:
     def __add__(self, other):
         out = dict(self.coeffs)
         for n, e in other.coeffs.items():
-            s = out.get(n)
-            s = e if s is None else s + e
-            out[n] = s
+            _add_to(out, n, e)
         return LambdaPoly(self.field, out)
 
     def __neg__(self):
@@ -259,8 +250,8 @@ class AlgebraDef:
     def elt(self, ref, dpow=0, q=0, coeff=1):
         """One decorated term  coeff * D^{(dpow)} gen (x) t^q."""
         i = self.gen_index(ref)
-        c = coeff if isinstance(coeff, CycloScalar) else self.field.rational(coeff)
-        return ConfElt(self.field, {(i, dpow, Fraction(q)): c})
+        return ConfElt(self.field,
+                       {(i, dpow, Fraction(q)): self.field.scalar(coeff)})
 
     def zero_poly(self):
         return LambdaPoly(self.field, {})
@@ -337,11 +328,9 @@ def apply_partial(A, x):
     """The full derivation of A (x) S: D_A (x) 1 + 1 (x) d/dt."""
     acc = {}
     for (g, j, q), c in x.terms.items():
-        k1 = (g, j + 1, q)
-        acc[k1] = acc.get(k1, x.field.zero()) + c * (j + 1)
+        _add_to(acc, (g, j + 1, q), c * (j + 1))
         if q:
-            k2 = (g, j, q - 1)
-            acc[k2] = acc.get(k2, x.field.zero()) + c * q
+            _add_to(acc, (g, j, q - 1), c * q)
     return ConfElt(x.field, acc)
 
 
@@ -729,11 +718,7 @@ def to_hat_basis(A, x):
     out = {}
     for (g, j, q), c in x.terms.items():
         for k, w in _hat_rep(A, g, j, q).items():
-            s = out.get(k, A.field.zero()) + c * w
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+            _add_to(out, k, c * w)
     return out
 
 

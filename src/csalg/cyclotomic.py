@@ -24,6 +24,20 @@ DEFAULT_CONDUCTOR = 24
 MAX_CONDUCTOR = 1000
 
 
+def _add_to(acc, key, val):
+    """Add val into the sparse map acc at key, dropping the key at zero.
+
+    Duck-typed on ``+`` and ``is_zero()``, so the values may be scalars,
+    conformal elements or anything else with both.
+    """
+    s = acc.get(key)
+    s = val if s is None else s + val
+    if s.is_zero():
+        acc.pop(key, None)
+    else:
+        acc[key] = s
+
+
 def _proper_divisors(n):
     return [d for d in range(1, n) if n % d == 0]
 
@@ -128,6 +142,23 @@ class CycloField:
         if not value:
             return self._zero
         return CycloScalar(self, {0: value})
+
+    def scalar(self, value):
+        """The value as a scalar of this field.
+
+        A scalar of this field is returned as it is and one of a subfield
+        Q(zeta_d), d | N, is embedded; a scalar of any other field raises
+        ConductorError.  Every other value is a rational, read by Fraction.
+        """
+        if isinstance(value, CycloScalar):
+            if value.field is self:
+                return value
+            if self.conductor % value.field.conductor:
+                raise ConductorError(
+                    "scalar from Q(zeta_%d) does not embed in Q(zeta_%d)"
+                    % (value.field.conductor, self.conductor))
+            return value._embed(self)
+        return self.rational(value)
 
     def zeta(self, k=1):
         """The scalar zeta_N^k."""

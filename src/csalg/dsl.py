@@ -26,12 +26,12 @@ Printing and parsing are mutually inverse on values, not on raw text.
 """
 
 from fractions import Fraction
+from math import comb
 
 from .core import (AlgebraDef, ConfElt, EVEN, Generator, LambdaPoly, ODD,
                    complete_table_cs4)
-from .cyclotomic import DEFAULT_CONDUCTOR, CycloField, CycloScalar
+from .cyclotomic import DEFAULT_CONDUCTOR, CycloField, _add_to
 from .errors import CsalgError, DomainError, ParseError
-from .laurent import LaurentElt
 from .morphisms import GenMorphism
 
 __all__ = [
@@ -127,13 +127,6 @@ class _Mono:
         self.j = j
         self.gen = gen
         self.q = q
-
-
-def _binom(a, b):
-    out = 1
-    for k in range(b):
-        out = out * (a - k) // (k + 1)
-    return out
 
 
 class _ExprParser:
@@ -313,9 +306,9 @@ class _ExprParser:
                           % (name, power, MAX_DIVIDED_POWER), tok)
         coeff = m1.coeff * m2.coeff
         if m1.n and m2.n:
-            coeff = coeff * _binom(n, m1.n)
+            coeff = coeff * comb(n, m1.n)
         if m1.j and m2.j:
-            coeff = coeff * _binom(j, m1.j)
+            coeff = coeff * comb(j, m1.j)
         return _Mono(coeff, n, j,
                      m1.gen if m1.gen is not None else m2.gen,
                      m1.q + m2.q)
@@ -335,16 +328,10 @@ class _ExprParser:
                 continue
             if m.gen is None:
                 self.fail("term without a generator", self.toks[-1])
-            terms = coeffs.setdefault(m.n, {})
-            key = (m.gen, m.j, m.q)
-            got = terms.get(key)
-            terms[key] = m.coeff if got is None else got + m.coeff
-        out = {}
-        for n, terms in coeffs.items():
-            elt = ConfElt(self.A.field, terms)
-            if not elt.is_zero():
-                out[n] = elt
-        return LambdaPoly(self.A.field, out)
+            _add_to(coeffs.setdefault(m.n, {}), (m.gen, m.j, m.q), m.coeff)
+        field = self.A.field
+        return LambdaPoly(field, {n: ConfElt(field, terms)
+                                  for n, terms in coeffs.items()})
 
 
 def _poly_from_tokens(algebra, toks):

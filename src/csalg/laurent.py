@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import lcm
 
 from .cyclotomic import (DEFAULT_CONDUCTOR, CycloField, CycloScalar,
-                         _signed_sum)
+                         _add_to, _signed_sum)
 from .errors import DomainError
 
 
@@ -22,18 +22,6 @@ def binom_frac(q, j):
     for i in range(j):
         out = out * (q - i) / (i + 1)
     return out
-
-
-def _as_scalar(field, value):
-    if isinstance(value, CycloScalar):
-        if value.field is not field:
-            if field.conductor % value.field.conductor:
-                raise DomainError(
-                    "scalar from Q(zeta_%d) does not embed in Q(zeta_%d)"
-                    % (value.field.conductor, field.conductor))
-            return value._embed(field)
-        return value
-    return field.rational(value)
 
 
 class LaurentElt:
@@ -50,15 +38,7 @@ class LaurentElt:
     def __init__(self, field, terms, level=None):
         clean = {}
         for q, c in terms.items():
-            q = Fraction(q)
-            c = _as_scalar(field, c)
-            if not c.is_zero():
-                if q in clean:
-                    c = clean[q] + c
-                    if c.is_zero():
-                        del clean[q]
-                        continue
-                clean[q] = c
+            _add_to(clean, Fraction(q), field.scalar(c))
         self.field = field
         self.terms = clean
         needed = lcm(1, *(q.denominator for q in clean)) if clean else 1
@@ -108,11 +88,7 @@ class LaurentElt:
         other = self._coerce(other)
         out = dict(self.terms)
         for q, c in other.terms.items():
-            s = out.get(q, self.field.zero()) + c
-            if s.is_zero():
-                out.pop(q, None)
-            else:
-                out[q] = s
+            _add_to(out, q, c)
         return LaurentElt(self.field, out, level=lcm(self.level, other.level))
 
     __radd__ = __add__
@@ -136,9 +112,7 @@ class LaurentElt:
         out = {}
         for q1, c1 in self.terms.items():
             for q2, c2 in other.terms.items():
-                q = q1 + q2
-                prev = out.get(q)
-                out[q] = c1 * c2 if prev is None else prev + c1 * c2
+                _add_to(out, q1 + q2, c1 * c2)
         return LaurentElt(self.field, out, level=lcm(self.level, other.level))
 
     __rmul__ = __mul__

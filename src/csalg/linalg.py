@@ -12,16 +12,8 @@ minor expansion.
 
 from __future__ import annotations
 
+from .cyclotomic import _add_to
 from .errors import DomainError
-
-
-def _add_to(acc, key, val):
-    s = acc.get(key)
-    s = val if s is None else s + val
-    if s.is_zero():
-        acc.pop(key, None)
-    else:
-        acc[key] = s
 
 
 # Pivot rows are kept solved for their lead column: pivots[lead] = {u: m_u}

@@ -14,7 +14,7 @@ from math import lcm
 from .algebras import _pauli, make_n2, make_n4
 from .core import (ConfElt, _plain_verdict, apply_partial_power,
                    lambda_bracket, to_hat_basis)
-from .cyclotomic import DEFAULT_CONDUCTOR, CycloField, CycloScalar
+from .cyclotomic import DEFAULT_CONDUCTOR, CycloField
 from .errors import CsalgError, DomainError
 from .laurent import LaurentElt, delta_t
 from .linalg import det, mat_inverse_laurent, mat_mul
@@ -348,8 +348,7 @@ def _traceless_current(A, m):
     ]
     out = A.zero_elt()
     for s, r in enumerate(coords):
-        g = A.gen_index("J%d" % (s + 1))
-        out = out + ConfElt(A.field, {(g, 0, q): c for q, c in r.terms.items()})
+        out = out + _gen_times(A, "J%d" % (s + 1), r)
     return out
 
 
@@ -420,17 +419,9 @@ def n4_auto(Y, X, algebra=None):
     return GenMorphism(A, Y.level, images)
 
 
-def _scalar(field, value):
-    if isinstance(value, CycloScalar):
-        if value.field is not field:
-            raise DomainError("matrix entry over a different scalar field")
-        return value
-    return field.rational(value)
-
-
 def _x_matrix(field, entries):
     """A constant 2x2 matrix over ``field``, checked to have determinant 1."""
-    mat = [[_scalar(field, entries[r][c]) for c in range(2)]
+    mat = [[field.scalar(entries[r][c]) for c in range(2)]
            for r in range(2)]
     det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
     if det != field.one():

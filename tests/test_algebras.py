@@ -176,3 +176,28 @@ def test_n4_axioms_under_budget():
     elapsed = time.monotonic() - start
     assert report.ok, str(report)
     assert elapsed < 30.0
+
+
+def test_structure_constants_store_no_zero_and_name_the_failure():
+    sc = StructureConstants(["a", "b", "c"], [EVEN] * 3,
+                            {(0, 1): {2: 0}, (1, 0): {2: 0, 1: 0}})
+    assert sc.c == {(0, 1): {}, (1, 0): {}}
+    with pytest.raises(CsalgError, match=r"not super-antisymmetric at \(a, b\)"):
+        StructureConstants(["a", "b"], [EVEN, EVEN],
+                           {(0, 1): {0: 1}, (1, 0): {0: 1}})
+    # [a,b] = c, [a,c] = a, [b,c] = 0 holds on the triples before (a, b, c),
+    # where [a,[b,c]] = 0 but [[a,b],c] + [b,[a,c]] = [c,c] + [b,a] = -c
+    with pytest.raises(CsalgError, match=r"Jacobi identity at \(a, b, c\)"):
+        StructureConstants(
+            ["a", "b", "c"], [EVEN] * 3,
+            {(0, 1): {2: 1}, (1, 0): {2: -1},
+             (0, 2): {0: 1}, (2, 0): {0: -1}})
+
+
+def test_odd_pairs_of_structure_constants_are_symmetric():
+    # Heisenberg superalgebra: odd x, y with [x, y] = [y, x] = z central
+    names, parities = ["x", "y", "z"], [ODD, ODD, EVEN]
+    sc = StructureConstants(names, parities, {(0, 1): {2: 1}, (1, 0): {2: 1}})
+    assert sc.bracket(1, 0) == {2: sc.field.one()}
+    with pytest.raises(CsalgError, match=r"antisymmetric at \(x, y\)"):
+        StructureConstants(names, parities, {(0, 1): {2: 1}, (1, 0): {2: -1}})

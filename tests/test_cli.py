@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from csalg import loops
 from csalg.cli import main
 from csalg.cyclotomic import CycloField
 from csalg.dsl import parse_scalar
@@ -189,6 +190,20 @@ def test_domain_errors_exit_3(capsys):
         code, _, err = run(capsys, argv)
         assert code == 3, argv
         assert err.startswith("error:"), argv
+
+
+def test_loop_window_is_bounded(capsys):
+    # read first: without a bound the command below runs for minutes
+    bound = loops.MAX_SPECTRUM_MODES
+    start = time.perf_counter()
+    # odd modes of the omega loop: 200001 integers, 200000 half-integers
+    code, out, err = run(capsys, ["loop", "n2.csa", "--auto", "omega",
+                                  "--window", "100000"])
+    assert code == 3
+    assert out == ""
+    assert err == ("error: window 100000 holds 400001 modes, above the "
+                   "bound %d\n" % bound)
+    assert time.perf_counter() - start < 10
 
 
 def test_twisted_modes_follow_the_lattice(capsys):

@@ -205,6 +205,14 @@ def test_invariant_of_small_matrices():
     assert one + 1 == FIELD.rational(2)
 
 
+def test_subfield_matrix_entries_embed():
+    i4 = CycloField.get(4).zeta(1)
+    x4 = [[i4, 0], [0, -i4]]
+    x24 = [[I24, 0], [0, -I24]]
+    assert N4AutElt([[1, 0], [0, 1]], x4) == N4AutElt([[1, 0], [0, 1]], x24)
+    assert n4_invariant(x4, field=FIELD) == n4_invariant(x24) == RootPair(2, 1)
+
+
 def test_invariant_ignores_sign_and_conjugation():
     rng = random.Random(13)
     zeta = FIELD.zeta

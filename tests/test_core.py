@@ -6,6 +6,7 @@ import pytest
 from csalg.algebras import make_n2
 from csalg.core import (
     AlgebraDef,
+    ConfElt,
     LambdaPoly,
     apply_partial,
     _hat_rep,
@@ -20,7 +21,8 @@ from csalg.core import (
     n_product,
     to_hat_basis,
 )
-from csalg.errors import CsalgError, TableInconsistencyError
+from csalg.cyclotomic import CycloField
+from csalg.errors import ConductorError, CsalgError, TableInconsistencyError
 from csalg.laurent import binom_frac
 
 N2 = make_n2()
@@ -269,3 +271,39 @@ def test_printing_round_trippable_forms():
     entry = N2.table[(N2.gen_index("G+"), N2.gen_index("G-"))]
     assert N2.poly_string(entry) == "L + 1/2*D J + x*(J)"
     assert N2.elt_string(N2.zero_elt()) == "0"
+
+
+def test_cancelling_conf_elt_sums_leave_no_key():
+    F = N2.field
+    L, J = N2.gen_index("L"), N2.gen_index("J")
+    x = N2.elt("L", dpow=1, q=HALF, coeff=3) + N2.elt("J", coeff=F.zeta(1))
+    assert (x + (-x)).terms == {}
+    assert (x - x).terms == {}
+    rest = x + N2.elt("L", dpow=1, q=HALF, coeff=-3)
+    assert rest.terms == {(J, 0, Fraction(0)): F.zeta(1)}
+    assert (rest + x).terms == {(J, 0, Fraction(0)): F.element({1: 2}),
+                                (L, 1, HALF): F.rational(3)}
+
+
+def test_cancelling_lambda_poly_sums_leave_no_key():
+    F = N2.field
+    J = N2.gen_index("J")
+    p = poly({0: N2.elt("L"), 1: N2.elt("J")})
+    q = poly({0: -N2.elt("L"), 1: N2.elt("J")})
+    got = (p + q).coeffs
+    assert list(got) == [1]
+    assert got[1] == ConfElt(F, {(J, 0, Fraction(0)): F.rational(2)})
+    assert (p - p).coeffs == {}
+
+
+def test_elt_refuses_a_coefficient_from_a_field_that_does_not_embed():
+    with pytest.raises(ConductorError, match="zeta_5.*zeta_24"):
+        N2.elt("G+", coeff=CycloField.get(5).zeta(1))
+
+
+def test_elt_embeds_a_subfield_coefficient():
+    i4 = CycloField.get(4).zeta(1)
+    got = N2.elt("G+", coeff=i4)
+    assert all(c.field is N2.field for c in got.terms.values())
+    assert got.terms == {(N2.gen_index("G+"), 0, Fraction(0)):
+                         N2.field.zeta(6)}

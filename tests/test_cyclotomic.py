@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from csalg.cyclotomic import (MAX_CONDUCTOR, CycloField, cyclotomic_poly,
-                              root_of_unity)
+from csalg.cyclotomic import (MAX_CONDUCTOR, CycloField, _add_to,
+                              cyclotomic_poly, root_of_unity)
 from csalg.errors import ConductorError, DomainError
 
 
@@ -270,3 +270,59 @@ def test_mixed_conductors_embed_and_agree():
                         assert got.field is fb
                         assert got.coeffs == _oracle_reduce(
                             _oracle_mul(lifted, ry), big), where
+
+
+def _zeta24(e):
+    """zeta_24^e by hand: zeta^12 = -1 and zeta^8 = zeta^4 - 1."""
+    e %= 24
+    sign = -1 if e >= 12 else 1
+    e %= 12
+    if e < 8:
+        return {e: Fraction(sign)}
+    return {e - 4: Fraction(sign), e - 8: Fraction(-sign)}
+
+
+def test_scalar_of_numbers_and_own_scalars():
+    field = CycloField.get(24)
+    assert field.scalar(3).coeffs == {0: Fraction(3)}
+    assert field.scalar(Fraction(-2, 7)).coeffs == {0: Fraction(-2, 7)}
+    assert field.scalar(0).coeffs == {}
+    z = field.zeta(5)
+    assert field.scalar(z) is z
+
+
+def test_scalar_embeds_every_subfield():
+    field = CycloField.get(24)
+    for d in (1, 2, 3, 4, 6, 8, 12):
+        sub = CycloField.get(d)
+        for k in range(d):
+            got = field.scalar(sub.zeta(k))
+            assert got.field is field
+            assert got.coeffs == _zeta24(24 // d * k), (d, k)
+        # a sum embeds term by term: 2 - zeta_d / 3
+        got = field.scalar(sub.rational(2) - sub.zeta(1) * Fraction(1, 3))
+        want = {0: Fraction(2)}
+        for e, c in _zeta24(24 // d).items():
+            want[e] = want.get(e, 0) - c / 3
+        assert got.coeffs == {e: c for e, c in want.items() if c}, d
+
+
+def test_scalar_refuses_a_field_that_does_not_embed():
+    with pytest.raises(ConductorError, match=r"Q\(zeta_5\).*Q\(zeta_24\)"):
+        CycloField.get(24).scalar(CycloField.get(5).zeta(1))
+    with pytest.raises(ConductorError, match=r"Q\(zeta_24\).*Q\(zeta_8\)"):
+        CycloField.get(8).scalar(CycloField.get(24).zeta(1))
+
+
+def test_add_to_drops_cancelled_keys():
+    field = CycloField.get(24)
+    z = field.zeta(1)
+    acc = {}
+    _add_to(acc, "a", z)
+    _add_to(acc, "b", field.rational(2))
+    _add_to(acc, "c", field.zero())
+    assert list(acc) == ["a", "b"]
+    _add_to(acc, "a", -z)
+    assert acc == {"b": field.rational(2)}
+    _add_to(acc, "b", field.rational(3))
+    assert acc["b"].coeffs == {0: Fraction(5)}

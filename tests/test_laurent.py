@@ -7,6 +7,9 @@ from csalg.cyclotomic import CycloField
 from csalg.errors import DomainError
 from csalg.laurent import LaurentElt, binom_frac, delta_t, galois_act
 
+F = CycloField.get(24)
+HALF = Fraction(1, 2)
+
 
 def mono(c, q, level=None):
     return LaurentElt.monomial(c, Fraction(q), level=level)
@@ -125,3 +128,28 @@ def test_printing():
     assert str(mono(1, Fraction(1, 2))) == "t^{1/2}"
     assert str(mono(-1, 2) + mono(Fraction(3, 2), 0)) == "3/2 - t^{2}"
     assert str(LaurentElt.zero()) == "0"
+
+
+def test_cancelling_laurent_sums_leave_no_key():
+    one, t = LaurentElt.one(), LaurentElt.monomial(1, 1)
+    assert (one + t + (2 - t)).terms == {Fraction(0): F.rational(3)}
+    assert (t - t).terms == {}
+    # (1 + t)(1 - t): the cross terms t and -t cancel
+    assert ((one + t) * (one - t)).terms == {Fraction(0): F.one(),
+                                             Fraction(2): -F.one()}
+
+
+def test_constructor_merges_and_cancels_equal_exponents():
+    # "1/2" and Fraction(1, 2) are different dict keys for one exponent
+    got = LaurentElt(F, {"1/2": 3, Fraction(1, 2): -3, 2: 1, 3: 0})
+    assert got.terms == {Fraction(2): F.one()}
+    assert got.level == 1
+    got = LaurentElt(F, {"1/2": 3, Fraction(1, 2): F.zeta(1)})
+    assert got.terms == {HALF: F.zeta(1) + 3}
+
+
+def test_coefficients_from_other_fields():
+    i4 = CycloField.get(4).zeta(1)
+    assert LaurentElt(F, {0: i4}).terms == {Fraction(0): F.zeta(6)}
+    with pytest.raises(DomainError, match="zeta_5"):
+        LaurentElt(F, {0: CycloField.get(5).zeta(1)})

@@ -5,7 +5,9 @@ import pytest
 
 from csalg.algebras import make_n2, make_n4
 from csalg.core import ODD, AlgebraDef, apply_partial, lambda_bracket
-from csalg.errors import DomainError
+from csalg import loops
+from csalg.cyclotomic import CycloField
+from csalg.errors import ConductorError, CsalgError, DomainError
 from csalg.laurent import LaurentElt
 from csalg.loops import (
     AlgElt,
@@ -314,3 +316,53 @@ def test_l0_spectrum_requires_fixed_virasoro():
     ])
     with pytest.raises(DomainError):
         l0_spectrum(doctored, "odd", 1)
+
+
+def test_cancelling_mode_sums_leave_no_key():
+    F = FIELD
+    L, J = N2.gen_index("L"), N2.gen_index("J")
+    x = UNTWISTED.mode("L", 2, 3) + UNTWISTED.mode("J", -1)
+    assert (x + UNTWISTED.mode("L", 2, -3)).terms == {(J, Fraction(-1)): F.one()}
+    assert (x - UNTWISTED.mode("J", -1)).terms == {(L, Fraction(2)): F.rational(3)}
+    assert (x - x).terms == {}
+    assert (x + x.scale(-1)).terms == {}
+    # ("L", 2) and (0, 2) are different dict keys for one mode
+    assert AlgElt(UNTWISTED, {("L", 2): 1, (L, Fraction(2)): -1}).terms == {}
+
+
+def test_alg_reduce_cancels_and_still_validates_every_term():
+    F = FIELD
+    J = N2.gen_index("J")
+    # (D L)_2 = -C(2, 1) L_1 = -2 L_1 cancels 2 L_1
+    assert alg_reduce(UNTWISTED, {("L", 1, 2): 1, ("L", 0, 1): 2}).terms == {}
+    got = alg_reduce(UNTWISTED, {("L", 1, 2): 1, ("L", 0, 1): 2, ("J", 0, 0): 5})
+    assert got.terms == {(J, Fraction(0)): F.rational(5)}
+    # (D L)_0 has weight C(0, 1) = 0, yet its generator and coefficient
+    # are still checked
+    with pytest.raises(CsalgError, match="unknown generator"):
+        alg_reduce(UNTWISTED, {("X", 1, 0): 1})
+    with pytest.raises(ConductorError):
+        alg_reduce(UNTWISTED, {("L", 1, 0): CycloField.get(5).zeta(1)})
+
+
+def test_l0_spectrum_refuses_windows_past_the_mode_bound():
+    bound = loops.MAX_SPECTRUM_MODES
+    # the even modes of the untwisted N=2 loop: L and J, 2W + 1 each
+    window = bound // 4 + 1
+    count = 2 * (2 * window + 1)
+    with pytest.raises(DomainError, match="window %d holds %d modes, above "
+                       "the bound %d" % (window, count, bound)):
+        l0_spectrum(UNTWISTED, "even", window)
+
+
+def test_l0_spectrum_bound_is_inclusive(monkeypatch):
+    monkeypatch.setattr(loops, "MAX_SPECTRUM_MODES", 10)
+    # W = 2: 2 * 5 = 10 even modes; W = 3: 14
+    assert l0_spectrum(UNTWISTED, "even", 2).fractional_parts == {Fraction(0)}
+    with pytest.raises(DomainError, match="14 modes"):
+        l0_spectrum(UNTWISTED, "even", 3)
+    # the odd modes of the omega loop: G+ + G- at the integers, -G+ + G-
+    # at the half-integers; 5 + 4 = 9 for W = 2, 5 + 6 = 11 for W = 5/2
+    l0_spectrum(OMEGA_LOOP, "odd", 2)
+    with pytest.raises(DomainError, match="window 5/2 holds 11 modes"):
+        l0_spectrum(OMEGA_LOOP, "odd", Fraction(5, 2))

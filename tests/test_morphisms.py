@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from csalg.algebras import make_current, make_n2, make_n4, sl2_constants
-from csalg.errors import DomainError
+from csalg.cyclotomic import CycloField
+from csalg.errors import ConductorError, DomainError
 from csalg.laurent import LaurentElt
 from csalg.morphisms import (
     GenMorphism,
@@ -234,6 +235,16 @@ def test_n4_auto_diagonal_scalar_action():
     for g in ("Gb1", "Gb2"):
         assert phi.image(g) == N4.elt(g, coeff=-i)
     assert order_of(phi, 8) == 4
+
+
+def test_n4_auto_embeds_a_subfield_matrix_entry():
+    i4 = CycloField.get(4).zeta(1)
+    i24 = FIELD.zeta(6)
+    phi = n4_auto([[1, 0], [0, 1]], [[i4, 0], [0, -i4]], N4)
+    assert phi == n4_auto([[1, 0], [0, 1]], [[i24, 0], [0, -i24]], N4)
+    assert phi.image("G1") == N4.elt("G1", coeff=i24)
+    with pytest.raises(ConductorError, match="zeta_5"):
+        n4_auto([[1, 0], [0, 1]], [[CycloField.get(5).zeta(1), 0], [0, 1]], N4)
 
 
 def test_n4_auto_loop_rescaling():
