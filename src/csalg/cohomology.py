@@ -307,12 +307,10 @@ def n4_invariant(x, field=None):
     exactly the equivalence the loop construction cannot see.
     """
     if field is None:
-        for row in x:
-            for e in row:
-                if isinstance(e, CycloScalar):
-                    field = e.field
-                    break
-        field = field or CycloField.get(DEFAULT_CONDUCTOR)
+        fields = [e.field for row in x for e in row
+                  if isinstance(e, CycloScalar)]
+        field = (max(fields, key=lambda f: f.conductor, default=None)
+                 or CycloField.get(DEFAULT_CONDUCTOR))
     mat = _x_matrix(field, x)
     target = (mat[0][0] + mat[1][1]) ** 2 - 2
     n = field.conductor

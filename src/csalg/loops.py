@@ -18,11 +18,12 @@ window of modes, whose fractional parts separate the twists.
 import math
 from fractions import Fraction
 
-from .core import EVEN, ODD, find_virasoro, lambda_bracket, to_hat_basis
+from .core import (EVEN, ODD, ConfElt, find_virasoro, lambda_bracket,
+                   to_hat_basis)
 from .cyclotomic import _add_to, _scaled_terms, _signed_sum
 from .errors import CsalgError, DomainError
 from .laurent import binom_frac
-from .linalg import mat_mul, null_space, rank, solve
+from .linalg import _echelon, _reduce_against, null_space, rank, solve
 
 __all__ = [
     "AlgElt",
@@ -61,8 +62,11 @@ class LoopAlgebra:
 
     ``eigenbasis[i]`` spans the xi_m^i eigenspace of the twist inside the
     generator span; the piece at exponent q of the loop algebra is the
-    eigenspace for residue m*q mod m.  The class stores only V-level data:
-    the twist commutes with D, so the D-closure is implied.
+    eigenspace for residue m*q mod m.  ``basis`` lists the same vectors
+    flat, in eigenbasis order, as records (residue, element, coordinate
+    list on the generators, parity), the parity None for a mixed vector.
+    The class stores only V-level data: the twist commutes with D, so the
+    D-closure is implied.
     """
 
     def __init__(self, base, order, eigenbasis):
@@ -75,14 +79,18 @@ class LoopAlgebra:
         self.base = base
         self.order = order
         self.eigenbasis = [list(piece) for piece in eigenbasis]
-        self._piece_vectors = []
-        for piece in self.eigenbasis:
-            vecs = []
+        self.basis = []
+        # one solved-form echelon per residue, for span membership
+        self._spans = []
+        for res, piece in enumerate(self.eigenbasis):
+            rows = []
             for x in piece:
                 if x.is_zero():
                     raise DomainError("zero vector in an eigenbasis")
-                vecs.append(_plain_vector(base, x))
-            self._piece_vectors.append(vecs)
+                vec = _plain_vector(base, x)
+                self.basis.append((res, x, vec, base.homogeneous_parity(x)))
+                rows.append(vec)
+            self._spans.append(_echelon(rows))
 
     @property
     def level(self):
@@ -94,13 +102,11 @@ class LoopAlgebra:
             self.base.name, self.order, dims)
 
     def piece_contains(self, i, vec):
-        """Whether a coordinate vector lies in the residue-i eigenspace."""
-        basis = self._piece_vectors[i % self.order]
-        if not basis:
-            return all(c.is_zero() for c in vec)
-        n = self.base.ngens()
-        rows = [[b[r] for b in basis] for r in range(n)]
-        return solve(rows, vec, len(basis), self.base.field.zero()) is not None
+        """Whether sparse coordinates lie in the residue-i eigenspace.
+
+        ``vec`` maps generator indices to nonzero scalars.
+        """
+        return not _reduce_against(self._spans[i % self.order], vec)[0]
 
     def residue_of(self, mu):
         """The eigenvalue residue carried by the exponent mu, or None."""
@@ -139,43 +145,23 @@ def eigenspaces(A, sigma, m):
             "twist must be given at level 1, got level %d" % sigma.level)
     field = A.field
     n = A.ngens()
-    cols = []
-    for i in range(n):
-        cols.append(_plain_vector(A, sigma.images[i]))
-    matrix = [[cols[c][r] for c in range(n)] for r in range(n)]
-    # The conductor bounds the order before the m-th power is built.
+    cols = [_plain_vector(A, sigma.images[i]) for i in range(n)]
+    # The conductor bounds the order before any null space is built.
     xi = field.root_of_unity(m)
 
-    power = [[field.one() if r == c else field.zero() for c in range(n)]
-             for r in range(n)]
-    for _ in range(m):
-        power = mat_mul(power, matrix)
-    for r in range(n):
-        for c in range(n):
-            want = field.one() if r == c else field.zero()
-            if power[r][c] != want:
-                raise DomainError(
-                    "automorphism does not have order dividing %d" % m)
-
+    # x^m - 1 has distinct roots in characteristic 0, so sigma^m = 1
+    # exactly when the xi^i-eigenspaces, i < m, fill V.
     eigenbasis = []
-    total = 0
     for i in range(m):
         shift = xi ** i
-        rows = [[matrix[r][c] - (shift if r == c else field.zero())
+        rows = [[cols[c][r] - (shift if r == c else field.zero())
                  for c in range(n)] for r in range(n)]
         basis = null_space(rows, n, field.one(), field.zero())
-        piece = []
-        for vec in basis:
-            x = A.zero_elt()
-            for g, c in enumerate(vec):
-                if not c.is_zero():
-                    x = x + A.elt(g, coeff=c)
-            piece.append(x)
-        total += len(piece)
-        eigenbasis.append(piece)
-    if total != n:
-        raise DomainError(
-            "twist is not diagonalizable over the m-th roots of unity")
+        eigenbasis.append([ConfElt(field, {(g, 0, Fraction(0)): c
+                                           for g, c in enumerate(vec)})
+                           for vec in basis])
+    if sum(len(piece) for piece in eigenbasis) != n:
+        raise DomainError("automorphism does not have order dividing %d" % m)
     return LoopAlgebra(A, m, eigenbasis)
 
 
@@ -191,8 +177,7 @@ def loop_membership(L, x):
         raise DomainError("element uses a different scalar field")
     grouped = {}
     for (g, l, q), c in to_hat_basis(A, x).items():
-        vec = grouped.setdefault((l, q), [A.field.zero()] * A.ngens())
-        vec[g] = vec[g] + c
+        _add_to(grouped.setdefault((l, q), {}), g, c)
     for (l, q), vec in grouped.items():
         i = L.residue_of(q)
         if i is None:
@@ -211,15 +196,13 @@ def bracket_closure(L):
     """
     A = L.base
     m = L.order
-    for i, piece in enumerate(L.eigenbasis):
-        for j, other in enumerate(L.eigenbasis):
-            for v in piece:
-                for w in other:
-                    poly = lambda_bracket(A, v.shift_t(Fraction(i, m)),
-                                          w.shift_t(Fraction(j, m)))
-                    for elt in poly.coeffs.values():
-                        if not loop_membership(L, elt):
-                            return False
+    for i, v, _, _ in L.basis:
+        for j, w, _, _ in L.basis:
+            poly = lambda_bracket(A, v.shift_t(Fraction(i, m)),
+                                  w.shift_t(Fraction(j, m)))
+            for elt in poly.coeffs.values():
+                if not loop_membership(L, elt):
+                    return False
     return True
 
 
@@ -275,7 +258,7 @@ def split_check(L, window):
     A = L.base
     field = A.field
     n = A.ngens()
-    columns = [vec for piece in L._piece_vectors for vec in piece]
+    columns = [vec for _, _, vec, _ in L.basis]
     rows = [[col[r] for col in columns] for r in range(n)]
     injective = rank(rows, field.zero()) == len(columns)
 
@@ -318,11 +301,9 @@ class AlgElt:
             self._check_cosets()
 
     def _check_cosets(self):
-        A = self.loop.base
         grouped = {}
         for (g, mu), c in self.terms.items():
-            vec = grouped.setdefault(mu, [A.field.zero()] * A.ngens())
-            vec[g] = vec[g] + c
+            _add_to(grouped.setdefault(mu, {}), g, c)
         for mu, vec in grouped.items():
             i = self.loop.residue_of(mu)
             if i is not None and self.loop.piece_contains(i, vec):
@@ -461,13 +442,10 @@ def l0_spectrum(L, parity, window):
     vira = find_virasoro(L.base)
     if vira is None:
         raise DomainError("algebra has no Virasoro generator")
-    evec = [L.base.field.zero()] * L.base.ngens()
-    evec[vira] = L.base.field.one()
-    if not L.piece_contains(0, evec):
+    if not L.piece_contains(0, {vira: L.base.field.one()}):
         raise DomainError("twist does not fix the Virasoro generator")
 
-    chosen = [(i, a) for i, piece in enumerate(L.eigenbasis) for a in piece
-              if L.base.homogeneous_parity(a) == parity]
+    chosen = [(i, a) for i, a, _, par in L.basis if par == parity]
     count = sum(len(L._exponent_steps(i, -W, W)[1]) for i, _ in chosen)
     if count > MAX_SPECTRUM_MODES:
         raise DomainError(

@@ -1,12 +1,16 @@
 """Windowed centroid computations on small loop algebras."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
+from csalg import centroid
 from csalg.algebras import make_n2
 from csalg.centroid import _Frame, centroid_basis, is_scalar_action
-from csalg.core import apply_partial
+from csalg.core import (EVEN, AlgebraDef, ConfElt, Generator, LambdaPoly,
+                        apply_partial)
+from csalg.cyclotomic import CycloField
 from csalg.errors import DomainError
 from csalg.laurent import LaurentElt, delta_t
 from csalg.loops import eigenspaces
@@ -87,8 +91,63 @@ def test_scalar_action_rejects_a_corrupted_matrix():
 
 
 def test_window_must_cover_the_product_closure():
-    with pytest.raises(DomainError):
+    # [L lambda J] = DJ + lambda J, so (L t^{-1})_(0) (J t^{-1}) is
+    # DJ t^{-2} - J t^{-3} = Dhat(J t^{-2}) + J t^{-3}; an interior pair
+    # lowers the exponent -1 + -1 by at most maxl = 1, or by 1 in Dhat
+    with pytest.raises(DomainError, match=r"window 2 too small for the "
+                       r"product closure: it reaches \|q\| = 3, the "
+                       r"smallest window that covers it"):
         centroid_basis(UNTWISTED, 2, 1)
+    assert len(centroid_basis(UNTWISTED, 3, 1)) == 3
+
+
+def test_table_depth_past_one_hat_level_is_refused():
+    # [a lambda a] = D^{(2)} a puts a second hat level on the first
+    # interior pair, a t^{-1} with itself
+    F = CycloField.get(1)
+    table = {(0, 0): LambdaPoly(F, {0: ConfElt(F, {(0, 2, Fraction(0)):
+                                                    F.one()})})}
+    deep = AlgebraDef("T", F, [Generator("a", EVEN)], table)
+    loop = eigenspaces(deep, identity_morphism(deep), 1)
+    with pytest.raises(DomainError, match=r"table depth exceeds the windowed "
+                       r"solver: \[a t\^\{-1\} lambda a t\^\{-1\}\] "
+                       r"reaches hat level 2"):
+        centroid_basis(loop, 3, 1)
+
+
+def test_centroid_refuses_systems_past_the_unknowns_bound():
+    bound = centroid.MAX_UNKNOWNS
+    # R = min(25, 2 * 10 + maxl + maxd) = 22 with maxl = maxd = 1; each
+    # record is alone in its parity and residue: residue 0 holds 45
+    # exponents in [-22, 22] and 47 in [-23, 23], residue 1 holds 44 and 46
+    estimate = 2 * (2 * 45 * 2 * 47) + 2 * (2 * 44 * 2 * 46)
+    assert estimate > bound
+    with pytest.raises(DomainError, match="window 25 \\(interior 10\\) needs "
+                       "up to %d unknowns, above the bound %d"
+                       % (estimate, bound)):
+        centroid_basis(OMEGA_LOOP, 25, 10)
+
+
+def test_unknowns_bound_is_inclusive(monkeypatch):
+    # R = min(3, 2 + 1 + 1) = 3: residue 0 holds 7 exponents in [-3, 3]
+    # and 9 in [-4, 4], residue 1 holds 6 and 8
+    estimate = 2 * (2 * 7 * 2 * 9) + 2 * (2 * 6 * 2 * 8)
+    assert estimate == 888
+    monkeypatch.setattr(centroid, "MAX_UNKNOWNS", estimate - 1)
+    with pytest.raises(DomainError, match="up to 888 unknowns, above the "
+                       "bound 887"):
+        centroid_basis(OMEGA_LOOP, 3, 1)
+    monkeypatch.setattr(centroid, "MAX_UNKNOWNS", estimate)
+    assert len(centroid_basis(OMEGA_LOOP, 3, 1)) == 3
+
+
+def test_a_wide_window_around_a_small_interior_stays_cheap():
+    # the closure and the unknowns depend on the interior alone, and t^j
+    # can only map the closure into the codomain for |j| <= maxl = 1
+    start = time.perf_counter()
+    sols = centroid_basis(OMEGA_LOOP, 10 ** 5, 1)
+    assert sorted(by_exponent(sols)) == [-1, 0, 1]
+    assert time.perf_counter() - start < 3
 
 
 def test_interior_must_sit_inside_the_window():

@@ -184,6 +184,8 @@ def test_domain_errors_exit_3(capsys):
          "--window", "3"],
         ["centroid", "n2.csa", "--auto", "id", "--window", "2",
          "--interior", "1"],
+        ["centroid", "n2.csa", "--auto", "omega", "--window", "25",
+         "--interior", "10"],
         ["pgl2-classes", "0"],
     ]
     for argv in cases:

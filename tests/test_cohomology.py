@@ -211,6 +211,10 @@ def test_subfield_matrix_entries_embed():
     x24 = [[I24, 0], [0, -I24]]
     assert N4AutElt([[1, 0], [0, 1]], x4) == N4AutElt([[1, 0], [0, 1]], x24)
     assert n4_invariant(x4, field=FIELD) == n4_invariant(x24) == RootPair(2, 1)
+    # without a field, the entry of largest conductor picks it, wherever
+    # that entry sits: here the Q(zeta_24) scalar comes before the Q(i) one
+    mixed = [[I24, 0], [0, -i4]]
+    assert n4_invariant(mixed) == n4_invariant(x24)
 
 
 def test_invariant_ignores_sign_and_conjugation():

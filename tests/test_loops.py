@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from csalg.algebras import make_n2, make_n4
-from csalg.core import ODD, AlgebraDef, apply_partial, lambda_bracket
+from csalg.core import EVEN, ODD, AlgebraDef, apply_partial, lambda_bracket
 from csalg import loops
 from csalg.cyclotomic import CycloField
 from csalg.errors import ConductorError, CsalgError, DomainError
@@ -20,7 +20,8 @@ from csalg.loops import (
     loop_membership,
     split_check,
 )
-from csalg.morphisms import extend_apply, identity_morphism, n2_omega, n2_theta, n4_auto
+from csalg.morphisms import (GenMorphism, extend_apply, identity_morphism,
+                             n2_omega, n2_theta, n4_auto)
 
 N2 = make_n2()
 N4 = make_n4()
@@ -47,6 +48,54 @@ def test_omega_eigenspaces():
     assert loop_membership(OMEGA_LOOP, (N2.elt("G+") - N2.elt("G-")).shift_t(HALF))
     assert not loop_membership(OMEGA_LOOP, N2.elt("J"))
     assert not loop_membership(OMEGA_LOOP, N2.elt("G+"))
+
+
+def test_omega_loop_basis_records():
+    one, zero = FIELD.one(), FIELD.zero()
+    L, J, GP, GM = (N2.elt(g) for g in ("L", "J", "G+", "G-"))
+    # omega fixes L and G+ + G-, and negates J and G+ - G-; the null
+    # space sets its free coordinate, the last one of G+ - G-, to 1
+    assert OMEGA_LOOP.basis == [
+        (0, L, [one, zero, zero, zero], EVEN),
+        (0, GP + GM, [zero, zero, one, one], ODD),
+        (1, J, [zero, one, zero, zero], EVEN),
+        (1, GM - GP, [zero, zero, -one, one], ODD),
+    ]
+    mixed = LoopAlgebra(N2, 1, [[L + GP, J, GM]])
+    assert [parity for _, _, _, parity in mixed.basis] == [None, EVEN, ODD]
+
+
+def test_piece_contains_reads_sparse_coordinates():
+    c = FIELD.rational
+    L, J, GP, GM = range(4)
+    wide = LoopAlgebra(N2, 2, [
+        [N2.elt("L")],
+        [N2.elt("J"), N2.elt("G+"), N2.elt("G-")],
+    ])
+    assert wide.piece_contains(0, {L: c(5)})
+    assert not wide.piece_contains(0, {L: c(5), GP: c(1)})
+    assert wide.piece_contains(1, {J: c(2), GM: FIELD.zeta(1)})
+    assert wide.piece_contains(3, {J: c(2), GP: c(-1), GM: FIELD.zeta(1)})
+    assert not wide.piece_contains(1, {J: c(2), GM: c(1), L: c(1)})
+    # L and 2L span one line; G+ - G- spans (0, 0, 1, -1)
+    dependent = LoopAlgebra(N2, 2, [
+        [N2.elt("L"), N2.elt("L").scale(2)],
+        [N2.elt("J"), N2.elt("G+") - N2.elt("G-")],
+    ])
+    assert dependent.piece_contains(0, {L: c(3)})
+    assert not dependent.piece_contains(0, {L: c(3), J: c(1)})
+    assert dependent.piece_contains(1, {J: c(-1), GP: c(2), GM: c(-2)})
+    assert not dependent.piece_contains(1, {J: c(-1), GP: c(2), GM: c(-1)})
+    assert not dependent.piece_contains(1, {GP: c(1)})
+    missing = LoopAlgebra(N2, 2, [
+        [N2.elt("L"), N2.elt("G+") + N2.elt("G-")],
+        [],
+    ])
+    assert missing.piece_contains(0, {L: c(1), GP: c(-3), GM: c(-3)})
+    assert not missing.piece_contains(0, {GP: c(1), GM: c(-1)})
+    assert not missing.piece_contains(1, {J: c(1)})
+    for loop in (wide, dependent, missing):
+        assert loop.piece_contains(0, {}) and loop.piece_contains(1, {})
 
 
 def test_eigenbasis_vectors_are_exact():
@@ -90,6 +139,19 @@ def test_quarter_twist_eigenspaces():
 def test_eigenspaces_rejects_bad_twists():
     with pytest.raises(DomainError):
         eigenspaces(N2, n2_omega(N2), 3)
+    images = {g: N2.elt(g) for g in ("L", "J", "G+", "G-")}
+    i4 = FIELD.root_of_unity(4)
+    twists = [
+        (1, {"L": N2.elt("L") + N2.elt("J")}),  # unipotent
+        (2, {"J": N2.elt("J").scale(2)}),  # eigenvalue 2, no root of unity
+        (2, {"G+": N2.elt("G+").scale(i4),  # order 4, not 2
+             "G-": N2.elt("G-").scale(-i4)}),
+    ]
+    for m, changed in twists:
+        sigma = GenMorphism(N2, 1, {**images, **changed})
+        with pytest.raises(DomainError, match="automorphism does not have "
+                           "order dividing %d" % m):
+            eigenspaces(N2, sigma, m)
     with pytest.raises(DomainError):
         eigenspaces(N2, n2_theta(LaurentElt(FIELD, {HALF: 1}), N2), 2)
     with pytest.raises(DomainError):
