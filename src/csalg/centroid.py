@@ -17,6 +17,15 @@ small power of t stays representable, equations are imposed on all ambient
 components, and matrix entries never touched by a constraint are pinned to
 zero.  Solutions preserve parity and the exponent cosets, which is what a
 graded endomorphism of the loop algebra must do.
+
+Blocks: when the generator weights grade the bracket table and every loop
+basis vector has a single weight (``LoopAlgebra.weights``), the key
+(alpha, l, q) has degree q - l - wt(alpha) + 1, and every row is
+homogeneous in the shift deg(codomain key) - deg(domain key) of its
+unknowns.  Each shift is then eliminated in an echelon of its own, and
+multiplication by t^j lives in block j alone.  Without weights, or when
+the check fails, every unknown gets shift 0 and the system is one block;
+the solutions are the same either way.
 """
 
 from fractions import Fraction
@@ -25,8 +34,8 @@ from .core import apply_partial_power, lambda_bracket, to_hat_basis
 from .cyclotomic import _add_to
 from .errors import DomainError
 from .laurent import LaurentElt
-from .linalg import (_back_substitute, _echelon_insert, _null_basis,
-                     _reduce_against, adjugate, det)
+from .linalg import (_echelon_insert, _null_basis, _reduce_against,
+                     adjugate, det)
 
 __all__ = ["CentroidSolution", "centroid_basis", "is_scalar_action"]
 
@@ -106,6 +115,10 @@ class _Frame:
                               MAX_UNKNOWNS))
         self.maxl = A.table_degrees()[0]
         self._hat_cache = {}
+        try:
+            self.weights = loop.weights()
+        except DomainError:
+            self.weights = None  # ungraded: the system is one block
 
     # -- basis bookkeeping -------------------------------------------------
 
@@ -136,6 +149,14 @@ class _Frame:
                 if not coord.is_zero():
                     out[(ai, l, q)] = coord
         return out
+
+    def degree(self, key):
+        """The degree q - l - wt(alpha) + 1 of a key (alpha, l, q); 0 for
+        every key when the weights do not grade the loop."""
+        if self.weights is None:
+            return 0
+        ai, l, q = key
+        return q - l - self.weights[ai] + 1
 
     def parity_of(self, key):
         return self.alphas[key[0]][3]
@@ -208,6 +229,7 @@ def centroid_basis(L, window, interior):
     A = frame.algebra
     field = frame.field
     one = field.one()
+    zero = field.zero()
 
     interior0 = frame.interior0
 
@@ -254,15 +276,19 @@ def centroid_basis(L, window, interior):
                            and (c[2] * L.order - sig[1]) % L.order == 0]
     unknowns = {}
     cols = {}  # domain key -> {codomain key: unknown id}
+    shift = []  # unknown id -> its block
     for dkey in domain:
         sig = (frame.parity_of(dkey), frame.residue_of(dkey))
         col = cols[dkey] = {}
+        ddeg = frame.degree(dkey)
         for ckey in cod_of[sig]:
             col[ckey] = unknowns[(dkey, ckey)] = len(unknowns)
+            shift.append(frame.degree(ckey) - ddeg)
 
     # assemble the strict rows, n running one past the table degree so the
-    # vanishing products constrain the unknowns too
-    pivots = {}
+    # vanishing products constrain the unknowns too; each row is homogeneous
+    # in the shift and goes to the echelon of its own block
+    blocks = {}
     touched = set()
     for a in interior0:
         xa = frame.hat_elt(a)
@@ -289,9 +315,12 @@ def centroid_basis(L, window, interior):
                 for row in eq.values():
                     if row:
                         touched.update(row)
-                        _echelon_insert(pivots, row)
+                        _echelon_insert(
+                            blocks.setdefault(shift[next(iter(row))], {}), row)
 
-    _back_substitute(pivots)
+    pivots = {}
+    for block in blocks.values():
+        pivots.update(block)
     raw = _null_basis(pivots, touched, one)
 
     def solution(vec):
@@ -299,10 +328,17 @@ def centroid_basis(L, window, interior):
                                         for pos, uid in unknowns.items()
                                         if uid in vec})
 
-    # span-membership echelon over the raw solutions
-    span = {}
-    for vec in raw:
-        _echelon_insert(span, vec)
+    def solves(vec):
+        """Whether vec meets every pivot relation x_lead = sum m_u x_u."""
+        for lead, row in pivots.items():
+            acc = zero
+            for u, m in row.items():
+                v = vec.get(u)
+                if v is not None:
+                    acc = acc + m * v
+            if acc != vec.get(lead, zero):
+                return False
+        return True
 
     solutions = []
     chosen = {}
@@ -322,10 +358,7 @@ def centroid_basis(L, window, interior):
                 entries[uid] = v
             if not ok:
                 break
-        if not ok:
-            continue
-        residue, _ = _reduce_against(span, entries)
-        if residue:
+        if not ok or not solves(entries):
             continue
         _echelon_insert(chosen, entries)
         solutions.append(solution(entries))

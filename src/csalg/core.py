@@ -379,30 +379,38 @@ def _decorated_pair(A, g1, j1, g2, j2):
 
 def lambda_bracket(A, x, y):
     """Full lambda-bracket of two (possibly decorated) elements."""
-    result = A.zero_poly()
+    acc = {}  # n -> {(g, j, q): coefficient}
     for (g1, j1, q1), c1 in x.terms.items():
         for (g2, j2, q2), c2 in y.terms.items():
             base = _decorated_pair(A, g1, j1, g2, j2)
             if base.is_zero():
                 continue
             c = c1 * c2
-            if not q1:
-                piece = base.scale(c)
-                if q2:
-                    piece = piece.map_coeffs(lambda e: e.shift_t(q2))
-                result = result + piece
-                continue
             # base-change rule: powers of t on the left argument turn
             # into lambda-derivatives with generalized binomial weights
-            for l in range(base.max_degree() + 1):
-                w = binom_frac(q1, l)
-                if not w:
-                    continue
-                shifted = base.lambda_deriv(l)
-                dq = q1 + q2 - l
-                result = result + shifted.scale(c * w).map_coeffs(
-                    lambda e, _dq=dq: e.shift_t(_dq))
-    return result
+            # C(q1, l), all zero past l = 0 when q1 = 0
+            for l in range(base.max_degree() + 1 if q1 else 1):
+                if l:
+                    w = binom_frac(q1, l)
+                    if not w:
+                        continue
+                    cw = c * w
+                else:
+                    cw = c
+                dq = q1 + q2 - l if q1 else q2
+                for n, e in base.coeffs.items():
+                    if n < l:
+                        continue
+                    out = acc.setdefault(n - l, {})
+                    if dq:
+                        for (g, j, q), v in e.terms.items():
+                            _add_to(out, (g, j, q + dq), v * cw)
+                    else:
+                        for k, v in e.terms.items():
+                            _add_to(out, k, v * cw)
+    field = A.field
+    return LambdaPoly(field, {n: ConfElt(field, terms)
+                              for n, terms in acc.items()})
 
 
 def n_product(A, x, y, n):

@@ -3,9 +3,9 @@
 All elimination over a field goes through one sparse exact eliminator,
 the solved-form echelon below: rows are dicts {column: scalar} of
 field-like scalars (CycloScalar entries, all in one field), and each
-pivot is kept solved for its least column.  ``rref``, ``rank``,
-``null_space`` and ``solve`` are dense adapters over it; the windowed
-centroid solve drives it directly.  Determinants and adjugates are also
+pivot is kept solved for its least column and free of every other pivot
+column.  ``rref``, ``rank``, ``null_space`` and ``solve`` are dense
+adapters over it; the windowed centroid solve drives it directly.  Determinants and adjugates are also
 provided over the Laurent ring, where division is not available, via
 minor expansion.
 """
@@ -16,46 +16,48 @@ from .cyclotomic import _add_to
 from .errors import DomainError
 
 
-# Pivot rows are kept solved for their lead column: pivots[lead] = {u: m_u}
-# stands for x_lead = sum_u m_u x_u, every u greater than lead.  Eliminating
-# a lead with coefficient coef then adds coef * m_u, and a null vector reads
-# the m_u off directly, with no negation on either path.
+# Pivot rows are kept solved for their lead column and fully reduced:
+# pivots[lead] = {u: m_u} stands for x_lead = sum_u m_u x_u, every u greater
+# than lead and none of them a pivot column.  Eliminating a lead with
+# coefficient coef then adds coef * m_u, a row reduces in one pass over its
+# entries, and a null vector reads the m_u off directly, with no negation on
+# any path.
 
 
 def _reduce_against(pivots, vec):
-    """Reduce a copy of vec until its least column is no pivot.
+    """Eliminate every pivot column from vec, into a new dict.
 
-    Returns the reduced vector and that column (None when it vanished).
+    Returns the reduced vector and its least column (None when it vanished).
     """
-    vec = dict(vec)
-    while vec:
-        lead = min(vec)
-        piv = pivots.get(lead)
+    out = {}
+    for col, coef in vec.items():
+        piv = pivots.get(col)
         if piv is None:
-            return vec, lead
-        coef = vec.pop(lead)
-        for u, c in piv.items():
-            _add_to(vec, u, coef * c)
-    return vec, None
+            _add_to(out, col, coef)
+        else:
+            for u, m in piv.items():
+                _add_to(out, u, coef * m)
+    return out, (min(out) if out else None)
 
 
 def _echelon_insert(pivots, row):
-    """Insert a sparse row into an echelon set; pivot on the least column."""
+    """Insert a sparse row into an echelon set; pivot on the least column.
+
+    The new pivot is substituted into every pivot that mentions its lead,
+    so the set stays fully reduced.
+    """
     row, lead = _reduce_against(pivots, row)
     if lead is not None:
         coef = row.pop(lead)
         ninv = -coef.inverse() if row else None
-        pivots[lead] = {u: c * ninv for u, c in row.items()}
+        new = {u: c * ninv for u, c in row.items()}
+        for other in pivots.values():
+            c = other.pop(lead, None)
+            if c is not None:
+                for u, m in new.items():
+                    _add_to(other, u, c * m)
+        pivots[lead] = new
     return lead
-
-
-def _back_substitute(pivots):
-    for u in sorted(pivots, reverse=True):
-        row = pivots[u]
-        for k in sorted(k for k in row if k in pivots):
-            coef = row.pop(k)
-            for u2, c2 in pivots[k].items():
-                _add_to(row, u2, coef * c2)
 
 
 def _null_basis(pivots, touched, one):
@@ -72,12 +74,11 @@ def _null_basis(pivots, touched, one):
 
 
 def _echelon(rows):
-    """Back-substituted solved-form pivots of dense rows."""
+    """Fully reduced solved-form pivots of dense rows."""
     pivots = {}
     for row in rows:
         _echelon_insert(pivots, {c: v for c, v in enumerate(row)
                                  if not v.is_zero()})
-    _back_substitute(pivots)
     return pivots
 
 

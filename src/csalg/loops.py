@@ -108,6 +108,40 @@ class LoopAlgebra:
         """
         return not _reduce_against(self._spans[i % self.order], vec)[0]
 
+    def weights(self):
+        """The conformal weight of every ``basis`` record, in record order.
+
+        The weights must grade the base table: every term x^(n) D^(k) c
+        of [a x b] has wt(c) + n + k = wt(a) + wt(b) - 1.  Raises
+        DomainError naming the first generator without a weight, the
+        first pair with a term of another weight, or a record whose
+        generators carry different weights.
+        """
+        A = self.base
+        names = [g.name for g in A.generators]
+        wt = [g.weight for g in A.generators]
+        if None in wt:
+            raise DomainError("generator %s has no conformal weight"
+                              % names[wt.index(None)])
+        for (a, b) in sorted(A.table):
+            want = wt[a] + wt[b] - 1
+            for n, elt in A.table[(a, b)].coeffs.items():
+                for (c, k, _) in elt.terms:
+                    if wt[c] + n + k != want:
+                        raise DomainError(
+                            "[%s lambda %s] is not graded by the weights: "
+                            "its term x^(%d) D^(%d) %s has weight %s, not %s"
+                            % (names[a], names[b], n, k, names[c],
+                               wt[c] + n + k, want))
+        out = []
+        for _, x, _, _ in self.basis:
+            weights = {wt[g] for (g, _, _) in x.terms}
+            if len(weights) != 1:
+                raise DomainError("loop basis vector %s has no single "
+                                  "conformal weight" % A.elt_string(x))
+            out.append(weights.pop())
+        return out
+
     def residue_of(self, mu):
         """The eigenvalue residue carried by the exponent mu, or None."""
         scaled = Fraction(mu) * self.order

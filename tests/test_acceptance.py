@@ -340,6 +340,29 @@ def test_centroid_is_exactly_the_monomial_scalars():
         assert len(solutions) == 3
 
 
+def test_twisted_n4_centroids_multiply_by_t():
+    # X = diag(c, f) scales the G doublet by c and the Gbar doublet by f,
+    # so G sits at exponents i/m + Z with c = xi_m^i, Gbar likewise
+    third, quarter = Fraction(1, 3), Fraction(1, 4)
+    cases = [
+        ([[ZETA3, 0], [0, ZETA3 ** 2]], 3,
+         [N4.elt("G1", q=third), N4.elt("G2", dpow=1, q=third),
+          N4.elt("Gb1", q=-third), N4.elt("Gb2", q=2 * third)]),
+        ([[I4, 0], [0, -I4]], 4,
+         [N4.elt("G1", q=quarter), N4.elt("G2", q=-3 * quarter),
+          N4.elt("Gb1", dpow=1, q=3 * quarter), N4.elt("Gb2", q=-quarter)]),
+    ]
+    untwisted = [N4.elt("L"), N4.elt("J3", q=-1), N4.elt("J1", dpow=1, q=1),
+                 N4.elt("L", q=1) + N4.elt("J2", coeff=I4)]
+    for x, order, odd in cases:
+        solutions = centroid_basis(n4_twist(x, order), 3, 1)
+        assert len(solutions) == 3
+        probes = untwisted + odd + [odd[0] + odd[2].scale(ZETA3)]
+        for j, chi in zip((-1, 0, 1), solutions):
+            for y in probes:
+                assert chi.apply(y) == y.shift_t(j)
+
+
 # -- text formats and the command line ---------------------------------------
 
 

@@ -181,3 +181,33 @@ def test_decompose_inverts_the_hat_basis(loop):
     for key, c in combo.items():
         x = x + frame.hat_elt(key).scale(c)
     assert frame.decompose(x) == combo
+
+
+#: Conformal weights as declared in n2.csa.
+N2_WEIGHTS = {"L": 2, "J": 1, "G+": Fraction(3, 2), "G-": Fraction(3, 2)}
+
+
+@pytest.mark.parametrize("loop", [UNTWISTED, OMEGA_LOOP], ids=["id", "omega"])
+def test_each_monomial_solution_lives_in_its_own_shift(loop):
+    def degree(key):
+        ai, l, q = key
+        (weight,) = {N2_WEIGHTS[N2.generators[g].name]
+                     for (g, _, _) in loop.basis[ai][1].terms}
+        return q - l - weight + 1
+
+    for j, chi in by_exponent(centroid_basis(loop, 3, 1)).items():
+        assert chi.entries
+        for dkey, ckey in chi.entries:
+            assert degree(ckey) - degree(dkey) == j
+
+
+def test_weightless_loop_is_solved_as_one_block_with_the_same_answer():
+    gens = [Generator(g.name, g.parity) for g in N2.generators]
+    bare = AlgebraDef(N2.name, FIELD, gens, N2.table)
+    loop = eigenspaces(bare, n2_omega(bare), 2)
+    assert _Frame(loop, 3, 1).weights is None
+    assert _Frame(OMEGA_LOOP, 3, 1).weights is not None
+    graded = centroid_basis(OMEGA_LOOP, 3, 1)
+    ungraded = centroid_basis(loop, 3, 1)
+    assert ([list(chi.entries.items()) for chi in ungraded]
+            == [list(chi.entries.items()) for chi in graded])

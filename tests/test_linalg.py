@@ -7,6 +7,8 @@ from csalg.cyclotomic import CycloField
 from csalg.errors import DomainError
 from csalg.laurent import LaurentElt
 from csalg.linalg import (
+    _echelon_insert,
+    _reduce_against,
     adjugate,
     det,
     mat_inverse_laurent,
@@ -152,6 +154,45 @@ def test_eliminator_over_roots_of_unity_matches_regular_rank():
         if sol is not None:
             for row, rhs in zip(m, b):
                 assert sum((a * x for a, x in zip(row, sol)), zero) == rhs[0]
+
+
+def test_echelon_pivots_stay_fully_reduced():
+    """Every pivot is solved for its lead and mentions no pivot column."""
+    powers = _zeta_powers()
+    rng = random.Random(808)
+    for _ in range(30):
+        ncols = rng.randrange(1, 9)
+        rows = _root_matrix(rng, rng.randrange(1, 9), ncols)
+        pivots = {}
+        for row in rows:
+            _echelon_insert(pivots, {c: v for c, v in enumerate(row)
+                                     if not v.is_zero()})
+            for lead, piv in pivots.items():
+                assert all(u > lead and u not in pivots for u in piv)
+                assert not any(v.is_zero() for v in piv.values())
+        # the pivots span exactly the inserted rows
+        for row in rows:
+            vec = {c: v for c, v in enumerate(row) if not v.is_zero()}
+            assert _reduce_against(pivots, vec) == ({}, None)
+        assert _regular_rank(rows, powers) == FIELD.degree * len(pivots)
+
+
+def test_rref_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(4242)
+    zero = FIELD.zero()
+    for _ in range(40):
+        nrows, ncols = rng.randrange(1, 6), rng.randrange(1, 7)
+        ints = [[rng.randrange(-3, 4) if rng.random() < 0.6 else 0
+                 for _ in range(ncols)] for _ in range(nrows)]
+        want, want_leads = sympy.Matrix(ints).rref()
+        reduced, leads = rref([[FIELD.rational(v) for v in row]
+                               for row in ints], zero)
+        assert leads == list(want_leads)
+        for i, row in enumerate(reduced):
+            assert [v.as_rational() for v in row] == [
+                Fraction(int(sympy.numer(e)), int(sympy.denom(e)))
+                for e in want.row(i)]
 
 
 def test_det_matches_permanent_formula_3x3():

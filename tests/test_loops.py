@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from csalg.algebras import make_n2, make_n4
-from csalg.core import EVEN, ODD, AlgebraDef, apply_partial, lambda_bracket
+from csalg.core import (EVEN, ODD, AlgebraDef, Generator, LambdaPoly,
+                        apply_partial, lambda_bracket)
 from csalg import loops
 from csalg.cyclotomic import CycloField
 from csalg.errors import ConductorError, CsalgError, DomainError
@@ -189,6 +190,65 @@ def test_bracket_closure_of_real_and_doctored_loops():
         [N2.elt("J"), N2.elt("G+"), N2.elt("G-")],
     ])
     assert not bracket_closure(doctored)
+
+
+# -- conformal weights ---------------------------------------------------
+
+Z3 = N4.field.root_of_unity(3)
+#: The six loops of the benchmark's modes workload.
+MODE_LOOPS = [
+    UNTWISTED,
+    OMEGA_LOOP,
+    eigenspaces(N4, n4_auto([[1, 0], [0, 1]], [[1, 0], [0, 1]], N4), 1),
+    SIGN_LOOP,
+    eigenspaces(N4, n4_auto([[1, 0], [0, 1]], [[Z3, 0], [0, Z3 ** 2]], N4), 3),
+    QUARTER_LOOP,
+]
+
+
+@pytest.mark.parametrize("loop", MODE_LOOPS,
+                         ids=["n2_id", "n2_omega", "n4_I", "n4_-I", "n4_z3",
+                              "n4_i"])
+def test_weights_grade_the_mode_loops(loop):
+    # weights as declared in n2.csa and n4.csa: L 2, currents 1, odd 3/2
+    if loop.base is N2:
+        want = [1, Fraction(3, 2), Fraction(3, 2), 2]
+    else:
+        want = [1, 1, 1] + [Fraction(3, 2)] * 4 + [2]
+    weights = loop.weights()
+    assert len(weights) == len(loop.basis)
+    assert sorted(weights) == want
+
+
+def test_weights_name_the_pair_with_a_term_of_the_wrong_weight():
+    table = dict(N2.table)
+    j, gp = N2.gen_index("J"), N2.gen_index("G+")
+    # [J lambda G+] = G+ has weight 3/2 = 1 + 3/2 - 1; D G+ has 5/2
+    table[(j, gp)] = LambdaPoly(FIELD, {0: N2.elt("G+", dpow=1)})
+    bad = AlgebraDef("N2bad", FIELD, N2.generators, table)
+    loop = eigenspaces(bad, identity_morphism(bad), 1)
+    with pytest.raises(DomainError, match=r"\[J lambda G\+\] is not graded "
+                       r"by the weights: its term x\^\(0\) D\^\(1\) G\+ has "
+                       r"weight 5/2, not 3/2"):
+        loop.weights()
+
+
+def test_weights_need_every_generator_weight():
+    gens = [Generator(g.name, g.parity, None if g.name == "J" else g.weight)
+            for g in N2.generators]
+    bare = AlgebraDef("N2", FIELD, gens, N2.table)
+    loop = eigenspaces(bare, identity_morphism(bare), 1)
+    with pytest.raises(DomainError,
+                       match="generator J has no conformal weight"):
+        loop.weights()
+
+
+def test_weights_need_a_single_weight_per_basis_vector():
+    mixed = LoopAlgebra(N2, 1, [[N2.elt("L") + N2.elt("J"), N2.elt("J"),
+                                 N2.elt("G+"), N2.elt("G-")]])
+    with pytest.raises(DomainError, match=r"loop basis vector L \+ J has no "
+                       r"single conformal weight"):
+        mixed.weights()
 
 
 # -- the split-form check ------------------------------------------------
