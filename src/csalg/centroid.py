@@ -26,6 +26,15 @@ unknowns.  Each shift is then eliminated in an echelon of its own, and
 multiplication by t^j lives in block j alone.  Without weights, or when
 the check fails, every unknown gets shift 0 and the system is one block;
 the solutions are the same either way.
+
+Key ids: a key (alpha, l, q) carries a Fraction exponent, which is slow to
+hash, so the solve runs on small int ids instead.  ``_Frame`` interns each
+pair (l, q) once, on first sight, and gives the keys (alpha, l, q) of all
+eigenbasis records consecutive ids; ``_Frame.keys`` maps an id back to its
+key, and the parity, residue and degree of each id are read once, into
+lists.  Coordinates, columns, rows, blocks and the hat-element cache all
+run on ids; ids become keys again only in the entries of a
+``CentroidSolution``.
 """
 
 from fractions import Fraction
@@ -35,7 +44,7 @@ from .cyclotomic import _add_to
 from .errors import DomainError
 from .laurent import LaurentElt
 from .linalg import (_echelon_insert, _null_basis, _reduce_against,
-                     adjugate, det)
+                     adjugate, det, rank)
 
 __all__ = ["CentroidSolution", "centroid_basis", "is_scalar_action"]
 
@@ -80,19 +89,27 @@ class _Frame:
         self.window = Fraction(window)
         self.interior = Fraction(interior)
         if not 0 < self.interior < self.window:
-            raise DomainError("interior radius must sit inside the window")
+            raise DomainError(
+                "interior radius %s must sit inside the window %s "
+                "(0 < interior < window)" % (self.interior, self.window))
 
         self.alphas = loop.basis
-        if any(parity is None for _, _, _, parity in self.alphas):
-            raise DomainError("eigenbasis vector of mixed parity")
+        for index, (res, _, _, parity) in enumerate(self.alphas):
+            if parity is None:
+                raise DomainError("eigenbasis vector of mixed parity: "
+                                  "record %d (residue %d)" % (index, res))
         n = A.ngens()
         if len(self.alphas) != n:
-            raise DomainError("eigenbasis does not span the generators")
+            raise DomainError(
+                "eigenbasis of %d records does not span the %d generators"
+                % (len(self.alphas), n))
         cols = [a[2] for a in self.alphas]
         ematrix = [[cols[c][r] for c in range(len(cols))] for r in range(n)]
         d = det(ematrix, self.field.one())
         if d.is_zero():
-            raise DomainError("eigenbasis does not span the generators")
+            raise DomainError(
+                "eigenbasis of rank %d does not span the %d generators"
+                % (rank(ematrix, self.field.zero()), n))
         dinv = d.inverse()
         adj = adjugate(ematrix, self.field.one())
         # sparse rows of the inverse: (generator index, nonzero entry)
@@ -100,11 +117,11 @@ class _Frame:
                        if not e.is_zero()]
                       for row in adj]
 
-        self.interior0 = [(ai, 0, q)
-                          for ai, (res, _, _, _) in enumerate(self.alphas)
-                          for q in loop.exponents(res, -self.interior,
-                                                  self.interior)]
-        if not self.interior0:
+        interior0 = [(ai, 0, q)
+                     for ai, (res, _, _, _) in enumerate(self.alphas)
+                     for q in loop.exponents(res, -self.interior,
+                                             self.interior)]
+        if not interior0:
             raise DomainError("interior window contains no basis elements")
 
         estimate = _unknowns_estimate(loop, self.window, self.interior)
@@ -114,32 +131,61 @@ class _Frame:
                 "bound %d" % (self.window, self.interior, estimate,
                               MAX_UNKNOWNS))
         self.maxl = A.table_degrees()[0]
-        self._hat_cache = {}
         try:
             self.weights = loop.weights()
         except DomainError:
             self.weights = None  # ungraded: the system is one block
 
+        self.keys = []  # id -> (alpha, l, q)
+        self._slots = {}  # (l, q) -> the id of (0, l, q)
+        self.sigs = []  # id -> (parity, residue)
+        self.degrees = []  # id -> degree, 0 when the weights do not grade
+        self._hats = {}  # id -> hat element
+        self.domain = set()  # ids of the solved domain, set by centroid_basis
+        self.interior0 = [self.key_id(k) for k in interior0]
+
     # -- basis bookkeeping -------------------------------------------------
+
+    def _slot(self, l, q):
+        """The id of (0, l, q); record alpha adds alpha.  The one place the
+        system hashes an exponent."""
+        base = self._slots.get((l, q))
+        if base is None:
+            base = self._slots[(l, q)] = len(self.keys)
+            self.keys.extend((ai, l, q) for ai in range(len(self.alphas)))
+            self.sigs.extend((parity, res)
+                             for res, _, _, parity in self.alphas)
+            self.degrees.extend(
+                [0] * len(self.alphas) if self.weights is None
+                else [q - l - w + 1 for w in self.weights])
+        return base
+
+    def key_id(self, key):
+        """The id of a key (alpha, l, q), interned on first sight."""
+        ai, l, q = key
+        return self._slot(l, q) + ai
+
+    def hat(self, i):
+        """The element Dhat^{(l)} (v_alpha (x) t^q) of the key with id i."""
+        got = self._hats.get(i)
+        if got is None:
+            ai, l, q = self.keys[i]
+            got = self._hats[i] = apply_partial_power(
+                self.algebra, self.alphas[ai][1].shift_t(q), l)
+        return got
 
     def hat_elt(self, key):
         """The element Dhat^{(l)} (v_alpha (x) t^q) for key (alpha, l, q)."""
-        got = self._hat_cache.get(key)
-        if got is None:
-            ai, l, q = key
-            got = apply_partial_power(
-                self.algebra, self.alphas[ai][1].shift_t(q), l)
-            self._hat_cache[key] = got
-        return got
+        return self.hat(self.key_id(key))
 
-    def decompose(self, x):
-        """Coordinates of x on the keys (alpha, l, q), via the hat basis."""
+    def coords(self, x):
+        """Coordinates of x on the key ids, via the hat basis."""
         zero = self.field.zero()
         grouped = {}
         for (g, l, q), c in to_hat_basis(self.algebra, x).items():
-            _add_to(grouped.setdefault((l, q), {}), g, c)
+            _add_to(grouped.setdefault(self._slot(l, q), {}), g, c)
         out = {}
-        for (l, q), vec in grouped.items():
+        for base, vec in grouped.items():
             for ai, row in enumerate(self._einv):
                 coord = zero
                 for r, e in row:
@@ -147,22 +193,13 @@ class _Frame:
                     if v is not None:
                         coord = coord + e * v
                 if not coord.is_zero():
-                    out[(ai, l, q)] = coord
+                    out[base + ai] = coord
         return out
 
-    def degree(self, key):
-        """The degree q - l - wt(alpha) + 1 of a key (alpha, l, q); 0 for
-        every key when the weights do not grade the loop."""
-        if self.weights is None:
-            return 0
-        ai, l, q = key
-        return q - l - self.weights[ai] + 1
-
-    def parity_of(self, key):
-        return self.alphas[key[0]][3]
-
-    def residue_of(self, key):
-        return self.alphas[key[0]][0]
+    def decompose(self, x):
+        """Coordinates of x on the keys (alpha, l, q)."""
+        keys = self.keys
+        return {keys[i]: c for i, c in self.coords(x).items()}
 
 
 class CentroidSolution:
@@ -176,6 +213,10 @@ class CentroidSolution:
     def __init__(self, frame, entries):
         self._frame = frame
         self.entries = {k: v for k, v in entries.items() if not v.is_zero()}
+        self._images = {}  # domain id -> {codomain id: scalar}
+        for (dkey, ckey), v in self.entries.items():
+            self._images.setdefault(frame.key_id(dkey), {})[
+                frame.key_id(ckey)] = v
 
     @property
     def loop(self):
@@ -191,22 +232,22 @@ class CentroidSolution:
 
     def image(self, dkey):
         """The image of a domain basis element, as codomain coordinates."""
-        out = {}
-        for (d, c), v in self.entries.items():
-            if d == dkey:
-                out[c] = v
-        return out
+        frame = self._frame
+        return {frame.keys[c]: v for c, v in
+                self._images.get(frame.key_id(dkey), {}).items()}
 
     def apply(self, x):
-        """Apply the endomorphism to an element inside the domain window."""
+        """Apply the endomorphism to an element of the solved domain."""
         frame = self._frame
-        coords = frame.decompose(x)
         acc = frame.algebra.zero_elt()
-        for dkey, w in coords.items():
-            if dkey[1] > 1 or abs(dkey[2]) > frame.window:
-                raise DomainError("element leaves the computed window")
-            for ckey, v in self.image(dkey).items():
-                acc = acc + frame.hat_elt(ckey).scale(v * w)
+        for d, w in frame.coords(x).items():
+            if d not in frame.domain:
+                raise DomainError(
+                    "element leaves the solved domain of window %s "
+                    "(interior %s): no column for key (%d, %d, %s)"
+                    % ((frame.window, frame.interior) + frame.keys[d]))
+            for c, v in self._images.get(d, {}).items():
+                acc = acc + frame.hat(c).scale(v * w)
         return acc
 
     def replace_entries(self, entries):
@@ -230,60 +271,67 @@ def centroid_basis(L, window, interior):
     field = frame.field
     one = field.one()
     zero = field.zero()
+    keys = frame.keys
 
     interior0 = frame.interior0
 
     # product closure: every component of a_(n) b must stay in the window
     pair_brackets = {}
-    domain = {(ai, l, q) for (ai, _, q) in interior0 for l in (0, 1)}
+    domain = {frame.key_id((keys[i][0], l, keys[i][2]))
+              for i in interior0 for l in (0, 1)}
     for a in interior0:
-        xa = frame.hat_elt(a)
+        xa = frame.hat(a)
         for b in interior0:
-            xb = frame.hat_elt(b)
+            xb = frame.hat(b)
             poly = lambda_bracket(A, xa, xb)
-            comps = {n: frame.decompose(elt)
+            comps = {n: frame.coords(elt)
                      for n, elt in poly.coeffs.items() if not elt.is_zero()}
             pair_brackets[(a, b)] = comps
             for coords in comps.values():
-                for key in coords:
-                    if key[1] > 1:
+                for i in coords:
+                    if keys[i][1] > 1:
                         raise DomainError(
                             "table depth exceeds the windowed solver: "
                             "[%s lambda %s] reaches hat level %d"
-                            % (A.elt_string(xa), A.elt_string(xb), key[1]))
-                    domain.add(key)
-    reach = max(abs(k[2]) for k in domain)
+                            % (A.elt_string(xa), A.elt_string(xb),
+                               keys[i][1]))
+                    domain.add(i)
+    reach = max(abs(keys[i][2]) for i in domain)
     if reach > frame.window:
         raise DomainError(
             "window %s too small for the product closure: it reaches "
             "|q| = %s, the smallest window that covers it"
             % (frame.window, reach))
-    domain = sorted(domain, key=lambda k: (k[0], k[2], k[1]))
-    dlo = min(k[2] for k in domain) - frame.maxl
-    dhi = max(k[2] for k in domain) + frame.maxl
+    domain = sorted(domain, key=lambda i: (keys[i][0], keys[i][2],
+                                           keys[i][1]))
+    frame.domain = set(domain)
+    dlo = min(keys[i][2] for i in domain) - frame.maxl
+    dhi = max(keys[i][2] for i in domain) + frame.maxl
 
-    codomain = [(bi, l, q)
+    codomain = [frame.key_id((bi, l, q))
                 for bi, (res, _, _, _) in enumerate(frame.alphas)
                 for q in L.exponents(res, dlo, dhi) for l in (0, 1)]
 
-    # legal matrix positions: same parity, exponent difference an integer
+    # legal matrix positions: same parity, and the same residue, so the
+    # exponent difference is an integer
+    sigs = frame.sigs
+    degrees = frame.degrees
     cod_of = {}
-    for dkey in domain:
-        sig = (frame.parity_of(dkey), frame.residue_of(dkey))
-        if sig not in cod_of:
-            cod_of[sig] = [c for c in codomain
-                           if frame.parity_of(c) == sig[0]
-                           and (c[2] * L.order - sig[1]) % L.order == 0]
-    unknowns = {}
-    cols = {}  # domain key -> {codomain key: unknown id}
+    for d in domain:
+        if sigs[d] not in cod_of:
+            cod_of[sigs[d]] = [c for c in codomain if sigs[c] == sigs[d]]
+    unknowns = []  # unknown id -> (domain id, codomain id)
+    cols = {}  # domain id -> {codomain id: unknown id}
     shift = []  # unknown id -> its block
-    for dkey in domain:
-        sig = (frame.parity_of(dkey), frame.residue_of(dkey))
-        col = cols[dkey] = {}
-        ddeg = frame.degree(dkey)
-        for ckey in cod_of[sig]:
-            col[ckey] = unknowns[(dkey, ckey)] = len(unknowns)
-            shift.append(frame.degree(ckey) - ddeg)
+    block_of = {}  # shift -> block
+    for d in domain:
+        col = cols[d] = {}
+        ddeg = degrees[d]
+        for c in cod_of[sigs[d]]:
+            col[c] = len(unknowns)
+            unknowns.append((d, c))
+            shift.append(block_of.setdefault(degrees[c] - ddeg,
+                                             len(block_of)))
 
     # assemble the strict rows, n running one past the table degree so the
     # vanishing products constrain the unknowns too; each row is homogeneous
@@ -291,27 +339,27 @@ def centroid_basis(L, window, interior):
     blocks = {}
     touched = set()
     for a in interior0:
-        xa = frame.hat_elt(a)
-        minus = {}  # codomain key -> {n: -coordinates of [xa lambda c]_n}
+        xa = frame.hat(a)
+        minus = {}  # codomain id -> {n: -coordinates of [xa lambda c]_n}
         for b in interior0:
             rhs = []
-            for ckey, uid in cols[b].items():
-                got = minus.get(ckey)
+            for c, uid in cols[b].items():
+                got = minus.get(c)
                 if got is None:
-                    poly = lambda_bracket(A, xa, frame.hat_elt(ckey))
-                    got = minus[ckey] = {
-                        m: {k: -v for k, v in frame.decompose(elt).items()}
+                    poly = lambda_bracket(A, xa, frame.hat(c))
+                    got = minus[c] = {
+                        m: {k: -v for k, v in frame.coords(elt).items()}
                         for m, elt in poly.coeffs.items() if not elt.is_zero()}
                 rhs.append((uid, got))
             comps_by_n = pair_brackets[(a, b)]
             for n in range(frame.maxl + 2):
                 eq = {}
-                for dkey, w in comps_by_n.get(n, {}).items():
-                    for ckey, uid in cols[dkey].items():
-                        _add_to(eq.setdefault(ckey, {}), uid, w)
+                for d, w in comps_by_n.get(n, {}).items():
+                    for c, uid in cols[d].items():
+                        _add_to(eq.setdefault(c, {}), uid, w)
                 for uid, got in rhs:
-                    for ekey, v in got.get(n, {}).items():
-                        _add_to(eq.setdefault(ekey, {}), uid, v)
+                    for e, v in got.get(n, {}).items():
+                        _add_to(eq.setdefault(e, {}), uid, v)
                 for row in eq.values():
                     if row:
                         touched.update(row)
@@ -324,9 +372,9 @@ def centroid_basis(L, window, interior):
     raw = _null_basis(pivots, touched, one)
 
     def solution(vec):
-        return CentroidSolution(frame, {pos: vec[uid]
-                                        for pos, uid in unknowns.items()
-                                        if uid in vec})
+        return CentroidSolution(frame, {
+            (keys[unknowns[uid][0]], keys[unknowns[uid][1]]): vec[uid]
+            for uid in sorted(vec)})
 
     def solves(vec):
         """Whether vec meets every pivot relation x_lead = sum m_u x_u."""
@@ -348,10 +396,10 @@ def centroid_basis(L, window, interior):
         r = LaurentElt(field, {Fraction(j): one})
         entries = {}
         ok = True
-        for dkey in domain:
-            img = frame.decompose(frame.hat_elt(dkey).mul_laurent(r))
-            for ckey, v in img.items():
-                uid = cols[dkey].get(ckey)
+        for d in domain:
+            img = frame.coords(frame.hat(d).mul_laurent(r))
+            for c, v in img.items():
+                uid = cols[d].get(c)
                 if uid is None or uid not in touched:
                     ok = False
                     break
@@ -382,23 +430,25 @@ def is_scalar_action(chi):
     stray component, wrong eigenvector, or mismatch returns None.
     """
     frame = chi._frame
-    field = frame.field
-    interior0 = frame.interior0
+    keys = frame.keys
+    images = chi._images
 
-    d0 = interior0[0]
+    d0 = frame.interior0[0]
+    a0, _, q0 = keys[d0]
     terms = {}
-    for ckey, v in chi.image(d0).items():
-        if ckey[0] != d0[0] or ckey[1] != 0:
+    for c, v in images.get(d0, {}).items():
+        ai, l, q = keys[c]
+        if ai != a0 or l != 0:
             return None
-        terms[ckey[2] - d0[2]] = v
-    r = LaurentElt(field, terms)
+        terms[q - q0] = v
+    r = LaurentElt(frame.field, terms)
     if r.is_zero() and chi.entries:
         return None
 
-    for dkey in interior0:
+    for d in frame.interior0:
+        ai, _, q = keys[d]
         for l in (0, 1):
-            key = (dkey[0], l, dkey[2])
-            want = frame.decompose(frame.hat_elt(key).mul_laurent(r))
-            if want != chi.image(key):
+            i = frame.key_id((ai, l, q))
+            if frame.coords(frame.hat(i).mul_laurent(r)) != images.get(i, {}):
                 return None
     return r

@@ -6,21 +6,24 @@ from fractions import Fraction
 import pytest
 
 from csalg import centroid
-from csalg.algebras import make_n2
+from csalg.algebras import make_n2, make_n4
 from csalg.centroid import _Frame, centroid_basis, is_scalar_action
 from csalg.core import (EVEN, AlgebraDef, ConfElt, Generator, LambdaPoly,
                         apply_partial)
 from csalg.cyclotomic import CycloField
 from csalg.errors import DomainError
 from csalg.laurent import LaurentElt, delta_t
-from csalg.loops import eigenspaces
-from csalg.morphisms import identity_morphism, n2_omega
+from csalg.loops import LoopAlgebra, eigenspaces
+from csalg.morphisms import identity_morphism, n2_omega, n4_auto
 
 N2 = make_n2()
 FIELD = N2.field
 
 UNTWISTED = eigenspaces(N2, identity_morphism(N2), 1)
 OMEGA_LOOP = eigenspaces(N2, n2_omega(N2), 2)
+N4 = make_n4()
+N4_MINUS = eigenspaces(N4, n4_auto([[1, 0], [0, 1]], [[-1, 0], [0, -1]], N4),
+                       2)
 
 
 def mono(q):
@@ -151,16 +154,59 @@ def test_a_wide_window_around_a_small_interior_stays_cheap():
 
 
 def test_interior_must_sit_inside_the_window():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^interior radius 3 must sit "
+                       r"inside the window 3 \(0 < interior < window\)$"):
         centroid_basis(UNTWISTED, 3, 3)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^interior radius 2 must sit "
+                       r"inside the window 1 \(0 < interior < window\)$"):
         centroid_basis(UNTWISTED, 1, 2)
+
+
+def test_eigenbasis_short_of_the_generators_names_both_counts():
+    L, J, Gp = N2.elt("L"), N2.elt("J"), N2.elt("G+")
+    short = LoopAlgebra(N2, 1, [[L, J, Gp]])
+    with pytest.raises(DomainError, match=r"^eigenbasis of 3 records does "
+                       r"not span the 4 generators$"):
+        centroid_basis(short, 3, 1)
+    # four records, but L + J lies in the span of L and J
+    dependent = LoopAlgebra(N2, 1, [[L, J, L + J, Gp]])
+    with pytest.raises(DomainError, match=r"^eigenbasis of rank 3 does not "
+                       r"span the 4 generators$"):
+        centroid_basis(dependent, 3, 1)
+
+
+def test_mixed_parity_eigenbasis_vector_is_named():
+    mixed = LoopAlgebra(N2, 2, [[N2.elt("L"), N2.elt("J")],
+                                [N2.elt("G+") + N2.elt("L"), N2.elt("G-")]])
+    with pytest.raises(DomainError, match=r"^eigenbasis vector of mixed "
+                       r"parity: record 2 \(residue 1\)$"):
+        centroid_basis(mixed, 3, 1)
 
 
 def test_apply_rejects_elements_off_the_window():
     sol = by_exponent(centroid_basis(UNTWISTED, 3, 1))[0]
     with pytest.raises(DomainError):
         sol.apply(N2.elt("L", q=10))
+
+
+def test_apply_rejects_a_key_inside_the_window_but_off_the_solved_domain():
+    # exponent 3 is inside window 3 but past the product closure of
+    # interior 1, so no solution has a column for it; it used to map to 0
+    for sol in centroid_basis(OMEGA_LOOP, 3, 1):
+        x = sol._frame.hat_elt((0, 0, Fraction(3)))
+        assert not x.is_zero()
+        with pytest.raises(DomainError, match=r"^element leaves the solved "
+                           r"domain of window 3 \(interior 1\): no column "
+                           r"for key \(0, 0, 3\)$"):
+            sol.apply(x)
+
+
+def test_apply_accepts_a_solved_key_with_a_zero_image():
+    sol = centroid_basis(OMEGA_LOOP, 3, 1)[0]
+    zero_map = sol.replace_entries({})
+    x = N2.elt("L")
+    assert sol.apply(x) != N2.zero_elt()
+    assert zero_map.apply(x) == N2.zero_elt()
 
 
 @pytest.mark.parametrize("loop", [UNTWISTED, OMEGA_LOOP], ids=["id", "omega"])
@@ -211,3 +257,26 @@ def test_weightless_loop_is_solved_as_one_block_with_the_same_answer():
     ungraded = centroid_basis(loop, 3, 1)
     assert ([list(chi.entries.items()) for chi in ungraded]
             == [list(chi.entries.items()) for chi in graded])
+
+
+@pytest.mark.parametrize("loop", [OMEGA_LOOP, N4_MINUS],
+                         ids=["n2_omega", "n4_minus"])
+def test_entries_match_multiplication_on_the_solved_domain(loop):
+    # an oracle that never sees the unknown ids: the image of each solved
+    # domain key under t^j, decomposed on its own
+    one = loop.base.field.one()
+    for chi in centroid_basis(loop, 3, 1):
+        r = is_scalar_action(chi)
+        ((_, c),) = r.terms.items()
+        assert c == one
+        frame = chi._frame
+        expected = {}
+        for dkey in (frame.keys[i] for i in frame.domain):
+            img = frame.hat_elt(dkey).mul_laurent(r)
+            for ckey, v in frame.decompose(img).items():
+                expected[(dkey, ckey)] = v
+        assert dict(chi.entries) == expected
+        for pair in chi.entries:
+            assert len(pair) == 2
+            for key in pair:
+                assert [type(part) for part in key] == [int, int, Fraction]

@@ -194,6 +194,15 @@ def test_domain_errors_exit_3(capsys):
         assert err.startswith("error:"), argv
 
 
+def test_centroid_interior_error_names_both_radii(capsys):
+    code, out, err = run(capsys, ["centroid", "n2.csa", "--auto", "id",
+                                  "--window", "3", "--interior", "7/2"])
+    assert code == 3
+    assert out == ""
+    assert err == ("error: interior radius 7/2 must sit inside the window 3 "
+                   "(0 < interior < window)\n")
+
+
 def test_loop_window_is_bounded(capsys):
     # read first: without a bound the command below runs for minutes
     bound = loops.MAX_SPECTRUM_MODES
