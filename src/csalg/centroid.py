@@ -35,6 +35,18 @@ key, and the parity, residue and degree of each id are read once, into
 lists.  Coordinates, columns, rows, blocks and the hat-element cache all
 run on ids; ids become keys again only in the entries of a
 ``CentroidSolution``.
+
+Columns: the right-hand sides need [a lambda c] for every interior key a
+and every codomain key c, but each interior key is bracketed only once
+with each t-free record vector v_beta.  Two exact identities give the
+rest.  CS3 on the right slot, [x lambda y t^q] = [x lambda y] t^q, turns
+that bracket into the column (beta, 0, q) by a shift of t.  CS1 on the
+right slot, [x lambda Dhat y] = (Dhat + lambda)[x lambda y], turns the
+column (beta, 0, q) into (beta, 1, q) = Dhat (beta, 0, q): its lambda^{(m)}
+component is Dhat c_m + m c_{m-1}, where c_m are the components of the
+level-0 column, and on the hat basis Dhat maps (alpha, l, q) to
+(l + 1) (alpha, l + 1, q), so no bracket and no change of basis is needed.
+The product closure reads the same brackets, shifted to its interior keys.
 """
 
 from fractions import Fraction
@@ -141,6 +153,7 @@ class _Frame:
         self.sigs = []  # id -> (parity, residue)
         self.degrees = []  # id -> degree, 0 when the weights do not grade
         self._hats = {}  # id -> hat element
+        self._raised = {}  # id -> (id one hat level up, that level)
         self.domain = set()  # ids of the solved domain, set by centroid_basis
         self.interior0 = [self.key_id(k) for k in interior0]
 
@@ -177,6 +190,14 @@ class _Frame:
     def hat_elt(self, key):
         """The element Dhat^{(l)} (v_alpha (x) t^q) for key (alpha, l, q)."""
         return self.hat(self.key_id(key))
+
+    def raised(self, i):
+        """(id of (alpha, l + 1, q), l + 1) for the id i of (alpha, l, q)."""
+        got = self._raised.get(i)
+        if got is None:
+            ai, l, q = self.keys[i]
+            got = self._raised[i] = (self._slot(l + 1, q) + ai, l + 1)
+        return got
 
     def coords(self, x):
         """Coordinates of x on the key ids, via the hat basis."""
@@ -259,6 +280,42 @@ class CentroidSolution:
             len(self.entries), self._frame.window)
 
 
+def _shifted_coords(frame, coeffs, q):
+    """Coordinates of each lambda-coefficient of a bracket, times t^q."""
+    return {n: frame.coords(e.shift_t(q)) for n, e in coeffs.items()}
+
+
+def _minus_columns(frame, brackets, level0):
+    """Minus the coordinates of [x lambda hat(c)]_n, for each id c in
+    ``level0`` and for its level-1 sibling.
+
+    ``brackets[beta]`` holds the lambda-coefficients of [x lambda v_beta].
+    A level-0 column (beta, 0, q) shifts them by t^q; its sibling
+    (beta, 1, q) is derived from it by the derivation rule, with no bracket
+    and no change of basis.
+    """
+    out = {}
+    for c in level0:
+        bi, _, q = frame.keys[c]
+        low = out[c] = {
+            n: {i: -v for i, v in coords.items()}
+            for n, coords in _shifted_coords(frame, brackets[bi], q).items()}
+        # [x lambda Dhat y] = (Dhat + lambda)[x lambda y]: component m is
+        # Dhat c_m + m c_{m-1}, with Dhat (alpha, l, q) = (l + 1)
+        # (alpha, l + 1, q) on the hat basis
+        col = {}
+        for n, comps in low.items():
+            dcol = col.setdefault(n, {})
+            up = col.setdefault(n + 1, {})
+            for i, v in comps.items():
+                j, lift = frame.raised(i)
+                _add_to(dcol, j, v * lift if lift != 1 else v)
+                _add_to(up, i, v * (n + 1) if n else v)
+        out[frame.raised(c)[0]] = {n: comps for n, comps in col.items()
+                                   if comps}
+    return out
+
+
 def centroid_basis(L, window, interior):
     """Exact basis of the windowed centroid system of a loop algebra.
 
@@ -275,17 +332,21 @@ def centroid_basis(L, window, interior):
 
     interior0 = frame.interior0
 
+    # one bracket per (interior key, record); every pair and column below
+    # is a t-shift of one of these, or derived from one
+    records = sorted({keys[b][0] for b in interior0})
+    brackets = {a: {bi: lambda_bracket(A, frame.hat(a), frame.alphas[bi][1])
+                    .coeffs for bi in records}
+                for a in interior0}
+
     # product closure: every component of a_(n) b must stay in the window
     pair_brackets = {}
     domain = {frame.key_id((keys[i][0], l, keys[i][2]))
               for i in interior0 for l in (0, 1)}
     for a in interior0:
-        xa = frame.hat(a)
         for b in interior0:
-            xb = frame.hat(b)
-            poly = lambda_bracket(A, xa, xb)
-            comps = {n: frame.coords(elt)
-                     for n, elt in poly.coeffs.items() if not elt.is_zero()}
+            bi, _, q = keys[b]
+            comps = _shifted_coords(frame, brackets[a][bi], q)
             pair_brackets[(a, b)] = comps
             for coords in comps.values():
                 for i in coords:
@@ -293,8 +354,8 @@ def centroid_basis(L, window, interior):
                         raise DomainError(
                             "table depth exceeds the windowed solver: "
                             "[%s lambda %s] reaches hat level %d"
-                            % (A.elt_string(xa), A.elt_string(xb),
-                               keys[i][1]))
+                            % (A.elt_string(frame.hat(a)),
+                               A.elt_string(frame.hat(b)), keys[i][1]))
                     domain.add(i)
     reach = max(abs(keys[i][2]) for i in domain)
     if reach > frame.window:
@@ -338,19 +399,12 @@ def centroid_basis(L, window, interior):
     # in the shift and goes to the echelon of its own block
     blocks = {}
     touched = set()
+    isigs = {sigs[b] for b in interior0}
+    level0 = [c for c in codomain if sigs[c] in isigs and not keys[c][1]]
     for a in interior0:
-        xa = frame.hat(a)
-        minus = {}  # codomain id -> {n: -coordinates of [xa lambda c]_n}
+        minus = _minus_columns(frame, brackets[a], level0)
         for b in interior0:
-            rhs = []
-            for c, uid in cols[b].items():
-                got = minus.get(c)
-                if got is None:
-                    poly = lambda_bracket(A, xa, frame.hat(c))
-                    got = minus[c] = {
-                        m: {k: -v for k, v in frame.coords(elt).items()}
-                        for m, elt in poly.coeffs.items() if not elt.is_zero()}
-                rhs.append((uid, got))
+            rhs = [(uid, minus[c]) for c, uid in cols[b].items()]
             comps_by_n = pair_brackets[(a, b)]
             for n in range(frame.maxl + 2):
                 eq = {}
@@ -365,6 +419,7 @@ def centroid_basis(L, window, interior):
                         touched.update(row)
                         _echelon_insert(
                             blocks.setdefault(shift[next(iter(row))], {}), row)
+        del minus, rhs  # free these columns before the next key's
 
     pivots = {}
     for block in blocks.values():

@@ -243,6 +243,8 @@ def _fraction(text):
         return Fraction(text)
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError("zero denominator in %r" % text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid fraction value: %r" % text)
 
 
 def _nonnegative_int(text):

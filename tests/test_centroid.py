@@ -9,7 +9,7 @@ from csalg import centroid
 from csalg.algebras import make_n2, make_n4
 from csalg.centroid import _Frame, centroid_basis, is_scalar_action
 from csalg.core import (EVEN, AlgebraDef, ConfElt, Generator, LambdaPoly,
-                        apply_partial)
+                        apply_partial, lambda_bracket)
 from csalg.cyclotomic import CycloField
 from csalg.errors import DomainError
 from csalg.laurent import LaurentElt, delta_t
@@ -280,3 +280,44 @@ def test_entries_match_multiplication_on_the_solved_domain(loop):
             assert len(pair) == 2
             for key in pair:
                 assert [type(part) for part in key] == [int, int, Fraction]
+
+
+@pytest.mark.parametrize("loop", [OMEGA_LOOP, N4_MINUS],
+                         ids=["n2_omega", "n4_minus"])
+def test_derived_columns_match_direct_brackets(loop):
+    # oracle: bracket each interior key with each codomain element directly
+    # and decompose the result, with no t-shift and no derivation rule
+    frame = _Frame(loop, 3, 1)
+    A = frame.algebra
+    reach = frame.window + frame.maxl  # the codomain never reaches past
+    columns = [frame.key_id((bi, l, q))
+               for bi, (res, _, _, _) in enumerate(frame.alphas)
+               for q in loop.exponents(res, -reach, reach) for l in (0, 1)]
+    for a in frame.interior0:
+        xa = frame.hat(a)
+        brackets = {bi: lambda_bracket(A, xa, record).coeffs
+                    for bi, (_, record, _, _) in enumerate(frame.alphas)}
+        level0 = [c for c in columns if frame.keys[c][1] == 0]
+        got = centroid._minus_columns(frame, brackets, level0)
+        assert sorted(got) == sorted(columns)
+        for c in columns:
+            poly = lambda_bracket(A, xa, frame.hat(c))
+            want = {n: {i: -v for i, v in frame.coords(elt).items()}
+                    for n, elt in poly.coeffs.items()}
+            assert got[c] == want, (frame.keys[a], frame.keys[c])
+
+
+def test_one_bracket_per_interior_key_and_record(monkeypatch):
+    # N2 under omega splits into two records of residue 0 (L, G+ + G-) and
+    # two of residue 1 (J, G- - G+); interior 1 holds the exponents -1, 0, 1
+    # of residue 0 and -1/2, 1/2 of residue 1, so 2*3 + 2*2 = 10 interior
+    # keys, each bracketed once with each of the 4 records
+    calls = []
+
+    def counted(A, x, y):
+        calls.append(1)
+        return lambda_bracket(A, x, y)
+
+    monkeypatch.setattr(centroid, "lambda_bracket", counted)
+    assert len(centroid_basis(OMEGA_LOOP, 3, 1)) == 3
+    assert len(calls) == (2 * 3 + 2 * 2) * 4 == 40

@@ -468,6 +468,20 @@ def test_zero_denominators_exit_2(capsys):
         assert "error:" in capsys.readouterr().err
 
 
+def test_non_numeric_fraction_names_the_type_not_the_parser(capsys,
+                                                           monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # usage on one line everywhere
+    with pytest.raises(SystemExit) as exc:
+        main(["centroid", "n2.csa", "--auto", "omega", "--window", "3",
+              "--interior", "abc"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "usage: csalg centroid [-h] [--json] --auto AUTO [--order ORDER] "
+        "--window WINDOW --interior INTERIOR file\n"
+        "csalg centroid: error: argument --interior: "
+        "invalid fraction value: 'abc'\n")
+
+
 def test_mode_errors_name_the_mode(capsys):
     code, _, err = run(capsys, ["alg", "n2.csa", "--auto", "id",
                                 "--bracket", "L[1/3] L[0]"])
