@@ -36,17 +36,16 @@ lists.  Coordinates, columns, rows, blocks and the hat-element cache all
 run on ids; ids become keys again only in the entries of a
 ``CentroidSolution``.
 
-Columns: the right-hand sides need [a lambda c] for every interior key a
-and every codomain key c, but each interior key is bracketed only once
-with each t-free record vector v_beta.  Two exact identities give the
-rest.  CS3 on the right slot, [x lambda y t^q] = [x lambda y] t^q, turns
-that bracket into the column (beta, 0, q) by a shift of t.  CS1 on the
-right slot, [x lambda Dhat y] = (Dhat + lambda)[x lambda y], turns the
-column (beta, 0, q) into (beta, 1, q) = Dhat (beta, 0, q): its lambda^{(m)}
-component is Dhat c_m + m c_{m-1}, where c_m are the components of the
-level-0 column, and on the hat basis Dhat maps (alpha, l, q) to
-(l + 1) (alpha, l + 1, q), so no bracket and no change of basis is needed.
-The product closure reads the same brackets, shifted to its interior keys.
+Coordinates: each interior key a is bracketed once with each t-free
+record vector v_beta, and each lambda-coefficient is decomposed on the ids
+once; every other coordinate follows by id arithmetic.  The shift rule
+Dhat(v t^q) t^s = Dhat(v t^{q+s}) - s v t^{q+s-1} (``_Frame.times``), with
+CS3 on the right slot, [x lambda y t^q] = [x lambda y] t^q, gives the
+product closure, the level-0 columns (beta, 0, q), the images under a
+candidate t^j and the check of ``is_scalar_action``.  The derivation rule,
+CS1 on the right slot, [x lambda Dhat y] = (Dhat + lambda)[x lambda y],
+gives (beta, 1, q) from (beta, 0, q): its lambda^{(m)} component is
+Dhat c_m + m c_{m-1}, with Dhat (alpha, l, q) = (l + 1) (alpha, l + 1, q).
 """
 
 from fractions import Fraction
@@ -129,19 +128,20 @@ class _Frame:
                        if not e.is_zero()]
                       for row in adj]
 
-        interior0 = [(ai, 0, q)
-                     for ai, (res, _, _, _) in enumerate(self.alphas)
-                     for q in loop.exponents(res, -self.interior,
-                                             self.interior)]
-        if not interior0:
-            raise DomainError("interior window contains no basis elements")
-
+        # refuse before any key is built: the estimate reads only the
+        # records and the lengths of their exponent ranges
         estimate = _unknowns_estimate(loop, self.window, self.interior)
         if estimate > MAX_UNKNOWNS:
             raise DomainError(
                 "window %s (interior %s) needs up to %d unknowns, above the "
                 "bound %d" % (self.window, self.interior, estimate,
                               MAX_UNKNOWNS))
+        interior0 = [(ai, 0, q)
+                     for ai, (res, _, _, _) in enumerate(self.alphas)
+                     for q in loop.exponents(res, -self.interior,
+                                             self.interior)]
+        if not interior0:
+            raise DomainError("interior window contains no basis elements")
         self.maxl = A.table_degrees()[0]
         try:
             self.weights = loop.weights()
@@ -153,7 +153,6 @@ class _Frame:
         self.sigs = []  # id -> (parity, residue)
         self.degrees = []  # id -> degree, 0 when the weights do not grade
         self._hats = {}  # id -> hat element
-        self._raised = {}  # id -> (id one hat level up, that level)
         self.domain = set()  # ids of the solved domain, set by centroid_basis
         self.interior0 = [self.key_id(k) for k in interior0]
 
@@ -187,18 +186,6 @@ class _Frame:
                 self.algebra, self.alphas[ai][1].shift_t(q), l)
         return got
 
-    def hat_elt(self, key):
-        """The element Dhat^{(l)} (v_alpha (x) t^q) for key (alpha, l, q)."""
-        return self.hat(self.key_id(key))
-
-    def raised(self, i):
-        """(id of (alpha, l + 1, q), l + 1) for the id i of (alpha, l, q)."""
-        got = self._raised.get(i)
-        if got is None:
-            ai, l, q = self.keys[i]
-            got = self._raised[i] = (self._slot(l + 1, q) + ai, l + 1)
-        return got
-
     def coords(self, x):
         """Coordinates of x on the key ids, via the hat basis."""
         zero = self.field.zero()
@@ -217,10 +204,26 @@ class _Frame:
                     out[base + ai] = coord
         return out
 
-    def decompose(self, x):
-        """Coordinates of x on the keys (alpha, l, q)."""
+    def times(self, coords, terms):
+        """Coordinates of x * sum_s c_s t^s, from the coordinates of x.
+
+        ``terms`` maps s to c_s.  On the hat basis t^s sends (alpha, 0, q)
+        to (alpha, 0, q + s), and Dhat(v t^q) t^s = Dhat(v t^{q+s})
+        - s v t^{q+s-1} sends (alpha, 1, q) to (alpha, 1, q + s) minus
+        s (alpha, 0, q + s - 1).  Exact on hat levels 0 and 1; the product
+        closure refuses any higher level.
+        """
         keys = self.keys
-        return {keys[i]: c for i, c in self.coords(x).items()}
+        slot = self._slot
+        out = {}
+        for i, v in coords.items():
+            ai, l, q = keys[i]
+            for s, c in terms.items():
+                w = v * c
+                _add_to(out, slot(l, q + s) + ai, w)
+                if l and s:
+                    _add_to(out, slot(0, q + s - 1) + ai, w * -s)
+        return out
 
 
 class CentroidSolution:
@@ -280,26 +283,22 @@ class CentroidSolution:
             len(self.entries), self._frame.window)
 
 
-def _shifted_coords(frame, coeffs, q):
-    """Coordinates of each lambda-coefficient of a bracket, times t^q."""
-    return {n: frame.coords(e.shift_t(q)) for n, e in coeffs.items()}
-
-
 def _minus_columns(frame, brackets, level0):
     """Minus the coordinates of [x lambda hat(c)]_n, for each id c in
     ``level0`` and for its level-1 sibling.
 
-    ``brackets[beta]`` holds the lambda-coefficients of [x lambda v_beta].
-    A level-0 column (beta, 0, q) shifts them by t^q; its sibling
-    (beta, 1, q) is derived from it by the derivation rule, with no bracket
-    and no change of basis.
+    ``brackets[beta]`` holds the coordinates of the lambda-coefficients of
+    [x lambda v_beta].  A level-0 column (beta, 0, q) shifts them by t^q;
+    its sibling (beta, 1, q) is derived from it by the derivation rule.
     """
+    keys = frame.keys
+    slot = frame._slot
+    minus = -frame.field.one()
     out = {}
     for c in level0:
-        bi, _, q = frame.keys[c]
-        low = out[c] = {
-            n: {i: -v for i, v in coords.items()}
-            for n, coords in _shifted_coords(frame, brackets[bi], q).items()}
+        bi, _, q = keys[c]
+        low = out[c] = {n: frame.times(coords, {q: minus})
+                        for n, coords in brackets[bi].items()}
         # [x lambda Dhat y] = (Dhat + lambda)[x lambda y]: component m is
         # Dhat c_m + m c_{m-1}, with Dhat (alpha, l, q) = (l + 1)
         # (alpha, l + 1, q) on the hat basis
@@ -308,11 +307,10 @@ def _minus_columns(frame, brackets, level0):
             dcol = col.setdefault(n, {})
             up = col.setdefault(n + 1, {})
             for i, v in comps.items():
-                j, lift = frame.raised(i)
-                _add_to(dcol, j, v * lift if lift != 1 else v)
+                ai, l, p = keys[i]
+                _add_to(dcol, slot(l + 1, p) + ai, v * (l + 1) if l else v)
                 _add_to(up, i, v * (n + 1) if n else v)
-        out[frame.raised(c)[0]] = {n: comps for n, comps in col.items()
-                                   if comps}
+        out[slot(1, q) + bi] = {n: comps for n, comps in col.items() if comps}
     return out
 
 
@@ -329,14 +327,15 @@ def centroid_basis(L, window, interior):
     one = field.one()
     zero = field.zero()
     keys = frame.keys
-
     interior0 = frame.interior0
 
-    # one bracket per (interior key, record); every pair and column below
-    # is a t-shift of one of these, or derived from one
+    # one bracket per (interior key, record), each coefficient decomposed
+    # once; every pair and column below is a t-shift of these coordinates,
+    # or derived from one
     records = sorted({keys[b][0] for b in interior0})
-    brackets = {a: {bi: lambda_bracket(A, frame.hat(a), frame.alphas[bi][1])
-                    .coeffs for bi in records}
+    brackets = {a: {bi: {n: frame.coords(e) for n, e in lambda_bracket(
+                            A, frame.hat(a), frame.alphas[bi][1]).coeffs.items()}
+                    for bi in records}
                 for a in interior0}
 
     # product closure: every component of a_(n) b must stay in the window
@@ -346,7 +345,8 @@ def centroid_basis(L, window, interior):
     for a in interior0:
         for b in interior0:
             bi, _, q = keys[b]
-            comps = _shifted_coords(frame, brackets[a][bi], q)
+            comps = {n: frame.times(coords, {q: one})
+                     for n, coords in brackets[a][bi].items()}
             pair_brackets[(a, b)] = comps
             for coords in comps.values():
                 for i in coords:
@@ -448,12 +448,10 @@ def centroid_basis(L, window, interior):
     # t^j carries the domain keys at the extreme exponents past the
     # codomain, which reaches maxl beyond them, unless |j| <= maxl
     for j in range(-frame.maxl, frame.maxl + 1):
-        r = LaurentElt(field, {Fraction(j): one})
         entries = {}
         ok = True
         for d in domain:
-            img = frame.coords(frame.hat(d).mul_laurent(r))
-            for c, v in img.items():
+            for c, v in frame.times({d: one}, {j: one}).items():
                 uid = cols[d].get(c)
                 if uid is None or uid not in touched:
                     ok = False
@@ -500,10 +498,11 @@ def is_scalar_action(chi):
     if r.is_zero() and chi.entries:
         return None
 
+    one = frame.field.one()
     for d in frame.interior0:
         ai, _, q = keys[d]
         for l in (0, 1):
             i = frame.key_id((ai, l, q))
-            if frame.coords(frame.hat(i).mul_laurent(r)) != images.get(i, {}):
+            if frame.times({i: one}, r.terms) != images.get(i, {}):
                 return None
     return r

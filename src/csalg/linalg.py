@@ -5,9 +5,9 @@ the solved-form echelon below: rows are dicts {column: scalar} of
 field-like scalars (CycloScalar entries, all in one field), and each
 pivot is kept solved for its least column and free of every other pivot
 column.  ``rref``, ``rank``, ``null_space`` and ``solve`` are dense
-adapters over it; the windowed centroid solve drives it directly.  Determinants and adjugates are also
-provided over the Laurent ring, where division is not available, via
-minor expansion.
+adapters over it; the windowed centroid solve drives it directly.
+Determinants and adjugates are also provided over the Laurent ring, where
+division is not available, via minor expansion.
 """
 
 from __future__ import annotations

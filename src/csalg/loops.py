@@ -45,14 +45,17 @@ __all__ = [
 MAX_SPECTRUM_MODES = 10000
 
 
-def _plain_vector(A, x):
-    """Coordinates of a bare V (x) 1 element on the generator basis."""
+def _plain_vector(A, x, what):
+    """Coordinates of a bare V (x) 1 element on the generator basis.
+
+    ``what`` names x in the error, e.g. "image of L".
+    """
     vec = [A.field.zero()] * A.ngens()
     for (g, j, q), c in x.terms.items():
         if j or q:
             raise DomainError(
-                "expected an element of the generator span, got a term "
-                "with D-power %d and exponent %s" % (j, q))
+                "%s: expected an element of the generator span, got a term "
+                "with D-power %d and exponent %s" % (what, j, q))
         vec[g] = vec[g] + c
     return vec
 
@@ -87,7 +90,8 @@ class LoopAlgebra:
             for x in piece:
                 if x.is_zero():
                     raise DomainError("zero vector in an eigenbasis")
-                vec = _plain_vector(base, x)
+                vec = _plain_vector(base, x, "eigenbasis record %d (residue "
+                                    "%d)" % (len(self.basis), res))
                 self.basis.append((res, x, vec, base.homogeneous_parity(x)))
                 rows.append(vec)
             self._spans.append(_echelon(rows))
@@ -179,7 +183,9 @@ def eigenspaces(A, sigma, m):
             "twist must be given at level 1, got level %d" % sigma.level)
     field = A.field
     n = A.ngens()
-    cols = [_plain_vector(A, sigma.images[i]) for i in range(n)]
+    cols = [_plain_vector(A, sigma.images[i],
+                          "image of %s" % A.generators[i].name)
+            for i in range(n)]
     # The conductor bounds the order before any null space is built.
     xi = field.root_of_unity(m)
 

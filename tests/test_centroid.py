@@ -9,8 +9,8 @@ from csalg import centroid
 from csalg.algebras import make_n2, make_n4
 from csalg.centroid import _Frame, centroid_basis, is_scalar_action
 from csalg.core import (EVEN, AlgebraDef, ConfElt, Generator, LambdaPoly,
-                        apply_partial, lambda_bracket)
-from csalg.cyclotomic import CycloField
+                        apply_partial, lambda_bracket, to_hat_basis)
+from csalg.cyclotomic import CycloField, _add_to
 from csalg.errors import DomainError
 from csalg.laurent import LaurentElt, delta_t
 from csalg.loops import LoopAlgebra, eigenspaces
@@ -131,6 +131,18 @@ def test_centroid_refuses_systems_past_the_unknowns_bound():
         centroid_basis(OMEGA_LOOP, 25, 10)
 
 
+def test_oversized_window_is_refused_before_any_key_is_built(monkeypatch):
+    # listing the interior exponents is the first step that grows with the
+    # interior radius; the refusal must come before it
+    def unreachable(*args):
+        raise AssertionError("exponents listed before the unknowns bound")
+
+    monkeypatch.setattr(OMEGA_LOOP, "exponents", unreachable)
+    with pytest.raises(DomainError, match=r"^window 25 \(interior 10\) needs "
+                       r"up to 33112 unknowns, above the bound 20000$"):
+        centroid_basis(OMEGA_LOOP, 25, 10)
+
+
 def test_unknowns_bound_is_inclusive(monkeypatch):
     # R = min(3, 2 + 1 + 1) = 3: residue 0 holds 7 exponents in [-3, 3]
     # and 9 in [-4, 4], residue 1 holds 6 and 8
@@ -193,7 +205,8 @@ def test_apply_rejects_a_key_inside_the_window_but_off_the_solved_domain():
     # exponent 3 is inside window 3 but past the product closure of
     # interior 1, so no solution has a column for it; it used to map to 0
     for sol in centroid_basis(OMEGA_LOOP, 3, 1):
-        x = sol._frame.hat_elt((0, 0, Fraction(3)))
+        frame = sol._frame
+        x = frame.hat(frame.key_id((0, 0, Fraction(3))))
         assert not x.is_zero()
         with pytest.raises(DomainError, match=r"^element leaves the solved "
                            r"domain of window 3 \(interior 1\): no column "
@@ -214,19 +227,60 @@ def test_decompose_inverts_the_hat_basis(loop):
     frame = _Frame(loop, 3, 1)
     one = FIELD.one()
     w = frame.window
-    keys = [(ai, l, q)
-            for ai, (res, _, _, _) in enumerate(frame.alphas)
-            for q in loop.exponents(res, -w, w) for l in (0, 1)]
-    for key in keys:
-        assert frame.decompose(frame.hat_elt(key)) == {key: one}
+    ids = [frame.key_id((ai, l, q))
+           for ai, (res, _, _, _) in enumerate(frame.alphas)
+           for q in loop.exponents(res, -w, w) for l in (0, 1)]
+    for i in ids:
+        assert frame.coords(frame.hat(i)) == {i: one}
     # a fixed combination with rational and non-rational coefficients
     coeffs = [FIELD.rational(Fraction(-3, 2)), FIELD.zeta(5),
               FIELD.zeta(1) + FIELD.rational(2), one]
-    combo = dict(zip(keys[1::7], coeffs * 2))
+    combo = dict(zip(ids[1::7], coeffs * 2))
     x = frame.algebra.zero_elt()
-    for key, c in combo.items():
-        x = x + frame.hat_elt(key).scale(c)
-    assert frame.decompose(x) == combo
+    for i, c in combo.items():
+        x = x + frame.hat(i).scale(c)
+    assert frame.coords(x) == combo
+
+
+def _times_mutant(frame, coords, terms, lower):
+    """``_Frame.times`` with its level-1 correction moved to exponent
+    q + s - lower, or dropped when ``lower`` is None."""
+    out = {}
+    for i, v in coords.items():
+        ai, l, q = frame.keys[i]
+        for s, c in terms.items():
+            _add_to(out, frame.key_id((ai, l, q + s)), v * c)
+            if l and s and lower is not None:
+                _add_to(out, frame.key_id((ai, 0, q + s - lower)), v * c * -s)
+    return out
+
+
+@pytest.mark.parametrize("loop", [OMEGA_LOOP, N4_MINUS],
+                         ids=["n2_omega", "n4_minus"])
+def test_times_matches_multiplication_on_the_hat_basis(loop):
+    # oracle: build the element, multiply it by r in the t slot, and
+    # decompose the product through to_hat_basis
+    frame = _Frame(loop, 3, 1)
+    field = loop.base.field
+    one = field.one()
+    reach = frame.window + frame.maxl
+    ids = [frame.key_id((ai, l, q))
+           for ai, (res, _, _, _) in enumerate(frame.alphas)
+           for q in loop.exponents(res, -reach, reach) for l in (0, 1)]
+    factors = [{Fraction(s): one} for s in range(-2, 3)]
+    factors.append({Fraction(1): field.zeta(1) + field.rational(2),
+                    Fraction(-2): field.rational(Fraction(-3, 2))})
+    mutants = {"dropped": None, "unlowered": 0}
+    caught = set()
+    for i in ids:
+        for terms in factors:
+            want = frame.coords(
+                frame.hat(i).mul_laurent(LaurentElt(field, terms)))
+            assert frame.times({i: one}, terms) == want, (frame.keys[i], terms)
+            for name, lower in mutants.items():
+                if _times_mutant(frame, {i: one}, terms, lower) != want:
+                    caught.add(name)
+    assert caught == set(mutants)
 
 
 #: Conformal weights as declared in n2.csa.
@@ -271,10 +325,10 @@ def test_entries_match_multiplication_on_the_solved_domain(loop):
         assert c == one
         frame = chi._frame
         expected = {}
-        for dkey in (frame.keys[i] for i in frame.domain):
-            img = frame.hat_elt(dkey).mul_laurent(r)
-            for ckey, v in frame.decompose(img).items():
-                expected[(dkey, ckey)] = v
+        for d in frame.domain:
+            img = frame.hat(d).mul_laurent(r)
+            for c, v in frame.coords(img).items():
+                expected[(frame.keys[d], frame.keys[c])] = v
         assert dict(chi.entries) == expected
         for pair in chi.entries:
             assert len(pair) == 2
@@ -295,7 +349,8 @@ def test_derived_columns_match_direct_brackets(loop):
                for q in loop.exponents(res, -reach, reach) for l in (0, 1)]
     for a in frame.interior0:
         xa = frame.hat(a)
-        brackets = {bi: lambda_bracket(A, xa, record).coeffs
+        brackets = {bi: {n: frame.coords(e) for n, e in
+                         lambda_bracket(A, xa, record).coeffs.items()}
                     for bi, (_, record, _, _) in enumerate(frame.alphas)}
         level0 = [c for c in columns if frame.keys[c][1] == 0]
         got = centroid._minus_columns(frame, brackets, level0)
@@ -321,3 +376,27 @@ def test_one_bracket_per_interior_key_and_record(monkeypatch):
     monkeypatch.setattr(centroid, "lambda_bracket", counted)
     assert len(centroid_basis(OMEGA_LOOP, 3, 1)) == 3
     assert len(calls) == (2 * 3 + 2 * 2) * 4 == 40
+
+
+def test_one_decomposition_per_bracket_coefficient(monkeypatch):
+    # every coordinate past the brackets' own lambda-coefficients comes from
+    # the shift and derivation rules, in the solve and in is_scalar_action
+    brackets, decompositions = [], []
+
+    def bracketed(A, x, y):
+        poly = lambda_bracket(A, x, y)
+        brackets.append(poly)
+        return poly
+
+    def decomposed(A, x):
+        decompositions.append(1)
+        return to_hat_basis(A, x)
+
+    monkeypatch.setattr(centroid, "lambda_bracket", bracketed)
+    monkeypatch.setattr(centroid, "to_hat_basis", decomposed)
+    sols = centroid_basis(OMEGA_LOOP, 3, 1)
+    assert all(is_scalar_action(chi) is not None for chi in sols)
+    assert len(sols) == 3 and len(brackets) == 40
+    coefficients = sum(1 for poly in brackets
+                       for e in poly.coeffs.values() if not e.is_zero())
+    assert len(decompositions) == coefficients

@@ -116,6 +116,18 @@ def test_hom_fails_on_wrong_images(capsys, tmp_path):
     assert "homomorphism: FAIL" in out
 
 
+def test_twist_image_off_the_generator_span_is_named(capsys, tmp_path):
+    path = tmp_path / "bad.csm"
+    path.write_text("morphism bad on N2 level 1\nimage L = L + D J\n"
+                    "image J = J\nimage G+ = G+\nimage G- = G-\n")
+    code, out, err = run(capsys, ["loop", "n2.csa", "--auto", str(path),
+                                  "--order", "1", "--window", "1"])
+    assert code == 3
+    assert out == ""
+    assert err == ("error: image of L: expected an element of the generator "
+                   "span, got a term with D-power 1 and exponent 0\n")
+
+
 def test_loop_report(capsys):
     code, out, _ = run(capsys, ["loop", "n2.csa", "--auto", "id",
                                 "--window", "3"])

@@ -159,6 +159,19 @@ def test_eigenspaces_rejects_bad_twists():
         eigenspaces(N2, n2_theta(LaurentElt(FIELD, {Fraction(1): 1}), N2), 1)
 
 
+def test_off_span_vectors_are_named_in_the_error():
+    images = {g: N2.elt(g) for g in ("L", "J", "G+", "G-")}
+    images["J"] = N2.elt("J") + N2.elt("L", q=1)
+    with pytest.raises(DomainError, match=r"^image of J: expected an element "
+                       r"of the generator span, got a term with D-power 0 "
+                       r"and exponent 1$"):
+        eigenspaces(N2, GenMorphism(N2, 1, images), 1)
+    with pytest.raises(DomainError, match=r"^eigenbasis record 1 \(residue "
+                       r"0\): expected an element of the generator span, got "
+                       r"a term with D-power 1 and exponent 0$"):
+        LoopAlgebra(N2, 1, [[N2.elt("L"), N2.elt("J", dpow=1)]])
+
+
 def test_membership_is_stable_under_the_derivation():
     x = N2.elt("L", q=1)
     assert loop_membership(OMEGA_LOOP, x)
