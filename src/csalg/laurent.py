@@ -8,7 +8,7 @@ S_1 = k[t, t^{-1}] acts by  t^{1/m} -> xi_m * t^{1/m}.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from .cyclotomic import (DEFAULT_CONDUCTOR, CycloField, CycloScalar,
                          _add_to, _signed_sum)
@@ -18,6 +18,12 @@ from .errors import DomainError
 def binom_frac(q, j):
     """Generalized binomial C(q, j) = q(q-1)...(q-j+1)/j! for rational q."""
     q = Fraction(q)
+    if q.denominator == 1 and j >= 0:
+        # C(-p, j) = (-1)^j C(p + j - 1, j) for the negative integers
+        n = q.numerator
+        if n < 0:
+            return Fraction((-1) ** j * comb(j - n - 1, j))
+        return Fraction(comb(n, j))
     out = Fraction(1)
     for i in range(j):
         out = out * (q - i) / (i + 1)

@@ -240,7 +240,9 @@ def n2_theta(s, algebra=None):
         raise DomainError("theta_s needs a unit monomial, got %s" % s)
     A = algebra if algebra is not None else make_n2(s.field.conductor)
     if A.field is not s.field:
-        raise DomainError("s lives over a different scalar field")
+        raise DomainError(
+            "s lives over Q(zeta_%d), the algebra over Q(zeta_%d)"
+            % (s.field.conductor, A.field.conductor))
     ((q, alpha),) = s.terms.items()
     images = {
         "L": A.elt("L") + A.elt("J", q=-1, coeff=q),
@@ -322,7 +324,9 @@ class SL2MatrixOverS:
 def _laurent(field, value):
     if isinstance(value, LaurentElt):
         if value.field is not field:
-            raise DomainError("matrix entry over a different scalar field")
+            raise DomainError(
+                "matrix entry over Q(zeta_%d), the matrix over Q(zeta_%d)"
+                % (value.field.conductor, field.conductor))
         return value
     return LaurentElt(field, {Fraction(0): value})
 
@@ -380,7 +384,9 @@ def n4_auto(Y, X, algebra=None):
         Y = SL2MatrixOverS(A.field, Y)
     field = A.field
     if Y.field is not field:
-        raise DomainError("Y lives over a different scalar field")
+        raise DomainError(
+            "Y lives over Q(zeta_%d), the algebra over Q(zeta_%d)"
+            % (Y.field.conductor, field.conductor))
     (c, d), (e, f) = _x_matrix(field, X)
 
     ye = Y.entries

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from csalg.algebras import make_n2
+from csalg.algebras import make_n2, make_n4
 from csalg.core import (
     AlgebraDef,
     ConfElt,
@@ -155,6 +156,71 @@ def test_check_axioms_detects_jacobi_mutation():
     assert not report.verdicts["CS5"]
     locations = {f.location for f in report.failures if f.axiom == "CS5"}
     assert ("J", "G+", "G-") in locations
+
+
+def _cs5_failures_by_dense_sweep(A):
+    """The CS5 failures of check_axioms from a visit to every (m, n) cell
+    up to the vanishing bound, each side built as a ConfElt:
+    [a_(m) [b_(n) c]] = sum_jj C(m, jj) [[a_(jj) b]_(m+n-jj) c]
+                        + p(a, b) [b_(n) [a_(m) c]]."""
+    ngen = A.ngens()
+    maxl, maxd = A.table_degrees()
+    bound = maxl + maxd + 2
+    gens = [A.elt(i) for i in range(ngen)]
+    names = [g.name for g in A.generators]
+    failures = []
+    for a in range(ngen):
+        for b in range(ngen):
+            poly_ab = A.table[(a, b)]
+            for c in range(ngen):
+                abj_c = [lambda_bracket(A, poly_ab.get(jj), gens[c])
+                         for jj in range(poly_ab.max_degree() + 1)]
+                b_amc = [lambda_bracket(A, gens[b], A.table[(a, c)].get(m))
+                         for m in range(bound + 1)]
+                for n in range(bound + 1):
+                    lhs = lambda_bracket(A, gens[a], A.table[(b, c)].get(n))
+                    for m in range(bound + 1):
+                        rhs = A.zero_elt()
+                        for jj in range(min(m, len(abj_c) - 1) + 1):
+                            rhs = rhs + abj_c[jj].get(m + n - jj).scale(
+                                comb(m, jj))
+                        rhs = rhs + b_amc[m].get(n).scale(
+                            A.parity_sign(a, b))
+                        if lhs.get(m) != rhs:
+                            failures.append(
+                                ((names[a], names[b], names[c]),
+                                 "m=%d n=%d" % (m, n)))
+    return failures
+
+
+def _times_three_mutants(A):
+    """A copy of A for each table coefficient, with that one tripled."""
+    for pair, entry in sorted(A.table.items()):
+        for n, e in sorted(entry.coeffs.items()):
+            for k, v in sorted(e.terms.items()):
+                tripled = ConfElt(A.field, {**e.terms, k: 3 * v})
+                table = dict(A.table)
+                table[pair] = LambdaPoly(A.field,
+                                         {**entry.coeffs, n: tripled})
+                yield AlgebraDef(A.name, A.field, A.generators, table)
+
+
+def test_sparse_jacobi_sweep_matches_the_dense_sweep():
+    n4 = make_n4()
+    n2_mutants = list(_times_three_mutants(N2))
+    n4_mutants = list(_times_three_mutants(n4))[::17]
+    assert len(n2_mutants) == 23 and len(n4_mutants) == 5
+    failing = 0
+    for A in [N2, n4] + n2_mutants + n4_mutants:
+        report = check_axioms(A)
+        want = _cs5_failures_by_dense_sweep(A)
+        got = [(f.location, f.detail) for f in report.failures
+               if f.axiom == "CS5"]
+        assert got == want
+        assert report.verdicts["CS5"] is not bool(want)
+        assert report.counts["CS5"] == "%d triples" % A.ngens() ** 3
+        failing += bool(want)
+    assert failing == 28
 
 
 def test_hat_basis_examples():

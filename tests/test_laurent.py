@@ -23,6 +23,27 @@ def test_binom_frac():
     assert binom_frac(2, 5) == 0
 
 
+def _binom_by_product(q, j):
+    """C(q, j) = q(q-1)...(q-j+1)/j!, one factor at a time."""
+    out = Fraction(1)
+    for i in range(j):
+        out = out * (q - i) / (i + 1)
+    return out
+
+
+def test_binom_frac_matches_the_product_formula():
+    # integers take the math.comb path, half-integers the product loop
+    qs = [Fraction(k) for k in range(-30, 31)]
+    qs += [Fraction(k, 2) for k in range(-29, 30, 2)]
+    for q in qs:
+        for j in range(13):
+            want = _binom_by_product(q, j)
+            for arg in (q, q.numerator) if q.denominator == 1 else (q,):
+                got = binom_frac(arg, j)
+                assert type(got) is Fraction
+                assert got == want, (arg, j)
+
+
 def test_delta_power_rule():
     assert delta_t(mono(1, Fraction(3, 2))) == mono(Fraction(3, 2), Fraction(1, 2))
     assert delta_t(mono(1, 0)).is_zero()

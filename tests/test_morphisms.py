@@ -153,6 +153,30 @@ def test_morphism_validation():
         })
 
 
+def test_theta_names_both_fields():
+    s = LaurentElt.monomial(1, 1, conductor=12)
+    with pytest.raises(DomainError) as err:
+        n2_theta(s, N2)
+    assert str(err.value) == \
+        "s lives over Q(zeta_12), the algebra over Q(zeta_24)"
+
+
+def test_matrix_entry_names_both_fields():
+    u = LaurentElt.monomial(1, 1, conductor=12)
+    with pytest.raises(DomainError) as err:
+        SL2MatrixOverS(FIELD, [[1, u], [0, 1]])
+    assert str(err.value) == \
+        "matrix entry over Q(zeta_12), the matrix over Q(zeta_24)"
+
+
+def test_n4_auto_names_both_fields_of_y():
+    y = SL2MatrixOverS.identity(conductor=12)
+    with pytest.raises(DomainError) as err:
+        n4_auto(y, [[1, 0], [0, 1]], N4)
+    assert str(err.value) == \
+        "Y lives over Q(zeta_12), the algebra over Q(zeta_24)"
+
+
 # -- group structure over N=2 ------------------------------------------------
 
 
