@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import EVEN, ODD, AlgebraDef, ConfElt, Generator, LambdaPoly, complete_table_cs4
+from .core import (EVEN, ODD, AlgebraDef, ConfElt, Generator, LambdaPoly,
+                   check_axioms, complete_table_cs4)
 from .cyclotomic import DEFAULT_CONDUCTOR, CycloField, _add_to
 from .errors import ConductorError, CsalgError
 
@@ -18,8 +19,9 @@ class StructureConstants:
     """Structure constants of a finite-dimensional Lie superalgebra.
 
     ``c`` maps an index pair (i, j) to {k: scalar} with
-    [v_i, v_j] = sum_k c[i][j][k] v_k.  Super-antisymmetry and the
-    super Jacobi identity are verified at construction.
+    [v_i, v_j] = sum_k c[i][j][k] v_k.  Super-antisymmetry and the super
+    Jacobi identity are verified at construction, as the axioms CS4 and CS5
+    of the current algebra.
     """
 
     def __init__(self, names, parities, c, conductor=DEFAULT_CONDUCTOR):
@@ -38,41 +40,27 @@ class StructureConstants:
     def bracket(self, i, j):
         return self.c.get((i, j), {})
 
-    def _sign(self, i, j):
-        return -1 if self.parities[i] and self.parities[j] else 1
-
     def _validate(self):
-        dim = self.dim
-        for i in range(dim):
-            for j in range(dim):
-                flip = -self._sign(i, j)
-                if self.bracket(i, j) != {k: v * flip for k, v
-                                          in self.bracket(j, i).items()}:
+        if len(self.parities) != self.dim:
+            raise CsalgError("structure constants have %d names but %d "
+                             "parities" % (self.dim, len(self.parities)))
+        for k, name in enumerate(self.names):
+            if name in self.names[:k]:
+                raise CsalgError("duplicate name %r in structure constants"
+                                 % (name,))
+        for (i, j), row in self.c.items():
+            for index in (i, j, *row):
+                if index not in range(self.dim):
                     raise CsalgError(
-                        "structure constants are not super-antisymmetric "
-                        "at (%s, %s)" % (self.names[i], self.names[j]))
-        # super Jacobi: [a,[b,c]] = [[a,b],c] + p(a,b) [b,[a,c]]
-        def add(vec, scale, acc):
-            for k, v in vec.items():
-                _add_to(acc, k, v * scale)
-
-        for a in range(dim):
-            for b in range(dim):
-                for c in range(dim):
-                    lhs = {}
-                    for m, v in self.bracket(b, c).items():
-                        add(self.bracket(a, m), v, lhs)
-                    rhs = {}
-                    for m, v in self.bracket(a, b).items():
-                        add(self.bracket(m, c), v, rhs)
-                    sign = self._sign(a, b)
-                    for m, v in self.bracket(a, c).items():
-                        add(self.bracket(b, m), v * sign, rhs)
-                    if lhs != rhs:
-                        raise CsalgError(
-                            "structure constants fail the Jacobi identity "
-                            "at (%s, %s, %s)" % (self.names[a], self.names[b],
-                                                 self.names[c]))
+                        "structure constant index %r at (%r, %r) lies outside "
+                        "range(%d)" % (index, i, j, self.dim))
+        failures = check_axioms(make_current(self)).failures
+        for axiom, what in (("CS4", "are not super-antisymmetric"),
+                            ("CS5", "fail the Jacobi identity")):
+            for f in failures:
+                if f.axiom == axiom:
+                    raise CsalgError("structure constants %s at (%s)"
+                                     % (what, ", ".join(map(str, f.location))))
 
 
 def make_current(sc, name=None):

@@ -16,7 +16,10 @@ the domain range by the table's lambda-degree so that multiplication by a
 small power of t stays representable, equations are imposed on all ambient
 components, and matrix entries never touched by a constraint are pinned to
 zero.  Solutions preserve parity and the exponent cosets, which is what a
-graded endomorphism of the loop algebra must do.
+graded endomorphism of the loop algebra must do.  For a table with no D
+and no lambda terms (a current algebra) no row reaches the Dhat keys, so
+they are pinned to zero and the identity appears only as a non-monomial
+direction, not as r = 1.
 
 Blocks: when the generator weights grade the bracket table and every loop
 basis vector has a single weight (``LoopAlgebra.weights``), the key
@@ -323,9 +326,7 @@ def centroid_basis(L, window, interior):
     """
     frame = _Frame(L, window, interior)
     A = frame.algebra
-    field = frame.field
-    one = field.one()
-    zero = field.zero()
+    one = frame.field.one()
     keys = frame.keys
     interior0 = frame.interior0
 
@@ -425,41 +426,27 @@ def centroid_basis(L, window, interior):
     for block in blocks.values():
         pivots.update(block)
     raw = _null_basis(pivots, touched, one)
+    # raw lives on touched unknowns: its span solves every row, untouched 0
+    null = {}
+    for vec in raw:
+        _echelon_insert(null, vec)
 
     def solution(vec):
         return CentroidSolution(frame, {
             (keys[unknowns[uid][0]], keys[unknowns[uid][1]]): vec[uid]
             for uid in sorted(vec)})
 
-    def solves(vec):
-        """Whether vec meets every pivot relation x_lead = sum m_u x_u."""
-        for lead, row in pivots.items():
-            acc = zero
-            for u, m in row.items():
-                v = vec.get(u)
-                if v is not None:
-                    acc = acc + m * v
-            if acc != vec.get(lead, zero):
-                return False
-        return True
-
     solutions = []
     chosen = {}
     # t^j carries the domain keys at the extreme exponents past the
     # codomain, which reaches maxl beyond them, unless |j| <= maxl
     for j in range(-frame.maxl, frame.maxl + 1):
-        entries = {}
-        ok = True
-        for d in domain:
-            for c, v in frame.times({d: one}, {j: one}).items():
-                uid = cols[d].get(c)
-                if uid is None or uid not in touched:
-                    ok = False
-                    break
-                entries[uid] = v
-            if not ok:
-                break
-        if not ok or not solves(entries):
+        try:
+            entries = {cols[d][c]: v for d in domain
+                       for c, v in frame.times({d: one}, {j: one}).items()}
+        except KeyError:  # the image leaves the codomain
+            continue
+        if _reduce_against(null, entries)[0]:
             continue
         _echelon_insert(chosen, entries)
         solutions.append(solution(entries))

@@ -555,7 +555,7 @@ def parse_morphism(text, algebra):
             gtok = toks[1]
             try:
                 g = algebra.gen_index(gtok.text)
-            except (KeyError, DomainError):
+            except CsalgError:
                 raise ParseError("unknown generator %r" % gtok.text,
                                  gtok.line, gtok.col)
             if g in images:

@@ -158,6 +158,8 @@ class LaurentElt:
 
     def delta_power(self, j):
         """Divided power delta^{(j)} = (d/dt)^j / j!; acts by C(q,j) t^{q-j}."""
+        if j < 0:
+            raise DomainError("delta_power needs j >= 0, got j = %s" % j)
         out = {}
         for q, c in self.terms.items():
             w = binom_frac(q, j)

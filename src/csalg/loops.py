@@ -214,7 +214,9 @@ def loop_membership(L, x):
     """
     A = L.base
     if x.field is not A.field:
-        raise DomainError("element uses a different scalar field")
+        raise DomainError(
+            "element lives over Q(zeta_%d), the loop over Q(zeta_%d)"
+            % (x.field.conductor, A.field.conductor))
     grouped = {}
     for (g, l, q), c in to_hat_basis(A, x).items():
         _add_to(grouped.setdefault((l, q), {}), g, c)

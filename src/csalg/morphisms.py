@@ -108,7 +108,8 @@ def extend_apply(phi, x):
     A = phi.algebra
     if x.field is not A.field:
         raise DomainError(
-            "element and morphism live over different scalar fields")
+            "element lives over Q(zeta_%d), the morphism over Q(zeta_%d)"
+            % (x.field.conductor, A.field.conductor))
     out = A.zero_elt()
     for (g, l, q), c in to_hat_basis(A, x).items():
         moved = phi.images[g].shift_t(q)

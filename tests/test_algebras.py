@@ -201,3 +201,25 @@ def test_odd_pairs_of_structure_constants_are_symmetric():
     assert sc.bracket(1, 0) == {2: sc.field.one()}
     with pytest.raises(CsalgError, match=r"antisymmetric at \(x, y\)"):
         StructureConstants(names, parities, {(0, 1): {2: 1}, (1, 0): {2: -1}})
+
+
+def test_structure_constant_index_out_of_range_is_named():
+    with pytest.raises(CsalgError) as err:
+        StructureConstants(["a", "b"], [EVEN, EVEN],
+                           {(0, 1): {2: 1}, (1, 0): {2: -1}})
+    assert str(err.value) == ("structure constant index 2 at (0, 1) lies "
+                              "outside range(2)")
+    with pytest.raises(CsalgError, match=r"index -1 at \(-1, 0\)"):
+        StructureConstants(["a", "b"], [EVEN, EVEN], {(-1, 0): {}})
+
+
+def test_structure_constant_parities_must_match_the_names():
+    with pytest.raises(CsalgError) as err:
+        StructureConstants(["a", "b", "c"], [EVEN, EVEN], {})
+    assert str(err.value) == "structure constants have 3 names but 2 parities"
+
+
+def test_structure_constant_names_must_be_distinct():
+    with pytest.raises(CsalgError) as err:
+        StructureConstants(["a", "b", "a"], [EVEN] * 3, {})
+    assert str(err.value) == "duplicate name 'a' in structure constants"

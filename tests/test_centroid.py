@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from csalg import centroid
-from csalg.algebras import make_n2, make_n4
+from csalg.algebras import make_current, make_n2, make_n4, sl2_constants
 from csalg.centroid import _Frame, centroid_basis, is_scalar_action
 from csalg.core import (EVEN, AlgebraDef, ConfElt, Generator, LambdaPoly,
                         apply_partial, lambda_bracket, to_hat_basis)
@@ -311,6 +311,20 @@ def test_weightless_loop_is_solved_as_one_block_with_the_same_answer():
     ungraded = centroid_basis(loop, 3, 1)
     assert ([list(chi.entries.items()) for chi in ungraded]
             == [list(chi.entries.items()) for chi in graded])
+
+
+def test_current_loop_leaves_only_the_level0_identity():
+    # no row of a current algebra reaches the Dhat keys, which stay pinned
+    # to zero: t^0 is no solution, and the identity on the level-0 keys is
+    # the one leftover direction
+    curr = make_current(sl2_constants())
+    (chi,) = centroid_basis(eigenspaces(curr, identity_morphism(curr), 1),
+                            3, 1)
+    assert is_scalar_action(chi) is None
+    frame = chi._frame
+    level0 = [frame.keys[i] for i in frame.domain if frame.keys[i][1] == 0]
+    assert len(level0) == 15
+    assert chi.entries == {(k, k): curr.field.one() for k in level0}
 
 
 @pytest.mark.parametrize("loop", [OMEGA_LOOP, N4_MINUS],

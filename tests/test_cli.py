@@ -116,6 +116,17 @@ def test_hom_fails_on_wrong_images(capsys, tmp_path):
     assert "homomorphism: FAIL" in out
 
 
+def test_unknown_generator_in_a_morphism_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad.csm"
+    path.write_text("morphism bad on N2 level 1\nimage FOO = L\n")
+    for argv in (["hom", "n2.csa", str(path)],
+                 ["loop", "n2.csa", "--auto", str(path), "--window", "3"]):
+        code, out, err = run(capsys, argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err == "error: line 2, col 7: unknown generator 'FOO'\n"
+
+
 def test_twist_image_off_the_generator_span_is_named(capsys, tmp_path):
     path = tmp_path / "bad.csm"
     path.write_text("morphism bad on N2 level 1\nimage L = L + D J\n"
@@ -423,6 +434,28 @@ def test_centroid_golden(capsys):
                    "  r = t^{-1}\n"
                    "  r = 1\n"
                    "  r = t^{1}\n")
+
+
+SL2_CSA = ("algebra sl2\n\ngenerator e parity=even\ngenerator h parity=even\n"
+           "generator f parity=even\n\nbracket h e = 2*e\n"
+           "bracket h f = -2*f\nbracket e f = h\n")
+
+
+def test_centroid_of_a_current_loop_is_not_a_scalar_action(capsys,
+                                                            tmp_path):
+    # no row of a current algebra reaches the Dhat keys, so the identity
+    # is found only as a leftover direction, not as r = 1
+    path = tmp_path / "sl2.csa"
+    path.write_text(SL2_CSA)
+    argv = ["centroid", str(path), "--auto", "id", "--window", "3",
+            "--interior", "1"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out == ("1 centroid solutions on window 3 (interior 1):\n"
+                   "  (not a scalar action)\n")
+    code, out, _ = run(capsys, argv + ["--json"])
+    assert code == 0
+    assert [s["scalar"] for s in json.loads(out)["solutions"]] == [False]
 
 
 def test_verdicts_are_coloured_on_a_terminal(capsys, monkeypatch):

@@ -188,6 +188,14 @@ def test_morphism_print_parse_round_trip():
     assert back.level == f.level
 
 
+def test_morphism_image_of_an_unknown_generator_points_at_the_token():
+    text = "morphism bad on N2 level 1\nimage FOO = L\n"
+    with pytest.raises(ParseError) as err:
+        parse_morphism(text, N2)
+    assert (err.value.line, err.value.col) == (2, 7)
+    assert str(err.value) == "line 2, col 7: unknown generator 'FOO'"
+
+
 def test_morphism_for_another_algebra_is_rejected():
     text = "morphism f on N9 level 1\nimage L = L\n"
     with pytest.raises(ParseError, match="N9"):

@@ -73,6 +73,14 @@ def test_delta_divided_powers():
     assert x.delta_power(0) == x
 
 
+def test_delta_power_refuses_a_negative_order():
+    # the generalized binomial C(q, j) is 0 for j < 0, not the empty
+    # product 1, so t^2 must not map to t^3
+    with pytest.raises(DomainError, match=r"^delta_power needs j >= 0, "
+                                          r"got j = -1$"):
+        LaurentElt.monomial(1, 2).delta_power(-1)
+
+
 def test_galois_action():
     x = mono(1, Fraction(1, 2), level=2)
     assert galois_act(1, x) == -x

@@ -172,6 +172,13 @@ def test_off_span_vectors_are_named_in_the_error():
         LoopAlgebra(N2, 1, [[N2.elt("L"), N2.elt("J", dpow=1)]])
 
 
+def test_membership_names_both_fields():
+    with pytest.raises(DomainError) as err:
+        loop_membership(OMEGA_LOOP, make_n2(12).elt("L"))
+    assert str(err.value) == \
+        "element lives over Q(zeta_12), the loop over Q(zeta_24)"
+
+
 def test_membership_is_stable_under_the_derivation():
     x = N2.elt("L", q=1)
     assert loop_membership(OMEGA_LOOP, x)

@@ -177,6 +177,13 @@ def test_n4_auto_names_both_fields_of_y():
         "Y lives over Q(zeta_12), the algebra over Q(zeta_24)"
 
 
+def test_extend_apply_names_both_fields():
+    with pytest.raises(DomainError) as err:
+        extend_apply(n2_omega(N2), make_n2(12).elt("L"))
+    assert str(err.value) == \
+        "element lives over Q(zeta_12), the morphism over Q(zeta_24)"
+
+
 # -- group structure over N=2 ------------------------------------------------
 
 
