@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import (EVEN, ODD, AlgebraDef, ConfElt, Generator, LambdaPoly,
-                   check_axioms, complete_table_cs4)
+from .core import (EVEN, ODD, AlgebraDef, AxiomReport, ConfElt, Generator,
+                   LambdaPoly, _sweep_cs4, _sweep_cs5, complete_table_cs4)
 from .cyclotomic import DEFAULT_CONDUCTOR, CycloField, _add_to
 from .errors import ConductorError, CsalgError
 
@@ -21,7 +21,7 @@ class StructureConstants:
     ``c`` maps an index pair (i, j) to {k: scalar} with
     [v_i, v_j] = sum_k c[i][j][k] v_k.  Super-antisymmetry and the super
     Jacobi identity are verified at construction, as the axioms CS4 and CS5
-    of the current algebra.
+    of the current algebra, by the sweeps of ``check_axioms``.
     """
 
     def __init__(self, names, parities, c, conductor=DEFAULT_CONDUCTOR):
@@ -54,10 +54,12 @@ class StructureConstants:
                     raise CsalgError(
                         "structure constant index %r at (%r, %r) lies outside "
                         "range(%d)" % (index, i, j, self.dim))
-        failures = check_axioms(make_current(self)).failures
+        current, report = make_current(self), AxiomReport(None)
+        _sweep_cs4(current, report)
+        _sweep_cs5(current, report)
         for axiom, what in (("CS4", "are not super-antisymmetric"),
                             ("CS5", "fail the Jacobi identity")):
-            for f in failures:
+            for f in report.failures:
                 if f.axiom == axiom:
                     raise CsalgError("structure constants %s at (%s)"
                                      % (what, ", ".join(map(str, f.location))))

@@ -12,13 +12,18 @@ Window semantics: constraint pairs a, b are drawn from the undecorated
 interior (exponents up to the interior radius), so every product lands
 inside the window and no truncation enters a row; the unknown columns are
 the interior together with the product closure, the codomain is padded past
-the domain range by the table's lambda-degree so that multiplication by a
-small power of t stays representable, equations are imposed on all ambient
-components, and matrix entries never touched by a constraint are pinned to
-zero.  Solutions preserve parity and the exponent cosets, which is what a
-graded endomorphism of the loop algebra must do.  For a table with no D
-and no lambda terms (a current algebra) no row reaches the Dhat keys, so
-they are pinned to zero and the identity appears only as a non-monomial
+the domain range by the table's lambda-degree maxl so that multiplication
+by a small power of t stays representable, equations are imposed on all
+ambient components, and matrix entries never touched by a constraint are
+pinned to zero.  On the graded path (see Blocks) the codomain reaches one
+step further down, since t^{-1} sends Dhat(v t^q) to Dhat(v t^{q-1})
+- v t^{q-2}; without it an interior of one exponent per coset (interior
+1/2 on an untwisted loop) misses t^{-1}.  The ungraded path keeps the
+shorter codomain: it solves every shift, and the extra step would admit
+t^{-2} there.  Solutions preserve parity and the exponent cosets, which is
+what a graded endomorphism of the loop algebra must do.  For a table with
+no D and no lambda terms (a current algebra) no row reaches the Dhat keys,
+so they are pinned to zero and the identity appears only as a non-monomial
 direction, not as r = 1.
 
 Blocks: when the generator weights grade the bracket table and every loop
@@ -26,9 +31,13 @@ basis vector has a single weight (``LoopAlgebra.weights``), the key
 (alpha, l, q) has degree q - l - wt(alpha) + 1, and every row is
 homogeneous in the shift deg(codomain key) - deg(domain key) of its
 unknowns.  Each shift is then eliminated in an echelon of its own, and
-multiplication by t^j lives in block j alone.  Without weights, or when
-the check fails, every unknown gets shift 0 and the system is one block;
-the solutions are the same either way.
+multiplication by t^j lives in block j alone.  Only the shifts
+|s| <= maxl, the range the monomial candidates t^j are drawn from, are
+built at all: a dropped shift drops whole rows and leaves the other blocks
+as they are, and leftover directions come from the built shifts alone.
+Without weights, or when the check fails, every unknown gets shift 0 and
+the system is one block holding every shift; the solutions are the same
+either way.
 
 Key ids: a key (alpha, l, q) carries a Fraction exponent, which is slow to
 hash, so the solve runs on small int ids instead.  ``_Frame`` interns each
@@ -64,9 +73,10 @@ __all__ = ["CentroidSolution", "centroid_basis", "is_scalar_action"]
 
 #: Most unknowns the windowed system may have, as estimated from the loop
 #: basis before anything is built.  The N=2 loop twisted by omega at
-#: window 25, interior 10 estimates 33,112 (28,452 actual) and took
-#: 38.5 s (single run, CPython 3.11); every case in the tests, demos and
-#: benchmark estimates 8,064 or fewer.
+#: window 25, interior 10 estimates 33,112; the graded solve builds 1,958
+#: of them (shifts |s| <= maxl only) and took 2.1 s (single run, CPython
+#: 3.11).  Every case in the tests, demos and benchmark estimates 8,064
+#: or fewer.
 MAX_UNKNOWNS = 20000
 
 
@@ -321,8 +331,12 @@ def centroid_basis(L, window, interior):
     """Exact basis of the windowed centroid system of a loop algebra.
 
     Returns solutions ordered so that every one acting as multiplication by
-    a monic monomial t^j comes first (j increasing), followed by whatever
-    directions remain, reduced against them.
+    a monic monomial t^j (|j| <= maxl, the table's lambda-degree) comes
+    first (j increasing), followed by whatever directions remain, reduced
+    against them.  A graded loop is solved on the shifts |s| <= maxl only,
+    so its leftover directions come from those shifts, and its codomain
+    reaches one step further down than an ungraded one (see the module
+    docstring).
     """
     frame = _Frame(L, window, interior)
     A = frame.algebra
@@ -367,7 +381,10 @@ def centroid_basis(L, window, interior):
     domain = sorted(domain, key=lambda i: (keys[i][0], keys[i][2],
                                            keys[i][1]))
     frame.domain = set(domain)
-    dlo = min(keys[i][2] for i in domain) - frame.maxl
+    # graded: one step further down, where t^{-1} sends the lowest Dhat
+    # key; the shift bound below keeps out the t^{-2} it would also admit
+    dlo = (min(keys[i][2] for i in domain) - frame.maxl
+           - (frame.weights is not None))
     dhi = max(keys[i][2] for i in domain) + frame.maxl
 
     codomain = [frame.key_id((bi, l, q))
@@ -375,7 +392,8 @@ def centroid_basis(L, window, interior):
                 for q in L.exponents(res, dlo, dhi) for l in (0, 1)]
 
     # legal matrix positions: same parity, and the same residue, so the
-    # exponent difference is an integer
+    # exponent difference is an integer, and a shift |s| <= maxl, the
+    # blocks a candidate t^j can live in (every shift is 0 when ungraded)
     sigs = frame.sigs
     degrees = frame.degrees
     cod_of = {}
@@ -390,18 +408,21 @@ def centroid_basis(L, window, interior):
         col = cols[d] = {}
         ddeg = degrees[d]
         for c in cod_of[sigs[d]]:
-            col[c] = len(unknowns)
-            unknowns.append((d, c))
-            shift.append(block_of.setdefault(degrees[c] - ddeg,
-                                             len(block_of)))
+            s = degrees[c] - ddeg
+            if abs(s) <= frame.maxl:
+                col[c] = len(unknowns)
+                unknowns.append((d, c))
+                shift.append(block_of.setdefault(s, len(block_of)))
 
     # assemble the strict rows, n running one past the table degree so the
     # vanishing products constrain the unknowns too; each row is homogeneous
     # in the shift and goes to the echelon of its own block
     blocks = {}
     touched = set()
-    isigs = {sigs[b] for b in interior0}
-    level0 = [c for c in codomain if sigs[c] in isigs and not keys[c][1]]
+    # the level-0 columns an interior key's unknowns use, themselves or
+    # through their level-1 sibling
+    level0 = {frame.key_id((keys[c][0], 0, keys[c][2]))
+              for b in interior0 for c in cols[b]}
     for a in interior0:
         minus = _minus_columns(frame, brackets[a], level0)
         for b in interior0:

@@ -581,7 +581,6 @@ def check_axioms(A, seed=0):
 
     rng = random.Random(seed)
     report = AxiomReport(A.name)
-    ngen = A.ngens()
 
     # CS0: finiteness is structural; confirm the table is finite in lambda.
     report.verdicts["CS0"] = True
@@ -637,7 +636,14 @@ def check_axioms(A, seed=0):
             report.fail("CS3", "left slot", "random spot check")
     report.counts["CS3"] = "%d spot checks" % (2 * trials)
 
-    # CS4: skew-symmetry, every ordered generator pair.
+    _sweep_cs4(A, report)
+    _sweep_cs5(A, report)
+    return report
+
+
+def _sweep_cs4(A, report):
+    """CS4 (skew-symmetry) on every ordered generator pair, into ``report``."""
+    ngen = A.ngens()
     report.verdicts.setdefault("CS4", True)
     for i in range(ngen):
         for j in range(ngen):
@@ -650,9 +656,13 @@ def check_axioms(A, seed=0):
                             "n=%d" % n)
     report.counts["CS4"] = "%d pairs" % (ngen * ngen)
 
-    # CS5: Jacobi identity, every ordered generator triple, both lambda
-    # and mu degrees up to the vanishing bound.  Each side is a map
-    # {(m, n): terms} built from its nonzero coefficients alone.
+
+def _sweep_cs5(A, report):
+    """CS5 (Jacobi) on every ordered generator triple, both lambda and mu
+    degrees up to the vanishing bound, into ``report``.  Each side is a map
+    {(m, n): terms} built from its nonzero coefficients alone; failures
+    come n-major, m-minor."""
+    ngen = A.ngens()
     report.verdicts.setdefault("CS5", True)
     maxl, maxd = A.table_degrees()
     bound = maxl + maxd + 2
@@ -701,7 +711,6 @@ def check_axioms(A, seed=0):
                              A.generators[c].name),
                             "m=%d n=%d" % (m, n))
     report.counts["CS5"] = "%d triples" % triples
-    return report
 
 
 # -- hat basis (full-derivation divided powers) -----------------------------

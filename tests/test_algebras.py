@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from csalg import core
 from csalg.algebras import (
     StructureConstants,
     gl2_constants,
@@ -223,3 +224,17 @@ def test_structure_constant_names_must_be_distinct():
     with pytest.raises(CsalgError) as err:
         StructureConstants(["a", "b", "a"], [EVEN] * 3, {})
     assert str(err.value) == "duplicate name 'a' in structure constants"
+
+
+def test_structure_constants_are_validated_by_the_cs4_and_cs5_sweeps_alone(
+        monkeypatch):
+    # the CS1-CS3 spot checks test the bracket evaluator, not the
+    # constants; construction must not pay for them
+    def unreachable(*args):
+        raise AssertionError("construction ran a CS1-CS3 spot check")
+
+    monkeypatch.setattr(core, "_sample_elt", unreachable)
+    assert gl2_constants().dim == 4
+    with pytest.raises(CsalgError, match=r"not super-antisymmetric at \(a, b\)"):
+        StructureConstants(["a", "b"], [EVEN, EVEN],
+                           {(0, 1): {0: 1}, (1, 0): {0: 1}})

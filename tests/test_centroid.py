@@ -24,6 +24,10 @@ OMEGA_LOOP = eigenspaces(N2, n2_omega(N2), 2)
 N4 = make_n4()
 N4_MINUS = eigenspaces(N4, n4_auto([[1, 0], [0, 1]], [[-1, 0], [0, -1]], N4),
                        2)
+Z3, I4 = N4.field.root_of_unity(3), N4.field.root_of_unity(4)
+N4_Z3 = eigenspaces(N4, n4_auto([[1, 0], [0, 1]], [[Z3, 0], [0, Z3 ** 2]], N4),
+                    3)
+N4_I = eigenspaces(N4, n4_auto([[1, 0], [0, 1]], [[I4, 0], [0, -I4]], N4), 4)
 
 
 def mono(q):
@@ -37,7 +41,7 @@ def by_exponent(solutions):
         r = is_scalar_action(sol)
         assert r is not None
         ((q, c),) = r.terms.items()
-        assert c == FIELD.one()
+        assert c == sol.loop.base.field.one()
         out[q] = sol
     return out
 
@@ -313,6 +317,44 @@ def test_weightless_loop_is_solved_as_one_block_with_the_same_answer():
             == [list(chi.entries.items()) for chi in graded])
 
 
+def _weightless(A):
+    gens = [Generator(g.name, g.parity) for g in A.generators]
+    return AlgebraDef(A.name, A.field, gens, A.table)
+
+
+@pytest.mark.parametrize("twist, order, window, interior",
+                         [(n2_omega, 2, 5, 2), (identity_morphism, 1, 3, 1)],
+                         ids=["omega-w5-i2", "id-w3-i1"])
+def test_weightless_loop_solves_every_shift_to_the_same_answer(
+        twist, order, window, interior):
+    # the one-block solve keeps every shift, so it is an oracle for the
+    # graded solve, which builds only the shifts |s| <= maxl
+    bare = _weightless(N2)
+    loop = eigenspaces(bare, twist(bare), order)
+    assert _Frame(loop, window, interior).weights is None
+    graded = centroid_basis(eigenspaces(N2, twist(N2), order), window,
+                            interior)
+    ungraded = centroid_basis(loop, window, interior)
+    assert ([list(chi.entries.items()) for chi in ungraded]
+            == [list(chi.entries.items()) for chi in graded])
+
+
+@pytest.mark.parametrize("A", [N2, N4], ids=["n2", "n4"])
+def test_one_exponent_per_coset_still_finds_t_inverse(A):
+    # interior 1/2 holds the exponent 0 alone; t^{-1} sends Dhat(v t^q) to
+    # Dhat(v t^{q-1}) - v t^{q-2}, one step below the lowest domain exponent
+    # less maxl, and the graded solve pads its codomain by that step
+    loop = eigenspaces(A, identity_morphism(A), 1)
+    sols = centroid_basis(loop, 3, Fraction(1, 2))
+    assert list(by_exponent(sols)) == [-1, 0, 1]
+    # the one-block solve of a weightless table keeps the old padding, and
+    # the miss: with the extra step it would solve t^{-2} at interior 1
+    bare = _weightless(A)
+    sols = centroid_basis(eigenspaces(bare, identity_morphism(bare), 1), 3,
+                          Fraction(1, 2))
+    assert list(by_exponent(sols)) == [0, 1]
+
+
 def test_current_loop_leaves_only_the_level0_identity():
     # no row of a current algebra reaches the Dhat keys, which stay pinned
     # to zero: t^0 is no solution, and the identity on the level-0 keys is
@@ -327,8 +369,8 @@ def test_current_loop_leaves_only_the_level0_identity():
     assert chi.entries == {(k, k): curr.field.one() for k in level0}
 
 
-@pytest.mark.parametrize("loop", [OMEGA_LOOP, N4_MINUS],
-                         ids=["n2_omega", "n4_minus"])
+@pytest.mark.parametrize("loop", [OMEGA_LOOP, N4_MINUS, N4_Z3, N4_I],
+                         ids=["n2_omega", "n4_minus", "n4_z3", "n4_i"])
 def test_entries_match_multiplication_on_the_solved_domain(loop):
     # an oracle that never sees the unknown ids: the image of each solved
     # domain key under t^j, decomposed on its own

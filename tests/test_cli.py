@@ -436,6 +436,20 @@ def test_centroid_golden(capsys):
                    "  r = t^{1}\n")
 
 
+@pytest.mark.parametrize("name", ["n2.csa", "n4.csa"])
+def test_centroid_with_one_exponent_per_coset_finds_t_inverse(capsys, name):
+    # t^{-1} sends Dhat(v t^q) to Dhat(v t^{q-1}) - v t^{q-2}, one step
+    # below the lowest domain exponent less maxl; the graded solve pads
+    # its codomain by that step
+    code, out, _ = run(capsys, ["centroid", name, "--auto", "id",
+                                "--window", "3", "--interior", "1/2"])
+    assert code == 0
+    assert out == ("3 centroid solutions on window 3 (interior 1/2):\n"
+                   "  r = t^{-1}\n"
+                   "  r = 1\n"
+                   "  r = t^{1}\n")
+
+
 SL2_CSA = ("algebra sl2\n\ngenerator e parity=even\ngenerator h parity=even\n"
            "generator f parity=even\n\nbracket h e = 2*e\n"
            "bracket h f = -2*f\nbracket e f = h\n")
