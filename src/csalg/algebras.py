@@ -76,7 +76,7 @@ def make_current(sc, name=None):
     for i in range(sc.dim):
         for j in range(sc.dim):
             row = sc.bracket(i, j)
-            elt = ConfElt(field, {(k, 0, Fraction(0)): v for k, v in row.items()})
+            elt = ConfElt(field, {(k, 0, 0): v for k, v in row.items()})
             table[(i, j)] = LambdaPoly(field, {0: elt})
     return AlgebraDef(name or "Curr", field, gens, table)
 
@@ -116,7 +116,7 @@ def _poly(field, pairs):
     for n, terms in pairs.items():
         elt = {}
         for (g, j), c in terms.items():
-            elt[(g, j, Fraction(0))] = field.scalar(c)
+            elt[(g, j, 0)] = field.scalar(c)
         coeffs[n] = ConfElt(field, elt)
     return LambdaPoly(field, coeffs)
 

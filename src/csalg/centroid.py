@@ -39,13 +39,14 @@ Without weights, or when the check fails, every unknown gets shift 0 and
 the system is one block holding every shift; the solutions are the same
 either way.
 
-Key ids: a key (alpha, l, q) carries a Fraction exponent, which is slow to
-hash, so the solve runs on small int ids instead.  ``_Frame`` interns each
-pair (l, q) once, on first sight, and gives the keys (alpha, l, q) of all
-eigenbasis records consecutive ids; ``_Frame.keys`` maps an id back to its
-key, and the parity, residue and degree of each id are read once, into
-lists.  Coordinates, columns, rows, blocks and the hat-element cache all
-run on ids; ids become keys again only in the entries of a
+Key ids: a key (alpha, l, q) carries a rational exponent, which is slow to
+hash when it is a Fraction, so the solve runs on small int ids instead.
+``_Frame`` interns each pair (l, q) once, on first sight, and gives the
+keys (alpha, l, q) of all eigenbasis records consecutive ids;
+``_Frame.keys`` maps an id back to its key, and the parity, residue and
+degree of each id are read once, into lists.  Coordinates, columns, rows,
+blocks and the hat-element cache all run on ids; ids become keys again,
+with a Fraction exponent, only in the entries and images of a
 ``CentroidSolution``.
 
 Coordinates: each interior key a is bracketed once with each t-free
@@ -63,7 +64,7 @@ Dhat c_m + m c_{m-1}, with Dhat (alpha, l, q) = (l + 1) (alpha, l + 1, q).
 from fractions import Fraction
 
 from .core import apply_partial_power, lambda_bracket, to_hat_basis
-from .cyclotomic import _add_to
+from .cyclotomic import _add_to, _q
 from .errors import DomainError
 from .laurent import LaurentElt
 from .linalg import (_echelon_insert, _null_basis, _reduce_against,
@@ -182,8 +183,13 @@ class _Frame:
                              for res, _, _, parity in self.alphas)
             self.degrees.extend(
                 [0] * len(self.alphas) if self.weights is None
-                else [q - l - w + 1 for w in self.weights])
+                else [_q(q - l - w + 1) for w in self.weights])
         return base
+
+    def entry_key(self, i):
+        """The key of id i as a solution shows it: q as a Fraction."""
+        ai, l, q = self.keys[i]
+        return ai, l, Fraction(q)
 
     def key_id(self, key):
         """The id of a key (alpha, l, q), interned on first sight."""
@@ -233,9 +239,9 @@ class _Frame:
             ai, l, q = keys[i]
             for s, c in terms.items():
                 w = v * c
-                _add_to(out, slot(l, q + s) + ai, w)
+                _add_to(out, slot(l, _q(q + s)) + ai, w)
                 if l and s:
-                    _add_to(out, slot(0, q + s - 1) + ai, w * -s)
+                    _add_to(out, slot(0, _q(q + s - 1)) + ai, w * -s)
         return out
 
 
@@ -270,7 +276,7 @@ class CentroidSolution:
     def image(self, dkey):
         """The image of a domain basis element, as codomain coordinates."""
         frame = self._frame
-        return {frame.keys[c]: v for c, v in
+        return {frame.entry_key(c): v for c, v in
                 self._images.get(frame.key_id(dkey), {}).items()}
 
     def apply(self, x):
@@ -454,7 +460,8 @@ def centroid_basis(L, window, interior):
 
     def solution(vec):
         return CentroidSolution(frame, {
-            (keys[unknowns[uid][0]], keys[unknowns[uid][1]]): vec[uid]
+            (frame.entry_key(unknowns[uid][0]),
+             frame.entry_key(unknowns[uid][1])): vec[uid]
             for uid in sorted(vec)})
 
     solutions = []

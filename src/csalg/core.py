@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .cyclotomic import _add_to, _scaled_terms, _signed_sum
+from .cyclotomic import _add_to, _q, _scaled_terms, _signed_sum
 from .errors import CsalgError, TableInconsistencyError
 from .laurent import binom_frac
 
@@ -58,7 +58,10 @@ class ConfElt:
     """A sparse element of A (x) S_m.
 
     ``terms`` maps (generator index, divided D-power, exponent of t) to
-    a nonzero cyclotomic scalar.
+    a nonzero cyclotomic scalar.  The exponent follows the ``_q`` rule of
+    ``cyclotomic``: an ``int`` when integral, a ``Fraction`` otherwise, so
+    the keys hash fast; an integral ``Fraction`` key still compares and
+    hashes equal to its ``int``.
     """
 
     __slots__ = ("field", "terms")
@@ -109,7 +112,8 @@ class ConfElt:
         if not dq:
             return self
         return ConfElt(self.field,
-                       {(g, j, q + dq): c for (g, j, q), c in self.terms.items()})
+                       {(g, j, _q(q + dq)): c
+                        for (g, j, q), c in self.terms.items()})
 
     def mul_laurent(self, r):
         """Multiply by an arbitrary Laurent element (into the t slot)."""
@@ -251,7 +255,7 @@ class AlgebraDef:
         """One decorated term  coeff * D^{(dpow)} gen (x) t^q."""
         i = self.gen_index(ref)
         return ConfElt(self.field,
-                       {(i, dpow, Fraction(q)): self.field.scalar(coeff)})
+                       {(i, dpow, _q(q)): self.field.scalar(coeff)})
 
     def zero_poly(self):
         return LambdaPoly(self.field, {})
@@ -330,7 +334,7 @@ def apply_partial(A, x):
     for (g, j, q), c in x.terms.items():
         _add_to(acc, (g, j + 1, q), c * (j + 1))
         if q:
-            _add_to(acc, (g, j, q - 1), c * q)
+            _add_to(acc, (g, j, _q(q - 1)), c * q)
     return ConfElt(x.field, acc)
 
 
@@ -397,14 +401,14 @@ def lambda_bracket(A, x, y):
                     cw = c * w
                 else:
                     cw = c
-                dq = q1 + q2 - l if q1 else q2
+                dq = _q(q1 + q2 - l) if q1 else q2
                 for n, e in base.coeffs.items():
                     if n < l:
                         continue
                     out = acc.setdefault(n - l, {})
                     if dq:
                         for (g, j, q), v in e.terms.items():
-                            _add_to(out, (g, j, q + dq), v * cw)
+                            _add_to(out, (g, j, _q(q + dq)), v * cw)
                     else:
                         for k, v in e.terms.items():
                             _add_to(out, k, v * cw)
@@ -561,7 +565,7 @@ def _sample_elt(A, rng, max_dpow=2, exponents=(0, 1, -1, Fraction(1, 2))):
     for _ in range(rng.randrange(1, 4)):
         g = rng.randrange(A.ngens())
         j = rng.randrange(max_dpow + 1)
-        q = Fraction(rng.choice(exponents))
+        q = _q(rng.choice(exponents))
         terms[(g, j, q)] = A.field.rational(rng.randrange(-3, 4))
     return ConfElt(A.field, terms)
 
@@ -608,7 +612,7 @@ def check_axioms(A, seed=0):
     report.verdicts.setdefault("CS2", True)
     for _ in range(trials):
         x = _sample_elt(A, rng)
-        q = Fraction(rng.randrange(-2, 3))
+        q = rng.randrange(-2, 3)
         lhs = apply_partial(A, x.shift_t(q))
         rhs = apply_partial(A, x).shift_t(q) + x.shift_t(q - 1).scale(q)
         if lhs != rhs:
@@ -620,7 +624,7 @@ def check_axioms(A, seed=0):
     for _ in range(trials):
         x = _sample_elt(A, rng)
         y = _sample_elt(A, rng)
-        q = Fraction(rng.choice((1, -1, 2)))
+        q = rng.choice((1, -1, 2))
         if lambda_bracket(A, x, y.shift_t(q)) != \
                 lambda_bracket(A, x, y).map_coeffs(lambda e: e.shift_t(q)):
             report.fail("CS3", "right slot", "random spot check")
@@ -727,11 +731,11 @@ def _hat_rep(A, g, j, q):
     got = A._hat_cache.get(key)
     if got is not None:
         return got
-    rep = {key: Fraction(1)}
+    rep = {key: 1}
     for i in range(j):
         w = binom_frac(q, j - i)
         if w:
-            rep[(g, i, q - (j - i))] = -w if (j - i) % 2 else w
+            rep[(g, i, _q(q - (j - i)))] = _q(-w if (j - i) % 2 else w)
     A._hat_cache[key] = rep
     return rep
 

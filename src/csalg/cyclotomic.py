@@ -1,10 +1,19 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_N).
 
-A scalar is a sparse sum  sum_e c_e * zeta_N^e  with Fraction
+A scalar is a sparse sum  sum_e c_e * zeta_N^e  with exact rational
 coefficients, kept fully reduced modulo the N-th cyclotomic polynomial
 (so 0 <= e < phi(N)).  The conductor N is fixed per engine instance;
 every root of unity in play is a power of one primitive N-th root, so
 compatibility  xi_{l*m}^l = xi_m  holds by construction.
+
+Exact rationals follow one rule throughout the package (``_q``): an
+integral value is held as an ``int`` and only a non-integral one as a
+``Fraction``, since ``int`` arithmetic and hashing are much cheaper.  This
+covers scalar coefficients and the t-exponents of ``core.ConfElt`` keys.
+The two types compare and hash equal, so a value the rule misses is only
+slower, never wrong.  Values a caller reads stay ``Fraction``:
+``as_rational``, Laurent exponents, ``L0Spectrum`` eigenvalues and centroid
+solution keys.
 """
 
 from __future__ import annotations
@@ -22,6 +31,15 @@ DEFAULT_CONDUCTOR = 24
 #: N x phi(N) rewrite table, which takes about 0.3 s at the slowest
 #: conductor up to this bound (969) and grows past 20 s by N = 30030.
 MAX_CONDUCTOR = 1000
+
+
+def _q(c):
+    """The exact rational c as an int when it is integral, else a Fraction."""
+    if c.__class__ is int:
+        return c
+    if c.__class__ is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _add_to(acc, key, val):
@@ -91,21 +109,21 @@ class CycloField:
         poly = cyclotomic_poly(conductor)
         self.degree = len(poly) - 1
         # zeta^degree = -(lower part of the minimal polynomial)
-        base = {e: Fraction(-poly[e]) for e in range(self.degree) if poly[e]}
+        base = {e: -poly[e] for e in range(self.degree) if poly[e]}
         rewrite = {self.degree: base}
         for e in range(self.degree + 1, conductor):
             prev = rewrite[e - 1]
             cur = {}
             for i, c in prev.items():
                 if i + 1 < self.degree:
-                    cur[i + 1] = cur.get(i + 1, Fraction(0)) + c
+                    cur[i + 1] = cur.get(i + 1, 0) + c
                 else:
                     for bi, bc in base.items():
-                        cur[bi] = cur.get(bi, Fraction(0)) + c * bc
+                        cur[bi] = cur.get(bi, 0) + c * bc
             rewrite[e] = {i: c for i, c in cur.items() if c}
         self._rewrite = rewrite
         self._zero = CycloScalar(self, {})
-        self._one = CycloScalar(self, {0: Fraction(1)})
+        self._one = CycloScalar(self, {0: 1})
 
     @classmethod
     def get(cls, conductor):
@@ -118,18 +136,19 @@ class CycloField:
         return "CycloField(%d)" % self.conductor
 
     def reduce_terms(self, terms):
-        """Reduce a raw {exponent: Fraction} map modulo the minimal polynomial."""
+        """Reduce a raw {exponent: rational} map modulo the minimal
+        polynomial; the coefficients come out under the ``_q`` rule."""
         out = {}
         for e, c in terms.items():
             if not c:
                 continue
             e %= self.conductor
             if e < self.degree:
-                out[e] = out.get(e, Fraction(0)) + c
+                out[e] = out.get(e, 0) + c
             else:
                 for i, w in self._rewrite[e].items():
-                    out[i] = out.get(i, Fraction(0)) + c * w
-        return {e: c for e, c in out.items() if c}
+                    out[i] = out.get(i, 0) + c * w
+        return {e: _q(c) for e, c in out.items() if c}
 
     def zero(self):
         return self._zero
@@ -138,7 +157,7 @@ class CycloField:
         return self._one
 
     def rational(self, value):
-        value = Fraction(value)
+        value = _q(value)
         if not value:
             return self._zero
         return CycloScalar(self, {0: value})
@@ -162,12 +181,12 @@ class CycloField:
 
     def zeta(self, k=1):
         """The scalar zeta_N^k."""
-        return CycloScalar(self, self.reduce_terms({k: Fraction(1)}))
+        return CycloScalar(self, self.reduce_terms({k: 1}))
 
     def element(self, terms):
         """Build a scalar from a raw {exponent: rational} map."""
         return CycloScalar(
-            self, self.reduce_terms({e: Fraction(c) for e, c in terms.items()}))
+            self, self.reduce_terms({e: _q(c) for e, c in terms.items()}))
 
     def root_of_unity(self, m):
         """The compatible primitive m-th root xi_m = zeta_N^{N/m}."""
@@ -185,7 +204,8 @@ def root_of_unity(m, conductor=DEFAULT_CONDUCTOR):
 class CycloScalar:
     """An element of Q(zeta_N), immutable after construction.
 
-    ``coeffs`` maps exponents 0 <= e < phi(N) to nonzero Fractions.  The
+    ``coeffs`` maps exponents 0 <= e < phi(N) to nonzero rationals, each
+    an ``int`` when integral and a ``Fraction`` otherwise (``_q``).  The
     ring operations may return one of their operands unchanged (adding
     or subtracting zero, multiplying by zero), so a result can share its
     ``coeffs`` dict with an input: ``coeffs`` must never be mutated.
@@ -229,7 +249,7 @@ class CycloScalar:
         if not self.coeffs:
             return Fraction(0)
         if set(self.coeffs) == {0}:
-            return self.coeffs[0]
+            return Fraction(self.coeffs[0])
         return None
 
     def __bool__(self):
@@ -251,7 +271,7 @@ class CycloScalar:
             if e in out:
                 s = out[e] + c
                 if s:
-                    out[e] = s
+                    out[e] = _q(s)
                 else:
                     del out[e]
             else:
@@ -275,7 +295,7 @@ class CycloScalar:
             if e in out:
                 s = out[e] - c
                 if s:
-                    out[e] = s
+                    out[e] = _q(s)
                 else:
                     del out[e]
             else:
@@ -290,11 +310,11 @@ class CycloScalar:
         if other.__class__ is CycloScalar and other.field is self.field:
             a, b = self, other
         elif isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            if not f:
+            if not other:
                 return self.field.zero()
+            f = _q(other)
             return CycloScalar(self.field,
-                               {e: c * f for e, c in self.coeffs.items()})
+                               {e: _q(c * f) for e, c in self.coeffs.items()})
         else:
             pair = self._pair(other)
             if pair is None:
@@ -308,15 +328,15 @@ class CycloScalar:
         # a rational factor scales the other operand's reduced coefficients
         if len(bc) == 1 and 0 in bc:
             f = bc[0]
-            return CycloScalar(a.field, {e: c * f for e, c in ac.items()})
+            return CycloScalar(a.field, {e: _q(c * f) for e, c in ac.items()})
         if len(ac) == 1 and 0 in ac:
             f = ac[0]
-            return CycloScalar(a.field, {e: f * c for e, c in bc.items()})
+            return CycloScalar(a.field, {e: _q(f * c) for e, c in bc.items()})
         raw = {}
         for e1, c1 in ac.items():
             for e2, c2 in bc.items():
                 e = e1 + e2
-                raw[e] = raw.get(e, Fraction(0)) + c1 * c2
+                raw[e] = raw.get(e, 0) + c1 * c2
         return CycloScalar(a.field, a.field.reduce_terms(raw))
 
     __rmul__ = __mul__
@@ -324,9 +344,9 @@ class CycloScalar:
     def inverse(self):
         if not self.coeffs:
             raise DomainError("division by zero in Q(zeta_%d)" % self.field.conductor)
-        r = self.as_rational()
-        if r is not None:
-            return self.field.rational(1 / r)
+        if len(self.coeffs) == 1 and 0 in self.coeffs:
+            # the coefficient may be an int, whose true division is a float
+            return self.field.rational(Fraction(1) / self.coeffs[0])
         # x times its other conjugates sigma_k(x) (zeta -> zeta^k, k a
         # unit mod N) is the norm N(x), a nonzero rational
         field = self.field
@@ -338,7 +358,7 @@ class CycloScalar:
                     {e * k: c for e, c in self.coeffs.items()}))
         norm = (self * rest).as_rational()
         assert norm, "nonzero field element must have a nonzero rational norm"
-        return rest * (1 / norm)
+        return rest * (Fraction(1) / norm)
 
     def __truediv__(self, other):
         pair = self._pair(other)

@@ -30,7 +30,7 @@ from math import comb
 
 from .core import (AlgebraDef, ConfElt, EVEN, Generator, LambdaPoly, ODD,
                    complete_table_cs4)
-from .cyclotomic import DEFAULT_CONDUCTOR, CycloField, _add_to
+from .cyclotomic import DEFAULT_CONDUCTOR, CycloField, _add_to, _q
 from .errors import CsalgError, DomainError, ParseError
 from .morphisms import GenMorphism
 
@@ -328,7 +328,8 @@ class _ExprParser:
                 continue
             if m.gen is None:
                 self.fail("term without a generator", self.toks[-1])
-            _add_to(coeffs.setdefault(m.n, {}), (m.gen, m.j, m.q), m.coeff)
+            _add_to(coeffs.setdefault(m.n, {}), (m.gen, m.j, _q(m.q)),
+                    m.coeff)
         field = self.A.field
         return LambdaPoly(field, {n: ConfElt(field, terms)
                                   for n, terms in coeffs.items()})

@@ -11,19 +11,18 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .cyclotomic import (DEFAULT_CONDUCTOR, CycloField, CycloScalar,
-                         _add_to, _signed_sum)
+                         _add_to, _q, _signed_sum)
 from .errors import DomainError
 
 
 def binom_frac(q, j):
     """Generalized binomial C(q, j) = q(q-1)...(q-j+1)/j! for rational q."""
-    q = Fraction(q)
-    if q.denominator == 1 and j >= 0:
+    q = _q(q)
+    if q.__class__ is int and j >= 0:
         # C(-p, j) = (-1)^j C(p + j - 1, j) for the negative integers
-        n = q.numerator
-        if n < 0:
-            return Fraction((-1) ** j * comb(j - n - 1, j))
-        return Fraction(comb(n, j))
+        if q < 0:
+            return Fraction((-1) ** j * comb(j - q - 1, j))
+        return Fraction(comb(q, j))
     out = Fraction(1)
     for i in range(j):
         out = out * (q - i) / (i + 1)
@@ -44,7 +43,11 @@ class LaurentElt:
     def __init__(self, field, terms, level=None):
         clean = {}
         for q, c in terms.items():
-            _add_to(clean, Fraction(q), field.scalar(c))
+            if q.__class__ is not Fraction:
+                q = Fraction(q)
+            if c.__class__ is not CycloScalar or c.field is not field:
+                c = field.scalar(c)
+            _add_to(clean, q, c)
         self.field = field
         self.terms = clean
         needed = lcm(1, *(q.denominator for q in clean)) if clean else 1

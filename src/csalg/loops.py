@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .core import (EVEN, ODD, ConfElt, find_virasoro, lambda_bracket,
                    to_hat_basis)
-from .cyclotomic import _add_to, _scaled_terms, _signed_sum
+from .cyclotomic import _add_to, _q, _scaled_terms, _signed_sum
 from .errors import CsalgError, DomainError
 from .laurent import binom_frac
 from .linalg import _echelon, _reduce_against, null_space, rank, solve
@@ -155,7 +155,7 @@ class LoopAlgebra:
 
     def _exponent_steps(self, res, lo, hi):
         """(res/m, the range of k with lo <= res/m + k <= hi)."""
-        start = Fraction(res, self.order)
+        start = _q(Fraction(res, self.order))
         return start, range(math.ceil(lo - start), math.floor(hi - start) + 1)
 
     def exponents(self, res, lo, hi):
@@ -166,7 +166,7 @@ class LoopAlgebra:
     def mode(self, ref, mu, coeff=1):
         """The single mode  coeff * v_mu  as an AlgElt."""
         g = self.base.gen_index(ref)
-        return AlgElt(self, {(g, Fraction(mu)): coeff})
+        return AlgElt(self, {(g, mu): coeff})
 
 
 def eigenspaces(A, sigma, m):
@@ -197,7 +197,7 @@ def eigenspaces(A, sigma, m):
         rows = [[cols[c][r] - (shift if r == c else field.zero())
                  for c in range(n)] for r in range(n)]
         basis = null_space(rows, n, field.one(), field.zero())
-        eigenbasis.append([ConfElt(field, {(g, 0, Fraction(0)): c
+        eigenbasis.append([ConfElt(field, {(g, 0, 0): c
                                            for g, c in enumerate(vec)})
                            for vec in basis])
     if sum(len(piece) for piece in eigenbasis) != n:
@@ -335,7 +335,7 @@ class AlgElt:
         base = loop.base
         clean = {}
         for (g, mu), c in terms.items():
-            _add_to(clean, (base.gen_index(g), Fraction(mu)),
+            _add_to(clean, (base.gen_index(g), _q(mu)),
                     base.field.scalar(c))
         self.loop = loop
         self.terms = clean
@@ -422,7 +422,7 @@ def alg_reduce(L, raw):
     terms = {}
     for (g, j, mu), c in raw.items():
         g = L.base.gen_index(g)
-        mu = Fraction(mu)
+        mu = _q(mu)
         c = L.base.field.scalar(c)
         w = binom_frac(mu, j)
         if j % 2:

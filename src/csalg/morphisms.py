@@ -14,7 +14,7 @@ from math import lcm
 from .algebras import _pauli, make_n2, make_n4
 from .core import (ConfElt, _plain_verdict, apply_partial_power,
                    lambda_bracket, to_hat_basis)
-from .cyclotomic import DEFAULT_CONDUCTOR, CycloField
+from .cyclotomic import DEFAULT_CONDUCTOR, CycloField, _q
 from .errors import CsalgError, DomainError
 from .laurent import LaurentElt, delta_t
 from .linalg import det, mat_inverse_laurent, mat_mul
@@ -210,7 +210,7 @@ def invert(phi):
         terms = {}
         for g in range(A.ngens()):
             for q, c in inv[g][i].terms.items():
-                terms[(g, 0, q)] = c
+                terms[(g, 0, _q(q))] = c
         images[i] = ConfElt(A.field, terms)
     return GenMorphism(A, phi.level, images)
 
@@ -360,7 +360,7 @@ def _traceless_current(A, m):
 def _gen_times(A, name, r):
     """The element  generator (x) r  for a Laurent multiplier r."""
     g = A.gen_index(name)
-    return ConfElt(A.field, {(g, 0, q): c for q, c in r.terms.items()})
+    return ConfElt(A.field, {(g, 0, _q(q)): c for q, c in r.terms.items()})
 
 
 def n4_auto(Y, X, algebra=None):
