@@ -10,8 +10,10 @@ monic monomials.
 
 Window semantics: constraint pairs a, b are drawn from the undecorated
 interior (exponents up to the interior radius), so every product lands
-inside the window and no truncation enters a row; the unknown columns are
-the interior together with the product closure, the codomain is padded past
+inside the window and no truncation enters a row; the solved domain is
+the interior together with every key a product of two interior keys
+touches (a Dhat key only when some product has a D term, so the domain
+of a current algebra is level 0 alone), the codomain is padded past
 the domain range by the table's lambda-degree maxl so that multiplication
 by a small power of t stays representable, equations are imposed on all
 ambient components, and matrix entries never touched by a constraint are
@@ -21,10 +23,7 @@ step further down, since t^{-1} sends Dhat(v t^q) to Dhat(v t^{q-1})
 1/2 on an untwisted loop) misses t^{-1}.  The ungraded path keeps the
 shorter codomain: it solves every shift, and the extra step would admit
 t^{-2} there.  Solutions preserve parity and the exponent cosets, which is
-what a graded endomorphism of the loop algebra must do.  For a table with
-no D and no lambda terms (a current algebra) no row reaches the Dhat keys,
-so they are pinned to zero and the identity appears only as a non-monomial
-direction, not as r = 1.
+what a graded endomorphism of the loop algebra must do.
 
 Blocks: when the generator weights grade the bracket table and every loop
 basis vector has a single weight (``LoopAlgebra.weights``), the key
@@ -36,18 +35,17 @@ multiplication by t^j lives in block j alone.  Only the shifts
 built at all: a dropped shift drops whole rows and leaves the other blocks
 as they are, and leftover directions come from the built shifts alone.
 Without weights, or when the check fails, every unknown gets shift 0 and
-the system is one block holding every shift; the solutions are the same
-either way.
+the system is one block holding every shift, on the shorter codomain: at
+interior 1/2 it misses the t^{-1} that the graded solve finds.
 
 Key ids: a key (alpha, l, q) carries a rational exponent, which is slow to
 hash when it is a Fraction, so the solve runs on small int ids instead.
 ``_Frame`` interns each pair (l, q) once, on first sight, and gives the
 keys (alpha, l, q) of all eigenbasis records consecutive ids;
 ``_Frame.keys`` maps an id back to its key, and the parity, residue and
-degree of each id are read once, into lists.  Coordinates, columns, rows,
-blocks and the hat-element cache all run on ids; ids become keys again,
-with a Fraction exponent, only in the entries and images of a
-``CentroidSolution``.
+degree of each id are read once, into lists.  Coordinates, columns, rows
+and blocks all run on ids; ids become keys again, with a Fraction
+exponent, only in the entries and images of a ``CentroidSolution``.
 
 Coordinates: each interior key a is bracketed once with each t-free
 record vector v_beta, and each lambda-coefficient is decomposed on the ids
@@ -59,6 +57,8 @@ candidate t^j and the check of ``is_scalar_action``.  The derivation rule,
 CS1 on the right slot, [x lambda Dhat y] = (Dhat + lambda)[x lambda y],
 gives (beta, 1, q) from (beta, 0, q): its lambda^{(m)} component is
 Dhat c_m + m c_{m-1}, with Dhat (alpha, l, q) = (l + 1) (alpha, l + 1, q).
+The column of an interior key b is minus the products a_(n) b, so each
+row reads both sides of its equation from one map.
 """
 
 from fractions import Fraction
@@ -166,7 +166,6 @@ class _Frame:
         self._slots = {}  # (l, q) -> the id of (0, l, q)
         self.sigs = []  # id -> (parity, residue)
         self.degrees = []  # id -> degree, 0 when the weights do not grade
-        self._hats = {}  # id -> hat element
         self.domain = set()  # ids of the solved domain, set by centroid_basis
         self.interior0 = [self.key_id(k) for k in interior0]
 
@@ -198,12 +197,9 @@ class _Frame:
 
     def hat(self, i):
         """The element Dhat^{(l)} (v_alpha (x) t^q) of the key with id i."""
-        got = self._hats.get(i)
-        if got is None:
-            ai, l, q = self.keys[i]
-            got = self._hats[i] = apply_partial_power(
-                self.algebra, self.alphas[ai][1].shift_t(q), l)
-        return got
+        ai, l, q = self.keys[i]
+        return apply_partial_power(self.algebra,
+                                   self.alphas[ai][1].shift_t(q), l)
 
     def coords(self, x):
         """Coordinates of x on the key ids, via the hat basis."""
@@ -351,26 +347,24 @@ def centroid_basis(L, window, interior):
     interior0 = frame.interior0
 
     # one bracket per (interior key, record), each coefficient decomposed
-    # once; every pair and column below is a t-shift of these coordinates,
-    # or derived from one
+    # once; every product and column below is a t-shift of these
+    # coordinates, or derived from one
     records = sorted({keys[b][0] for b in interior0})
-    brackets = {a: {bi: {n: frame.coords(e) for n, e in lambda_bracket(
-                            A, frame.hat(a), frame.alphas[bi][1]).coeffs.items()}
-                    for bi in records}
-                for a in interior0}
+    brackets = {}
+    for a in interior0:
+        xa = frame.hat(a)
+        brackets[a] = {bi: {n: frame.coords(e) for n, e in lambda_bracket(
+                                A, xa, frame.alphas[bi][1]).coeffs.items()}
+                       for bi in records}
 
-    # product closure: every component of a_(n) b must stay in the window
-    pair_brackets = {}
-    domain = {frame.key_id((keys[i][0], l, keys[i][2]))
-              for i in interior0 for l in (0, 1)}
+    # product closure: the solved domain is the interior and every
+    # component of a_(n) b, which must stay in the window
+    domain = set(interior0)
     for a in interior0:
         for b in interior0:
             bi, _, q = keys[b]
-            comps = {n: frame.times(coords, {q: one})
-                     for n, coords in brackets[a][bi].items()}
-            pair_brackets[(a, b)] = comps
-            for coords in comps.values():
-                for i in coords:
+            for coords in brackets[a][bi].values():
+                for i in frame.times(coords, {q: one}):
                     if keys[i][1] > 1:
                         raise DomainError(
                             "table depth exceeds the windowed solver: "
@@ -433,10 +427,11 @@ def centroid_basis(L, window, interior):
         minus = _minus_columns(frame, brackets[a], level0)
         for b in interior0:
             rhs = [(uid, minus[c]) for c, uid in cols[b].items()]
-            comps_by_n = pair_brackets[(a, b)]
+            product = minus[b]  # b is its own level-0 column
             for n in range(frame.maxl + 2):
                 eq = {}
-                for d, w in comps_by_n.get(n, {}).items():
+                for d, w in product.get(n, {}).items():
+                    w = -w
                     for c, uid in cols[d].items():
                         _add_to(eq.setdefault(c, {}), uid, w)
                 for uid, got in rhs:
@@ -494,8 +489,9 @@ def is_scalar_action(chi):
     """The Laurent element r with chi = multiplication by r, if there is one.
 
     The test reads a candidate r off the first undecorated interior column
-    and then checks the whole interior against exact multiplication; any
-    stray component, wrong eigenvector, or mismatch returns None.
+    and then checks every key of the solved domain, the interior and its
+    product closure, against exact multiplication; any stray component,
+    wrong eigenvector, or mismatch returns None.
     """
     frame = chi._frame
     keys = frame.keys
@@ -514,10 +510,7 @@ def is_scalar_action(chi):
         return None
 
     one = frame.field.one()
-    for d in frame.interior0:
-        ai, _, q = keys[d]
-        for l in (0, 1):
-            i = frame.key_id((ai, l, q))
-            if frame.times({i: one}, r.terms) != images.get(i, {}):
-                return None
+    for i in frame.domain:
+        if frame.times({i: one}, r.terms) != images.get(i, {}):
+            return None
     return r

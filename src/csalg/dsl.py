@@ -633,8 +633,16 @@ class SourceFile:
 
     def algebra(self):
         if self.parsed is None:
-            self.parsed = parse_algebra(self.text)
+            self.parsed = self._parse(parse_algebra)
         return self.parsed
 
     def morphism(self, algebra):
-        return parse_morphism(self.text, algebra)
+        return self._parse(parse_morphism, algebra)
+
+    def _parse(self, parse, *args):
+        """Run a parser on the text; a ParseError gains this file's path."""
+        try:
+            return parse(self.text, *args)
+        except ParseError as err:
+            raise ParseError(err.reason, err.line, err.col,
+                             self.path) from None

@@ -8,15 +8,20 @@ class CsalgError(Exception):
 class ParseError(CsalgError):
     """Syntax or validation error in a .csa/.csm source file.
 
-    Carries the 1-based line and column of the offending token so the
-    CLI can point at it.
+    Carries the 1-based line and column of the offending token, and the
+    path of the file when it was read from one, so the CLI can point at
+    it.
     """
 
-    def __init__(self, message, line=None, col=None):
+    def __init__(self, message, line=None, col=None, path=None):
+        self.reason = message
         self.line = line
         self.col = col
+        self.path = path
         if line is not None:
             message = "line %d, col %d: %s" % (line, col, message)
+        if path is not None:
+            message = "%s: %s" % (path, message)
         super().__init__(message)
 
 

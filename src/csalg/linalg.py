@@ -4,7 +4,7 @@ All elimination over a field goes through one sparse exact eliminator,
 the solved-form echelon below: rows are dicts {column: scalar} of
 field-like scalars (CycloScalar entries, all in one field), and each
 pivot is kept solved for its least column and free of every other pivot
-column.  ``rref``, ``rank``, ``null_space`` and ``solve`` are dense
+column.  ``rank``, ``null_space`` and ``solve`` are dense
 adapters over it; the windowed centroid solve drives it directly.
 Determinants and adjugates are also provided over the Laurent ring, where
 division is not available, via minor expansion.
@@ -80,29 +80,6 @@ def _echelon(rows):
         _echelon_insert(pivots, {c: v for c, v in enumerate(row)
                                  if not v.is_zero()})
     return pivots
-
-
-def rref(rows, zero):
-    """Reduced row echelon form.
-
-    ``rows`` is a list of equal-length lists of field scalars; ``zero``
-    the field's zero (used to pad the reduced rows).  Returns (reduced
-    rows with zero rows dropped, pivot column list).
-    """
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = _echelon(rows)
-    leads = sorted(pivots)
-    one = zero + 1
-    reduced = []
-    for lead in leads:
-        row = [zero] * ncols
-        row[lead] = one
-        for u, m in pivots[lead].items():
-            row[u] = -m
-        reduced.append(row)
-    return reduced, leads
 
 
 def rank(rows, zero):

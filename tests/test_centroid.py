@@ -28,6 +28,8 @@ Z3, I4 = N4.field.root_of_unity(3), N4.field.root_of_unity(4)
 N4_Z3 = eigenspaces(N4, n4_auto([[1, 0], [0, 1]], [[Z3, 0], [0, Z3 ** 2]], N4),
                     3)
 N4_I = eigenspaces(N4, n4_auto([[1, 0], [0, 1]], [[I4, 0], [0, -I4]], N4), 4)
+CURRENT = make_current(sl2_constants())
+CURRENT_LOOP = eigenspaces(CURRENT, identity_morphism(CURRENT), 1)
 
 
 def mono(q):
@@ -91,10 +93,14 @@ def test_derivation_commutator_is_multiplication_by_delta():
 
 def test_scalar_action_rejects_a_corrupted_matrix():
     sol = by_exponent(centroid_basis(UNTWISTED, 3, 1))[0]
-    entries = dict(sol.entries)
-    key = next(k for k in entries if k[0][1] == 0 and abs(k[0][2]) <= 1)
-    entries[key] = -entries[key]
-    assert is_scalar_action(sol.replace_entries(entries)) is None
+    # one corrupted key in the interior, then one at a closure exponent
+    # past it: every key of the solved domain is checked
+    for inside in (True, False):
+        entries = dict(sol.entries)
+        key = next(k for k in entries if k[0][1] == 0
+                   and (abs(k[0][2]) <= 1) == inside)
+        entries[key] = -entries[key]
+        assert is_scalar_action(sol.replace_entries(entries)) is None
 
 
 def test_window_must_cover_the_product_closure():
@@ -355,22 +361,23 @@ def test_one_exponent_per_coset_still_finds_t_inverse(A):
     assert list(by_exponent(sols)) == [0, 1]
 
 
-def test_current_loop_leaves_only_the_level0_identity():
-    # no row of a current algebra reaches the Dhat keys, which stay pinned
-    # to zero: t^0 is no solution, and the identity on the level-0 keys is
-    # the one leftover direction
-    curr = make_current(sl2_constants())
-    (chi,) = centroid_basis(eigenspaces(curr, identity_morphism(curr), 1),
-                            3, 1)
-    assert is_scalar_action(chi) is None
+def test_current_loop_solves_to_the_identity():
+    # no product of a current algebra reaches a Dhat key, so the solved
+    # domain is level 0 alone, and the identity on it is t^0
+    (chi,) = centroid_basis(CURRENT_LOOP, 3, 1)
+    one = CURRENT.field.one()
+    assert is_scalar_action(chi) == LaurentElt(CURRENT.field, {0: one})
     frame = chi._frame
-    level0 = [frame.keys[i] for i in frame.domain if frame.keys[i][1] == 0]
-    assert len(level0) == 15
-    assert chi.entries == {(k, k): curr.field.one() for k in level0}
+    domain = [frame.keys[i] for i in frame.domain]
+    assert len(domain) == 15 and all(l == 0 for _, l, _ in domain)
+    assert chi.entries == {(k, k): one for k in map(frame.entry_key,
+                                                     frame.domain)}
 
 
-@pytest.mark.parametrize("loop", [OMEGA_LOOP, N4_MINUS, N4_Z3, N4_I],
-                         ids=["n2_omega", "n4_minus", "n4_z3", "n4_i"])
+@pytest.mark.parametrize("loop", [OMEGA_LOOP, N4_MINUS, N4_Z3, N4_I,
+                                  CURRENT_LOOP],
+                         ids=["n2_omega", "n4_minus", "n4_z3", "n4_i",
+                              "sl2_current"])
 def test_entries_match_multiplication_on_the_solved_domain(loop):
     # an oracle that never sees the unknown ids: the image of each solved
     # domain key under t^j, decomposed on its own

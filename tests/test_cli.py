@@ -124,7 +124,21 @@ def test_unknown_generator_in_a_morphism_exits_2(capsys, tmp_path):
         code, out, err = run(capsys, argv)
         assert code == 2, argv
         assert out == ""
-        assert err == "error: line 2, col 7: unknown generator 'FOO'\n"
+        assert err == ("error: %s: line 2, col 7: unknown generator 'FOO'\n"
+                       % path)
+
+
+def test_unknown_generator_in_an_algebra_names_its_file(capsys, tmp_path):
+    # the .csa file is the bad one, next to a good .csm
+    path = tmp_path / "bad.csa"
+    path.write_text("algebra N2\ngenerator a parity=even\n"
+                    "bracket a FOO = a\n")
+    for argv in (["check", str(path)], ["hom", str(path), "omega.csm"]):
+        code, out, err = run(capsys, argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err == ("error: %s: line 3, col 11: unknown generator "
+                       "'FOO'\n" % path)
 
 
 def test_twist_image_off_the_generator_span_is_named(capsys, tmp_path):
@@ -455,10 +469,9 @@ SL2_CSA = ("algebra sl2\n\ngenerator e parity=even\ngenerator h parity=even\n"
            "bracket h f = -2*f\nbracket e f = h\n")
 
 
-def test_centroid_of_a_current_loop_is_not_a_scalar_action(capsys,
-                                                            tmp_path):
-    # no row of a current algebra reaches the Dhat keys, so the identity
-    # is found only as a leftover direction, not as r = 1
+def test_centroid_of_a_current_loop_is_the_identity(capsys, tmp_path):
+    # no product of a current algebra reaches a Dhat key, so none is in
+    # the solved domain, and the identity on the level-0 keys is r = 1
     path = tmp_path / "sl2.csa"
     path.write_text(SL2_CSA)
     argv = ["centroid", str(path), "--auto", "id", "--window", "3",
@@ -466,10 +479,10 @@ def test_centroid_of_a_current_loop_is_not_a_scalar_action(capsys,
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert out == ("1 centroid solutions on window 3 (interior 1):\n"
-                   "  (not a scalar action)\n")
+                   "  r = 1\n")
     code, out, _ = run(capsys, argv + ["--json"])
     assert code == 0
-    assert [s["scalar"] for s in json.loads(out)["solutions"]] == [False]
+    assert [s["scalar"] for s in json.loads(out)["solutions"]] == [True]
 
 
 def test_verdicts_are_coloured_on_a_terminal(capsys, monkeypatch):

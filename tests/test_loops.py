@@ -324,6 +324,21 @@ def test_exponents_enumerate_one_coset(m):
         == ([0] if m == 1 else [])
 
 
+@pytest.mark.parametrize("m", range(1, 7))
+def test_residue_of_matches_the_scaled_exponent(m):
+    # oracle: mu carries residue (mu * m) mod m when mu * m is an integer,
+    # and none otherwise; mu runs over (1/12)Z in [-3, 3], as an int where
+    # it is integral and as a Fraction always
+    loop = LoopAlgebra(N2, m, [[] for _ in range(m)])
+    for k in range(-36, 37):
+        mu = Fraction(k, 12)
+        scaled = mu * m
+        want = None if scaled.denominator != 1 else int(scaled) % m
+        assert loop.residue_of(mu) == want, mu
+        if mu.denominator == 1:
+            assert loop.residue_of(int(mu)) == want == 0, mu
+
+
 def test_split_check_flags_dependent_generators():
     doctored = LoopAlgebra(N2, 2, [
         [N2.elt("L"), N2.elt("L").scale(2)],
