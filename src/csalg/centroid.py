@@ -166,6 +166,7 @@ class _Frame:
         self._slots = {}  # (l, q) -> the id of (0, l, q)
         self.sigs = []  # id -> (parity, residue)
         self.degrees = []  # id -> degree, 0 when the weights do not grade
+        self._hats = {}  # id -> hat element, for apply's repeated calls
         self.domain = set()  # ids of the solved domain, set by centroid_basis
         self.interior0 = [self.key_id(k) for k in interior0]
 
@@ -197,9 +198,12 @@ class _Frame:
 
     def hat(self, i):
         """The element Dhat^{(l)} (v_alpha (x) t^q) of the key with id i."""
-        ai, l, q = self.keys[i]
-        return apply_partial_power(self.algebra,
-                                   self.alphas[ai][1].shift_t(q), l)
+        got = self._hats.get(i)
+        if got is None:
+            ai, l, q = self.keys[i]
+            got = self._hats[i] = apply_partial_power(
+                self.algebra, self.alphas[ai][1].shift_t(q), l)
+        return got
 
     def coords(self, x):
         """Coordinates of x on the key ids, via the hat basis."""

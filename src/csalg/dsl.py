@@ -645,4 +645,4 @@ class SourceFile:
             return parse(self.text, *args)
         except ParseError as err:
             raise ParseError(err.reason, err.line, err.col,
-                             self.path) from None
+                             self.path) from err

@@ -148,9 +148,7 @@ class LoopAlgebra:
 
     def residue_of(self, mu):
         """The eigenvalue residue carried by the exponent mu, or None."""
-        if isinstance(mu, int):  # mu * order is a multiple of order
-            return 0
-        scaled = Fraction(mu) * self.order
+        scaled = mu * self.order
         if scaled.denominator != 1:
             return None
         return int(scaled) % self.order

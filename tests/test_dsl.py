@@ -10,7 +10,8 @@ from csalg.algebras import make_n2, make_n4
 from csalg.core import (AlgebraDef, ConfElt, EVEN, Generator, LambdaPoly,
                         ODD, complete_table_cs4)
 from csalg.cyclotomic import CycloField
-from csalg.errors import CsalgError, ParseError, TableInconsistencyError
+from csalg.errors import (CsalgError, DomainError, ParseError,
+                          TableInconsistencyError)
 from csalg.dsl import (MAX_DIVIDED_POWER, SourceFile, format_algebra,
                        format_element, format_morphism, parse_algebra,
                        parse_element, parse_morphism)
@@ -221,6 +222,15 @@ def test_source_file_dispatch(tmp_path):
     src = SourceFile.read(path)
     assert src.algebra() == N2
     assert src.algebra() is src.algebra()
+
+
+def test_source_file_error_names_the_file_and_keeps_its_cause():
+    text = ("morphism f on N2 level 1\nimage L = G+\nimage J = J\n"
+            "image G+ = G+\nimage G- = G-\n")
+    with pytest.raises(ParseError, match="parity") as info:
+        SourceFile("bad.csm", text).morphism(N2)
+    assert str(info.value).startswith("bad.csm: ")
+    assert isinstance(info.value.__cause__.__cause__, DomainError)
 
 
 # -- randomized round trips ----------------------------------------------
