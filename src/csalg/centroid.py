@@ -419,8 +419,12 @@ def centroid_basis(L, window, interior):
                 shift.append(block_of.setdefault(s, len(block_of)))
 
     # assemble the strict rows, n running one past the table degree so the
-    # vanishing products constrain the unknowns too; each row is homogeneous
-    # in the shift and goes to the echelon of its own block
+    # vanishing products constrain the unknowns too: [a lambda Dhat y] has
+    # lambda^(maxl+1) coefficient (maxl+1) a_(maxl) y, and only these rows
+    # see it, so without them the Dhat components of chi(b) go free (the
+    # sl2 current loop then solves to a non-scalar direction beside r = 1);
+    # each row is homogeneous in the shift and goes to the echelon of its
+    # own block
     blocks = {}
     touched = set()
     # the level-0 columns an interior key's unknowns use, themselves or

@@ -5,7 +5,8 @@ generator space V into eigenspaces A_i for the m-th roots of unity, and the
 twisted loop algebra collects the pieces A_i (x) t^{i/m} inside A (x) S_m.
 Quotienting the loop algebra by the image of (D + d/dt) leaves an ordinary
 (non-conformal) superalgebra spanned by modes v_mu with mu in (1/m)Z; its
-bracket expands through the lambda-bracket coefficients,
+bracket is the lambda^(0) coefficient of ``lambda_bracket`` on the loop
+elements, reduced modulo that image, which expands to
 
     [a_mu, b_nu] = sum_j  C(mu, j) (a_(j) b)_{mu + nu - j},
 
@@ -433,26 +434,19 @@ def alg_reduce(L, raw):
 
 
 def alg_bracket(L, x, y):
-    """The mode bracket, expanded through the lambda-bracket coefficients.
+    """The mode bracket: the lambda^(0) coefficient of the loop bracket.
 
-    [a_mu, b_nu] = sum_j C(mu,j) (a_(j) b)_{mu+nu-j}; the sum is finite
-    because the bracket of two generators is polynomial in lambda.
+    x and y lift to their loop elements sum c v_g (x) t^mu; the 0-th
+    product of the lifts, reduced modulo the image of (D + d/dt), is
+    [x, y].  It expands to [a_mu, b_nu] = sum_j C(mu,j) (a_(j) b)_{mu+nu-j}.
     """
     if x.loop is not L or y.loop is not L:
         raise DomainError("modes belong to a different loop algebra")
     A = L.base
-    raw = {}
-    for (g1, mu), c1 in x.terms.items():
-        for (g2, nu), c2 in y.terms.items():
-            poly = lambda_bracket(A, A.elt(g1), A.elt(g2))
-            c12 = c1 * c2
-            for j, elt in poly.coeffs.items():
-                w = binom_frac(mu, j)
-                if w == 0:
-                    continue
-                for (g, d, q), c in elt.terms.items():
-                    _add_to(raw, (g, d, mu + nu - j + q), c12 * c * w)
-    return alg_reduce(L, raw)
+    x, y = (ConfElt(A.field, {(g, 0, mu): c
+                              for (g, mu), c in z.terms.items()})
+            for z in (x, y))
+    return alg_reduce(L, lambda_bracket(A, x, y).get(0).terms)
 
 
 class L0Spectrum:

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from csalg import core
 from csalg.algebras import make_n2, make_n4
 from csalg.core import (
     AlgebraDef,
@@ -156,6 +157,32 @@ def test_check_axioms_detects_jacobi_mutation():
     assert not report.verdicts["CS5"]
     locations = {f.location for f in report.failures if f.axiom == "CS5"}
     assert ("J", "G+", "G-") in locations
+
+
+def test_check_axioms_detects_an_evaluator_without_base_change(monkeypatch):
+    # the mutant brackets each term of x without its t^q and shifts the
+    # result by t^q, so it drops the C(q, l) lambda-derivatives that CS1
+    # and CS3 exercise on the left slot; generators carry no t, so the
+    # CS4 and CS5 sweeps see the true table
+    real = lambda_bracket
+
+    def mutant(A, x, y):
+        out = A.zero_poly()
+        for (g, j, q), c in x.terms.items():
+            t_free = ConfElt(A.field, {(g, j, 0): c})
+            out = out + real(A, t_free, y).map_coeffs(
+                lambda e, _q=q: e.shift_t(_q))
+        return out
+
+    monkeypatch.setattr(core, "lambda_bracket", mutant)
+    for A in (N2, make_n4()):
+        for seed in range(5):
+            report = check_axioms(A, seed)
+            assert not report.verdicts["CS1"] and not report.verdicts["CS3"]
+            assert report.verdicts["CS4"] and report.verdicts["CS5"]
+            where = {(f.axiom, f.location) for f in report.failures}
+            assert where == {("CS1", "left slot"), ("CS1", "right slot"),
+                             ("CS3", "left slot")}, (A.name, seed)
 
 
 def _cs5_failures_by_dense_sweep(A):

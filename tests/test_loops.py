@@ -394,6 +394,46 @@ def test_mode_bracket_examples():
     assert got == UNTWISTED.mode("G+", 2).scale(Fraction(-3, 2))
 
 
+def _binom(mu, j):
+    """Generalized binomial C(mu, j) = mu (mu-1) ... (mu-j+1) / j!."""
+    out = Fraction(1)
+    for i in range(j):
+        out = out * (mu - i) / (i + 1)
+    return out
+
+
+def _expanded_mode_bracket(loop, x, y):
+    """[a_mu, b_nu] = sum_j C(mu, j) (a_(j) b)_{mu+nu-j}, term by term,
+    with a_(j) b read off the structure table."""
+    A = loop.base
+    raw = {}
+    for (g1, mu), c1 in x.terms.items():
+        for (g2, nu), c2 in y.terms.items():
+            for j, elt in A.table[(g1, g2)].coeffs.items():
+                w = _binom(mu, j)
+                for (g, d, q), c in elt.terms.items():
+                    key = (g, d, mu + nu - j + q)
+                    raw[key] = raw.get(key, 0) + c1 * c2 * c * w
+    return alg_reduce(loop, raw)
+
+
+@pytest.mark.parametrize("loop", MODE_LOOPS,
+                         ids=["n2_id", "n2_omega", "n4_I", "n4_-I", "n4_z3",
+                              "n4_i"])
+def test_mode_bracket_matches_the_expanded_formula(loop):
+    # every pair of eigenbasis records, each at its coset exponent in
+    # [0, 1) and two below it, so negative and fractional mu both occur
+    modes = []
+    for res, a, _, _ in loop.basis:
+        for mu in (Fraction(res, loop.order), Fraction(res, loop.order) - 2):
+            modes.append(AlgElt(loop, {(g, mu): c
+                                       for (g, _, _), c in a.terms.items()}))
+    for x in modes:
+        for y in modes:
+            assert alg_bracket(loop, x, y) == \
+                _expanded_mode_bracket(loop, x, y), (x, y)
+
+
 def _parity(x):
     gens = {g for (g, _) in x.terms}
     parities = {x.loop.base.parity(g) for g in gens}
