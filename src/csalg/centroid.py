@@ -47,18 +47,22 @@ degree of each id are read once, into lists.  Coordinates, columns, rows
 and blocks all run on ids; ids become keys again, with a Fraction
 exponent, only in the entries and images of a ``CentroidSolution``.
 
-Coordinates: each interior key a is bracketed once with each t-free
-record vector v_beta, and each lambda-coefficient is decomposed on the ids
-once; every other coordinate follows by id arithmetic.  The shift rule
-Dhat(v t^q) t^s = Dhat(v t^{q+s}) - s v t^{q+s-1} (``_Frame.times``), with
-CS3 on the right slot, [x lambda y t^q] = [x lambda y] t^q, gives the
+Coordinates: each pair of t-free record vectors v_alpha, v_beta is
+bracketed once, and each lambda-coefficient is decomposed on the ids once;
+every other coordinate follows by id arithmetic.  The shift rule
+Dhat(v t^q) t^s = Dhat(v t^{q+s}) - s v t^{q+s-1} (``_Frame.times``) with
+CS3 on the left slot, [v t^p lambda y] = sum_l C(p, l) d_lambda^{(l)}
+[v lambda y] t^{p-l}, gives the brackets of each interior key; with CS3 on
+the right slot, [x lambda y t^q] = [x lambda y] t^q, it gives the
 product closure, the level-0 columns (beta, 0, q), the images under a
 candidate t^j and the check of ``is_scalar_action``.  The derivation rule,
 CS1 on the right slot, [x lambda Dhat y] = (Dhat + lambda)[x lambda y],
 gives (beta, 1, q) from (beta, 0, q): its lambda^{(m)} component is
 Dhat c_m + m c_{m-1}, with Dhat (alpha, l, q) = (l + 1) (alpha, l + 1, q).
 The column of an interior key b is minus the products a_(n) b, so each
-row reads both sides of its equation from one map.
+row reads both sides of its equation from one map.  An unknown that a row
+pins to 0 is left out of the later rows (subtracting the pin row keeps
+the row space) and of the columns built for them.
 """
 
 from fractions import Fraction
@@ -66,8 +70,8 @@ from fractions import Fraction
 from .core import apply_partial_power, lambda_bracket, to_hat_basis
 from .cyclotomic import _add_to, _q
 from .errors import DomainError
-from .laurent import LaurentElt
-from .linalg import (_echelon_insert, _null_basis, _reduce_against,
+from .laurent import LaurentElt, binom_frac
+from .linalg import (Echelon, _echelon_insert, _null_basis, _reduce_against,
                      adjugate, det, rank)
 
 __all__ = ["CentroidSolution", "centroid_basis", "is_scalar_action"]
@@ -302,9 +306,34 @@ class CentroidSolution:
             len(self.entries), self._frame.window)
 
 
-def _minus_columns(frame, brackets, level0):
+def _interior_brackets(frame):
+    """brackets[a][beta][n]: the coordinates of [hat(a) lambda v_beta]_n
+    for interior keys a and records beta, derived from one bracket per
+    record pair by CS3 on the left slot (see the module docstring).  Every
+    product and column of the solve is a t-shift of these, or derived."""
+    records = sorted({frame.keys[b][0] for b in frame.interior0})
+    pairs = {(ai, bi): {n: frame.coords(e) for n, e in lambda_bracket(
+                frame.algebra, frame.alphas[ai][1],
+                frame.alphas[bi][1]).coeffs.items()}
+             for ai in records for bi in records}
+    brackets = {}
+    for a in frame.interior0:
+        ai, _, p = frame.keys[a]
+        brackets[a] = {}
+        for bi in records:
+            got = {}
+            for n, coords in pairs[ai, bi].items():
+                for l in range(n + 1 if p else 1):
+                    shifted = frame.times(coords, {p - l: binom_frac(p, l)})
+                    for i, v in shifted.items():
+                        _add_to(got.setdefault(n - l, {}), i, v)
+            brackets[a][bi] = {n: comps for n, comps in got.items() if comps}
+    return brackets
+
+
+def _minus_columns(frame, brackets, wanted):
     """Minus the coordinates of [x lambda hat(c)]_n, for each id c in
-    ``level0`` and for its level-1 sibling.
+    ``wanted`` and for the level-0 sibling of each.
 
     ``brackets[beta]`` holds the coordinates of the lambda-coefficients of
     [x lambda v_beta].  A level-0 column (beta, 0, q) shifts them by t^q;
@@ -314,22 +343,26 @@ def _minus_columns(frame, brackets, level0):
     slot = frame._slot
     minus = -frame.field.one()
     out = {}
-    for c in level0:
-        bi, _, q = keys[c]
-        low = out[c] = {n: frame.times(coords, {q: minus})
-                        for n, coords in brackets[bi].items()}
+    for c in wanted:
+        bi, l, q = keys[c]
+        base = slot(0, q) + bi
+        if base not in out:
+            out[base] = {n: frame.times(coords, {q: minus})
+                         for n, coords in brackets[bi].items()}
+        if not l:
+            continue
         # [x lambda Dhat y] = (Dhat + lambda)[x lambda y]: component m is
         # Dhat c_m + m c_{m-1}, with Dhat (alpha, l, q) = (l + 1)
         # (alpha, l + 1, q) on the hat basis
         col = {}
-        for n, comps in low.items():
+        for n, comps in out[base].items():
             dcol = col.setdefault(n, {})
             up = col.setdefault(n + 1, {})
             for i, v in comps.items():
                 ai, l, p = keys[i]
                 _add_to(dcol, slot(l + 1, p) + ai, v * (l + 1) if l else v)
                 _add_to(up, i, v * (n + 1) if n else v)
-        out[slot(1, q) + bi] = {n: comps for n, comps in col.items() if comps}
+        out[c] = {n: comps for n, comps in col.items() if comps}
     return out
 
 
@@ -350,16 +383,7 @@ def centroid_basis(L, window, interior):
     keys = frame.keys
     interior0 = frame.interior0
 
-    # one bracket per (interior key, record), each coefficient decomposed
-    # once; every product and column below is a t-shift of these
-    # coordinates, or derived from one
-    records = sorted({keys[b][0] for b in interior0})
-    brackets = {}
-    for a in interior0:
-        xa = frame.hat(a)
-        brackets[a] = {bi: {n: frame.coords(e) for n, e in lambda_bracket(
-                                A, xa, frame.alphas[bi][1]).coeffs.items()}
-                       for bi in records}
+    brackets = _interior_brackets(frame)
 
     # product closure: the solved domain is the interior and every
     # component of a_(n) b, which must stay in the window
@@ -424,40 +448,39 @@ def centroid_basis(L, window, interior):
     # see it, so without them the Dhat components of chi(b) go free (the
     # sl2 current loop then solves to a non-scalar direction beside r = 1);
     # each row is homogeneous in the shift and goes to the echelon of its
-    # own block
-    blocks = {}
+    # own block; ``live`` drops each unknown a row pins to 0
+    blocks = [Echelon() for _ in block_of]
     touched = set()
-    # the level-0 columns an interior key's unknowns use, themselves or
-    # through their level-1 sibling
-    level0 = {frame.key_id((keys[c][0], 0, keys[c][2]))
-              for b in interior0 for c in cols[b]}
+    live = {d: dict(col) for d, col in cols.items()}
     for a in interior0:
-        minus = _minus_columns(frame, brackets[a], level0)
+        # b is its own level-0 column, for the product a_(n) b
+        minus = _minus_columns(frame, brackets[a], set(interior0).union(
+            *(live[b] for b in interior0)))
         for b in interior0:
-            rhs = [(uid, minus[c]) for c, uid in cols[b].items()]
-            product = minus[b]  # b is its own level-0 column
+            product = minus[b]
             for n in range(frame.maxl + 2):
                 eq = {}
                 for d, w in product.get(n, {}).items():
                     w = -w
-                    for c, uid in cols[d].items():
+                    for c, uid in live[d].items():
                         _add_to(eq.setdefault(c, {}), uid, w)
-                for uid, got in rhs:
-                    for e, v in got.get(n, {}).items():
+                for c, uid in live[b].items():
+                    for e, v in minus[c].get(n, {}).items():
                         _add_to(eq.setdefault(e, {}), uid, v)
                 for row in eq.values():
                     if row:
                         touched.update(row)
-                        _echelon_insert(
-                            blocks.setdefault(shift[next(iter(row))], {}), row)
-        del minus, rhs  # free these columns before the next key's
+                        block = blocks[shift[next(iter(row))]]
+                        lead = _echelon_insert(block, row)
+                        if lead is not None and not block[lead]:
+                            d, c = unknowns[lead]
+                            del live[d][c]
+        del minus  # free these columns before the next key's
 
-    pivots = {}
-    for block in blocks.values():
-        pivots.update(block)
+    pivots = {lead: row for block in blocks for lead, row in block.items()}
     raw = _null_basis(pivots, touched, one)
     # raw lives on touched unknowns: its span solves every row, untouched 0
-    null = {}
+    null = Echelon()
     for vec in raw:
         _echelon_insert(null, vec)
 
@@ -468,7 +491,7 @@ def centroid_basis(L, window, interior):
             for uid in sorted(vec)})
 
     solutions = []
-    chosen = {}
+    chosen = Echelon()
     # t^j carries the domain keys at the extreme exponents past the
     # codomain, which reaches maxl beyond them, unless |j| <= maxl
     for j in range(-frame.maxl, frame.maxl + 1):

@@ -21,7 +21,17 @@ from .errors import DomainError
 # than lead and none of them a pivot column.  Eliminating a lead with
 # coefficient coef then adds coef * m_u, a row reduces in one pass over its
 # entries, and a null vector reads the m_u off directly, with no negation on
-# any path.
+# any path.  users[u] is a superset of the leads whose row mentions u (an
+# entry that cancels leaves its lead behind), so a new pivot is substituted
+# into those rows alone.
+
+
+class Echelon(dict):
+    """Solved-form pivots {lead: row}, with the index ``users``."""
+
+    def __init__(self):
+        super().__init__()
+        self.users = {}  # column -> leads whose row may mention it
 
 
 def _reduce_against(pivots, vec):
@@ -41,7 +51,7 @@ def _reduce_against(pivots, vec):
 
 
 def _echelon_insert(pivots, row):
-    """Insert a sparse row into an echelon set; pivot on the least column.
+    """Insert a sparse row into an ``Echelon``; pivot on the least column.
 
     The new pivot is substituted into every pivot that mentions its lead,
     so the set stays fully reduced.
@@ -51,11 +61,16 @@ def _echelon_insert(pivots, row):
         coef = row.pop(lead)
         ninv = -coef.inverse() if row else None
         new = {u: c * ninv for u, c in row.items()}
-        for other in pivots.values():
-            c = other.pop(lead, None)
+        users = pivots.users
+        for other in users.pop(lead, ()):
+            piv = pivots[other]
+            c = piv.pop(lead, None)
             if c is not None:
                 for u, m in new.items():
-                    _add_to(other, u, c * m)
+                    _add_to(piv, u, c * m)
+                    users.setdefault(u, set()).add(other)
+        for u in new:
+            users.setdefault(u, set()).add(lead)
         pivots[lead] = new
     return lead
 
@@ -75,7 +90,7 @@ def _null_basis(pivots, touched, one):
 
 def _echelon(rows):
     """Fully reduced solved-form pivots of dense rows."""
-    pivots = {}
+    pivots = Echelon()
     for row in rows:
         _echelon_insert(pivots, {c: v for c, v in enumerate(row)
                                  if not v.is_zero()})

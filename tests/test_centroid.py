@@ -415,8 +415,7 @@ def test_derived_columns_match_direct_brackets(loop):
         brackets = {bi: {n: frame.coords(e) for n, e in
                          lambda_bracket(A, xa, record).coeffs.items()}
                     for bi, (_, record, _, _) in enumerate(frame.alphas)}
-        level0 = [c for c in columns if frame.keys[c][1] == 0]
-        got = centroid._minus_columns(frame, brackets, level0)
+        got = centroid._minus_columns(frame, brackets, columns)
         assert sorted(got) == sorted(columns)
         for c in columns:
             poly = lambda_bracket(A, xa, frame.hat(c))
@@ -425,11 +424,50 @@ def test_derived_columns_match_direct_brackets(loop):
             assert got[c] == want, (frame.keys[a], frame.keys[c])
 
 
-def test_one_bracket_per_interior_key_and_record(monkeypatch):
+@pytest.mark.parametrize("loop", [OMEGA_LOOP, N4_MINUS, N4_Z3, N4_I],
+                         ids=["n2_omega", "n4_minus", "n4_z3", "n4_i"])
+def test_interior_brackets_match_direct_brackets(loop):
+    # oracle: bracket each interior key v t^p with each record directly, so
+    # lambda_bracket applies the base-change rule, and decompose the result;
+    # the exponents p run over half-integers, thirds and quarters
+    frame = _Frame(loop, 3, 1)
+    A = frame.algebra
+    got = centroid._interior_brackets(frame)
+    records = sorted({frame.keys[b][0] for b in frame.interior0})
+    assert sorted(got) == sorted(frame.interior0)
+    for a in frame.interior0:
+        assert sorted(got[a]) == records
+        for bi in records:
+            poly = lambda_bracket(A, frame.hat(a), frame.alphas[bi][1])
+            want = {n: frame.coords(e) for n, e in poly.coeffs.items()}
+            assert got[a][bi] == want, (frame.keys[a], bi)
+
+
+@pytest.mark.parametrize("loop", [N4_Z3, N4_I, CURRENT_LOOP],
+                         ids=["n4_z3", "n4_i", "sl2_current"])
+def test_solutions_commute_with_every_interior_product(loop):
+    # chi(a_(n) b) = a_(n) chi(b) for interior a, b and n <= maxl + 1, both
+    # sides through lambda_bracket and apply, never through the rows: an
+    # equation the solve dropped would let a solution fail it
+    sols = centroid_basis(loop, 3, 1)
+    frame = sols[0]._frame
+    A = frame.algebra
+    hats = [frame.hat(a) for a in frame.interior0]
+    images = [[chi.apply(y) for y in hats] for chi in sols]
+    for x in hats:
+        for k, y in enumerate(hats):
+            poly = lambda_bracket(A, x, y)
+            for chi, img in zip(sols, images):
+                right = lambda_bracket(A, x, img[k])
+                for n in range(frame.maxl + 2):
+                    assert chi.apply(poly.get(n)) == right.get(n)
+
+
+def test_one_bracket_per_record_pair(monkeypatch):
     # N2 under omega splits into two records of residue 0 (L, G+ + G-) and
-    # two of residue 1 (J, G- - G+); interior 1 holds the exponents -1, 0, 1
-    # of residue 0 and -1/2, 1/2 of residue 1, so 2*3 + 2*2 = 10 interior
-    # keys, each bracketed once with each of the 4 records
+    # two of residue 1 (J, G- - G+), all four in the interior, so 4 * 4 = 16
+    # record pairs, each bracketed once; every interior key's bracket
+    # follows by CS3 on the left slot
     calls = []
 
     def counted(A, x, y):
@@ -438,7 +476,7 @@ def test_one_bracket_per_interior_key_and_record(monkeypatch):
 
     monkeypatch.setattr(centroid, "lambda_bracket", counted)
     assert len(centroid_basis(OMEGA_LOOP, 3, 1)) == 3
-    assert len(calls) == (2 * 3 + 2 * 2) * 4 == 40
+    assert len(calls) == 4 * 4 == 16
 
 
 def test_one_decomposition_per_bracket_coefficient(monkeypatch):
@@ -459,7 +497,7 @@ def test_one_decomposition_per_bracket_coefficient(monkeypatch):
     monkeypatch.setattr(centroid, "to_hat_basis", decomposed)
     sols = centroid_basis(OMEGA_LOOP, 3, 1)
     assert all(is_scalar_action(chi) is not None for chi in sols)
-    assert len(sols) == 3 and len(brackets) == 40
+    assert len(sols) == 3 and len(brackets) == 4 * 4 == 16
     coefficients = sum(1 for poly in brackets
                        for e in poly.coeffs.values() if not e.is_zero())
     assert len(decompositions) == coefficients

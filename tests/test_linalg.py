@@ -7,6 +7,7 @@ from csalg.cyclotomic import CycloField
 from csalg.errors import DomainError
 from csalg.laurent import LaurentElt
 from csalg.linalg import (
+    Echelon,
     _echelon,
     _echelon_insert,
     _reduce_against,
@@ -173,19 +174,24 @@ def test_eliminator_over_roots_of_unity_matches_regular_rank():
 
 
 def test_echelon_pivots_stay_fully_reduced():
-    """Every pivot is solved for its lead and mentions no pivot column."""
+    """Every pivot is solved for its lead and mentions no pivot column, and
+    the index ``users`` names every pivot that mentions a column."""
     powers = _zeta_powers()
     rng = random.Random(808)
     for _ in range(30):
         ncols = rng.randrange(1, 9)
         rows = _root_matrix(rng, rng.randrange(1, 9), ncols)
-        pivots = {}
+        pivots = Echelon()
         for row in rows:
             _echelon_insert(pivots, {c: v for c, v in enumerate(row)
                                      if not v.is_zero()})
             for lead, piv in pivots.items():
                 assert all(u > lead and u not in pivots for u in piv)
                 assert not any(v.is_zero() for v in piv.values())
+                assert all(lead in pivots.users[u] for u in piv)
+            # a pivot column is never substituted again, so it leaves the
+            # index when it becomes one
+            assert not set(pivots.users) & set(pivots)
         # the pivots span exactly the inserted rows
         for row in rows:
             vec = {c: v for c, v in enumerate(row) if not v.is_zero()}
