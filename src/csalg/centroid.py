@@ -63,12 +63,24 @@ The column of an interior key b is minus the products a_(n) b, so each
 row reads both sides of its equation from one map.  An unknown that a row
 pins to 0 is left out of the later rows (subtracting the pin row keeps
 the row space) and of the columns built for them.
+
+Scalars: the solve runs on Python rationals wherever it can.
+``_Frame.coords`` lowers each rational coordinate to its ``_q`` value (an
+int when integral, else a Fraction); only an irrational one, such as the
+zeta^6 coefficients of the N=4 table, stays a ``CycloScalar``.  ``times``,
+the columns, the rows and the ``linalg`` eliminator then work on these
+mixed exact scalars through Python's numeric coercion, and ``_add_to``
+and the eliminator keep every integral result an int.  A product of two
+irrational pivot entries can still be a rational ``CycloScalar``, so the
+null vectors read off the pivots are lowered again before they are
+reinserted.  ``CentroidSolution`` lifts its entries back through
+``field.scalar``, so the entries a caller reads are ``CycloScalar``s.
 """
 
 from fractions import Fraction
 
 from .core import apply_partial_power, lambda_bracket, to_hat_basis
-from .cyclotomic import _add_to, _q
+from .cyclotomic import CycloScalar, _add_to, _q
 from .errors import DomainError
 from .laurent import LaurentElt, binom_frac
 from .linalg import (Echelon, _echelon_insert, _null_basis, _reduce_against,
@@ -105,6 +117,16 @@ def _unknowns_estimate(loop, window, interior):
                                    + count(res, reach + maxl))
     return sum(count(res, reach) * codomain[(res, parity)]
                for res, _, _, parity in loop.basis)
+
+
+def _lower(v):
+    """The exact scalar v under the ``_q`` rule: a rational CycloScalar as
+    its int or Fraction, any other value as it is."""
+    if v.__class__ is CycloScalar:
+        r = v.as_rational()
+        if r is not None:
+            return _q(r)
+    return v
 
 
 class _Frame:
@@ -224,7 +246,7 @@ class _Frame:
                     if v is not None:
                         coord = coord + e * v
                 if not coord.is_zero():
-                    out[base + ai] = coord
+                    out[base + ai] = _lower(coord)
         return out
 
     def times(self, coords, terms):
@@ -252,18 +274,24 @@ class _Frame:
 class CentroidSolution:
     """One solution of the windowed system: a matrix over the loop basis.
 
-    Entries map (domain key, codomain key) to a scalar, with keys of the
-    form (eigenvector index, hat degree, exponent).  The endomorphism is
-    parity preserving and respects exponent cosets.
+    Entries map (domain key, codomain key) to a nonzero scalar of the
+    base field, with keys of the form (eigenvector index, hat degree,
+    exponent).  Every value ``field.scalar`` reads (an int, a Fraction, a
+    scalar of a subfield) is lifted to one, and a zero value is dropped.
+    The endomorphism is parity preserving and respects exponent cosets.
     """
 
     def __init__(self, frame, entries):
         self._frame = frame
-        self.entries = {k: v for k, v in entries.items() if not v.is_zero()}
-        self._images = {}  # domain id -> {codomain id: scalar}
-        for (dkey, ckey), v in self.entries.items():
-            self._images.setdefault(frame.key_id(dkey), {})[
-                frame.key_id(ckey)] = v
+        self.entries = {}
+        self._images = {}  # domain id -> {codomain id: lowered scalar}
+        for key, v in entries.items():
+            v = frame.field.scalar(v)
+            if v:
+                self.entries[key] = v
+                dkey, ckey = key
+                self._images.setdefault(frame.key_id(dkey), {})[
+                    frame.key_id(ckey)] = _lower(v)
 
     @property
     def loop(self):
@@ -280,7 +308,7 @@ class CentroidSolution:
     def image(self, dkey):
         """The image of a domain basis element, as codomain coordinates."""
         frame = self._frame
-        return {frame.entry_key(c): v for c, v in
+        return {frame.entry_key(c): frame.field.scalar(v) for c, v in
                 self._images.get(frame.key_id(dkey), {}).items()}
 
     def apply(self, x):
@@ -324,7 +352,8 @@ def _interior_brackets(frame):
             got = {}
             for n, coords in pairs[ai, bi].items():
                 for l in range(n + 1 if p else 1):
-                    shifted = frame.times(coords, {p - l: binom_frac(p, l)})
+                    shifted = frame.times(coords,
+                                          {p - l: _q(binom_frac(p, l))})
                     for i, v in shifted.items():
                         _add_to(got.setdefault(n - l, {}), i, v)
             brackets[a][bi] = {n: comps for n, comps in got.items() if comps}
@@ -341,13 +370,12 @@ def _minus_columns(frame, brackets, wanted):
     """
     keys = frame.keys
     slot = frame._slot
-    minus = -frame.field.one()
     out = {}
     for c in wanted:
         bi, l, q = keys[c]
         base = slot(0, q) + bi
         if base not in out:
-            out[base] = {n: frame.times(coords, {q: minus})
+            out[base] = {n: frame.times(coords, {q: -1})
                          for n, coords in brackets[bi].items()}
         if not l:
             continue
@@ -379,7 +407,6 @@ def centroid_basis(L, window, interior):
     """
     frame = _Frame(L, window, interior)
     A = frame.algebra
-    one = frame.field.one()
     keys = frame.keys
     interior0 = frame.interior0
 
@@ -392,7 +419,7 @@ def centroid_basis(L, window, interior):
         for b in interior0:
             bi, _, q = keys[b]
             for coords in brackets[a][bi].values():
-                for i in frame.times(coords, {q: one}):
+                for i in frame.times(coords, {q: 1}):
                     if keys[i][1] > 1:
                         raise DomainError(
                             "table depth exceeds the windowed solver: "
@@ -478,7 +505,9 @@ def centroid_basis(L, window, interior):
         del minus  # free these columns before the next key's
 
     pivots = {lead: row for block in blocks for lead, row in block.items()}
-    raw = _null_basis(pivots, touched, one)
+    # a product of two irrational pivot entries can be a rational CycloScalar
+    raw = [{u: _lower(v) for u, v in vec.items()}
+           for vec in _null_basis(pivots, touched, 1)]
     # raw lives on touched unknowns: its span solves every row, untouched 0
     null = Echelon()
     for vec in raw:
@@ -497,7 +526,7 @@ def centroid_basis(L, window, interior):
     for j in range(-frame.maxl, frame.maxl + 1):
         try:
             entries = {cols[d][c]: v for d in domain
-                       for c, v in frame.times({d: one}, {j: one}).items()}
+                       for c, v in frame.times({d: 1}, {j: 1}).items()}
         except KeyError:  # the image leaves the codomain
             continue
         if _reduce_against(null, entries)[0]:
@@ -506,13 +535,14 @@ def centroid_basis(L, window, interior):
         solutions.append(solution(entries))
 
     for vec in raw:
-        residue, lead = _reduce_against(chosen, vec)
-        if not residue:
-            continue
-        inv = residue[lead].inverse()
-        residue = {u: c * inv for u, c in residue.items()}
-        _echelon_insert(chosen, residue)
-        solutions.append(solution(residue))
+        # the pivot keeps the reduced vector as {u: m_u} = minus its entries
+        # over its lead entry, so the vector scaled to 1 at the lead is
+        # 1 there and -m_u at each u
+        lead = _echelon_insert(chosen, vec)
+        if lead is not None:
+            residue = {u: -m for u, m in chosen[lead].items()}
+            residue[lead] = 1
+            solutions.append(solution(residue))
     return solutions
 
 
@@ -540,8 +570,7 @@ def is_scalar_action(chi):
     if r.is_zero() and chi.entries:
         return None
 
-    one = frame.field.one()
     for i in frame.domain:
-        if frame.times({i: one}, r.terms) != images.get(i, {}):
+        if frame.times({i: 1}, terms) != images.get(i, {}):
             return None
     return r

@@ -13,7 +13,10 @@ covers scalar coefficients and the t-exponents of ``core.ConfElt`` keys.
 The two types compare and hash equal, so a value the rule misses is only
 slower, never wrong.  Values a caller reads stay ``Fraction``:
 ``as_rational``, Laurent exponents, ``L0Spectrum`` eigenvalues and centroid
-solution keys.
+solution keys.  The windowed centroid solve holds its rational scalars
+under the same rule, as Python numbers beside the irrational
+``CycloScalar`` ones, so ``_q`` passes a ``CycloScalar`` through and
+``_add_to`` keeps an int or ``Fraction`` sum under the rule.
 """
 
 from __future__ import annotations
@@ -34,10 +37,16 @@ MAX_CONDUCTOR = 1000
 
 
 def _q(c):
-    """The exact rational c as an int when it is integral, else a Fraction."""
+    """The exact rational c as an int when it is integral, else a Fraction.
+
+    A ``CycloScalar`` is returned as it is, so a product of mixed exact
+    scalars takes the rule without a type test at the caller.
+    """
     if c.__class__ is int:
         return c
     if c.__class__ is not Fraction:
+        if c.__class__ is CycloScalar:
+            return c
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
@@ -45,12 +54,18 @@ def _q(c):
 def _add_to(acc, key, val):
     """Add val into the sparse map acc at key, dropping the key at zero.
 
-    Duck-typed on ``+`` and ``is_zero()``, so the values may be scalars,
+    An int or Fraction sum is stored under the ``_q`` rule.  Any other value
+    is duck-typed on ``+`` and ``is_zero()``, so the values may be scalars,
     conformal elements or anything else with both.
     """
     s = acc.get(key)
     s = val if s is None else s + val
-    if s.is_zero():
+    if s.__class__ is Fraction:
+        if s.denominator != 1:  # nonzero, and under the rule already
+            acc[key] = s
+            return
+        s = s.numerator
+    if not s if s.__class__ is int else s.is_zero():
         acc.pop(key, None)
     else:
         acc[key] = s

@@ -1,18 +1,22 @@
 """Small exact linear algebra helpers.
 
 All elimination over a field goes through one sparse exact eliminator,
-the solved-form echelon below: rows are dicts {column: scalar} of
-field-like scalars (CycloScalar entries, all in one field), and each
-pivot is kept solved for its least column and free of every other pivot
-column.  ``rank``, ``null_space`` and ``solve`` are dense
-adapters over it; the windowed centroid solve drives it directly.
+the solved-form echelon below: rows are dicts {column: scalar} of exact
+scalars, and each pivot is kept solved for its least column and free of
+every other pivot column.  ``rank``, ``null_space`` and ``solve`` are
+dense adapters over it, on CycloScalar entries of one field; the windowed
+centroid solve drives it directly, on rationals held under the ``_q`` rule
+(an int when integral, else a Fraction) mixed with irrational
+CycloScalars, and every result keeps that rule.
 Determinants and adjugates are also provided over the Laurent ring, where
 division is not available, via minor expansion.
 """
 
 from __future__ import annotations
 
-from .cyclotomic import _add_to
+from fractions import Fraction
+
+from .cyclotomic import CycloScalar, _add_to, _q
 from .errors import DomainError
 
 
@@ -59,8 +63,13 @@ def _echelon_insert(pivots, row):
     row, lead = _reduce_against(pivots, row)
     if lead is not None:
         coef = row.pop(lead)
-        ninv = -coef.inverse() if row else None
-        new = {u: c * ninv for u, c in row.items()}
+        if not row:
+            ninv = None
+        elif coef.__class__ is CycloScalar:
+            ninv = -coef.inverse()
+        else:  # a rational lead
+            ninv = _q(Fraction(-1, coef))
+        new = {u: _q(c * ninv) for u, c in row.items()}
         users = pivots.users
         for other in users.pop(lead, ()):
             piv = pivots[other]
@@ -92,8 +101,7 @@ def _echelon(rows):
     """Fully reduced solved-form pivots of dense rows."""
     pivots = Echelon()
     for row in rows:
-        _echelon_insert(pivots, {c: v for c, v in enumerate(row)
-                                 if not v.is_zero()})
+        _echelon_insert(pivots, {c: v for c, v in enumerate(row) if v})
     return pivots
 
 

@@ -1,6 +1,7 @@
 """Windowed centroid computations on small loop algebras."""
 
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,9 @@ from csalg.algebras import make_current, make_n2, make_n4, sl2_constants
 from csalg.centroid import _Frame, centroid_basis, is_scalar_action
 from csalg.core import (EVEN, AlgebraDef, ConfElt, Generator, LambdaPoly,
                         apply_partial, lambda_bracket, to_hat_basis)
-from csalg.cyclotomic import CycloField, _add_to
-from csalg.errors import DomainError
+from csalg.cyclotomic import CycloField, CycloScalar, _add_to
+from csalg.errors import ConductorError, DomainError
+from csalg.linalg import _echelon_insert
 from csalg.laurent import LaurentElt, delta_t
 from csalg.loops import LoopAlgebra, eigenspaces
 from csalg.morphisms import identity_morphism, n2_omega, n4_auto
@@ -501,3 +503,66 @@ def test_one_decomposition_per_bracket_coefficient(monkeypatch):
     coefficients = sum(1 for poly in brackets
                        for e in poly.coeffs.values() if not e.is_zero())
     assert len(decompositions) == coefficients
+
+
+def test_replace_entries_lifts_rationals_and_subfield_scalars():
+    sol = by_exponent(centroid_basis(UNTWISTED, 3, 1))[0]
+    keys = list(sol.entries)
+    sub = CycloField.get(8)
+    got = sol.replace_entries({keys[0]: 2, keys[1]: Fraction(-3, 2),
+                               keys[2]: sub.zeta(1), keys[3]: 0,
+                               keys[4]: FIELD.zero()})
+    # zeta_8 is zeta_24^3; the zero values are dropped
+    assert got.entries == {keys[0]: FIELD.rational(2),
+                           keys[1]: FIELD.rational(Fraction(-3, 2)),
+                           keys[2]: FIELD.zeta(3)}
+    assert list(got.entries) == keys[:3]
+    assert all(v.__class__ is CycloScalar and v.field is FIELD
+               for v in got.entries.values())
+    image = got.image(keys[0][0])
+    assert image[keys[0][1]] == FIELD.rational(2)
+    assert all(v.__class__ is CycloScalar for v in image.values())
+    # integral entries act as the scalar they name
+    twice = sol.replace_entries({k: 2 for k in sol.entries})
+    assert is_scalar_action(twice) == LaurentElt(FIELD, {0: 2})
+    x = N2.elt("G+", q=-1)
+    assert twice.apply(x) == x.scale(2)
+    with pytest.raises(ConductorError, match=r"Q\(zeta_5\).*Q\(zeta_24\)"):
+        sol.replace_entries({keys[0]: CycloField.get(5).zeta(1)})
+
+
+#: The four perfbench centroid cases and N4 twisted by order 3:
+#: (loop, window, interior).
+ROW_CASES = {
+    "n2_id_w3": (UNTWISTED, 3, 1),
+    "n2_omega_w3": (OMEGA_LOOP, 3, 1),
+    "n2_omega_w5": (OMEGA_LOOP, 5, 2),
+    "n4_minus_w3": (N4_MINUS, 3, 1),
+    "n4_z3_w3": (N4_Z3, 3, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_CASES))
+def test_rows_hold_rationals_as_python_numbers(monkeypatch, name):
+    # the solve runs on rationals under the _q rule: an int when integral,
+    # else a Fraction, and a CycloScalar only when irrational
+    seen = Counter()
+
+    def checked(pivots, row):
+        for v in row.values():
+            if v.__class__ is Fraction:
+                assert v.denominator != 1, v
+            elif v.__class__ is CycloScalar:
+                assert v.as_rational() is None, v
+            else:
+                assert v.__class__ is int, v
+            seen[v.__class__] += 1
+        return _echelon_insert(pivots, row)
+
+    monkeypatch.setattr(centroid, "_echelon_insert", checked)
+    sols = centroid_basis(*ROW_CASES[name])
+    assert len(sols) == 3
+    assert all(is_scalar_action(chi) is not None for chi in sols)
+    assert seen[int] and seen[Fraction]
+    # the N4 tables carry zeta^6 coefficients, so their rows mix both kinds
+    assert bool(seen[CycloScalar]) == name.startswith("n4")

@@ -326,3 +326,27 @@ def test_add_to_drops_cancelled_keys():
     assert acc == {"b": field.rational(2)}
     _add_to(acc, "b", field.rational(3))
     assert acc["b"].coeffs == {0: Fraction(5)}
+
+
+def test_add_to_keeps_rational_sums_under_the_q_rule():
+    # an integral sum of Fractions is stored as an int, a zero one dropped
+    half = Fraction(1, 2)
+    acc = {}
+    _add_to(acc, "a", half)
+    _add_to(acc, "a", half)
+    _add_to(acc, "b", Fraction(2, 3))
+    _add_to(acc, "b", Fraction(-2, 3))
+    _add_to(acc, "c", 0)
+    assert acc == {"a": 1} and acc["a"].__class__ is int
+    _add_to(acc, "a", half)
+    assert acc["a"] == Fraction(3, 2)
+    _add_to(acc, "a", -1)
+    _add_to(acc, "a", -half)
+    assert acc == {}
+    # a CycloScalar beside a Python rational sums into the field
+    field = CycloField.get(24)
+    _add_to(acc, "z", 2)
+    _add_to(acc, "z", field.zeta(1))
+    assert acc["z"] == field.zeta(1) + field.rational(2)
+    _add_to(acc, "z", -field.zeta(1))
+    assert acc["z"] == 2

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from csalg.cyclotomic import CycloField
+from csalg.cyclotomic import CycloField, CycloScalar, _q
 from csalg.errors import DomainError
 from csalg.laurent import LaurentElt
 from csalg.linalg import (
@@ -197,6 +197,53 @@ def test_echelon_pivots_stay_fully_reduced():
             vec = {c: v for c, v in enumerate(row) if not v.is_zero()}
             assert _reduce_against(pivots, vec) == ({}, None)
         assert _regular_rank(rows, powers) == FIELD.degree * len(pivots)
+
+
+def _mixed_matrix(rng, nrows, ncols):
+    """Entries an int, a Fraction or c * zeta^k with zeta^k irrational, the
+    rationals under the ``_q`` rule, with zero entries and zero rows."""
+    def entry():
+        kind = rng.random()
+        if kind < 0.3:
+            return 0
+        if kind < 0.55:
+            return rng.randrange(-3, 4)
+        if kind < 0.8:
+            return _q(Fraction(rng.randrange(-4, 5), rng.choice((2, 3))))
+        return FIELD.zeta(rng.choice([k for k in range(1, 24) if k != 12])) \
+            * rng.choice((-2, -1, Fraction(1, 2), 3))
+
+    return [[0] * ncols if rng.random() < 0.1 else
+            [entry() for _ in range(ncols)] for _ in range(nrows)]
+
+
+def test_eliminator_on_mixed_exact_scalars_matches_the_lifted_rows():
+    # rows of ints, Fractions and irrational CycloScalars eliminate to the
+    # same pivots, value for value, as the rows lifted into Q(zeta_24)
+    powers = _zeta_powers()
+    rng = random.Random(1907)
+    leads = set()
+    for _ in range(40):
+        nrows, ncols = rng.randrange(1, 6), rng.randrange(1, 7)
+        m = _mixed_matrix(rng, nrows, ncols)
+        lifted = [[FIELD.scalar(v) for v in row] for row in m]
+        got, want = _echelon(m), _echelon(lifted)
+        assert list(got) == list(want)
+        for lead, row in want.items():
+            assert list(got[lead]) == list(row)
+            for u, v in row.items():
+                w = got[lead][u]
+                assert w == v, (lead, u)
+                assert not (w.__class__ is Fraction and w.denominator == 1)
+        first = next((row for row in m if any(row)), None)
+        if first is not None and sum(1 for v in first if v) > 1:
+            # the first nonzero row pivots unreduced, so its lead is inverted
+            leads.add(next(v for v in first if v).__class__)
+        r = rank(m, 0)
+        assert r == len(want)
+        assert _regular_rank(lifted, powers) == FIELD.degree * r
+    # leads of every kind were inverted
+    assert leads == {int, Fraction, CycloScalar}
 
 
 def test_rref_agrees_with_sympy():
