@@ -38,14 +38,19 @@ Without weights, or when the check fails, every unknown gets shift 0 and
 the system is one block holding every shift, on the shorter codomain: at
 interior 1/2 it misses the t^{-1} that the graded solve finds.
 
-Key ids: a key (alpha, l, q) carries a rational exponent, which is slow to
-hash when it is a Fraction, so the solve runs on small int ids instead.
-``_Frame`` interns each pair (l, q) once, on first sight, and gives the
-keys (alpha, l, q) of all eigenbasis records consecutive ids;
-``_Frame.keys`` maps an id back to its key, and the parity, residue and
-degree of each id are read once, into lists.  Coordinates, columns, rows
-and blocks all run on ids; ids become keys again, with a Fraction
-exponent, only in the entries and images of a ``CentroidSolution``.
+Key ids: the solve runs on small int ids and int exponents.  A loop's
+exponents and degrees lie on the lattice (1/M)Z, M the lcm of the twist
+order and the denominators of the generator weights: 2 for the N=2 and
+N=4 loops of order at most 2, 6 for order 3, 4 for order 4, the order
+alone when the weights do not grade.  ``_Frame`` interns each pair
+(l, M q) once, on first sight, and gives the keys (alpha, l, M q) of all
+eigenbasis records consecutive ids; ``_Frame.keys`` maps an id back to
+its key, and the parity, residue and degree (times M) of each id are read
+once, into lists.  An exponent enters the lattice exactly; one off (1/M)Z
+is refused with a DomainError that names it.  The exponent q, a Fraction,
+comes back only where a caller reads it: the entries and images of a
+``CentroidSolution``, its hat elements, the r of ``is_scalar_action`` and
+the error texts.
 
 Coordinates: each pair of t-free record vectors v_alpha, v_beta is
 bracketed once, and each lambda-coefficient is decomposed on the ids once;
@@ -60,9 +65,10 @@ CS1 on the right slot, [x lambda Dhat y] = (Dhat + lambda)[x lambda y],
 gives (beta, 1, q) from (beta, 0, q): its lambda^{(m)} component is
 Dhat c_m + m c_{m-1}, with Dhat (alpha, l, q) = (l + 1) (alpha, l + 1, q).
 The column of an interior key b is minus the products a_(n) b, so each
-row reads both sides of its equation from one map.  An unknown that a row
-pins to 0 is left out of the later rows (subtracting the pin row keeps
-the row space) and of the columns built for them.
+row reads both sides of its equation from one map.  An unknown pinned to
+0, by a row that reduces to it alone or by a substitution that empties
+its pivot row, is left out of the later rows (subtracting the pin row
+keeps the row space) and of the columns built for them.
 
 Scalars: the solve runs on Python rationals wherever it can.
 ``_Frame.coords`` lowers each rational coordinate to its ``_q`` value (an
@@ -77,6 +83,7 @@ reinserted.  ``CentroidSolution`` lifts its entries back through
 ``field.scalar``, so the entries a caller reads are ``CycloScalar``s.
 """
 
+import math
 from fractions import Fraction
 
 from .core import apply_partial_power, lambda_bracket, to_hat_basis
@@ -176,59 +183,80 @@ class _Frame:
                 "window %s (interior %s) needs up to %d unknowns, above the "
                 "bound %d" % (self.window, self.interior, estimate,
                               MAX_UNKNOWNS))
-        interior0 = [(ai, 0, q)
-                     for ai, (res, _, _, _) in enumerate(self.alphas)
-                     for q in loop.exponents(res, -self.interior,
-                                             self.interior)]
-        if not interior0:
-            raise DomainError("interior window contains no basis elements")
         self.maxl = A.table_degrees()[0]
         try:
             self.weights = loop.weights()
         except DomainError:
             self.weights = None  # ungraded: the system is one block
+        # the exponent lattice (1/M)Z; a key holds the int M q, and the
+        # degree q - l - wt + 1 of record alpha is M q - M l - offset[alpha]
+        M = self.scale = math.lcm(loop.order, *(
+            Fraction(w).denominator for w in self.weights or ()))
+        self._offsets = (None if self.weights is None
+                         else [int(M * (w - 1)) for w in self.weights])
 
-        self.keys = []  # id -> (alpha, l, q)
-        self._slots = {}  # (l, q) -> the id of (0, l, q)
+        self.keys = []  # id -> (alpha, l, M q)
+        self._slots = {}  # (l, M q) -> the id of (0, l, M q)
         self.sigs = []  # id -> (parity, residue)
-        self.degrees = []  # id -> degree, 0 when the weights do not grade
+        self.degrees = []  # id -> M * degree, 0 when the weights do not grade
         self._hats = {}  # id -> hat element, for apply's repeated calls
         self.domain = set()  # ids of the solved domain, set by centroid_basis
-        self.interior0 = [self.key_id(k) for k in interior0]
+        self.interior0 = [self.key_id((ai, 0, q))
+                          for ai, (res, _, _, _) in enumerate(self.alphas)
+                          for q in loop.exponents(res, -self.interior,
+                                                  self.interior)]
+        if not self.interior0:
+            raise DomainError("interior window contains no basis elements")
 
     # -- basis bookkeeping -------------------------------------------------
 
-    def _slot(self, l, q):
-        """The id of (0, l, q); record alpha adds alpha.  The one place the
-        system hashes an exponent."""
-        base = self._slots.get((l, q))
+    def _slot(self, l, Q):
+        """The id of (0, l, Q); record alpha adds alpha.  The one place the
+        system hashes an exponent, an int."""
+        base = self._slots.get((l, Q))
         if base is None:
-            base = self._slots[(l, q)] = len(self.keys)
-            self.keys.extend((ai, l, q) for ai in range(len(self.alphas)))
+            base = self._slots[(l, Q)] = len(self.keys)
+            self.keys.extend((ai, l, Q) for ai in range(len(self.alphas)))
             self.sigs.extend((parity, res)
                              for res, _, _, parity in self.alphas)
             self.degrees.extend(
-                [0] * len(self.alphas) if self.weights is None
-                else [_q(q - l - w + 1) for w in self.weights])
+                [0] * len(self.alphas) if self._offsets is None
+                else [Q - l * self.scale - off for off in self._offsets])
         return base
+
+    def _lattice(self, q):
+        """The int M q of an exponent q on the lattice (1/M)Z, exactly."""
+        Q = q * self.scale
+        if Q.__class__ is not int:
+            if Q.denominator != 1:
+                raise DomainError(
+                    "exponent %s lies off the exponent lattice (1/%d)Z of "
+                    "the loop" % (q, self.scale))
+            Q = Q.numerator
+        return Q
+
+    def exponent(self, Q):
+        """The exponent q, a Fraction, of the scaled exponent Q = M q."""
+        return Fraction(Q, self.scale)
 
     def entry_key(self, i):
         """The key of id i as a solution shows it: q as a Fraction."""
-        ai, l, q = self.keys[i]
-        return ai, l, Fraction(q)
+        ai, l, Q = self.keys[i]
+        return ai, l, self.exponent(Q)
 
     def key_id(self, key):
         """The id of a key (alpha, l, q), interned on first sight."""
         ai, l, q = key
-        return self._slot(l, q) + ai
+        return self._slot(l, self._lattice(q)) + ai
 
     def hat(self, i):
         """The element Dhat^{(l)} (v_alpha (x) t^q) of the key with id i."""
         got = self._hats.get(i)
         if got is None:
-            ai, l, q = self.keys[i]
+            ai, l, Q = self.keys[i]
             got = self._hats[i] = apply_partial_power(
-                self.algebra, self.alphas[ai][1].shift_t(q), l)
+                self.algebra, self.alphas[ai][1].shift_t(self.exponent(Q)),
+                l)
         return got
 
     def coords(self, x):
@@ -236,7 +264,8 @@ class _Frame:
         zero = self.field.zero()
         grouped = {}
         for (g, l, q), c in to_hat_basis(self.algebra, x).items():
-            _add_to(grouped.setdefault(self._slot(l, q), {}), g, c)
+            _add_to(grouped.setdefault(self._slot(l, self._lattice(q)), {}),
+                    g, c)
         out = {}
         for base, vec in grouped.items():
             for ai, row in enumerate(self._einv):
@@ -252,22 +281,26 @@ class _Frame:
     def times(self, coords, terms):
         """Coordinates of x * sum_s c_s t^s, from the coordinates of x.
 
-        ``terms`` maps s to c_s.  On the hat basis t^s sends (alpha, 0, q)
-        to (alpha, 0, q + s), and Dhat(v t^q) t^s = Dhat(v t^{q+s})
-        - s v t^{q+s-1} sends (alpha, 1, q) to (alpha, 1, q + s) minus
-        s (alpha, 0, q + s - 1).  Exact on hat levels 0 and 1; the product
-        closure refuses any higher level.
+        ``terms`` maps the scaled shift S = M s to c_s.  On the hat basis
+        t^s sends (alpha, 0, q) to (alpha, 0, q + s), and Dhat(v t^q) t^s =
+        Dhat(v t^{q+s}) - s v t^{q+s-1} sends (alpha, 1, q) to
+        (alpha, 1, q + s) minus s (alpha, 0, q + s - 1).  Exact on hat
+        levels 0 and 1; the product closure refuses any higher level.
         """
         keys = self.keys
         slot = self._slot
+        M = self.scale
+        # (S, c_s, -s), with -s under the _q rule
+        steps = [(S, c, -S // M if not S % M else Fraction(-S, M))
+                 for S, c in terms.items()]
         out = {}
         for i, v in coords.items():
-            ai, l, q = keys[i]
-            for s, c in terms.items():
+            ai, l, Q = keys[i]
+            for S, c, minus_s in steps:
                 w = v * c
-                _add_to(out, slot(l, _q(q + s)) + ai, w)
-                if l and s:
-                    _add_to(out, slot(0, _q(q + s - 1)) + ai, w * -s)
+                _add_to(out, slot(l, Q + S) + ai, w)
+                if l and S:
+                    _add_to(out, slot(0, Q + S - M) + ai, w * minus_s)
         return out
 
 
@@ -282,16 +315,15 @@ class CentroidSolution:
     """
 
     def __init__(self, frame, entries):
+        """``entries`` maps pairs (domain id, codomain id) to scalars."""
         self._frame = frame
         self.entries = {}
         self._images = {}  # domain id -> {codomain id: lowered scalar}
-        for key, v in entries.items():
+        for (d, c), v in entries.items():
             v = frame.field.scalar(v)
             if v:
-                self.entries[key] = v
-                dkey, ckey = key
-                self._images.setdefault(frame.key_id(dkey), {})[
-                    frame.key_id(ckey)] = _lower(v)
+                self.entries[frame.entry_key(d), frame.entry_key(c)] = v
+                self._images.setdefault(d, {})[c] = _lower(v)
 
     @property
     def loop(self):
@@ -320,14 +352,17 @@ class CentroidSolution:
                 raise DomainError(
                     "element leaves the solved domain of window %s "
                     "(interior %s): no column for key (%d, %d, %s)"
-                    % ((frame.window, frame.interior) + frame.keys[d]))
+                    % ((frame.window, frame.interior) + frame.entry_key(d)))
             for c, v in self._images.get(d, {}).items():
                 acc = acc + frame.hat(c).scale(v * w)
         return acc
 
     def replace_entries(self, entries):
         """A sibling solution object with different matrix entries."""
-        return CentroidSolution(self._frame, entries)
+        frame = self._frame
+        return CentroidSolution(frame, {
+            (frame.key_id(dkey), frame.key_id(ckey)): v
+            for (dkey, ckey), v in entries.items()})
 
     def __repr__(self):
         return "CentroidSolution(%d entries on window %s)" % (
@@ -344,16 +379,18 @@ def _interior_brackets(frame):
                 frame.algebra, frame.alphas[ai][1],
                 frame.alphas[bi][1]).coeffs.items()}
              for ai in records for bi in records}
+    M = frame.scale
     brackets = {}
     for a in frame.interior0:
-        ai, _, p = frame.keys[a]
+        ai, _, P = frame.keys[a]
+        p = frame.exponent(P)
         brackets[a] = {}
         for bi in records:
             got = {}
             for n, coords in pairs[ai, bi].items():
-                for l in range(n + 1 if p else 1):
+                for l in range(n + 1 if P else 1):
                     shifted = frame.times(coords,
-                                          {p - l: _q(binom_frac(p, l))})
+                                          {P - l * M: _q(binom_frac(p, l))})
                     for i, v in shifted.items():
                         _add_to(got.setdefault(n - l, {}), i, v)
             brackets[a][bi] = {n: comps for n, comps in got.items() if comps}
@@ -372,10 +409,10 @@ def _minus_columns(frame, brackets, wanted):
     slot = frame._slot
     out = {}
     for c in wanted:
-        bi, l, q = keys[c]
-        base = slot(0, q) + bi
+        bi, l, Q = keys[c]
+        base = slot(0, Q) + bi
         if base not in out:
-            out[base] = {n: frame.times(coords, {q: -1})
+            out[base] = {n: frame.times(coords, {Q: -1})
                          for n, coords in brackets[bi].items()}
         if not l:
             continue
@@ -407,6 +444,7 @@ def centroid_basis(L, window, interior):
     """
     frame = _Frame(L, window, interior)
     A = frame.algebra
+    M = frame.scale
     keys = frame.keys
     interior0 = frame.interior0
 
@@ -417,9 +455,9 @@ def centroid_basis(L, window, interior):
     domain = set(interior0)
     for a in interior0:
         for b in interior0:
-            bi, _, q = keys[b]
+            bi, _, Q = keys[b]
             for coords in brackets[a][bi].values():
-                for i in frame.times(coords, {q: 1}):
+                for i in frame.times(coords, {Q: 1}):
                     if keys[i][1] > 1:
                         raise DomainError(
                             "table depth exceeds the windowed solver: "
@@ -428,19 +466,19 @@ def centroid_basis(L, window, interior):
                                A.elt_string(frame.hat(b)), keys[i][1]))
                     domain.add(i)
     reach = max(abs(keys[i][2]) for i in domain)
-    if reach > frame.window:
+    if reach > frame.window * M:
         raise DomainError(
             "window %s too small for the product closure: it reaches "
             "|q| = %s, the smallest window that covers it"
-            % (frame.window, reach))
+            % (frame.window, frame.exponent(reach)))
     domain = sorted(domain, key=lambda i: (keys[i][0], keys[i][2],
                                            keys[i][1]))
     frame.domain = set(domain)
     # graded: one step further down, where t^{-1} sends the lowest Dhat
     # key; the shift bound below keeps out the t^{-2} it would also admit
-    dlo = (min(keys[i][2] for i in domain) - frame.maxl
-           - (frame.weights is not None))
-    dhi = max(keys[i][2] for i in domain) + frame.maxl
+    dlo = frame.exponent(min(keys[i][2] for i in domain)
+                         - (frame.maxl + (frame.weights is not None)) * M)
+    dhi = frame.exponent(max(keys[i][2] for i in domain) + frame.maxl * M)
 
     codomain = [frame.key_id((bi, l, q))
                 for bi, (res, _, _, _) in enumerate(frame.alphas)
@@ -448,9 +486,11 @@ def centroid_basis(L, window, interior):
 
     # legal matrix positions: same parity, and the same residue, so the
     # exponent difference is an integer, and a shift |s| <= maxl, the
-    # blocks a candidate t^j can live in (every shift is 0 when ungraded)
+    # blocks a candidate t^j can live in (every shift is 0 when ungraded);
+    # shifts are scaled by M, like the degrees
     sigs = frame.sigs
     degrees = frame.degrees
+    bound = frame.maxl * M
     cod_of = {}
     for d in domain:
         if sigs[d] not in cod_of:
@@ -464,7 +504,7 @@ def centroid_basis(L, window, interior):
         ddeg = degrees[d]
         for c in cod_of[sigs[d]]:
             s = degrees[c] - ddeg
-            if abs(s) <= frame.maxl:
+            if abs(s) <= bound:
                 col[c] = len(unknowns)
                 unknowns.append((d, c))
                 shift.append(block_of.setdefault(s, len(block_of)))
@@ -475,7 +515,9 @@ def centroid_basis(L, window, interior):
     # see it, so without them the Dhat components of chi(b) go free (the
     # sl2 current loop then solves to a non-scalar direction beside r = 1);
     # each row is homogeneous in the shift and goes to the echelon of its
-    # own block; ``live`` drops each unknown a row pins to 0
+    # own block; ``live`` drops each unknown an insert pins to 0, at the
+    # row that reduces to it alone or at a substitution that empties its
+    # pivot row (``Echelon.pins``)
     blocks = [Echelon() for _ in block_of]
     touched = set()
     live = {d: dict(col) for d, col in cols.items()}
@@ -498,10 +540,11 @@ def centroid_basis(L, window, interior):
                     if row:
                         touched.update(row)
                         block = blocks[shift[next(iter(row))]]
-                        lead = _echelon_insert(block, row)
-                        if lead is not None and not block[lead]:
+                        _echelon_insert(block, row)
+                        for lead in block.pins:
                             d, c = unknowns[lead]
                             del live[d][c]
+                        block.pins.clear()
         del minus  # free these columns before the next key's
 
     pivots = {lead: row for block in blocks for lead, row in block.items()}
@@ -514,10 +557,8 @@ def centroid_basis(L, window, interior):
         _echelon_insert(null, vec)
 
     def solution(vec):
-        return CentroidSolution(frame, {
-            (frame.entry_key(unknowns[uid][0]),
-             frame.entry_key(unknowns[uid][1])): vec[uid]
-            for uid in sorted(vec)})
+        return CentroidSolution(frame, {unknowns[uid]: vec[uid]
+                                        for uid in sorted(vec)})
 
     solutions = []
     chosen = Echelon()
@@ -526,7 +567,7 @@ def centroid_basis(L, window, interior):
     for j in range(-frame.maxl, frame.maxl + 1):
         try:
             entries = {cols[d][c]: v for d in domain
-                       for c, v in frame.times({d: 1}, {j: 1}).items()}
+                       for c, v in frame.times({d: 1}, {j * M: 1}).items()}
         except KeyError:  # the image leaves the codomain
             continue
         if _reduce_against(null, entries)[0]:
@@ -559,14 +600,15 @@ def is_scalar_action(chi):
     images = chi._images
 
     d0 = frame.interior0[0]
-    a0, _, q0 = keys[d0]
-    terms = {}
+    a0, _, Q0 = keys[d0]
+    terms = {}  # scaled shift -> coefficient
     for c, v in images.get(d0, {}).items():
-        ai, l, q = keys[c]
+        ai, l, Q = keys[c]
         if ai != a0 or l != 0:
             return None
-        terms[q - q0] = v
-    r = LaurentElt(frame.field, terms)
+        terms[Q - Q0] = v
+    r = LaurentElt(frame.field, {frame.exponent(S): v
+                                 for S, v in terms.items()})
     if r.is_zero() and chi.entries:
         return None
 

@@ -27,15 +27,21 @@ from .errors import DomainError
 # entries, and a null vector reads the m_u off directly, with no negation on
 # any path.  users[u] is a superset of the leads whose row mentions u (an
 # entry that cancels leaves its lead behind), so a new pivot is substituted
-# into those rows alone.
+# into those rows alone.  pins lists the leads an insert leaves with an
+# empty row, x_lead = 0: the new lead when its row reduces to it alone, and
+# every lead whose row a substitution empties.  A caller that builds its
+# rows as it goes drains it to leave those unknowns out of later rows;
+# ``rank``, ``null_space`` and ``solve`` ignore it.
 
 
 class Echelon(dict):
-    """Solved-form pivots {lead: row}, with the index ``users``."""
+    """Solved-form pivots {lead: row}, with the index ``users`` and the
+    record ``pins``."""
 
     def __init__(self):
         super().__init__()
         self.users = {}  # column -> leads whose row may mention it
+        self.pins = []  # leads pinned to 0 since the caller last drained it
 
 
 def _reduce_against(pivots, vec):
@@ -58,7 +64,8 @@ def _echelon_insert(pivots, row):
     """Insert a sparse row into an ``Echelon``; pivot on the least column.
 
     The new pivot is substituted into every pivot that mentions its lead,
-    so the set stays fully reduced.
+    so the set stays fully reduced.  Every lead left with an empty row is
+    appended to ``pivots.pins``.
     """
     row, lead = _reduce_against(pivots, row)
     if lead is not None:
@@ -78,8 +85,12 @@ def _echelon_insert(pivots, row):
                 for u, m in new.items():
                     _add_to(piv, u, c * m)
                     users.setdefault(u, set()).add(other)
+                if not piv:
+                    pivots.pins.append(other)
         for u in new:
             users.setdefault(u, set()).add(lead)
+        if not new:
+            pivots.pins.append(lead)
         pivots[lead] = new
     return lead
 

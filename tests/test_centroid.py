@@ -256,10 +256,11 @@ def test_decompose_inverts_the_hat_basis(loop):
 
 def _times_mutant(frame, coords, terms, lower):
     """``_Frame.times`` with its level-1 correction moved to exponent
-    q + s - lower, or dropped when ``lower`` is None."""
+    q + s - lower, or dropped when ``lower`` is None; ``terms`` maps the
+    real shift s to c_s."""
     out = {}
     for i, v in coords.items():
-        ai, l, q = frame.keys[i]
+        ai, l, q = frame.entry_key(i)
         for s, c in terms.items():
             _add_to(out, frame.key_id((ai, l, q + s)), v * c)
             if l and s and lower is not None:
@@ -267,12 +268,16 @@ def _times_mutant(frame, coords, terms, lower):
     return out
 
 
-@pytest.mark.parametrize("loop", [OMEGA_LOOP, N4_MINUS],
-                         ids=["n2_omega", "n4_minus"])
-def test_times_matches_multiplication_on_the_hat_basis(loop):
+@pytest.mark.parametrize("loop, M", [(OMEGA_LOOP, 2), (N4_MINUS, 2),
+                                     (N4_Z3, 6), (N4_I, 4)],
+                         ids=["n2_omega", "n4_minus", "n4_z3", "n4_i"])
+def test_times_matches_multiplication_on_the_hat_basis(loop, M):
     # oracle: build the element, multiply it by r in the t slot, and
-    # decompose the product through to_hat_basis
+    # decompose the product through to_hat_basis; ``times`` takes the
+    # shifts scaled by the lattice M, the oracle the real ones, and the
+    # exponents run over half-integers, thirds and quarters
     frame = _Frame(loop, 3, 1)
+    assert frame.scale == M
     field = loop.base.field
     one = field.one()
     reach = frame.window + frame.maxl
@@ -282,13 +287,17 @@ def test_times_matches_multiplication_on_the_hat_basis(loop):
     factors = [{Fraction(s): one} for s in range(-2, 3)]
     factors.append({Fraction(1): field.zeta(1) + field.rational(2),
                     Fraction(-2): field.rational(Fraction(-3, 2))})
+    # a shift off the integers, so the level-1 correction -s is a Fraction
+    factors.append({Fraction(1, M): one, Fraction(-3, M): field.zeta(5)})
     mutants = {"dropped": None, "unlowered": 0}
     caught = set()
     for i in ids:
         for terms in factors:
             want = frame.coords(
                 frame.hat(i).mul_laurent(LaurentElt(field, terms)))
-            assert frame.times({i: one}, terms) == want, (frame.keys[i], terms)
+            scaled = {int(s * M): c for s, c in terms.items()}
+            assert frame.times({i: one}, scaled) == want, (
+                frame.entry_key(i), terms)
             for name, lower in mutants.items():
                 if _times_mutant(frame, {i: one}, terms, lower) != want:
                     caught.add(name)
@@ -393,12 +402,54 @@ def test_entries_match_multiplication_on_the_solved_domain(loop):
         for d in frame.domain:
             img = frame.hat(d).mul_laurent(r)
             for c, v in frame.coords(img).items():
-                expected[(frame.keys[d], frame.keys[c])] = v
+                expected[(frame.entry_key(d), frame.entry_key(c))] = v
         assert dict(chi.entries) == expected
         for pair in chi.entries:
             assert len(pair) == 2
             for key in pair:
                 assert [type(part) for part in key] == [int, int, Fraction]
+
+
+@pytest.mark.parametrize("loop, M", [(OMEGA_LOOP, 2), (N4_MINUS, 2),
+                                     (N4_Z3, 6), (N4_I, 4),
+                                     (CURRENT_LOOP, 1)],
+                         ids=["n2_omega", "n4_minus", "n4_z3", "n4_i",
+                              "sl2_current"])
+def test_degrees_are_ints_on_the_exponent_lattice(loop, M):
+    # M is the lcm of the twist order and the weight denominators (3/2 for
+    # the odd generators); each degree is M (q - l - wt + 1), with q read
+    # off the solution key and wt off the generators of the record
+    frame = centroid_basis(loop, 3, 1)[0]._frame
+    assert frame.scale == M
+    A = loop.base
+    for i, degree in enumerate(frame.degrees):
+        assert degree.__class__ is int
+        ai, l, q = frame.entry_key(i)
+        (weight,) = {A.generators[g].weight
+                     for (g, _, _) in loop.basis[ai][1].terms}
+        if weight is None:  # the sl2 current loop is ungraded
+            assert degree == 0
+        else:
+            assert degree == M * (q - l - weight + 1)
+
+
+@pytest.mark.parametrize("loop, generator, q",
+                         [(OMEGA_LOOP, "L", Fraction(1, 5)),
+                          (N4_Z3, "L", Fraction(1, 4))],
+                         ids=["n2_omega", "n4_z3"])
+def test_an_exponent_off_the_lattice_is_refused_by_name(loop, generator, q):
+    # the lattices are (1/2)Z and (1/6)Z; the exponent enters exactly or
+    # not at all, and is never rounded onto the lattice
+    chi = centroid_basis(loop, 3, 1)[0]
+    frame = chi._frame
+    size = len(frame.keys)
+    text = r"^exponent %s lies off the exponent lattice \(1/%d\)Z of the " \
+        r"loop$" % (q, frame.scale)
+    with pytest.raises(DomainError, match=text):
+        chi.apply(loop.base.elt(generator, q=q))
+    with pytest.raises(DomainError, match=text):
+        frame.key_id((0, 0, q))
+    assert len(frame.keys) == size
 
 
 @pytest.mark.parametrize("loop", [OMEGA_LOOP, N4_MINUS],
@@ -423,7 +474,8 @@ def test_derived_columns_match_direct_brackets(loop):
             poly = lambda_bracket(A, xa, frame.hat(c))
             want = {n: {i: -v for i, v in frame.coords(elt).items()}
                     for n, elt in poly.coeffs.items()}
-            assert got[c] == want, (frame.keys[a], frame.keys[c])
+            assert got[c] == want, (frame.entry_key(a),
+                                    frame.entry_key(c))
 
 
 @pytest.mark.parametrize("loop", [OMEGA_LOOP, N4_MINUS, N4_Z3, N4_I],
@@ -442,7 +494,7 @@ def test_interior_brackets_match_direct_brackets(loop):
         for bi in records:
             poly = lambda_bracket(A, frame.hat(a), frame.alphas[bi][1])
             want = {n: frame.coords(e) for n, e in poly.coeffs.items()}
-            assert got[a][bi] == want, (frame.keys[a], bi)
+            assert got[a][bi] == want, (frame.entry_key(a), bi)
 
 
 @pytest.mark.parametrize("loop", [N4_Z3, N4_I, CURRENT_LOOP],

@@ -464,6 +464,30 @@ def test_centroid_with_one_exponent_per_coset_finds_t_inverse(capsys, name):
                    "  r = t^{1}\n")
 
 
+#: A twist of order 3 on N2: zeta^8 * zeta^16 = zeta^24 = 1, so [G+ lambda
+#: G-] is kept, and the loop's exponents lie in (1/3)Z, on the lattice
+#: (1/6)Z of the centroid solve.
+ROT3_CSM = ("morphism rot3 on N2 level 1\n\nimage L = L\nimage J = J\n"
+            "image G+ = zeta^8*G+\nimage G- = zeta^16*G-\n")
+
+
+def test_order_three_twist_golden(capsys, tmp_path):
+    path = tmp_path / "rot3.csm"
+    path.write_text(ROT3_CSM)
+    code, out, _ = run(capsys, ["hom", "n2.csa", str(path)])
+    assert code == 0
+    assert out == ("morphism rot3 on N2:\n"
+                   "  homomorphism: pass\n"
+                   "  invertible: pass (matrix determinant 1)\n")
+    code, out, _ = run(capsys, ["centroid", "n2.csa", "--auto", str(path),
+                                "--window", "3", "--interior", "1"])
+    assert code == 0
+    assert out == ("3 centroid solutions on window 3 (interior 1):\n"
+                   "  r = t^{-1}\n"
+                   "  r = 1\n"
+                   "  r = t^{1}\n")
+
+
 SL2_CSA = ("algebra sl2\n\ngenerator e parity=even\ngenerator h parity=even\n"
            "generator f parity=even\n\nbracket h e = 2*e\n"
            "bracket h f = -2*f\nbracket e f = h\n")

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -174,17 +175,28 @@ def test_eliminator_over_roots_of_unity_matches_regular_rank():
 
 
 def test_echelon_pivots_stay_fully_reduced():
-    """Every pivot is solved for its lead and mentions no pivot column, and
-    the index ``users`` names every pivot that mentions a column."""
+    """Every pivot is solved for its lead and mentions no pivot column, the
+    index ``users`` names every pivot that mentions a column, and ``pins``
+    names each pivot an insert leaves empty."""
     powers = _zeta_powers()
     rng = random.Random(808)
+    pinned = Counter()
     for _ in range(30):
         ncols = rng.randrange(1, 9)
         rows = _root_matrix(rng, rng.randrange(1, 9), ncols)
         pivots = Echelon()
         for row in rows:
-            _echelon_insert(pivots, {c: v for c, v in enumerate(row)
-                                     if not v.is_zero()})
+            before = {lead for lead, piv in pivots.items() if piv}
+            new = _echelon_insert(pivots, {c: v for c, v in enumerate(row)
+                                           if not v.is_zero()})
+            # the new lead, when its row reduces to it alone, and every
+            # older pivot whose row the substitution emptied, each once
+            emptied = {u for u in before if not pivots[u]}
+            fresh = {new} if new is not None and not pivots[new] else set()
+            assert sorted(pivots.pins) == sorted(emptied | fresh)
+            pinned["substitution"] += len(emptied)
+            pinned["insert"] += len(fresh)
+            pivots.pins.clear()
             for lead, piv in pivots.items():
                 assert all(u > lead and u not in pivots for u in piv)
                 assert not any(v.is_zero() for v in piv.values())
@@ -197,6 +209,7 @@ def test_echelon_pivots_stay_fully_reduced():
             vec = {c: v for c, v in enumerate(row) if not v.is_zero()}
             assert _reduce_against(pivots, vec) == ({}, None)
         assert _regular_rank(rows, powers) == FIELD.degree * len(pivots)
+    assert pinned["substitution"] and pinned["insert"]
 
 
 def _mixed_matrix(rng, nrows, ncols):
