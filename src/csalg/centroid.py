@@ -87,7 +87,7 @@ import math
 from fractions import Fraction
 
 from .core import apply_partial_power, lambda_bracket, to_hat_basis
-from .cyclotomic import CycloScalar, _add_to, _q
+from .cyclotomic import _add_to, _lower, _q
 from .errors import DomainError
 from .laurent import LaurentElt, binom_frac
 from .linalg import (Echelon, _echelon_insert, _null_basis, _reduce_against,
@@ -124,16 +124,6 @@ def _unknowns_estimate(loop, window, interior):
                                    + count(res, reach + maxl))
     return sum(count(res, reach) * codomain[(res, parity)]
                for res, _, _, parity in loop.basis)
-
-
-def _lower(v):
-    """The exact scalar v under the ``_q`` rule: a rational CycloScalar as
-    its int or Fraction, any other value as it is."""
-    if v.__class__ is CycloScalar:
-        r = v.as_rational()
-        if r is not None:
-            return _q(r)
-    return v
 
 
 class _Frame:

@@ -14,14 +14,26 @@ three layers:
 All lambda-polynomials are kept in divided powers, so every coefficient
 that the built-in algebras produce stays an exact rational or cyclotomic
 number.
+
+One kernel, ``_bracket_terms``, applies all three.  The bracket of two
+decorated generators is built once per algebra in closed form from the
+table (``_decorated_pair``) and cached as tuples.  The kernel works on
+lowered scalars: a rational coefficient is held as its ``_q`` value (an
+int or a Fraction) and only an irrational one stays a ``CycloScalar``.
+Exponents sit on the integer lattice (1/M)Z, M the lcm of the exponent
+denominators of both arguments, as the ints M q, and the base-change
+weights C(q, l) are built once per left term.  ``lambda_bracket`` lifts
+the kernel's maps once into ``ConfElt``s and a ``LambdaPoly``, and the
+Jacobi sweep of ``check_axioms`` reads them as they are.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
-from .cyclotomic import _add_to, _q, _scaled_terms, _signed_sum
+from .cyclotomic import (CycloScalar, _add_to, _lower, _q, _scaled_terms,
+                         _signed_sum)
 from .errors import CsalgError, TableInconsistencyError
 from .laurent import binom_frac
 
@@ -70,6 +82,15 @@ class ConfElt:
         self.field = field
         self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
 
+    @classmethod
+    def _trusted(cls, field, terms):
+        """An element on ``terms`` as given, for callers that hold no zero
+        scalar; skips the zero filter of ``__init__``."""
+        self = object.__new__(cls)
+        self.field = field
+        self.terms = terms
+        return self
+
     # -- queries ------------------------------------------------------
 
     def is_zero(self):
@@ -77,8 +98,12 @@ class ConfElt:
 
     @property
     def level(self):
-        return lcm(1, *(k[2].denominator for k in self.terms)) \
-            if self.terms else 1
+        """The lcm of the exponent denominators, 1 when every one is an int."""
+        m = 1
+        for k in self.terms:
+            if k[2].__class__ is not int:
+                m = lcm(m, k[2].denominator)
+        return m
 
     def max_dpow(self):
         return max((k[1] for k in self.terms), default=0)
@@ -94,15 +119,17 @@ class ConfElt:
         return ConfElt(self.field, out)
 
     def __neg__(self):
-        return ConfElt(self.field, {k: -v for k, v in self.terms.items()})
+        return ConfElt._trusted(self.field,
+                                {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        if isinstance(c, (int, Fraction)) and not c:
-            return ConfElt(self.field, {})
-        return ConfElt(self.field, {k: v * c for k, v in self.terms.items()})
+        if not c:
+            return ConfElt._trusted(self.field, {})
+        return ConfElt._trusted(self.field,
+                                {k: v * c for k, v in self.terms.items()})
 
     __mul__ = scale
     __rmul__ = scale
@@ -111,9 +138,9 @@ class ConfElt:
         """Multiply by the monomial t^{dq}."""
         if not dq:
             return self
-        return ConfElt(self.field,
-                       {(g, j, _q(q + dq)): c
-                        for (g, j, q), c in self.terms.items()})
+        return ConfElt._trusted(self.field,
+                                {(g, j, _q(q + dq)): c
+                                 for (g, j, q), c in self.terms.items()})
 
     def mul_laurent(self, r):
         """Multiply by an arbitrary Laurent element (into the t slot)."""
@@ -129,7 +156,7 @@ class ConfElt:
         out = {}
         for (g, j, q), c in self.terms.items():
             out[(g, j + l, q)] = c * binom_frac(j + l, j)
-        return ConfElt(self.field, out)
+        return ConfElt._trusted(self.field, out)
 
     def __eq__(self, other):
         if not isinstance(other, ConfElt):
@@ -151,6 +178,15 @@ class LambdaPoly:
         self.field = field
         self.coeffs = {n: e for n, e in coeffs.items() if not e.is_zero()}
 
+    @classmethod
+    def _trusted(cls, field, coeffs):
+        """A polynomial on ``coeffs`` as given, for callers that hold no
+        zero coefficient; skips the zero filter of ``__init__``."""
+        self = object.__new__(cls)
+        self.field = field
+        self.coeffs = coeffs
+        return self
+
     def is_zero(self):
         return not self.coeffs
 
@@ -168,7 +204,8 @@ class LambdaPoly:
         return LambdaPoly(self.field, out)
 
     def __neg__(self):
-        return LambdaPoly(self.field, {n: -e for n, e in self.coeffs.items()})
+        return LambdaPoly._trusted(self.field,
+                                   {n: -e for n, e in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -185,16 +222,17 @@ class LambdaPoly:
         """Multiply by lambda^{(j)}; divided powers give binomial factors."""
         if j == 0:
             return self
-        return LambdaPoly(self.field,
-                          {n + j: e.scale(binom_frac(n + j, j))
-                           for n, e in self.coeffs.items()})
+        return LambdaPoly._trusted(self.field,
+                                   {n + j: e.scale(binom_frac(n + j, j))
+                                    for n, e in self.coeffs.items()})
 
     def lambda_deriv(self, l):
         """Apply (d/d lambda)^l, which simply drops the index by l."""
         if l == 0:
             return self
-        return LambdaPoly(self.field,
-                          {n - l: e for n, e in self.coeffs.items() if n >= l})
+        return LambdaPoly._trusted(self.field,
+                                   {n - l: e for n, e in self.coeffs.items()
+                                    if n >= l})
 
     def __eq__(self, other):
         if not isinstance(other, LambdaPoly):
@@ -359,62 +397,118 @@ def _table_poly(A, g1, g2):
 
 
 def _decorated_pair(A, g1, j1, g2, j2):
-    """[D^{(j1)} v_{g1}  lambda  D^{(j2)} v_{g2}] with t-free arguments."""
+    """[D^{(j1)} v_{g1}  lambda  D^{(j2)} v_{g2}] with t-free arguments, as
+    a tuple of (n, ((g, j, c), ...)) for c lambda^{(n)} D^{(j)} v_g, each c
+    lowered under the ``_q`` rule; memoized in ``A._pair_cache``.
+
+    Sesquilinearity gives (-lambda)^{(j1)} (D + lambda)^{(j2)} [v_{g1}
+    lambda v_{g2}] with (D + lambda)^{(j2)} = sum_{u+w=j2} D^{(u)}
+    lambda^{(w)}, and divided powers multiply as lambda^{(a)} lambda^{(b)}
+    = C(a+b, a) lambda^{(a+b)}, likewise for D.  So the table term
+    c lambda^{(n)} D^{(j)} v lands at lambda^{(n+w+j1)} D^{(j+u)} v with
+    weight (-1)^{j1} C(n+w, w) C(n+w+j1, j1) C(j+u, u).
+    """
     key = (g1, j1, g2, j2)
     got = A._pair_cache.get(key)
     if got is not None:
         return got
-    poly = _table_poly(A, g1, g2)
-    if j2:
-        # (D + lambda)^{(j2)} = sum over u+w=j2 of D^{(u)} lambda^{(w)}
-        acc = A.zero_poly()
-        for u in range(j2 + 1):
-            w = j2 - u
-            acc = acc + poly.map_coeffs(
-                lambda e, _u=u: e.apply_dpow(_u)).lambda_shift(w)
-        poly = acc
-    if j1:
-        poly = poly.lambda_shift(j1)
-        if j1 % 2:
-            poly = -poly
-    A._pair_cache[key] = poly
-    return poly
+    table = _table_poly(A, g1, g2).coeffs
+    sign = -1 if j1 % 2 else 1
+    acc = {}  # n -> {(g, j): c}
+    for u in range(j2 + 1):
+        w = j2 - u
+        for n, e in table.items():
+            f = sign * comb(n + w, w) * comb(n + w + j1, j1)
+            out = acc.setdefault(n + w + j1, {})
+            for (g, j, _), c in e.terms.items():
+                _add_to(out, (g, j + u), _lower(c) * (f * comb(j + u, u)))
+    got = A._pair_cache[key] = tuple(
+        (n, tuple((g, j, c) for (g, j), c in terms.items()))
+        for n, terms in acc.items() if terms)
+    return got
 
 
-def lambda_bracket(A, x, y):
-    """Full lambda-bracket of two (possibly decorated) elements."""
-    acc = {}  # n -> {(g, j, q): coefficient}
+def _binomials(Q, M, top):
+    """C(Q/M, l) for l = 0..top under the ``_q`` rule, each from the one
+    before; the list stops short of the first zero (Q/M a smaller
+    nonnegative integer)."""
+    out = [1]
+    w = 1
+    for l in range(1, top + 1):
+        num, den = w * (Q - (l - 1) * M), l * M
+        if w.__class__ is int and not num % den:
+            w = num // den
+        else:
+            w = _q(Fraction(num, den))
+        if not w:
+            break
+        out.append(w)
+    return out
+
+
+def _bracket_terms(A, x, y):
+    """The lambda-bracket [x lambda y] as ({n: {(g, j, Q): c}}, M).
+
+    The kernel of ``lambda_bracket`` and of the Jacobi sweep.  Scalars are
+    lowered once under the ``_q`` rule, and exponents ride on the lattice
+    (1/M)Z, M the lcm of the exponent denominators of x and y, as the ints
+    Q = M q.  The base-change rule weighs the lambda-derivatives of a left
+    term c1 D^{(j1)} v t^{q1} by C(q1, l), built once per left term.  A
+    degree whose terms cancel maps to an empty dict.
+    """
+    M = lcm(x.level, y.level)
+    right = [(g2, j2, q2.numerator * (M // q2.denominator), _lower(c2))
+             for (g2, j2, q2), c2 in y.terms.items()]
+    acc = {}  # n -> {(g, j, Q): coefficient}
     for (g1, j1, q1), c1 in x.terms.items():
-        for (g2, j2, q2), c2 in y.terms.items():
-            base = _decorated_pair(A, g1, j1, g2, j2)
-            if base.is_zero():
-                continue
-            c = c1 * c2
-            # base-change rule: powers of t on the left argument turn
-            # into lambda-derivatives with generalized binomial weights
-            # C(q1, l), all zero past l = 0 when q1 = 0
-            for l in range(base.max_degree() + 1 if q1 else 1):
-                if l:
-                    w = binom_frac(q1, l)
-                    if not w:
-                        continue
-                    cw = c * w
-                else:
-                    cw = c
-                dq = _q(q1 + q2 - l) if q1 else q2
-                for n, e in base.coeffs.items():
+        Q1 = q1.numerator * (M // q1.denominator)
+        c1 = _lower(c1)
+        left_unit = c1.__class__ is int and c1 == 1
+        pairs = []
+        for g2, j2, Q2, c2 in right:
+            pair = _decorated_pair(A, g1, j1, g2, j2)
+            if pair:
+                pairs.append((pair, Q1 + Q2,
+                              c2 if left_unit else _lower(c1 * c2)))
+        # base-change rule: powers of t on the left argument turn into
+        # lambda-derivatives with the weights C(q1, l)
+        weights = (1,)
+        if Q1:
+            top = max((n for pair, _, _ in pairs for n, _ in pair), default=0)
+            weights = _binomials(Q1, M, top)
+        for pair, Q, c in pairs:
+            for l, w in enumerate(weights):
+                cw = c * w if l else c
+                unit = cw.__class__ is int and cw == 1  # v * 1 is v
+                dQ = Q - l * M
+                for n, terms in pair:
                     if n < l:
                         continue
                     out = acc.setdefault(n - l, {})
-                    if dq:
-                        for (g, j, q), v in e.terms.items():
-                            _add_to(out, (g, j, _q(q + dq)), v * cw)
-                    else:
-                        for k, v in e.terms.items():
-                            _add_to(out, k, v * cw)
+                    for g, j, v in terms:
+                        _add_to(out, (g, j, dQ), v if unit else v * cw)
+    return acc, M
+
+
+def lambda_bracket(A, x, y):
+    """Full lambda-bracket of two (possibly decorated) elements: the result
+    of ``_bracket_terms`` lifted once, rationals to ``CycloScalar`` and
+    lattice exponents back to q, into elements known to hold no zero."""
+    acc, M = _bracket_terms(A, x, y)
     field = A.field
-    return LambdaPoly(field, {n: ConfElt(field, terms)
-                              for n, terms in acc.items()})
+    coeffs = {}
+    for n, terms in acc.items():
+        if not terms:
+            continue
+        lifted = {}
+        for (g, j, Q), v in terms.items():
+            if v.__class__ is not CycloScalar:
+                v = CycloScalar(field, {0: v})
+            if M != 1:
+                Q = Q // M if not Q % M else Fraction(Q, M)
+            lifted[(g, j, Q)] = v
+        coeffs[n] = ConfElt._trusted(field, lifted)
+    return LambdaPoly._trusted(field, coeffs)
 
 
 def n_product(A, x, y, n):
@@ -663,8 +757,10 @@ def _sweep_cs4(A, report):
 def _sweep_cs5(A, report):
     """CS5 (Jacobi) on every ordered generator triple, both lambda and mu
     degrees up to the vanishing bound, into ``report``.  Each side is a map
-    {(m, n): terms} built from its nonzero coefficients alone; failures
-    come n-major, m-minor."""
+    {(m, n): terms} built from its nonzero coefficients alone, on the
+    lowered scalars of ``_bracket_terms`` (every argument is t-free, so the
+    lattice is M = 1 and its keys are the plain ones); failures come
+    n-major, m-minor."""
     ngen = A.ngens()
     report.verdicts.setdefault("CS5", True)
     maxl, maxd = A.table_degrees()
@@ -675,7 +771,8 @@ def _sweep_cs5(A, report):
     def gen_bracket(g, elt, key):
         got = bracket_cache.get((g, key))
         if got is None:
-            got = bracket_cache[(g, key)] = lambda_bracket(A, gen_elts[g], elt)
+            got = bracket_cache[(g, key)] = \
+                _bracket_terms(A, gen_elts[g], elt)[0]
         return got
 
     def add_into(acc, m, n, terms, w=1):
@@ -693,18 +790,17 @@ def _sweep_cs5(A, report):
                 triples += 1
                 lhs, rhs = {}, {}
                 for n, bcn in _table_poly(A, b, c).coeffs.items():
-                    for m, e in gen_bracket(a, bcn, (b, c, n)).coeffs.items():
-                        add_into(lhs, m, n, e.terms)
+                    for m, terms in gen_bracket(a, bcn, (b, c, n)).items():
+                        add_into(lhs, m, n, terms)
                 for jj, ab in poly_ab.coeffs.items():
                     # [[a_(jj) b]_(k) c] feeds every m + n = jj + k, m >= jj
-                    abc = lambda_bracket(A, ab, gen_elts[c])
-                    for k, e in abc.coeffs.items():
+                    abc = _bracket_terms(A, ab, gen_elts[c])[0]
+                    for k, terms in abc.items():
                         for m in range(jj, jj + k + 1):
-                            add_into(rhs, m, jj + k - m, e.terms,
-                                     binom_frac(m, jj))
+                            add_into(rhs, m, jj + k - m, terms, comb(m, jj))
                 for m, acm in _table_poly(A, a, c).coeffs.items():
-                    for n, e in gen_bracket(b, acm, (a, c, m)).coeffs.items():
-                        add_into(rhs, m, n, (e if p_ab > 0 else -e).terms)
+                    for n, terms in gen_bracket(b, acm, (a, c, m)).items():
+                        add_into(rhs, m, n, terms, p_ab)
                 for m, n in sorted(lhs.keys() | rhs.keys(),
                                    key=lambda mn: (mn[1], mn[0])):
                     if lhs.get((m, n), {}) != rhs.get((m, n), {}):

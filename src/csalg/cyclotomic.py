@@ -13,10 +13,12 @@ covers scalar coefficients and the t-exponents of ``core.ConfElt`` keys.
 The two types compare and hash equal, so a value the rule misses is only
 slower, never wrong.  Values a caller reads stay ``Fraction``:
 ``as_rational``, Laurent exponents, ``L0Spectrum`` eigenvalues and centroid
-solution keys.  The windowed centroid solve holds its rational scalars
-under the same rule, as Python numbers beside the irrational
-``CycloScalar`` ones, so ``_q`` passes a ``CycloScalar`` through and
-``_add_to`` keeps an int or ``Fraction`` sum under the rule.
+solution keys.  The windowed centroid solve and the lambda-bracket
+kernel (``core._bracket_terms``) hold their rational scalars under the
+same rule, as Python numbers beside the irrational ``CycloScalar`` ones:
+``_lower`` turns a rational ``CycloScalar`` into its value, ``_q`` passes
+a ``CycloScalar`` through and ``_add_to`` keeps an int or ``Fraction`` sum
+under the rule.
 """
 
 from __future__ import annotations
@@ -49,6 +51,18 @@ def _q(c):
             return c
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
+
+
+def _lower(v):
+    """The exact scalar v under the ``_q`` rule: a rational CycloScalar as
+    its int or Fraction, any other value as it is."""
+    if v.__class__ is CycloScalar:
+        c = v.coeffs
+        if not c:
+            return 0
+        if len(c) == 1 and 0 in c:
+            return c[0]  # held under the rule already
+    return v
 
 
 def _add_to(acc, key, val):

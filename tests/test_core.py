@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, factorial
 
 import pytest
 
@@ -23,7 +24,7 @@ from csalg.core import (
     n_product,
     to_hat_basis,
 )
-from csalg.cyclotomic import CycloField
+from csalg.cyclotomic import CycloField, CycloScalar
 from csalg.errors import ConductorError, CsalgError, TableInconsistencyError
 from csalg.laurent import binom_frac
 
@@ -68,6 +69,148 @@ def test_bracket_with_d_decoration():
         1: N2.elt("L", dpow=1, coeff=-1),
         2: N2.elt("L", coeff=-4),
     })
+
+
+@lru_cache(maxsize=None)
+def _gbinom(q, l):
+    """C(q, l) as a product of Fractions."""
+    out = Fraction(1)
+    for i in range(l):
+        out *= (Fraction(q) - i) / (i + 1)
+    return out
+
+
+def _accumulate(acc, key, value):
+    s = acc.get(key)
+    s = value if s is None else s + value
+    if s:
+        acc[key] = s
+    else:
+        acc.pop(key, None)
+
+
+def _reference_sesquilinear(A, g1, j1, g2, j2):
+    """[D^{(j1)} v_{g1} lambda D^{(j2)} v_{g2}] in ordinary powers, as
+    {(n, g, j): coefficient of lambda^n D^j v_g}.  The table term
+    c lambda^{(n)} D^{(j)} v is c lambda^n D^j v / (n! j!), and
+    sesquilinearity multiplies by (-lambda)^{j1} (D + lambda)^{j2} /
+    (j1! j2!)."""
+    ordinary = {}
+    for n, e in A.table[(g1, g2)].coeffs.items():
+        for (g, j, _), c in e.terms.items():
+            for u in range(j2 + 1):
+                w = Fraction((-1) ** j1 * comb(j2, u),
+                             factorial(n) * factorial(j) * factorial(j1)
+                             * factorial(j2))
+                _accumulate(ordinary, (n + j1 + j2 - u, g, j + u), c * w)
+    return ordinary
+
+
+def _reference_base_change(ordinary, q1, q2):
+    """The bracket with v_{g1} t^{q1} and v_{g2} t^{q2} as {n: {(g, j, q):
+    scalar}} in divided powers: base change applies sum_l C(q1, l)
+    t^{q1+q2-l} (d/dlambda)^l, which takes lambda^n to n! lambda^{(n-l)},
+    and D^j v is j! D^{(j)} v."""
+    out = {}
+    for (n, g, j), c in ordinary.items():
+        for l in range(n + 1):
+            w = _gbinom(q1, l)
+            if w:
+                _accumulate(out.setdefault(n - l, {}),
+                            (g, j, _exponent(q1 + q2 - l)),
+                            c * (w * factorial(n) * factorial(j)))
+    return {n: terms for n, terms in out.items() if terms}
+
+
+@lru_cache(maxsize=None)
+def _exponent(q):
+    return Fraction(q)
+
+
+def _assert_bracket_is_clean(A, got):
+    """No empty lambda-degree, no zero coefficient, every coefficient a
+    scalar of the algebra's field and every exponent under the _q rule."""
+    for e in got.coeffs.values():
+        assert e.terms
+        for (_, _, q), v in e.terms.items():
+            assert v.__class__ is CycloScalar and v.field is A.field
+            assert not v.is_zero()
+            assert (q.__class__ is int) is (q.denominator == 1)
+
+
+def test_lambda_bracket_matches_a_reference_evaluator():
+    # exponent lattices M = 1, 2, 3 and 6 all occur on both grids; the
+    # right exponent only shifts the result, so it takes fewer values
+    qs = (0, 1, -1, HALF, Fraction(-3, 2), Fraction(1, 3))
+    n4 = make_n4()
+    grids = [(N2, range(3), range(3), qs, (0, -1, HALF, Fraction(1, 3))),
+             (n4, (0, 1), (0, 2), (HALF, -1), (0, Fraction(1, 3)))]
+    for A, j1s, j2s, q1s, q2s in grids:
+        for g1 in range(A.ngens()):
+            for g2 in range(A.ngens()):
+                for j1 in j1s:
+                    for j2 in j2s:
+                        ordinary = _reference_sesquilinear(A, g1, j1, g2, j2)
+                        for q1 in q1s:
+                            for q2 in q2s:
+                                got = lambda_bracket(A, A.elt(g1, j1, q1),
+                                                     A.elt(g2, j2, q2))
+                                _assert_bracket_is_clean(A, got)
+                                assert {n: e.terms for n, e in
+                                        got.coeffs.items()} == \
+                                    _reference_base_change(ordinary, q1, q2)
+
+
+def test_lambda_bracket_drops_a_cancelled_degree():
+    # [d(L t) lambda J] = -lambda [L t lambda J]: the lambda^(0) parts of
+    # D L t and L cancel
+    x = N2.elt("L", q=1)
+    got = lambda_bracket(N2, apply_partial(N2, x), N2.elt("J"))
+    _assert_bracket_is_clean(N2, got)
+    assert 0 not in got.coeffs
+    assert got == -lambda_bracket(N2, x, N2.elt("J")).lambda_shift(1)
+
+
+def _decorated_pair_by_composition(A, g1, j1, g2, j2):
+    """[D^{(j1)} v_{g1} lambda D^{(j2)} v_{g2}] composed on LambdaPoly:
+    (D + lambda)^{(j2)} through apply_dpow and lambda_shift, then
+    (-lambda)^{(j1)}."""
+    poly = A.table[(g1, g2)]
+    if j2:
+        acc = A.zero_poly()
+        for u in range(j2 + 1):
+            acc = acc + poly.map_coeffs(
+                lambda e, _u=u: e.apply_dpow(_u)).lambda_shift(j2 - u)
+        poly = acc
+    if j1:
+        poly = poly.lambda_shift(j1)
+        if j1 % 2:
+            poly = -poly
+    return poly
+
+
+def test_decorated_pair_closed_form_matches_the_lambda_poly_route():
+    for A in (N2, make_n4()):
+        F = A.field
+        for g1, g2 in A.table:
+            for j1 in range(5):
+                for j2 in range(5):
+                    got = core._decorated_pair(A, g1, j1, g2, j2)
+                    want = _decorated_pair_by_composition(A, g1, j1, g2, j2)
+                    assert len({n for n, _ in got}) == len(got)
+                    for _, terms in got:
+                        assert terms
+                        for _, _, c in terms:
+                            # lowered: a rational under the _q rule, an
+                            # irrational scalar as it is
+                            if c.__class__ is CycloScalar:
+                                assert c.as_rational() is None
+                            else:
+                                assert c and (c.__class__ is int
+                                              or c.denominator != 1)
+                    assert {n: {(g, j, 0): F.scalar(c) for g, j, c in terms}
+                            for n, terms in got} == \
+                        {n: e.terms for n, e in want.coeffs.items()}
 
 
 def test_n_products_match_table():
