@@ -23,8 +23,9 @@ int or a Fraction) and only an irrational one stays a ``CycloScalar``.
 Exponents sit on the integer lattice (1/M)Z, M the lcm of the exponent
 denominators of both arguments, as the ints M q, and the base-change
 weights C(q, l) are built once per left term.  ``lambda_bracket`` lifts
-the kernel's maps once into ``ConfElt``s and a ``LambdaPoly``, and the
-Jacobi sweep of ``check_axioms`` reads them as they are.
+the kernel's maps once into ``ConfElt``s and a ``LambdaPoly``.  The
+Jacobi sweep of ``check_axioms`` reads them as they are, and so do its
+CS1 and CS3 spot checks, against one public bracket per trial.
 """
 
 from __future__ import annotations
@@ -368,12 +369,21 @@ def apply_partial_algebra(A, x):
 
 def apply_partial(A, x):
     """The full derivation of A (x) S: D_A (x) 1 + 1 (x) d/dt."""
+    return ConfElt._trusted(x.field, _partial_terms(x.terms))
+
+
+def _partial_terms(terms, unit=1):
+    """The full derivation on a map {(g, j, Q): c} whose exponents are
+    Q = unit * q: D^{(j)} v t^q goes to (j + 1) D^{(j+1)} v t^q +
+    q D^{(j)} v t^{q-1}.  The scalars may be lowered; none of the result
+    is zero."""
     acc = {}
-    for (g, j, q), c in x.terms.items():
-        _add_to(acc, (g, j + 1, q), c * (j + 1))
-        if q:
-            _add_to(acc, (g, j, _q(q - 1)), c * q)
-    return ConfElt(x.field, acc)
+    for (g, j, Q), c in terms.items():
+        _add_to(acc, (g, j + 1, Q), c * (j + 1))
+        if Q:
+            q = Q if unit == 1 else _q(Fraction(Q, unit))
+            _add_to(acc, (g, j, _q(Q - unit)), c * q)
+    return acc
 
 
 def apply_partial_power(A, x, l):
@@ -654,14 +664,21 @@ class AxiomReport:
         return "\n".join(self.lines())
 
 
-def _sample_elt(A, rng, max_dpow=2, exponents=(0, 1, -1, Fraction(1, 2))):
+def _sample_terms(A, rng, max_dpow=2, exponents=(0, 1, -1, Fraction(1, 2))):
+    """The terms {(g, j, q): c} of a random element, each c a nonzero int."""
     terms = {}
     for _ in range(rng.randrange(1, 4)):
         g = rng.randrange(A.ngens())
         j = rng.randrange(max_dpow + 1)
         q = _q(rng.choice(exponents))
-        terms[(g, j, q)] = A.field.rational(rng.randrange(-3, 4))
-    return ConfElt(A.field, terms)
+        terms[(g, j, q)] = rng.randrange(-3, 4)
+    return {k: c for k, c in terms.items() if c}
+
+
+def _sample_elt(A, rng, **kwargs):
+    rational = A.field.rational
+    return ConfElt._trusted(A.field, {
+        k: rational(c) for k, c in _sample_terms(A, rng, **kwargs).items()})
 
 
 def check_axioms(A, seed=0):
@@ -671,7 +688,13 @@ def check_axioms(A, seed=0):
     exercised through randomized spot checks on decorated elements; CS1
     is spot-checked as an evaluator law; the skew-symmetry (CS4) and
     Jacobi (CS5) axioms are swept exhaustively over generator pairs and
-    triples up to the vanishing bound.  CS5 visits only the nonzero
+    triples up to the vanishing bound.  A CS1 or CS3 trial brackets its
+    sample pair once through the public ``lambda_bracket`` and lowers
+    the result; the derived brackets [Dx lambda y], [x lambda Dy],
+    [x lambda y t^q] and [x t^q lambda y] come from the kernel
+    ``_bracket_terms``, and each is compared with its law's right-hand
+    side built on the lowered maps, with exponents on (1/2)Z.  CS2 checks
+    ``apply_partial`` on public elements.  CS5 visits only the nonzero
     lambda/mu coefficients of its three terms within that bound, and
     reports failures n-major, m-minor.
     """
@@ -679,6 +702,25 @@ def check_axioms(A, seed=0):
 
     rng = random.Random(seed)
     report = AxiomReport(A.name)
+    field = A.field
+
+    def sample():
+        # lowered: int scalars, taken as they are by both bracket paths
+        return ConfElt._trusted(field, _sample_terms(A, rng))
+
+    def base_bracket(x, y):
+        """The public [x lambda y], lowered onto (1/2)Z."""
+        return {n: {(g, j, q.numerator * (2 // q.denominator)): _lower(c)
+                    for (g, j, q), c in e.terms.items()}
+                for n, e in lambda_bracket(A, x, y).coeffs.items()}
+
+    def kernel_bracket(x, y):
+        """[x lambda y] from the kernel, moved from (1/M)Z onto (1/2)Z and
+        without its empty degrees."""
+        acc, M = _bracket_terms(A, x, y)
+        s = 2 // M
+        return {n: {(g, j, Q * s): c for (g, j, Q), c in terms.items()}
+                for n, terms in acc.items() if terms}
 
     # CS0: finiteness is structural; confirm the table is finite in lambda.
     report.verdicts["CS0"] = True
@@ -688,16 +730,25 @@ def check_axioms(A, seed=0):
     report.verdicts.setdefault("CS1", True)
     trials = 8
     for _ in range(trials):
-        x = _sample_elt(A, rng)
-        y = _sample_elt(A, rng)
-        base = lambda_bracket(A, x, y)
-        lhs = lambda_bracket(A, apply_partial(A, x), y)
-        if lhs != -base.lambda_shift(1):
-            report.fail("CS1", "left slot", "random spot check")
-        lhs = lambda_bracket(A, x, apply_partial(A, y))
-        rhs = base.map_coeffs(lambda e: apply_partial(A, e)) \
-            + base.lambda_shift(1)
+        x = sample()
+        y = sample()
+        base = base_bracket(x, y)
+        # -lambda [x lambda y]; lambda lambda^{(n)} = (n + 1) lambda^{(n+1)}
+        rhs = {n + 1: {k: c * -(n + 1) for k, c in terms.items()}
+               for n, terms in base.items()}
+        lhs = kernel_bracket(ConfElt._trusted(field, _partial_terms(x.terms)),
+                             y)
         if lhs != rhs:
+            report.fail("CS1", "left slot", "random spot check")
+        # (D + lambda) [x lambda y]
+        rhs = {n: _partial_terms(terms, 2) for n, terms in base.items()}
+        for n, terms in base.items():
+            out = rhs.setdefault(n + 1, {})
+            for k, c in terms.items():
+                _add_to(out, k, c * (n + 1))
+        lhs = kernel_bracket(x,
+                             ConfElt._trusted(field, _partial_terms(y.terms)))
+        if lhs != {n: terms for n, terms in rhs.items() if terms}:
             report.fail("CS1", "right slot", "random spot check")
     report.counts["CS1"] = "%d spot checks" % (2 * trials)
 
@@ -715,21 +766,26 @@ def check_axioms(A, seed=0):
     # CS3: sesquilinearity over the Laurent base on both slots.
     report.verdicts.setdefault("CS3", True)
     for _ in range(trials):
-        x = _sample_elt(A, rng)
-        y = _sample_elt(A, rng)
+        x = sample()
+        y = sample()
         q = rng.choice((1, -1, 2))
-        base = lambda_bracket(A, x, y)
-        if lambda_bracket(A, x, y.shift_t(q)) != \
-                base.map_coeffs(lambda e: e.shift_t(q)):
+        base = base_bracket(x, y)
+        # [x lambda y t^q] = [x lambda y] t^q
+        rhs = {n: {(g, j, Q + 2 * q): c for (g, j, Q), c in terms.items()}
+               for n, terms in base.items()}
+        if kernel_bracket(x, y.shift_t(q)) != rhs:
             report.fail("CS3", "right slot", "random spot check")
-        lhs = lambda_bracket(A, x.shift_t(q), y)
-        rhs = A.zero_poly()
-        for l in range(base.max_degree() + 1):
-            w = binom_frac(q, l)
-            if w:
-                rhs = rhs + base.lambda_deriv(l).scale(w).map_coeffs(
-                    lambda e, _l=l: e.shift_t(q - _l))
-        if lhs != rhs:
+        # [x t^q lambda y] = sum_l C(q, l) (d/dlambda)^l [x lambda y] t^{q-l}
+        weights = _binomials(q, 1, max(base, default=0))
+        rhs = {}
+        for n, terms in base.items():
+            for l, w in enumerate(weights[:n + 1]):
+                out = rhs.setdefault(n - l, {})
+                dQ = 2 * (q - l)
+                for (g, j, Q), c in terms.items():
+                    _add_to(out, (g, j, Q + dQ), c * w)
+        if kernel_bracket(x.shift_t(q), y) != \
+                {n: terms for n, terms in rhs.items() if terms}:
             report.fail("CS3", "left slot", "random spot check")
     report.counts["CS3"] = "%d spot checks" % (2 * trials)
 

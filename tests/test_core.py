@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 
@@ -24,7 +24,7 @@ from csalg.core import (
     n_product,
     to_hat_basis,
 )
-from csalg.cyclotomic import CycloField, CycloScalar
+from csalg.cyclotomic import CycloField, CycloScalar, _add_to
 from csalg.errors import ConductorError, CsalgError, TableInconsistencyError
 from csalg.laurent import binom_frac
 
@@ -302,22 +302,39 @@ def test_check_axioms_detects_jacobi_mutation():
     assert ("J", "G+", "G-") in locations
 
 
+_KERNEL = core._bracket_terms
+
+
+def _kernel_without_base_change(A, x, y):
+    """A mutant of ``_bracket_terms``: each term of x is bracketed without
+    its t^q and the result shifted by t^q, so it drops the C(q, l)
+    lambda-derivatives of the base-change rule."""
+    M = lcm(x.level, y.level)
+    acc = {}
+    for (g, j, q), c in x.terms.items():
+        got, m = _KERNEL(A, ConfElt._trusted(A.field, {(g, j, 0): c}), y)
+        dQ = q.numerator * (M // q.denominator)
+        for n, terms in got.items():
+            out = acc.setdefault(n, {})
+            for (g2, j2, Q), v in terms.items():
+                _add_to(out, (g2, j2, Q * (M // m) + dQ), v)
+    return acc, M
+
+
+def _lift_with_unscaled_exponents(A, x, y):
+    """A mutant of ``lambda_bracket`` that lifts the kernel's maps but keeps
+    the lattice exponent Q = M q where q belongs."""
+    acc, _ = core._bracket_terms(A, x, y)
+    return LambdaPoly(A.field, {
+        n: ConfElt(A.field, {k: A.field.scalar(v) for k, v in terms.items()})
+        for n, terms in acc.items()})
+
+
 def test_check_axioms_detects_an_evaluator_without_base_change(monkeypatch):
-    # the mutant brackets each term of x without its t^q and shifts the
-    # result by t^q, so it drops the C(q, l) lambda-derivatives that CS1
-    # and CS3 exercise on the left slot; generators carry no t, so the
-    # CS4 and CS5 sweeps see the true table
-    real = lambda_bracket
-
-    def mutant(A, x, y):
-        out = A.zero_poly()
-        for (g, j, q), c in x.terms.items():
-            t_free = ConfElt(A.field, {(g, j, 0): c})
-            out = out + real(A, t_free, y).map_coeffs(
-                lambda e, _q=q: e.shift_t(_q))
-        return out
-
-    monkeypatch.setattr(core, "lambda_bracket", mutant)
+    # the kernel mutant drops the C(q, l) lambda-derivatives that CS1 and
+    # CS3 exercise on the left slot; generators carry no t, so the CS4 and
+    # CS5 sweeps see the true table
+    monkeypatch.setattr(core, "_bracket_terms", _kernel_without_base_change)
     for A in (N2, make_n4()):
         for seed in range(5):
             report = check_axioms(A, seed)
@@ -326,6 +343,91 @@ def test_check_axioms_detects_an_evaluator_without_base_change(monkeypatch):
             where = {(f.axiom, f.location) for f in report.failures}
             assert where == {("CS1", "left slot"), ("CS1", "right slot"),
                              ("CS3", "left slot")}, (A.name, seed)
+
+
+def test_check_axioms_detects_a_lift_with_unscaled_exponents(monkeypatch):
+    # only the public bracket is wrong: its lowered base no longer agrees
+    # with the derived brackets, which come from the kernel
+    monkeypatch.setattr(core, "lambda_bracket", _lift_with_unscaled_exponents)
+    for A in (N2, make_n4()):
+        for seed in range(5):
+            report = check_axioms(A, seed)
+            failed = {ax for ax, ok in report.verdicts.items() if not ok}
+            assert failed == {"CS1", "CS3"}, (A.name, seed)
+
+
+def _public_sample(A, rng):
+    """A random element as ``check_axioms`` draws it."""
+    terms = {}
+    for _ in range(rng.randrange(1, 4)):
+        g = rng.randrange(A.ngens())
+        j = rng.randrange(3)
+        q = rng.choice((0, 1, -1, HALF))
+        terms[(g, j, q)] = A.field.rational(rng.randrange(-3, 4))
+    return ConfElt(A.field, terms)
+
+
+def _spot_checks_on_public_objects(A, seed):
+    """The CS1-CS3 verdicts and failure locations of check_axioms, from the
+    laws written on LambdaPoly and ConfElt and every bracket taken through
+    the public lambda_bracket."""
+    rng = random.Random(seed)
+    verdicts = {"CS1": True, "CS2": True, "CS3": True}
+    failures = []
+
+    def fail(axiom, location):
+        verdicts[axiom] = False
+        failures.append((axiom, location))
+
+    for _ in range(8):
+        x = _public_sample(A, rng)
+        y = _public_sample(A, rng)
+        base = lambda_bracket(A, x, y)
+        if lambda_bracket(A, apply_partial(A, x), y) != -base.lambda_shift(1):
+            fail("CS1", "left slot")
+        rhs = base.map_coeffs(lambda e: apply_partial(A, e)) \
+            + base.lambda_shift(1)
+        if lambda_bracket(A, x, apply_partial(A, y)) != rhs:
+            fail("CS1", "right slot")
+    for _ in range(8):
+        x = _public_sample(A, rng)
+        q = rng.randrange(-2, 3)
+        rhs = apply_partial(A, x).shift_t(q) + x.shift_t(q - 1).scale(q)
+        if apply_partial(A, x.shift_t(q)) != rhs:
+            fail("CS2", "t^%s" % q)
+    for _ in range(8):
+        x = _public_sample(A, rng)
+        y = _public_sample(A, rng)
+        q = rng.choice((1, -1, 2))
+        base = lambda_bracket(A, x, y)
+        if lambda_bracket(A, x, y.shift_t(q)) != \
+                base.map_coeffs(lambda e: e.shift_t(q)):
+            fail("CS3", "right slot")
+        rhs = A.zero_poly()
+        for l in range(base.max_degree() + 1):
+            w = binom_frac(q, l)
+            if w:
+                rhs = rhs + base.lambda_deriv(l).scale(w).map_coeffs(
+                    lambda e, _l=l: e.shift_t(q - _l))
+        if lambda_bracket(A, x.shift_t(q), y) != rhs:
+            fail("CS3", "left slot")
+    return verdicts, failures
+
+
+@pytest.mark.parametrize("kernel", [_KERNEL, _kernel_without_base_change],
+                         ids=["true", "without_base_change"])
+def test_spot_checks_match_the_laws_on_public_objects(monkeypatch, kernel):
+    monkeypatch.setattr(core, "_bracket_terms", kernel)
+    failing = 0
+    for A in (N2, make_n4()):
+        for seed in range(20):
+            report = check_axioms(A, seed)
+            verdicts, failures = _spot_checks_on_public_objects(A, seed)
+            assert {ax: report.verdicts[ax] for ax in verdicts} == verdicts
+            assert [(f.axiom, f.location) for f in report.failures
+                    if f.axiom in verdicts] == failures, (A.name, seed)
+            failing += bool(failures)
+    assert failing == (0 if kernel is _KERNEL else 40)
 
 
 def _cs5_failures_by_dense_sweep(A):
