@@ -81,33 +81,28 @@ def make_current(sc, name=None):
     return AlgebraDef(name or "Curr", field, gens, table)
 
 
+#: The brackets of sl2 on e, h, f (indices 0, 1, 2): [h,e]=2e,
+#: [h,f]=-2f, [e,f]=h.  ``StructureConstants`` copies what it reads.
+_SL2 = {
+    (0, 1): {0: -2},
+    (1, 0): {0: 2},
+    (1, 2): {2: -2},
+    (2, 1): {2: 2},
+    (0, 2): {1: 1},
+    (2, 0): {1: -1},
+}
+
+
 def sl2_constants(conductor=DEFAULT_CONDUCTOR):
     """sl2 in the basis e, h, f: [h,e]=2e, [h,f]=-2f, [e,f]=h."""
-    return StructureConstants(
-        ["e", "h", "f"], [EVEN, EVEN, EVEN],
-        {
-            (0, 1): {0: -2},
-            (1, 0): {0: 2},
-            (1, 2): {2: -2},
-            (2, 1): {2: 2},
-            (0, 2): {1: 1},
-            (2, 0): {1: -1},
-        },
-        conductor=conductor)
+    return StructureConstants(["e", "h", "f"], [EVEN] * 3, _SL2,
+                              conductor=conductor)
 
 
 def gl2_constants(conductor=DEFAULT_CONDUCTOR):
     """gl2 = sl2 plus a central element z."""
-    base = {
-        (0, 1): {0: -2},
-        (1, 0): {0: 2},
-        (1, 2): {2: -2},
-        (2, 1): {2: 2},
-        (0, 2): {1: 1},
-        (2, 0): {1: -1},
-    }
-    return StructureConstants(
-        ["e", "h", "f", "z"], [EVEN] * 4, base, conductor=conductor)
+    return StructureConstants(["e", "h", "f", "z"], [EVEN] * 4, _SL2,
+                              conductor=conductor)
 
 
 def _poly(field, pairs):

@@ -86,10 +86,11 @@ reinserted.  ``CentroidSolution`` lifts its entries back through
 import math
 from fractions import Fraction
 
-from .core import apply_partial_power, lambda_bracket, to_hat_basis
-from .cyclotomic import _add_to, _lower, _q
+from .core import (_binomials, _hat_sum, apply_partial_power,
+                   lambda_bracket, to_hat_basis)
+from .cyclotomic import _add_to, _lower
 from .errors import DomainError
-from .laurent import LaurentElt, binom_frac
+from .laurent import LaurentElt
 from .linalg import (Echelon, _echelon_insert, _null_basis, _reduce_against,
                      adjugate, det, rank)
 
@@ -98,9 +99,10 @@ __all__ = ["CentroidSolution", "centroid_basis", "is_scalar_action"]
 #: Most unknowns the windowed system may have, as estimated from the loop
 #: basis before anything is built.  The N=2 loop twisted by omega at
 #: window 25, interior 10 estimates 33,112; the graded solve builds 1,958
-#: of them (shifts |s| <= maxl only) and took 2.1 s (single run, CPython
-#: 3.11).  Every case in the tests, demos and benchmark estimates 8,064
-#: or fewer.
+#: of them (shifts |s| <= maxl only) and, with the bound raised, takes
+#: about 0.75 s as a whole ``csalg centroid`` process (median of three
+#: runs, CPython 3.11).  Every case in the tests, demos and benchmark
+#: estimates 8,064 or fewer.
 MAX_UNKNOWNS = 20000
 
 
@@ -189,7 +191,6 @@ class _Frame:
         self._slots = {}  # (l, M q) -> the id of (0, l, M q)
         self.sigs = []  # id -> (parity, residue)
         self.degrees = []  # id -> M * degree, 0 when the weights do not grade
-        self._hats = {}  # id -> hat element, for apply's repeated calls
         self.domain = set()  # ids of the solved domain, set by centroid_basis
         self.interior0 = [self.key_id((ai, 0, q))
                           for ai, (res, _, _, _) in enumerate(self.alphas)
@@ -241,13 +242,9 @@ class _Frame:
 
     def hat(self, i):
         """The element Dhat^{(l)} (v_alpha (x) t^q) of the key with id i."""
-        got = self._hats.get(i)
-        if got is None:
-            ai, l, Q = self.keys[i]
-            got = self._hats[i] = apply_partial_power(
-                self.algebra, self.alphas[ai][1].shift_t(self.exponent(Q)),
-                l)
-        return got
+        ai, l, Q = self.keys[i]
+        return apply_partial_power(
+            self.algebra, self.alphas[ai][1].shift_t(self.exponent(Q)), l)
 
     def coords(self, x):
         """Coordinates of x on the key ids, via the hat basis."""
@@ -336,7 +333,7 @@ class CentroidSolution:
     def apply(self, x):
         """Apply the endomorphism to an element of the solved domain."""
         frame = self._frame
-        acc = frame.algebra.zero_elt()
+        coords = {}
         for d, w in frame.coords(x).items():
             if d not in frame.domain:
                 raise DomainError(
@@ -344,8 +341,9 @@ class CentroidSolution:
                     "(interior %s): no column for key (%d, %d, %s)"
                     % ((frame.window, frame.interior) + frame.entry_key(d)))
             for c, v in self._images.get(d, {}).items():
-                acc = acc + frame.hat(c).scale(v * w)
-        return acc
+                _add_to(coords, frame.entry_key(c), v * w)
+        return _hat_sum(frame.algebra, coords,
+                        [vector for _, vector, _, _ in frame.alphas])
 
     def replace_entries(self, entries):
         """A sibling solution object with different matrix entries."""
@@ -373,14 +371,12 @@ def _interior_brackets(frame):
     brackets = {}
     for a in frame.interior0:
         ai, _, P = frame.keys[a]
-        p = frame.exponent(P)
         brackets[a] = {}
         for bi in records:
             got = {}
             for n, coords in pairs[ai, bi].items():
-                for l in range(n + 1 if P else 1):
-                    shifted = frame.times(coords,
-                                          {P - l * M: _q(binom_frac(p, l))})
+                for l, w in enumerate(_binomials(P, M, n)):
+                    shifted = frame.times(coords, {P - l * M: w})
                     for i, v in shifted.items():
                         _add_to(got.setdefault(n - l, {}), i, v)
             brackets[a][bi] = {n: comps for n, comps in got.items() if comps}

@@ -564,19 +564,9 @@ def complete_table_cs4(A):
     work = AlgebraDef(A.name, A.field, A.generators, table)
     for i in range(n):
         for j in range(i, n):
+            # on the diagonal both orientations are the one key (i, i)
             have_ij = (i, j) in table
             have_ji = (j, i) in table
-            if not have_ij and not have_ji:
-                table[(i, j)] = A.zero_poly()
-                table[(j, i)] = A.zero_poly()
-                continue
-            if i == j:
-                derived = cs4_transform(work, i, i)
-                if derived != table[(i, i)]:
-                    bad = _first_mismatch(derived, table[(i, i)])
-                    raise TableInconsistencyError(
-                        (A.generators[i].name, A.generators[i].name), bad)
-                continue
             if have_ij and have_ji:
                 derived = cs4_transform(work, i, j)
                 if derived != table[(i, j)]:
@@ -585,8 +575,11 @@ def complete_table_cs4(A):
                         (A.generators[i].name, A.generators[j].name), bad)
             elif have_ji:
                 table[(i, j)] = cs4_transform(work, i, j)
-            else:
+            elif have_ij:
                 table[(j, i)] = cs4_transform(work, j, i)
+            else:
+                table[(i, j)] = A.zero_poly()
+                table[(j, i)] = A.zero_poly()
     return AlgebraDef(A.name, A.field, A.generators, table)
 
 
@@ -902,10 +895,19 @@ def to_hat_basis(A, x):
 
 def from_hat_basis(A, mapping):
     """Inverse of to_hat_basis."""
-    out = A.zero_elt()
-    for (g, l, q), c in mapping.items():
-        out = out + apply_partial_power(A, A.elt(g, q=q), l).scale(c)
-    return out
+    return _hat_sum(A, mapping, [A.elt(g) for g in range(A.ngens())])
+
+
+def _hat_sum(A, coords, vectors):
+    """The element sum c Dhat^{(l)} (vectors[g] t^q) over the entries
+    (g, l, q): c of ``coords``: hat coordinates back to an element, with
+    vectors[g] in place of v_g (x) 1."""
+    acc = {}
+    for (g, l, q), c in coords.items():
+        hat = apply_partial_power(A, vectors[g].shift_t(q), l)
+        for k, v in hat.terms.items():
+            _add_to(acc, k, v * c)
+    return ConfElt._trusted(A.field, acc)
 
 
 def find_virasoro(A):

@@ -317,19 +317,7 @@ class CycloScalar:
         if pair is None:
             return NotImplemented
         a, b = pair
-        if not b.coeffs:
-            return a
-        out = dict(a.coeffs)
-        for e, c in b.coeffs.items():
-            if e in out:
-                s = out[e] - c
-                if s:
-                    out[e] = _q(s)
-                else:
-                    del out[e]
-            else:
-                out[e] = -c
-        return CycloScalar(a.field, out)
+        return a + (-b)
 
     def __rsub__(self, other):
         return (-self) + other

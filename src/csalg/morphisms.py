@@ -12,8 +12,8 @@ from fractions import Fraction
 from math import lcm
 
 from .algebras import _pauli, make_n2, make_n4
-from .core import (ConfElt, _plain_verdict, apply_partial_power,
-                   lambda_bracket, to_hat_basis)
+from .core import (ConfElt, _hat_sum, _plain_verdict, lambda_bracket,
+                   to_hat_basis)
 from .cyclotomic import DEFAULT_CONDUCTOR, CycloField, _q
 from .errors import CsalgError, DomainError
 from .laurent import LaurentElt, delta_t
@@ -110,11 +110,7 @@ def extend_apply(phi, x):
         raise DomainError(
             "element lives over Q(zeta_%d), the morphism over Q(zeta_%d)"
             % (x.field.conductor, A.field.conductor))
-    out = A.zero_elt()
-    for (g, l, q), c in to_hat_basis(A, x).items():
-        moved = phi.images[g].shift_t(q)
-        out = out + apply_partial_power(A, moved, l).scale(c)
-    return out
+    return _hat_sum(A, to_hat_basis(A, x), phi.images)
 
 
 class HomReport:

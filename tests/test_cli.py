@@ -284,6 +284,35 @@ def test_large_pgl2_class_count(capsys):
     assert out.splitlines()[0] == "2501 classes of order dividing 5000:"
 
 
+def test_pgl2_order_bound_exits_3_before_building(capsys):
+    from csalg.cohomology import MAX_PGL2_ORDER
+    assert MAX_PGL2_ORDER >= 5000  # the README and the test above use 5000
+    start = time.perf_counter()
+    # without the bound, 10^12 would build 5 * 10^11 classes
+    for n in (MAX_PGL2_ORDER + 1, 10 ** 12):
+        code, out, err = run(capsys, ["pgl2-classes", str(n)])
+        assert code == 3
+        assert out == ""
+        assert err == ("error: order bound %d is above the bound %d\n"
+                       % (n, MAX_PGL2_ORDER))
+    assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("argv", [["check", "{src}"],
+                                  ["hom", "n2.csa", "{src}"]],
+                         ids=["algebra", "morphism"])
+def test_unreadable_source_files_exit_2(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.csa"
+    bad.write_bytes(b"algebra X\n\xff\n")
+    for src, reason in ((tmp_path, "cannot read the file: "),
+                        (bad, "cannot read the file: not UTF-8 text")):
+        code, out, err = run(capsys, [a.format(src=src) for a in argv])
+        assert code == 2, src
+        assert out == ""
+        assert err.startswith("error: %s: %s" % (src, reason)), err
+        assert "Traceback" not in err
+
+
 def test_conductor_bound_exits_3(capsys, tmp_path):
     big = tmp_path / "big.csa"
     big.write_text(data_text("n2.csa").replace("cyclotomic 24",
@@ -525,6 +554,7 @@ def test_matrix_entries_parse_as_constants():
     half = field.rational(Fraction(1, 2))
     cases = [
         ("0", field.zero()),
+        ("(0)", field.zero()),
         ("-zeta^6", field.rational(-1) * field.zeta(6)),
         ("2 zeta", field.rational(2) * field.zeta(1)),
         ("1/2*zeta^6 + 1/2", half * field.zeta(6) + half),

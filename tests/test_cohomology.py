@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from csalg import cohomology
 from csalg.algebras import make_n2, make_n4
 from csalg.cohomology import (
     Cocycle,
@@ -271,6 +272,14 @@ def test_pgl2_classes_match_diagonal_representatives():
                                     [field.zero(), lam.inverse()]],
                                    field=field))
         assert found == set(pgl2_classes(n, field=field))
+
+
+def test_pgl2_order_bound_is_inclusive(monkeypatch):
+    monkeypatch.setattr(cohomology, "MAX_PGL2_ORDER", 6)
+    assert len(pgl2_classes(6)) == 4
+    with pytest.raises(DomainError,
+                       match=r"^order bound 7 is above the bound 6$"):
+        pgl2_classes(7)
 
 
 def test_pgl2_conductor_guard():

@@ -501,6 +501,8 @@ def test_hat_basis_examples():
     assert set(got) == {(L, 1, Fraction(1)), (L, 0, Fraction(0))}
     assert got[(L, 1, Fraction(1))] == 1
     assert got[(L, 0, Fraction(0))] == -1
+    # Dhat(L t) - L = DL t + L - L: the cancelled term leaves no key
+    assert from_hat_basis(N2, got) == N2.elt("L", dpow=1, q=1)
     for name in ("L", "J", "G+", "G-"):
         g = N2.gen_index(name)
         elt = N2.elt(name, q=Fraction(-3, 2))

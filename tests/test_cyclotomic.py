@@ -272,6 +272,18 @@ def test_mixed_conductors_embed_and_agree():
                             _oracle_mul(lifted, ry), big), where
 
 
+def test_subtracting_zero_returns_the_operand_itself():
+    # the values of every difference are pinned by the two sweeps above;
+    # the shortcut that hands back an operand is what this test pins
+    field = CycloField.get(24)
+    x = field.zeta(5) + Fraction(1, 2)
+    for zero in (field.zero(), CycloField.get(12).zero(), 0, Fraction(0)):
+        assert x - zero is x
+        assert (zero - x).coeffs == (-x).coeffs
+    zero = field.zero()
+    assert zero - zero is zero
+
+
 def _zeta24(e):
     """zeta_24^e by hand: zeta^12 = -1 and zeta^8 = zeta^4 - 1."""
     e %= 24

@@ -80,6 +80,12 @@ def test_inconsistent_orientations_are_rejected():
         parse_algebra(text)
 
 
+def test_a_zero_bracket_line_is_the_bracket_left_out():
+    # N2 has [J lambda J] = 0 and n2.csa leaves the pair out
+    assert "bracket J J" not in N2_SOURCE
+    assert parse_algebra(N2_SOURCE + "bracket J J = 0\n") == N2
+
+
 def test_duplicate_bracket_is_rejected():
     text = N2_SOURCE + "bracket J G+ = G+\n"
     with pytest.raises(ParseError, match="duplicate"):
@@ -99,6 +105,10 @@ def test_element_expressions():
         ("2*zeta^3*G+ t^{1/2}", N2.elt("G+", q=half).scale(zeta + zeta)),
         ("L + 1/2*D J", N2.elt("L") + N2.elt("J", dpow=1, coeff=half)),
         ("0", N2.zero_elt()),
+        ("(0)", N2.zero_elt()),
+        ("0*L", N2.zero_elt()),
+        ("(0) L", N2.zero_elt()),
+        ("L + 0", N2.elt("L")),
     ]
     for text, want in cases:
         assert parse_element(N2, text) == want, text
@@ -222,6 +232,20 @@ def test_source_file_dispatch(tmp_path):
     src = SourceFile.read(path)
     assert src.algebra() == N2
     assert src.algebra() is src.algebra()
+
+
+def test_unreadable_source_files_are_parse_errors(tmp_path):
+    bad = tmp_path / "bad.csa"
+    bad.write_bytes(b"algebra X\n\xff\n")
+    for path, reason in ((tmp_path, "cannot read the file: "),
+                         (bad, "not UTF-8 text (byte 10: invalid start "
+                               "byte)")):
+        with pytest.raises(ParseError) as info:
+            SourceFile.read(path)
+        assert info.value.path == str(path)
+        assert str(info.value).startswith("%s: cannot read the file: "
+                                          % path)
+        assert reason in str(info.value)
 
 
 def test_source_file_error_names_the_file_and_keeps_its_cause():
