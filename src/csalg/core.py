@@ -23,9 +23,10 @@ int or a Fraction) and only an irrational one stays a ``CycloScalar``.
 Exponents sit on the integer lattice (1/M)Z, M the lcm of the exponent
 denominators of both arguments, as the ints M q, and the base-change
 weights C(q, l) are built once per left term.  ``lambda_bracket`` lifts
-the kernel's maps once into ``ConfElt``s and a ``LambdaPoly``.  The
-Jacobi sweep of ``check_axioms`` reads them as they are, and so do its
-CS1 and CS3 spot checks, against one public bracket per trial.
+the kernel's maps once into ``ConfElt``s and a ``LambdaPoly``.  The CS1
+and CS3 spot checks of ``check_axioms`` read the kernel's maps as they
+are, against one public bracket per trial.  Its Jacobi sweep has only
+t-free arguments, so it sums the cached decorated pairs directly.
 """
 
 from __future__ import annotations
@@ -674,8 +675,39 @@ def _sample_elt(A, rng, **kwargs):
         k: rational(c) for k, c in _sample_terms(A, rng, **kwargs).items()})
 
 
+def _integral(A):
+    """A with every table entry scaled by D, the lcm of the denominators of
+    the table's rational coefficients, or A itself when D = 1.  Every
+    table scalar of the result is an int or has int coefficients."""
+    D = 1
+    for poly in A.table.values():
+        for e in poly.coeffs.values():
+            for v in e.terms.values():
+                for r in v.coeffs.values():
+                    if r.__class__ is Fraction:
+                        D = lcm(D, r.denominator)
+    if D == 1:
+        return A
+    field = A.field
+    table = {
+        pair: LambdaPoly._trusted(field, {
+            n: ConfElt._trusted(field, {
+                k: CycloScalar(field, {i: _q(r * D)
+                                       for i, r in v.coeffs.items()})
+                for k, v in e.terms.items()})
+            for n, e in poly.coeffs.items()})
+        for pair, poly in A.table.items()}
+    return AlgebraDef(A.name, field, A.generators, table)
+
+
 def check_axioms(A, seed=0):
     """Verify the conformal superalgebra axioms on an algebra definition.
+
+    The checks run on the integral table ``_integral(A)``, D times the
+    table with D the lcm of its denominators, so the scalars they
+    multiply are ints or have int coefficients.  CS1-CS4 are linear in
+    the table and CS5 is quadratic, so every verdict, count and failure
+    location is that of A itself.
 
     CS0, CS2 and CS3 hold by construction of the evaluator and are
     exercised through randomized spot checks on decorated elements; CS1
@@ -687,12 +719,13 @@ def check_axioms(A, seed=0):
     [x lambda y t^q] and [x t^q lambda y] come from the kernel
     ``_bracket_terms``, and each is compared with its law's right-hand
     side built on the lowered maps, with exponents on (1/2)Z.  CS2 checks
-    ``apply_partial`` on public elements.  CS5 visits only the nonzero
-    lambda/mu coefficients of its three terms within that bound, and
-    reports failures n-major, m-minor.
+    ``apply_partial`` on public elements.  CS5 sums the three Jacobi
+    terms of each triple into one difference map (``_sweep_cs5``) and
+    reports its nonzero cells n-major, m-minor.
     """
     import random
 
+    A = _integral(A)
     rng = random.Random(seed)
     report = AxiomReport(A.name)
     field = A.field
@@ -805,59 +838,65 @@ def _sweep_cs4(A, report):
 
 def _sweep_cs5(A, report):
     """CS5 (Jacobi) on every ordered generator triple, both lambda and mu
-    degrees up to the vanishing bound, into ``report``.  Each side is a map
-    {(m, n): terms} built from its nonzero coefficients alone, on the
-    lowered scalars of ``_bracket_terms`` (every argument is t-free, so the
-    lattice is M = 1 and its keys are the plain ones); failures come
-    n-major, m-minor."""
+    degrees up to the vanishing bound, into ``report``.
+
+    Every argument is t-free, so no base change enters and each of the
+    three Jacobi terms is a sum of ``_decorated_pair`` brackets, each
+    weighted by a lowered table scalar s: [a_(m) [b_(n) c]] with weight
+    +s, [[a_(jj) b]_(k) c] with -C(m, jj) s on every m + n = jj + k,
+    m >= jj, and [b_(n) [a_(m) c]] with -p(a, b) s.  They are added into
+    one difference map {(m, n): {(g, j): coefficient}} per triple, and
+    its nonzero cells are the failures, reported n-major, m-minor.  Only
+    the middle term reaches past the bound, at m > bound, and those cells
+    are left out.
+    """
     ngen = A.ngens()
     report.verdicts.setdefault("CS5", True)
     maxl, maxd = A.table_degrees()
     bound = maxl + maxd + 2
-    gen_elts = [A.elt(i) for i in range(ngen)]
-    bracket_cache = {}
+    names = [g.name for g in A.generators]
 
-    def gen_bracket(g, elt, key):
-        got = bracket_cache.get((g, key))
-        if got is None:
-            got = bracket_cache[(g, key)] = \
-                _bracket_terms(A, gen_elts[g], elt)[0]
-        return got
-
-    def add_into(acc, m, n, terms, w=1):
-        if m <= bound and n <= bound:
-            out = acc.setdefault((m, n), {})
-            for k, v in terms.items():
-                _add_to(out, k, v if w == 1 else v * w)
+    def add(diff, cell, pair_terms, w):
+        out = diff.setdefault(cell, {})
+        if w.__class__ is int and w == 1:
+            for g, j, v in pair_terms:
+                _add_to(out, (g, j), v)
+        else:
+            for g, j, v in pair_terms:
+                _add_to(out, (g, j), v * w)
 
     triples = 0
     for a in range(ngen):
         for b in range(ngen):
             p_ab = A.parity_sign(a, b)
-            poly_ab = _table_poly(A, a, b)
+            poly_ab = _table_poly(A, a, b).coeffs
             for c in range(ngen):
                 triples += 1
-                lhs, rhs = {}, {}
-                for n, bcn in _table_poly(A, b, c).coeffs.items():
-                    for m, terms in gen_bracket(a, bcn, (b, c, n)).items():
-                        add_into(lhs, m, n, terms)
-                for jj, ab in poly_ab.coeffs.items():
-                    # [[a_(jj) b]_(k) c] feeds every m + n = jj + k, m >= jj
-                    abc = _bracket_terms(A, ab, gen_elts[c])[0]
-                    for k, terms in abc.items():
-                        for m in range(jj, jj + k + 1):
-                            add_into(rhs, m, jj + k - m, terms, comb(m, jj))
-                for m, acm in _table_poly(A, a, c).coeffs.items():
-                    for n, terms in gen_bracket(b, acm, (a, c, m)).items():
-                        add_into(rhs, m, n, terms, p_ab)
-                for m, n in sorted(lhs.keys() | rhs.keys(),
-                                   key=lambda mn: (mn[1], mn[0])):
-                    if lhs.get((m, n), {}) != rhs.get((m, n), {}):
-                        report.fail(
-                            "CS5",
-                            (A.generators[a].name, A.generators[b].name,
-                             A.generators[c].name),
-                            "m=%d n=%d" % (m, n))
+                diff = {}
+                # [a_(m) [b_(n) c]]
+                for n, e in _table_poly(A, b, c).coeffs.items():
+                    for (g, j, _), v in e.terms.items():
+                        v = _lower(v)
+                        for m, terms in _decorated_pair(A, a, 0, g, j):
+                            add(diff, (m, n), terms, v)
+                # [[a_(jj) b]_(k) c] feeds every m + n = jj + k, m >= jj
+                for jj, e in poly_ab.items():
+                    for (g, j, _), v in e.terms.items():
+                        v = _lower(v)
+                        for k, terms in _decorated_pair(A, g, j, c, 0):
+                            for m in range(jj, min(jj + k, bound) + 1):
+                                add(diff, (m, jj + k - m), terms,
+                                    v * -comb(m, jj))
+                # p(a, b) [b_(n) [a_(m) c]]
+                for m, e in _table_poly(A, a, c).coeffs.items():
+                    for (g, j, _), v in e.terms.items():
+                        v = _lower(v) * -p_ab
+                        for n, terms in _decorated_pair(A, b, 0, g, j):
+                            add(diff, (m, n), terms, v)
+                for m, n in sorted(diff, key=lambda mn: (mn[1], mn[0])):
+                    if diff[(m, n)]:
+                        report.fail("CS5", (names[a], names[b], names[c]),
+                                    "m=%d n=%d" % (m, n))
     report.counts["CS5"] = "%d triples" % triples
 
 

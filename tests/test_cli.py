@@ -325,6 +325,18 @@ def test_conductor_bound_exits_3(capsys, tmp_path):
         assert err.startswith("error:") and conductor in err, err
 
 
+def test_generator_bound_exits_2(capsys, tmp_path):
+    from csalg.dsl import MAX_GENERATORS
+    big = tmp_path / "big.csa"
+    big.write_text("algebra big\n" + "".join(
+        "generator g%d parity=even\n" % i for i in range(600)))
+    code, out, err = run(capsys, ["check", str(big)])
+    assert code == 2
+    assert out == ""
+    assert err == ("error: %s: line %d, col 1: 600 generators exceed the "
+                   "bound %d\n" % (big, MAX_GENERATORS + 2, MAX_GENERATORS))
+
+
 # -- golden output: the exact text of each report ------------------------
 
 

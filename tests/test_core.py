@@ -6,7 +6,7 @@ from math import comb, factorial, lcm
 import pytest
 
 from csalg import core
-from csalg.algebras import make_n2, make_n4
+from csalg.algebras import make_current, make_n2, make_n4, sl2_constants
 from csalg.core import (
     AlgebraDef,
     ConfElt,
@@ -25,6 +25,7 @@ from csalg.core import (
     to_hat_basis,
 )
 from csalg.cyclotomic import CycloField, CycloScalar, _add_to
+from csalg.dsl import parse_algebra
 from csalg.errors import ConductorError, CsalgError, TableInconsistencyError
 from csalg.laurent import binom_frac
 
@@ -465,11 +466,14 @@ def _cs5_failures_by_dense_sweep(A):
     return failures
 
 
-def _times_three_mutants(A):
-    """A copy of A for each table coefficient, with that one tripled."""
+def _times_three_mutants(A, keep=lambda v: True):
+    """A copy of A for each table coefficient v with keep(v), with that
+    one tripled."""
     for pair, entry in sorted(A.table.items()):
         for n, e in sorted(entry.coeffs.items()):
             for k, v in sorted(e.terms.items()):
+                if not keep(v):
+                    continue
                 tripled = ConfElt(A.field, {**e.terms, k: 3 * v})
                 table = dict(A.table)
                 table[pair] = LambdaPoly(A.field,
@@ -477,22 +481,110 @@ def _times_three_mutants(A):
                 yield AlgebraDef(A.name, A.field, A.generators, table)
 
 
+def _cs5_failures(report):
+    return [(f.location, f.detail) for f in report.failures
+            if f.axiom == "CS5"]
+
+
 def test_sparse_jacobi_sweep_matches_the_dense_sweep():
     n4 = make_n4()
     n2_mutants = list(_times_three_mutants(N2))
-    n4_mutants = list(_times_three_mutants(n4))[::17]
-    assert len(n2_mutants) == 23 and len(n4_mutants) == 5
+    # every coefficient of N4 that holds zeta^6, an irrational scalar
+    n4_mutants = list(_times_three_mutants(n4, lambda v: 6 in v.coeffs))
+    assert len(n2_mutants) == 23 and len(n4_mutants) == 22
     failing = 0
     for A in [N2, n4] + n2_mutants + n4_mutants:
         report = check_axioms(A)
         want = _cs5_failures_by_dense_sweep(A)
-        got = [(f.location, f.detail) for f in report.failures
-               if f.axiom == "CS5"]
-        assert got == want
+        assert _cs5_failures(report) == want
         assert report.verdicts["CS5"] is not bool(want)
         assert report.counts["CS5"] == "%d triples" % A.ngens() ** 3
         failing += bool(want)
-    assert failing == 28
+    assert failing == 45
+
+
+def _scaled(A, s):
+    """A with every table entry multiplied by the rational s."""
+    return AlgebraDef(A.name, A.field, A.generators,
+                      {pair: p.scale(A.field.rational(s))
+                       for pair, p in A.table.items()})
+
+
+@pytest.mark.parametrize("make", [make_n2, make_n4], ids=["N2", "N4"])
+def test_reports_are_homogeneous_in_the_table(make):
+    # CS1-CS4 are linear in the table and CS5 is quadratic, so scaling
+    # every entry by a nonzero rational changes no verdict, count or
+    # failure location
+    A = make()
+    for M in [A] + list(_times_three_mutants(A)):
+        scaled = [_scaled(M, Fraction(7, 3)), _scaled(M, -2)]
+        for seed in range(3):
+            want = check_axioms(M, seed)
+            for S in scaled:
+                got = check_axioms(S, seed)
+                assert str(got) == str(want)
+                assert got.as_json() == want.as_json()
+
+
+def test_integral_table_clears_the_denominators():
+    sl2 = make_current(sl2_constants())
+    assert core._integral(sl2) is sl2
+    for A in (N2, make_n4()):
+        got = core._integral(A)
+        assert got.name == A.name and got.generators == A.generators
+        assert got.table == _scaled(A, 2).table
+        assert all(r.__class__ is int
+                   for p in got.table.values() for e in p.coeffs.values()
+                   for v in e.terms.values() for r in v.coeffs.values())
+
+
+#: N2 on the generators L, 3J, G+, G-: [J lambda G+-] = +-3 G+- and
+#: [G+ lambda G-] = L + 1/6 DJ + lambda (1/3 J), so the table's
+#: denominators are 2, 3 and 6.
+N2J3_SOURCE = """\
+algebra N2J3
+cyclotomic 24
+
+generator L parity=even weight=2
+generator J parity=even weight=1
+generator G+ parity=odd weight=3/2
+generator G- parity=odd weight=3/2
+
+bracket L L = D L + x*(2*L)
+bracket L J = D J + x*(J)
+bracket L G+ = D G+ + x*(3/2*G+)
+bracket L G- = D G- + x*(3/2*G-)
+bracket J G+ = 3*G+
+bracket J G- = -3*G-
+bracket G+ G- = L + 1/6*D J + x*(1/3*J)
+"""
+
+
+def test_a_rescaled_generator_clears_a_denominator_of_six():
+    A = parse_algebra(N2J3_SOURCE)
+    # rescaling a generator is an isomorphism, so every axiom holds
+    report = check_axioms(A)
+    assert report.verdicts == {"CS%d" % i: True for i in range(6)}
+    assert core._integral(A).table == _scaled(A, 6).table
+    mutants = list(_times_three_mutants(A))
+    assert len(mutants) == 23
+    failing = 0
+    for M in mutants:
+        want = _cs5_failures_by_dense_sweep(M)
+        assert _cs5_failures(check_axioms(M)) == want
+        failing += bool(want)
+    assert failing == 23
+
+
+def test_a_missing_table_entry_is_named():
+    table = dict(N2.table)
+    del table[(N2.gen_index("J"), N2.gen_index("G+"))]
+    A = AlgebraDef("N2", N2.field, N2.generators, table)
+    message = r"^bracket table has no entry for \(J, G\+\); complete"
+    with pytest.raises(CsalgError, match=message):
+        check_axioms(A)
+    with pytest.raises(CsalgError, match=message):
+        core._sweep_cs5(core._integral(A), core.AxiomReport("N2"))
 
 
 def test_hat_basis_examples():

@@ -12,6 +12,7 @@ from csalg.core import (AlgebraDef, ConfElt, EVEN, Generator, LambdaPoly,
 from csalg.cyclotomic import CycloField
 from csalg.errors import (CsalgError, DomainError, ParseError,
                           TableInconsistencyError)
+from csalg import dsl
 from csalg.dsl import (MAX_DIVIDED_POWER, SourceFile, format_algebra,
                        format_element, format_morphism, parse_algebra,
                        parse_element, parse_morphism)
@@ -153,6 +154,26 @@ def test_divided_powers_are_bounded():
     with pytest.raises(ParseError, match=r"x\^\(65\) exceeds the bound 64"):
         parse_algebra(N2_SOURCE.replace("bracket L L = ",
                                         "bracket L L = x^(65)*(L) + "))
+
+
+def _generators_source(count):
+    return "algebra big\n" + "".join("generator g%d parity=even\n" % i
+                                     for i in range(count))
+
+
+def test_generator_count_bound_is_inclusive(monkeypatch):
+    assert dsl.MAX_GENERATORS == 64
+    monkeypatch.setattr(dsl, "MAX_GENERATORS", 3)
+    assert parse_algebra(_generators_source(3)).ngens() == 3
+    # refused before the table is completed, at the first generator past
+    # the bound (line 5 of the source)
+    monkeypatch.setattr(dsl, "complete_table_cs4", None)
+    with pytest.raises(ParseError,
+                       match=r"^line 5, col 1: 4 generators exceed the bound 3$"):
+        parse_algebra(_generators_source(4))
+    with pytest.raises(ParseError, match=r"^big\.csa: line 5, col 1: "
+                       r"600 generators exceed the bound 3$"):
+        SourceFile("big.csa", _generators_source(600)).algebra()
 
 
 def test_element_rejects_two_generators():
