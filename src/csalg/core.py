@@ -692,8 +692,8 @@ def _integral(A):
     table = {
         pair: LambdaPoly._trusted(field, {
             n: ConfElt._trusted(field, {
-                k: CycloScalar(field, {i: _q(r * D)
-                                       for i, r in v.coeffs.items()})
+                k: CycloScalar(v.field, {i: _q(r * D)
+                                         for i, r in v.coeffs.items()})
                 for k, v in e.terms.items()})
             for n, e in poly.coeffs.items()})
         for pair, poly in A.table.items()}

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import comb, factorial, lcm
 
 import pytest
@@ -466,13 +467,14 @@ def _cs5_failures_by_dense_sweep(A):
     return failures
 
 
-def _times_three_mutants(A, keep=lambda v: True):
-    """A copy of A for each table coefficient v with keep(v), with that
-    one tripled."""
+def _times_three_mutants(A, keep=lambda i, v: True):
+    """A copy of A for each table coefficient v with keep(i, v), i its
+    index in table order, with that one tripled."""
+    index = count()
     for pair, entry in sorted(A.table.items()):
         for n, e in sorted(entry.coeffs.items()):
             for k, v in sorted(e.terms.items()):
-                if not keep(v):
+                if not keep(next(index), v):
                     continue
                 tripled = ConfElt(A.field, {**e.terms, k: 3 * v})
                 table = dict(A.table)
@@ -489,9 +491,11 @@ def _cs5_failures(report):
 def test_sparse_jacobi_sweep_matches_the_dense_sweep():
     n4 = make_n4()
     n2_mutants = list(_times_three_mutants(N2))
-    # every coefficient of N4 that holds zeta^6, an irrational scalar
-    n4_mutants = list(_times_three_mutants(n4, lambda v: 6 in v.coeffs))
-    assert len(n2_mutants) == 23 and len(n4_mutants) == 22
+    # every 17th N4 coefficient, and every one that holds zeta^6, an
+    # irrational scalar
+    n4_mutants = list(_times_three_mutants(
+        n4, lambda i, v: i % 17 == 0 or 6 in v.coeffs))
+    assert len(n2_mutants) == 23 and len(n4_mutants) == 26
     failing = 0
     for A in [N2, n4] + n2_mutants + n4_mutants:
         report = check_axioms(A)
@@ -500,7 +504,7 @@ def test_sparse_jacobi_sweep_matches_the_dense_sweep():
         assert report.verdicts["CS5"] is not bool(want)
         assert report.counts["CS5"] == "%d triples" % A.ngens() ** 3
         failing += bool(want)
-    assert failing == 45
+    assert failing == 49
 
 
 def _scaled(A, s):
@@ -536,6 +540,34 @@ def test_integral_table_clears_the_denominators():
         assert all(r.__class__ is int
                    for p in got.table.values() for e in p.coeffs.values()
                    for v in e.terms.values() for r in v.coeffs.values())
+
+
+def test_a_subfield_scalar_in_the_table_is_read_in_its_own_field():
+    # N4 with every irrational table scalar, a rational multiple of
+    # zeta_24^6 = i, held as the same scalar of Q(zeta_4): the same
+    # algebra, with D = 2
+    n4 = make_n4()
+    qi = CycloField.get(4)
+
+    def narrow(v):
+        if 6 in v.coeffs and len(v.coeffs) == 1:
+            return qi.element({1: v.coeffs[6]})
+        return v
+
+    table = {pair: LambdaPoly(n4.field, {
+        n: ConfElt(n4.field, {k: narrow(v) for k, v in e.terms.items()})
+        for n, e in p.coeffs.items()}) for pair, p in n4.table.items()}
+    A = AlgebraDef(n4.name, n4.field, n4.generators, table)
+    held = [v for p in A.table.values() for e in p.coeffs.values()
+            for v in e.terms.values() if v.field is qi]
+    assert len(held) == 22
+    assert any(r.__class__ is Fraction for v in held
+               for r in v.coeffs.values())
+    for seed in range(3):
+        want = check_axioms(n4, seed)
+        got = check_axioms(A, seed)
+        assert str(got) == str(want)
+        assert got.as_json() == want.as_json()
 
 
 #: N2 on the generators L, 3J, G+, G-: [J lambda G+-] = +-3 G+- and
