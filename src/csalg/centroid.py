@@ -50,7 +50,8 @@ once, into lists.  An exponent enters the lattice exactly; one off (1/M)Z
 is refused with a DomainError that names it.  The exponent q, a Fraction,
 comes back only where a caller reads it: the entries and images of a
 ``CentroidSolution``, its hat elements, the r of ``is_scalar_action`` and
-the error texts.
+the error texts, and as the factor -s of a fractional shift in ``times``;
+``_Frame.exponent`` builds one Fraction per M q and hands it out again.
 
 Coordinates: each pair of t-free record vectors v_alpha, v_beta is
 bracketed once, and each lambda-coefficient is decomposed on the ids once;
@@ -70,17 +71,28 @@ row reads both sides of its equation from one map.  An unknown pinned to
 its pivot row, is left out of the later rows (subtracting the pin row
 keeps the row space) and of the columns built for them.
 
-Scalars: the solve runs on Python rationals wherever it can.
-``_Frame.coords`` lowers each rational coordinate to its ``_q`` value (an
-int when integral, else a Fraction); only an irrational one, such as the
-zeta^6 coefficients of the N=4 table, stays a ``CycloScalar``.  ``times``,
-the columns, the rows and the ``linalg`` eliminator then work on these
-mixed exact scalars through Python's numeric coercion, and ``_add_to``
-and the eliminator keep every integral result an int.  A product of two
-irrational pivot entries can still be a rational ``CycloScalar``, so the
-null vectors read off the pivots are lowered again before they are
-reinserted.  ``CentroidSolution`` lifts its entries back through
-``field.scalar``, so the entries a caller reads are ``CycloScalar``s.
+Scalars: the solve runs on Python rationals wherever it can, and on ints
+where the table allows.  ``_Frame.coords`` lowers each rational coordinate
+to its ``_q`` value (an int when integral, else a Fraction); only an
+irrational one, such as the zeta^6 coefficients of the N=4 table, stays a
+``CycloScalar``.  ``_interior_brackets`` then multiplies the coordinates
+of the record-pair brackets by K, the lcm of their denominators (those
+inside a ``CycloScalar`` too): 2 for the 1/2 and 3/2 of the N=2 and N=4
+tables and of the eigenbasis inverse, 1 for the sl2 current algebra.
+Every product, column and row is linear in these brackets, since both
+sides of chi(a_(n) b) = a_(n) chi(b) read them, so each row is K times the
+unscaled one.  The eliminator normalizes each pivot by its lead, so the
+pivots, the pins, the null space and every solution are those of the
+unscaled system, entry for entry.  On the N=2 and N=4 loops of order 1 and
+2 no Fraction then reaches a row; the thirds of an order-3 shift still do,
+through ``times``.  ``times``, the columns, the rows and the ``linalg``
+eliminator work on these mixed exact scalars through Python's numeric
+coercion, and ``_add_to`` and the eliminator keep every integral result an
+int.  A product of two irrational pivot entries can still be a rational
+``CycloScalar``, so the null vectors read off the pivots are lowered again
+before they are reinserted.  ``CentroidSolution`` lifts its entries back
+through ``field.scalar``, so the entries a caller reads are
+``CycloScalar``s.
 """
 
 import math
@@ -88,7 +100,7 @@ from fractions import Fraction
 
 from .core import (_binomials, _hat_sum, apply_partial_power,
                    lambda_bracket, to_hat_basis)
-from .cyclotomic import _add_to, _lower
+from .cyclotomic import _add_to, _denominator, _lower, _q
 from .errors import DomainError
 from .laurent import LaurentElt
 from .linalg import (Echelon, _echelon_insert, _null_basis, _reduce_against,
@@ -188,6 +200,7 @@ class _Frame:
                          else [int(M * (w - 1)) for w in self.weights])
 
         self.keys = []  # id -> (alpha, l, M q)
+        self._exponents = {}  # M q -> q, for ``exponent``
         self._slots = {}  # (l, M q) -> the id of (0, l, M q)
         self.sigs = []  # id -> (parity, residue)
         self.degrees = []  # id -> M * degree, 0 when the weights do not grade
@@ -227,8 +240,12 @@ class _Frame:
         return Q
 
     def exponent(self, Q):
-        """The exponent q, a Fraction, of the scaled exponent Q = M q."""
-        return Fraction(Q, self.scale)
+        """The exponent q, a Fraction, of the scaled exponent Q = M q; one
+        object per Q, built on first sight."""
+        q = self._exponents.get(Q)
+        if q is None:
+            q = self._exponents[Q] = Fraction(Q, self.scale)
+        return q
 
     def entry_key(self, i):
         """The key of id i as a solution shows it: q as a Fraction."""
@@ -278,7 +295,7 @@ class _Frame:
         slot = self._slot
         M = self.scale
         # (S, c_s, -s), with -s under the _q rule
-        steps = [(S, c, -S // M if not S % M else Fraction(-S, M))
+        steps = [(S, c, -S // M if not S % M else self.exponent(-S))
                  for S, c in terms.items()]
         out = {}
         for i, v in coords.items():
@@ -358,15 +375,24 @@ class CentroidSolution:
 
 
 def _interior_brackets(frame):
-    """brackets[a][beta][n]: the coordinates of [hat(a) lambda v_beta]_n
-    for interior keys a and records beta, derived from one bracket per
-    record pair by CS3 on the left slot (see the module docstring).  Every
-    product and column of the solve is a t-shift of these, or derived."""
+    """(brackets, K): brackets[a][beta][n] is K times the coordinates of
+    [hat(a) lambda v_beta]_n for interior keys a and records beta, derived
+    from one bracket per record pair by CS3 on the left slot (see the
+    module docstring).  K is the lcm of the denominators of the record-pair
+    coordinates, those inside a CycloScalar included.  Every product and
+    column of the solve is a t-shift of these, or derived."""
     records = sorted({frame.keys[b][0] for b in frame.interior0})
     pairs = {(ai, bi): {n: frame.coords(e) for n, e in lambda_bracket(
                 frame.algebra, frame.alphas[ai][1],
                 frame.alphas[bi][1]).coeffs.items()}
              for ai in records for bi in records}
+    K = math.lcm(*(_denominator(v) for poly in pairs.values()
+                   for coords in poly.values() for v in coords.values()))
+    if K > 1:
+        for poly in pairs.values():
+            for coords in poly.values():
+                for i, v in coords.items():
+                    coords[i] = _q(v * K)
     M = frame.scale
     brackets = {}
     for a in frame.interior0:
@@ -380,7 +406,7 @@ def _interior_brackets(frame):
                     for i, v in shifted.items():
                         _add_to(got.setdefault(n - l, {}), i, v)
             brackets[a][bi] = {n: comps for n, comps in got.items() if comps}
-    return brackets
+    return brackets, K
 
 
 def _minus_columns(frame, brackets, wanted):
@@ -434,7 +460,9 @@ def centroid_basis(L, window, interior):
     keys = frame.keys
     interior0 = frame.interior0
 
-    brackets = _interior_brackets(frame)
+    # K times the brackets: every row below is K times the unscaled one,
+    # with the same pivots and null space
+    brackets, _ = _interior_brackets(frame)
 
     # product closure: the solved domain is the interior and every
     # component of a_(n) b, which must stay in the window

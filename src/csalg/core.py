@@ -34,8 +34,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, lcm
 
-from .cyclotomic import (CycloScalar, _add_to, _lower, _q, _scaled_terms,
-                         _signed_sum)
+from .cyclotomic import (CycloScalar, _add_to, _denominator, _lower, _q,
+                         _scaled_terms, _signed_sum)
 from .errors import CsalgError, TableInconsistencyError
 from .laurent import binom_frac
 
@@ -679,13 +679,8 @@ def _integral(A):
     """A with every table entry scaled by D, the lcm of the denominators of
     the table's rational coefficients, or A itself when D = 1.  Every
     table scalar of the result is an int or has int coefficients."""
-    D = 1
-    for poly in A.table.values():
-        for e in poly.coeffs.values():
-            for v in e.terms.values():
-                for r in v.coeffs.values():
-                    if r.__class__ is Fraction:
-                        D = lcm(D, r.denominator)
+    D = lcm(*(_denominator(v) for poly in A.table.values()
+              for e in poly.coeffs.values() for v in e.terms.values()))
     if D == 1:
         return A
     field = A.field

@@ -18,7 +18,9 @@ kernel (``core._bracket_terms``) hold their rational scalars under the
 same rule, as Python numbers beside the irrational ``CycloScalar`` ones:
 ``_lower`` turns a rational ``CycloScalar`` into its value, ``_q`` passes
 a ``CycloScalar`` through and ``_add_to`` keeps an int or ``Fraction`` sum
-under the rule.
+under the rule.  ``_denominator`` reads the lcm of the denominators of any
+of these scalars; the axiom checks and the centroid solve multiply their
+inputs by it, so that their rational arithmetic runs on ints.
 """
 
 from __future__ import annotations
@@ -63,6 +65,14 @@ def _lower(v):
         if len(c) == 1 and 0 in c:
             return c[0]  # held under the rule already
     return v
+
+
+def _denominator(v):
+    """The lcm of the denominators of the exact scalar v: an int or a
+    Fraction, or the rational coefficients of a ``CycloScalar``."""
+    if v.__class__ is CycloScalar:
+        return math.lcm(*(c.denominator for c in v.coeffs.values()))
+    return v.denominator
 
 
 def _add_to(acc, key, val):

@@ -251,8 +251,17 @@ def n2_theta(s, algebra=None):
 
 
 def n2_omega(algebra=None):
-    """The N=2 involution: J changes sign and G+ swaps with G-."""
+    """The N=2 involution: J changes sign and G+ swaps with G-.
+
+    An algebra without the generators L, J, G+ and G- is refused with a
+    DomainError that names it and the first one missing.
+    """
     A = algebra if algebra is not None else make_n2()
+    for name in ("L", "J", "G+", "G-"):
+        if name not in A.index:
+            raise DomainError(
+                "omega is the N=2 involution, but algebra %s has no "
+                "generator %r" % (A.name, name))
     images = {
         "L": A.elt("L"),
         "J": -A.elt("J"),

@@ -12,11 +12,13 @@ from csalg.centroid import _Frame, centroid_basis, is_scalar_action
 from csalg.core import (EVEN, AlgebraDef, ConfElt, Generator, LambdaPoly,
                         apply_partial, lambda_bracket, to_hat_basis)
 from csalg.cyclotomic import CycloField, CycloScalar, _add_to
+from csalg.dsl import parse_algebra
 from csalg.errors import ConductorError, DomainError
 from csalg.linalg import _echelon_insert
 from csalg.laurent import LaurentElt, delta_t
 from csalg.loops import LoopAlgebra, eigenspaces
 from csalg.morphisms import identity_morphism, n2_omega, n4_auto
+from test_core import N2J3_SOURCE, _scaled
 
 N2 = make_n2()
 FIELD = N2.field
@@ -431,6 +433,9 @@ def test_degrees_are_ints_on_the_exponent_lattice(loop, M):
             assert degree == 0
         else:
             assert degree == M * (q - l - weight + 1)
+        # each exponent is one Fraction, built once per frame
+        assert q.__class__ is Fraction and q == Fraction(frame.keys[i][2], M)
+        assert frame.entry_key(i)[2] is q
 
 
 @pytest.mark.parametrize("loop, generator, q",
@@ -483,17 +488,21 @@ def test_derived_columns_match_direct_brackets(loop):
 def test_interior_brackets_match_direct_brackets(loop):
     # oracle: bracket each interior key v t^p with each record directly, so
     # lambda_bracket applies the base-change rule, and decompose the result;
-    # the exponents p run over half-integers, thirds and quarters
+    # the exponents p run over half-integers, thirds and quarters.  The
+    # brackets come scaled by K, which clears the 1/2 of the N=2 and N=4
+    # tables and of the eigenbasis inverse
     frame = _Frame(loop, 3, 1)
     A = frame.algebra
-    got = centroid._interior_brackets(frame)
+    got, K = centroid._interior_brackets(frame)
+    assert K == 2
     records = sorted({frame.keys[b][0] for b in frame.interior0})
     assert sorted(got) == sorted(frame.interior0)
     for a in frame.interior0:
         assert sorted(got[a]) == records
         for bi in records:
             poly = lambda_bracket(A, frame.hat(a), frame.alphas[bi][1])
-            want = {n: frame.coords(e) for n, e in poly.coeffs.items()}
+            want = {n: {i: v * K for i, v in frame.coords(e).items()}
+                    for n, e in poly.coeffs.items()}
             assert got[a][bi] == want, (frame.entry_key(a), bi)
 
 
@@ -583,6 +592,39 @@ def test_replace_entries_lifts_rationals_and_subfield_scalars():
         sol.replace_entries({keys[0]: CycloField.get(5).zeta(1)})
 
 
+@pytest.mark.parametrize("make,twist", [
+    (make_n2, lambda A: (n2_omega(A), 2)),
+    (make_n4, lambda A: (n4_auto([[1, 0], [0, 1]], [[-1, 0], [0, -1]], A),
+                         2)),
+], ids=["n2_omega", "n4_minus"])
+def test_solutions_are_homogeneous_in_the_table(make, twist):
+    # every equation chi(a_(n) b) = a_(n) chi(b) is linear in the table, so
+    # scaling every entry by a nonzero rational keeps the solution space,
+    # and the normalized basis, entry for entry and in order
+    A = make()
+    want = [chi.entries for chi in centroid_basis(
+        eigenspaces(A, *twist(A)), 3, 1)]
+    assert len(want) == 3
+    for s in (Fraction(7, 3), -2):
+        B = _scaled(A, s)
+        got = [chi.entries for chi in centroid_basis(
+            eigenspaces(B, *twist(B)), 3, 1)]
+        assert [list(e.items()) for e in got] == \
+            [list(e.items()) for e in want], s
+
+
+def test_a_rescaled_generator_solves_to_the_unit_monomials():
+    # N2 on L, 3J, G+, G-: table denominators 2, 3 and 6, so the brackets
+    # are scaled by K = 6
+    A = parse_algebra(N2J3_SOURCE)
+    loop = eigenspaces(A, identity_morphism(A), 1)
+    frame = _Frame(loop, 3, 1)
+    assert centroid._interior_brackets(frame)[1] == 6
+    sols = centroid_basis(loop, 3, 1)
+    assert [is_scalar_action(chi) for chi in sols] == \
+        [LaurentElt(A.field, {q: 1}) for q in (-1, 0, 1)]
+
+
 #: The four perfbench centroid cases and N4 twisted by order 3:
 #: (loop, window, interior).
 ROW_CASES = {
@@ -615,6 +657,9 @@ def test_rows_hold_rationals_as_python_numbers(monkeypatch, name):
     sols = centroid_basis(*ROW_CASES[name])
     assert len(sols) == 3
     assert all(is_scalar_action(chi) is not None for chi in sols)
-    assert seen[int] and seen[Fraction]
+    # the brackets are scaled by K = 2, which clears every denominator on
+    # the perfbench cases; the thirds of the order-3 shifts stay
+    assert seen[int]
+    assert bool(seen[Fraction]) == (name == "n4_z3_w3")
     # the N4 tables carry zeta^6 coefficients, so their rows mix both kinds
     assert bool(seen[CycloScalar]) == name.startswith("n4")

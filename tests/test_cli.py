@@ -550,6 +550,25 @@ def test_centroid_of_a_current_loop_is_the_identity(capsys, tmp_path):
     assert [s["scalar"] for s in json.loads(out)["solutions"]] == [True]
 
 
+@pytest.mark.parametrize("argv", [
+    ["centroid", "--window", "3", "--interior", "1"],
+    ["loop", "--window", "3"],
+    ["alg", "--bracket", "L[0] L[1]"],
+], ids=["centroid", "loop", "alg"])
+def test_omega_on_an_algebra_without_its_generators_exits_3(capsys, tmp_path,
+                                                            argv):
+    # omega names J, G+ and G-: N4 has L but no J, sl2 has neither
+    path = tmp_path / "sl2.csa"
+    path.write_text(SL2_CSA)
+    for source, name, missing in (("n4.csa", "N4", "J"),
+                                  (str(path), "sl2", "L")):
+        code, out, err = run(capsys, argv[:1] + [source, "--auto", "omega"]
+                             + argv[1:])
+        assert (code, out) == (3, ""), source
+        assert err == ("error: omega is the N=2 involution, but algebra %s "
+                       "has no generator %r\n" % (name, missing))
+
+
 def test_verdicts_are_coloured_on_a_terminal(capsys, monkeypatch):
     monkeypatch.delenv("NO_COLOR", raising=False)
     monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
