@@ -171,7 +171,7 @@ class _Frame:
         if d.is_zero():
             raise DomainError(
                 "eigenbasis of rank %d does not span the %d generators"
-                % (rank(ematrix, self.field.zero()), n))
+                % (rank(ematrix), n))
         dinv = d.inverse()
         adj = adjugate(ematrix, self.field.one())
         # sparse rows of the inverse: (generator index, nonzero entry)
@@ -332,14 +332,6 @@ class CentroidSolution:
     @property
     def loop(self):
         return self._frame.loop
-
-    @property
-    def window(self):
-        return self._frame.window
-
-    @property
-    def interior(self):
-        return self._frame.interior
 
     def image(self, dkey):
         """The image of a domain basis element, as codomain coordinates."""

@@ -16,8 +16,8 @@ from .cyclotomic import DEFAULT_CONDUCTOR, CycloField, CycloScalar
 from .errors import ConductorError, DomainError
 from .laurent import LaurentElt
 from .linalg import mat_mul
-from .morphisms import (SL2MatrixOverS, _x_matrix, compose, n2_omega,
-                        n2_theta, n4_auto)
+from .morphisms import (SL2MatrixOverS, _adjugate2, _x_matrix, compose,
+                        n2_omega, n2_theta, n4_auto)
 
 __all__ = [
     "Cocycle",
@@ -161,9 +161,7 @@ class N4AutElt:
         return N4AutElt(self.y * other.y, mat_mul(self.x, other.x))
 
     def inverse(self):
-        xinv = [[self.x[1][1], -self.x[0][1]],
-                [-self.x[1][0], self.x[0][0]]]
-        return N4AutElt(self.y.inverse(), xinv)
+        return N4AutElt(self.y.inverse(), _adjugate2(self.x))
 
     def galois(self, g):
         twisted = [[e.galois(g) for e in row] for row in self.y.entries]

@@ -658,12 +658,13 @@ class AxiomReport:
         return "\n".join(self.lines())
 
 
-def _sample_terms(A, rng, max_dpow=2, exponents=(0, 1, -1, Fraction(1, 2))):
-    """The terms {(g, j, q): c} of a random element, each c a nonzero int."""
+def _sample_terms(A, rng, exponents=(0, 1, -1, Fraction(1, 2))):
+    """The terms {(g, j, q): c} of a random element, each j at most 2 and
+    each c a nonzero int."""
     terms = {}
     for _ in range(rng.randrange(1, 4)):
         g = rng.randrange(A.ngens())
-        j = rng.randrange(max_dpow + 1)
+        j = rng.randrange(3)
         q = _q(rng.choice(exponents))
         terms[(g, j, q)] = rng.randrange(-3, 4)
     return {k: c for k, c in terms.items() if c}
@@ -687,9 +688,7 @@ def _integral(A):
     table = {
         pair: LambdaPoly._trusted(field, {
             n: ConfElt._trusted(field, {
-                k: CycloScalar(v.field, {i: _q(r * D)
-                                         for i, r in v.coeffs.items()})
-                for k, v in e.terms.items()})
+                k: v * D for k, v in e.terms.items()})
             for n, e in poly.coeffs.items()})
         for pair, poly in A.table.items()}
     return AlgebraDef(A.name, field, A.generators, table)

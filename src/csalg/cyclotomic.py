@@ -394,9 +394,6 @@ class CycloScalar:
         a, b = pair
         return a * b.inverse()
 
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)

@@ -166,7 +166,11 @@ class _ExprParser:
     # -- grammar ---------------------------------------------------------
 
     def parse_sum(self, stop=None):
-        """A sum of terms, as a flat list of monomials."""
+        """A sum of terms, as a flat list of monomials.
+
+        It ends before the token ``stop``; without one, only the end of
+        the tokens ends it, so no input is left over.
+        """
         monos = []
         sign = 1
         t = self.peek()
@@ -315,15 +319,9 @@ class _ExprParser:
 
     # -- entry points ----------------------------------------------------
 
-    def finish_sum(self):
-        monos = self.parse_sum()
-        if self.pos != len(self.toks):
-            self.fail("trailing input")
-        return monos
-
     def finish_poly(self):
         coeffs = {}
-        for m in self.finish_sum():
+        for m in self.parse_sum():
             if m.coeff.is_zero():
                 continue
             if m.gen is None:
@@ -366,7 +364,7 @@ def parse_scalar(field, text):
                              tok.line, tok.col)
     if not toks:
         raise ParseError("empty expression", 1, 1)
-    monos = _ExprParser(AlgebraDef("", field, [], {}), toks).finish_sum()
+    monos = _ExprParser(AlgebraDef("", field, [], {}), toks).parse_sum()
     return sum((m.coeff for m in monos), field.zero())
 
 
@@ -629,7 +627,6 @@ class SourceFile:
     def __init__(self, path, text):
         self.path = path
         self.text = text
-        self.parsed = None
 
     @classmethod
     def read(cls, path):
@@ -645,9 +642,7 @@ class SourceFile:
         raise ParseError("cannot read the file: %s" % reason, path=str(path))
 
     def algebra(self):
-        if self.parsed is None:
-            self.parsed = self._parse(parse_algebra)
-        return self.parsed
+        return self._parse(parse_algebra)
 
     def morphism(self, algebra):
         return self._parse(parse_morphism, algebra)

@@ -126,18 +126,6 @@ class LaurentElt:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = LaurentElt(self.field, {Fraction(0): 1}, level=self.level)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def inverse(self):
         if not self.is_unit():
             raise DomainError("only monomials are invertible in S_m: %s" % self)

@@ -116,7 +116,7 @@ def _echelon(rows):
     return pivots
 
 
-def rank(rows, zero):
+def rank(rows):
     return len(_echelon(rows))
 
 

@@ -10,7 +10,11 @@ elements, reduced modulo that image, which expands to
 
     [a_mu, b_nu] = sum_j  C(mu, j) (a_(j) b)_{mu + nu - j},
 
-with C the generalized binomial.  The module provides the eigenspace
+with C the generalized binomial.  The reduction reads the level-0
+coordinates of ``core.to_hat_basis``: the image of Dhat = D + d/dt is
+spanned by the hat basis vectors of positive level, so its hat
+representation is the one home of the rule (D^{(j)} v)_mu =
+(-1)^j C(mu, j) v_{mu-j}.  The module provides the eigenspace
 splitting, membership and split-form checks for the loop algebra, and exact
 mode arithmetic including the spectrum of the Virasoro mode L_1 acting on a
 window of modes, whose fractional parts separate the twists.
@@ -23,7 +27,6 @@ from .core import (EVEN, ODD, ConfElt, find_virasoro, lambda_bracket,
                    to_hat_basis)
 from .cyclotomic import _add_to, _q, _scaled_terms, _signed_sum
 from .errors import CsalgError, DomainError
-from .laurent import binom_frac
 from .linalg import _echelon, _reduce_against, null_space, rank, solve
 
 __all__ = [
@@ -97,10 +100,6 @@ class LoopAlgebra:
                 self.basis.append((res, x, vec, base.homogeneous_parity(x)))
                 rows.append(vec)
             self._spans.append(_echelon(rows))
-
-    @property
-    def level(self):
-        return self.order
 
     def __repr__(self):
         dims = [len(piece) for piece in self.eigenbasis]
@@ -304,7 +303,7 @@ def split_check(L, window):
     n = A.ngens()
     columns = [vec for _, _, vec, _ in L.basis]
     rows = [[col[r] for col in columns] for r in range(n)]
-    injective = rank(rows, field.zero()) == len(columns)
+    injective = rank(rows) == len(columns)
 
     missing_gens = []
     for g in range(n):
@@ -417,21 +416,17 @@ class AlgElt:
 def alg_reduce(L, raw):
     """Normalize decorated modes: (D^{(j)} v)_mu = (-1)^j C(mu,j) v_{mu-j}.
 
-    ``raw`` maps (generator, D-power, mode) to a scalar.  The relation is
-    the one forced by killing the image of (D + d/dt); iterating it strips
-    every D decoration.
+    ``raw`` maps (generator, D-power, mode) to a scalar.  Killing the image
+    of Dhat = D + d/dt leaves the level-0 coordinates of the hat basis, so
+    the raw terms are lifted to an element and read off ``to_hat_basis``,
+    which holds the decoration rule.
     """
+    base = L.base
     terms = {}
     for (g, j, mu), c in raw.items():
-        g = L.base.gen_index(g)
-        mu = _q(mu)
-        c = L.base.field.scalar(c)
-        w = binom_frac(mu, j)
-        if j % 2:
-            w = -w
-        if w:
-            _add_to(terms, (g, mu - j), c * w)
-    return AlgElt(L, terms)
+        _add_to(terms, (base.gen_index(g), j, _q(mu)), base.field.scalar(c))
+    hat = to_hat_basis(base, ConfElt._trusted(base.field, terms))
+    return AlgElt(L, {(g, mu): c for (g, l, mu), c in hat.items() if not l})
 
 
 def alg_bracket(L, x, y):
@@ -500,11 +495,12 @@ def l0_spectrum(L, parity, window):
                 values.add(Fraction(0))
                 continue
             (k0, c0) = next(iter(am.terms.items()))
-            got = image.terms.get(k0)
-            if got is None or image != am.scale(got / c0):
+            # a zero ratio scales am to zero, which the nonzero image is not
+            ratio = image.terms.get(k0, L.base.field.zero()) / c0
+            if image != am.scale(ratio):
                 raise CsalgError(
                     "L_1 action is not diagonal on the mode basis")
-            val = (got / c0).as_rational()
+            val = ratio.as_rational()
             if val is None:
                 raise CsalgError("non-rational Virasoro eigenvalue")
             values.add(val)

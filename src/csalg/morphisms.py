@@ -280,12 +280,9 @@ class SL2MatrixOverS:
     def __init__(self, field, entries, level=None):
         rows = [[_laurent(field, entries[r][c]) for c in range(2)]
                 for r in range(2)]
-        d = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-        if not d.is_one():
-            raise DomainError("matrix determinant is %s, not 1" % d)
+        _det_one(rows, _one(field))
         self.field = field
         self.entries = rows
-        self.determinant = d
         needed = lcm(*(e.level for row in rows for e in row))
         if level is None:
             level = needed
@@ -303,9 +300,7 @@ class SL2MatrixOverS:
         return cls(field, [[1, 0], [0, 1]])
 
     def inverse(self):
-        a, b = self.entries[0]
-        c, d = self.entries[1]
-        return SL2MatrixOverS(self.field, [[d, -b], [-c, a]],
+        return SL2MatrixOverS(self.field, _adjugate2(self.entries),
                               level=self.level)
 
     def __mul__(self, other):
@@ -435,7 +430,18 @@ def _x_matrix(field, entries):
     """A constant 2x2 matrix over ``field``, checked to have determinant 1."""
     mat = [[field.scalar(entries[r][c]) for c in range(2)]
            for r in range(2)]
-    det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    if det != field.one():
-        raise DomainError("matrix determinant is %s, not 1" % det)
+    _det_one(mat, field.one())
     return mat
+
+
+def _det_one(m, one):
+    """Refuse a 2x2 matrix whose determinant is not ``one``."""
+    d = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    if d != one:
+        raise DomainError("matrix determinant is %s, not 1" % d)
+
+
+def _adjugate2(m):
+    """The adjugate of a 2x2 matrix, its inverse when the determinant is
+    one."""
+    return [[m[1][1], -m[0][1]], [-m[1][0], m[0][0]]]

@@ -663,3 +663,19 @@ def test_rows_hold_rationals_as_python_numbers(monkeypatch, name):
     assert bool(seen[Fraction]) == (name == "n4_z3_w3")
     # the N4 tables carry zeta^6 coefficients, so their rows mix both kinds
     assert bool(seen[CycloScalar]) == name.startswith("n4")
+
+
+def test_scalar_action_reads_r_off_the_first_interior_column():
+    sol = by_exponent(centroid_basis(UNTWISTED, 3, 1))[0]
+    frame = sol._frame
+    first = frame.entry_key(frame.interior0[0])
+    a0, _, q0 = first
+    # a component on another eigenvector, or a decorated one
+    for stray in ((a0 + 1, 0, q0), (a0, 1, q0)):
+        entries = dict(sol.entries)
+        entries[first, stray] = FIELD.one()
+        assert is_scalar_action(sol.replace_entries(entries)) is None
+    # a zero first column reads r = 0, but other columns are nonzero
+    entries = {k: v for k, v in sol.entries.items() if k[0] != first}
+    assert entries
+    assert is_scalar_action(sol.replace_entries(entries)) is None

@@ -304,3 +304,11 @@ def test_root_pair_rendering():
     assert str(n4_invariant([[FIELD.zeta(3), FIELD.zero()],
                              [FIELD.zero(), FIELD.zeta(-3)]])) \
         == "{zeta_4^1, zeta_4^3}"
+
+
+def test_cocycle_and_root_pair_refusals():
+    with pytest.raises(DomainError, match="^modulus must be positive$"):
+        Cocycle(0, {})
+    with pytest.raises(ConductorError, match="^roots of order 5 need a "
+                       "compatible conductor$"):
+        RootPair(5, 1).scalars(FIELD)

@@ -191,6 +191,95 @@ def test_element_rejects_trailing_garbage():
         parse_element(N2, "L )")
 
 
+@pytest.mark.parametrize("text, printed", [
+    ("D D L", "2*D^(2) L"),
+    ("D^(2) D^(3) L", "10*D^(5) L"),
+])
+def test_divided_powers_multiply_by_a_binomial(text, printed):
+    # D^(a) D^(b) = C(a+b, a) D^(a+b)
+    assert format_element(N2, parse_element(N2, text)) == printed
+
+
+def test_lambda_divided_powers_multiply_by_a_binomial():
+    A = parse_algebra("algebra X\ngenerator a parity=even\n"
+                      "generator b parity=even\nbracket a b = x x a\n")
+    # x x = C(2, 1) x^(2)
+    assert A.table[(0, 1)] == LambdaPoly(A.field, {2: A.elt("a").scale(2)})
+
+
+# -- refusals: one minimal source per ParseError site -------------------------
+
+
+_ALG = "algebra X\ngenerator a parity=even\n"
+_MOR = "morphism f on N2 level 1\n"
+
+
+@pytest.mark.parametrize("parser, text, reason, line, col", [
+    # expressions
+    ("element", "L $ J", "unexpected character '$'", 1, 3),
+    ("element", "L D", "decorations must precede the generator", 1, 3),
+    ("element", "* L", "a term cannot start with '*'", 1, 1),
+    ("element", "L = J", "unexpected '=' in expression", 1, 3),
+    ("element", "zeta^L L", "expected an integer", 1, 6),
+    ("element", "L t^2", "expected '{'", 1, 5),
+    ("element", "", "empty expression", 1, 1),
+    # key=value attributes
+    ("algebra", "algebra X\ngenerator a parity=even foo=1\n",
+     "unknown attribute 'foo'", 2, 25),
+    ("algebra", "algebra X\ngenerator a parity\n",
+     "expected '=' after 'parity'", 2, 13),
+    ("algebra", "algebra X\ngenerator a parity=even weight=1 weight=2\n",
+     "duplicate attribute 'weight'", 2, 34),
+    ("algebra", "algebra X\ngenerator a parity= weight=1\n",
+     "missing value for 'parity'", 2, 13),
+    ("algebra", "algebra X\ngenerator a parity=even weight=1/0\n",
+     "bad weight '1/0'", 2, 32),
+    # algebra directives
+    ("algebra", "algebra X\n= a\n", "expected a directive", 2, 1),
+    ("algebra", "algebra X\nalgebra Y\n", "duplicate algebra line", 2, 1),
+    ("algebra", "algebra\n", "usage: algebra NAME", 1, 1),
+    ("algebra", "algebra X\ncyclotomic 24\ncyclotomic 12\n",
+     "duplicate cyclotomic line", 3, 1),
+    ("algebra", _ALG + "bracket a a = a\ncyclotomic 24\n",
+     "cyclotomic must come before brackets", 4, 1),
+    ("algebra", "algebra X\ncyclotomic N\n", "usage: cyclotomic N", 2, 1),
+    ("algebra", "algebra X\ngenerator\n",
+     "usage: generator NAME parity=even|odd", 2, 1),
+    ("algebra", _ALG + "generator a parity=odd\n",
+     "duplicate generator 'a'", 3, 11),
+    ("algebra", "algebra X\ngenerator a weight=1\n",
+     "generator 'a' needs parity=even|odd", 2, 1),
+    ("algebra", "algebra X\ngenerator a parity=both\n",
+     "parity must be even or odd", 2, 20),
+    ("algebra", _ALG + "relation a a\n", "unknown directive 'relation'", 3, 1),
+    ("algebra", "generator a parity=even\n", "missing algebra line", 1, 1),
+    ("algebra", "algebra X\n", "no generators declared", 1, 1),
+    ("algebra", _ALG + "bracket a a a\n", "usage: bracket G1 G2 = EXPR", 3, 1),
+    # morphism directives
+    ("morphism", _MOR + _MOR, "duplicate morphism line", 2, 1),
+    ("morphism", "morphism f on N2\n",
+     "usage: morphism NAME on ALGEBRA level M", 1, 1),
+    ("morphism", "morphism f on N2 level 0\n",
+     "level must be positive", 1, 24),
+    ("morphism", "image L = L\n", "image before the morphism line", 1, 1),
+    ("morphism", _MOR + "image L L\n", "usage: image GEN = EXPR", 2, 1),
+    ("morphism", _MOR + "image L = L\nimage L = L\n",
+     "duplicate image for 'L'", 3, 7),
+    ("morphism", _MOR + "image L = x L\n", "x is not allowed in images", 2, 1),
+    ("morphism", _MOR + "map L = L\n", "unknown directive 'map'", 2, 1),
+    ("morphism", "# no directive\n", "missing morphism line", 1, 1),
+])
+def test_malformed_sources_are_refused_at_their_token(parser, text, reason,
+                                                      line, col):
+    parse = {"element": lambda: parse_element(N2, text),
+             "algebra": lambda: parse_algebra(text),
+             "morphism": lambda: parse_morphism(text, N2)}[parser]
+    with pytest.raises(ParseError) as err:
+        parse()
+    assert (err.value.reason, err.value.line, err.value.col) == \
+        (reason, line, col)
+
+
 # -- morphism files ----------------------------------------------------------
 
 
@@ -252,7 +341,7 @@ def test_source_file_dispatch(tmp_path):
     path.write_text(N2_SOURCE)
     src = SourceFile.read(path)
     assert src.algebra() == N2
-    assert src.algebra() is src.algebra()
+    assert src.algebra() == src.algebra()
 
 
 def test_unreadable_source_files_are_parse_errors(tmp_path):

@@ -182,3 +182,9 @@ def test_coefficients_from_other_fields():
     assert LaurentElt(F, {0: i4}).terms == {Fraction(0): F.zeta(6)}
     with pytest.raises(DomainError, match="zeta_5"):
         LaurentElt(F, {0: CycloField.get(5).zeta(1)})
+
+
+def test_galois_needs_a_level_dividing_the_conductor():
+    with pytest.raises(DomainError,
+                       match="^level 5 does not divide the conductor 24$"):
+        LaurentElt(F, {Fraction(1, 5): 1}).galois(1)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from csalg.algebras import make_n2, make_n4
+from csalg.algebras import make_current, make_n2, make_n4, sl2_constants
 from csalg.core import (EVEN, ODD, AlgebraDef, Generator, LambdaPoly,
                         apply_partial, lambda_bracket)
 from csalg import loops
@@ -563,3 +563,36 @@ def test_l0_spectrum_bound_is_inclusive(monkeypatch):
     l0_spectrum(OMEGA_LOOP, "odd", 2)
     with pytest.raises(DomainError, match="window 5/2 holds 11 modes"):
         l0_spectrum(OMEGA_LOOP, "odd", Fraction(5, 2))
+
+
+# -- refusals ------------------------------------------------------------
+
+
+def _refusal(call):
+    """The message of the DomainError that call() raises."""
+    with pytest.raises(DomainError) as err:
+        call()
+    return str(err.value)
+
+
+def test_loop_algebra_refuses_malformed_eigenspace_data():
+    assert _refusal(lambda: LoopAlgebra(N2, 0, [])) == \
+        "twist order must be positive"
+    assert _refusal(lambda: LoopAlgebra(N2, 2, [[N2.elt("L")]])) == \
+        "expected 2 eigenspace lists, got 1"
+    assert _refusal(lambda: LoopAlgebra(N2, 1, [[N2.zero_elt()]])) == \
+        "zero vector in an eigenbasis"
+
+
+def test_loop_operations_refuse_their_domain_errors():
+    assert _refusal(lambda: eigenspaces(N4, identity_morphism(N2), 1)) == \
+        "morphism is defined on a different algebra"
+    for window in (0, -1):
+        assert _refusal(lambda: split_check(UNTWISTED, window)) == \
+            "window must be positive"
+    assert _refusal(lambda: l0_spectrum(UNTWISTED, "both", 3)) == \
+        "parity must be even or odd"
+    current = make_current(sl2_constants())
+    loop = eigenspaces(current, identity_morphism(current), 1)
+    assert _refusal(lambda: l0_spectrum(loop, "even", 3)) == \
+        "algebra has no Virasoro generator"

@@ -21,6 +21,8 @@ from csalg.morphisms import (
     order_of,
 )
 
+from test_loops import _refusal
+
 N2 = make_n2()
 N4 = make_n4()
 FIELD = N2.field
@@ -383,3 +385,40 @@ def test_current_torus_family_stays_linear():
         assert report.homomorphism
         assert report.invertible
         assert all(img.max_dpow() == 0 for img in phi.images.values())
+
+
+# -- refusals ----------------------------------------------------------------
+
+
+def test_a_generator_given_twice_is_refused():
+    # "L" and 0 name the same generator
+    images = {"L": N2.elt("L"), 0: N2.elt("L"), "J": N2.elt("J"),
+              "G+": N2.elt("G+"), "G-": N2.elt("G-")}
+    assert _refusal(lambda: GenMorphism(N2, 1, images)) == \
+        "duplicate image for generator 0"
+
+
+def test_morphisms_over_different_algebras_are_refused():
+    omega = n2_omega(N2)
+    assert _refusal(lambda: check_hom(N4, omega)) == \
+        "morphism is not over the given algebra"
+    assert _refusal(lambda: compose(omega, identity_morphism(N4))) == \
+        "cannot compose morphisms over different algebras"
+
+
+def test_theta_refuses_what_is_not_a_unit():
+    assert _refusal(lambda: n2_theta(2)) == "theta_s takes a Laurent element"
+    assert _refusal(lambda: n2_theta(mono(1, 0) + mono(1, 1))) == \
+        "theta_s needs a unit monomial, got 1 + t^{1}"
+
+
+def test_sl2_matrix_refusals_name_the_determinant_and_the_level():
+    assert _refusal(lambda: SL2MatrixOverS(FIELD, [[1, 0], [0, 2]])) == \
+        "matrix determinant is 2, not 1"
+    assert _refusal(lambda: SL2MatrixOverS(FIELD, [[mono(1, 1), 0],
+                                                   [0, 1]])) == \
+        "matrix determinant is t^{1}, not 1"
+    diagonal = [[mono(1, HALF), 0], [0, mono(1, -HALF)]]
+    assert _refusal(lambda: SL2MatrixOverS(FIELD, diagonal, level=1)) == \
+        "entries need level 2, which does not divide the declared 1"
+    assert SL2MatrixOverS(FIELD, diagonal, level=4).level == 4
