@@ -272,6 +272,15 @@ def build_parser():
         q.set_defaults(func=func)
         return q
 
+    def loop_subcommand(name, func, help_text):
+        q = subcommand(name, func, help_text)
+        q.add_argument("file", help=".csa file")
+        q.add_argument("--auto", required=True,
+                       help="id, omega, or a .csm file")
+        q.add_argument("--order", type=int, default=None,
+                       help="twist order (default: computed)")
+        return q
+
     q = subcommand("check", cmd_check, "verify the algebra axioms")
     q.add_argument("file", help=".csa file")
 
@@ -286,20 +295,11 @@ def build_parser():
     q.add_argument("file", help=".csa file")
     q.add_argument("morphism", help=".csm file")
 
-    q = subcommand("loop", cmd_loop, "twisted loop algebra report")
-    q.add_argument("file", help=".csa file")
-    q.add_argument("--auto", required=True,
-                   help="id, omega, or a .csm file")
-    q.add_argument("--order", type=int, default=None,
-                   help="twist order (default: computed)")
+    q = loop_subcommand("loop", cmd_loop, "twisted loop algebra report")
     q.add_argument("--window", type=_fraction, required=True,
                    help="exponent window for the checks")
 
-    q = subcommand("alg", cmd_alg, "bracket of two annihilation modes")
-    q.add_argument("file", help=".csa file")
-    q.add_argument("--auto", required=True,
-                   help="id, omega, or a .csm file")
-    q.add_argument("--order", type=int, default=None)
+    q = loop_subcommand("alg", cmd_alg, "bracket of two annihilation modes")
     q.add_argument("--bracket", required=True, metavar="'G[mu] H[nu]'",
                    help="the two modes to bracket")
 
@@ -313,11 +313,7 @@ def build_parser():
                    "finite-order conjugacy classes in PGL2")
     q.add_argument("n", type=int, help="order bound")
 
-    q = subcommand("centroid", cmd_centroid, "windowed centroid solve")
-    q.add_argument("file", help=".csa file")
-    q.add_argument("--auto", required=True,
-                   help="id, omega, or a .csm file")
-    q.add_argument("--order", type=int, default=None)
+    q = loop_subcommand("centroid", cmd_centroid, "windowed centroid solve")
     q.add_argument("--window", type=_fraction, required=True)
     q.add_argument("--interior", type=_fraction, required=True)
 

@@ -36,7 +36,7 @@ from math import comb, lcm
 
 from .cyclotomic import (CycloScalar, _add_to, _denominator, _lower, _q,
                          _scaled_terms, _signed_sum)
-from .errors import CsalgError, TableInconsistencyError
+from .errors import CsalgError, DomainError, TableInconsistencyError
 from .laurent import binom_frac
 
 EVEN = 0
@@ -294,6 +294,9 @@ class AlgebraDef:
     def elt(self, ref, dpow=0, q=0, coeff=1):
         """One decorated term  coeff * D^{(dpow)} gen (x) t^q."""
         i = self.gen_index(ref)
+        if dpow < 0:
+            raise DomainError("negative D-power %s on %s"
+                              % (dpow, self.generators[i].name))
         return ConfElt(self.field,
                        {(i, dpow, _q(q)): self.field.scalar(coeff)})
 

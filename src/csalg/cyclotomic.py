@@ -417,24 +417,10 @@ class CycloScalar:
 
     # -- printing -----------------------------------------------------
 
-    def _term_strings(self):
-        parts = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
-            if e == 0:
-                parts.append(str(c))
-            else:
-                z = "zeta^%d" % e if e != 1 else "zeta"
-                if c == 1:
-                    parts.append(z)
-                elif c == -1:
-                    parts.append("-" + z)
-                else:
-                    parts.append("%s*%s" % (c, z))
-        return parts
-
     def __str__(self):
-        return _signed_sum(self._term_strings())
+        return _signed_sum([
+            _times(str(c), "zeta" if e == 1 else "zeta^%d" % e) if e
+            else str(c) for e, c in sorted(self.coeffs.items())])
 
     def __repr__(self):
         return "<CycloScalar %s (N=%d)>" % (self, self.field.conductor)
@@ -451,15 +437,41 @@ def _signed_sum(parts):
     return text
 
 
+def _times(cs, body):
+    """The printed product c*body from the printed coefficient cs; a
+    coefficient of 1 or -1 is written as a sign."""
+    if cs == "1":
+        return body
+    if cs == "-1":
+        return "-" + body
+    return "%s*%s" % (cs, body)
+
+
 def _scaled_terms(coeff, body):
     """The printed terms c*body, one per monomial c of the scalar coeff."""
-    out = []
-    for e, c in sorted(coeff.coeffs.items()):
-        cs = str(CycloScalar(coeff.field, {e: c}))
-        if cs == "1":
-            out.append(body)
-        elif cs == "-1":
-            out.append("-" + body)
-        else:
-            out.append("%s*%s" % (cs, body))
-    return out
+    return [_times(str(CycloScalar(coeff.field, {e: c})), body)
+            for e, c in sorted(coeff.coeffs.items())]
+
+
+def _same_field(field, other, what, owner):
+    """Refuse ``what``, an input over ``field``, for an ``owner`` over the
+    field ``other``."""
+    if field is not other:
+        raise DomainError("%s lives over Q(zeta_%d), the %s over Q(zeta_%d)"
+                          % (what, field.conductor, owner, other.conductor))
+
+
+def _declared_level(level, needed, what):
+    """The level of the ring S_m an object is declared over.
+
+    A declared level must be a multiple of the level ``needed`` by its
+    parts, which ``what`` names in the error; with none declared it is
+    the needed level.
+    """
+    if level is None:
+        return needed
+    if level % needed:
+        raise DomainError(
+            "%s need level %d, which does not divide the declared %d"
+            % (what, needed, level))
+    return level

@@ -137,7 +137,11 @@ class _Mono:
 
 
 class _ExprParser:
-    def __init__(self, algebra, toks):
+    def __init__(self, algebra, toks, line, col):
+        # an empty expression has no token to point at; the caller's
+        # (line, col) places it
+        if not toks:
+            raise ParseError("empty expression", line, col)
         self.A = algebra
         self.toks = toks
         self.pos = 0
@@ -333,16 +337,10 @@ class _ExprParser:
                                   for n, terms in coeffs.items()})
 
 
-def _poly_from_tokens(algebra, toks):
-    if not toks:
-        raise ParseError("empty expression", 1, 1)
-    return _ExprParser(algebra, toks).finish_poly()
-
-
 def parse_element(algebra, text, line=1):
     """Parse one element expression (no x powers, t tails allowed)."""
     toks = _tokenize(text, line)
-    poly = _poly_from_tokens(algebra, toks)
+    poly = _ExprParser(algebra, toks, line, 1).finish_poly()
     for n in poly.coeffs:
         if n:
             raise ParseError("x is only allowed in bracket tables",
@@ -362,9 +360,7 @@ def parse_scalar(field, text):
         if tok.kind == "NAME" and tok.text != "zeta":
             raise ParseError("%r is not allowed in a constant" % tok.text,
                              tok.line, tok.col)
-    if not toks:
-        raise ParseError("empty expression", 1, 1)
-    monos = _ExprParser(AlgebraDef("", field, [], {}), toks).parse_sum()
+    monos = _ExprParser(AlgebraDef("", field, [], {}), toks, 1, 1).parse_sum()
     return sum((m.coeff for m in monos), field.zero())
 
 
@@ -507,7 +503,8 @@ def parse_algebra(text):
             raise ParseError("duplicate bracket for %s %s"
                              % (toks[1].text, toks[2].text),
                              toks[0].line, toks[0].col)
-        poly = _poly_from_tokens(partial, toks[4:])
+        poly = _ExprParser(partial, toks[4:], toks[0].line,
+                           toks[0].col).finish_poly()
         want = (gens[pair[0]].parity + gens[pair[1]].parity) % 2
         for elt in poly.coeffs.values():
             for (g, _, q) in elt.terms:
@@ -565,7 +562,8 @@ def parse_morphism(text, algebra):
             if g in images:
                 raise ParseError("duplicate image for %r" % gtok.text,
                                  gtok.line, gtok.col)
-            poly = _poly_from_tokens(algebra, toks[3:])
+            poly = _ExprParser(algebra, toks[3:], head.line,
+                               head.col).finish_poly()
             for n in poly.coeffs:
                 if n:
                     raise ParseError("x is not allowed in images",

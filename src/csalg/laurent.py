@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .cyclotomic import (DEFAULT_CONDUCTOR, CycloField, CycloScalar,
-                         _add_to, _q, _signed_sum)
+                         _add_to, _declared_level, _q, _signed_sum, _times)
 from .errors import DomainError
 
 
@@ -50,13 +50,8 @@ class LaurentElt:
             _add_to(clean, q, c)
         self.field = field
         self.terms = clean
-        needed = lcm(1, *(q.denominator for q in clean)) if clean else 1
-        if level is None:
-            level = needed
-        elif level % needed:
-            raise DomainError(
-                "exponent denominators do not divide the declared level %d" % level)
-        self.level = level
+        self.level = _declared_level(
+            level, lcm(1, *(q.denominator for q in clean)), "exponents")
 
     # -- constructors ---------------------------------------------------
 
@@ -187,21 +182,10 @@ class LaurentElt:
     def __str__(self):
         parts = []
         for q in sorted(self.terms):
-            c = self.terms[q]
-            cs = str(c)
-            needs_parens = (" + " in cs) or (" - " in cs)
-            if q == 0:
-                parts.append("(%s)" % cs if needs_parens else cs)
-                continue
-            mono = "t^{%s}" % q
-            if needs_parens:
-                parts.append("(%s)*%s" % (cs, mono))
-            elif cs == "1":
-                parts.append(mono)
-            elif cs == "-1":
-                parts.append("-" + mono)
-            else:
-                parts.append("%s*%s" % (cs, mono))
+            cs = str(self.terms[q])
+            if " + " in cs or " - " in cs:
+                cs = "(%s)" % cs
+            parts.append(_times(cs, "t^{%s}" % q) if q else cs)
         return _signed_sum(parts)
 
     def __repr__(self):

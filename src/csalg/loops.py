@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .core import (EVEN, ODD, ConfElt, find_virasoro, lambda_bracket,
                    to_hat_basis)
-from .cyclotomic import _add_to, _q, _scaled_terms, _signed_sum
+from .cyclotomic import _add_to, _q, _same_field, _scaled_terms, _signed_sum
 from .errors import CsalgError, DomainError
 from .linalg import _echelon, _reduce_against, null_space, rank, solve
 
@@ -214,10 +214,7 @@ def loop_membership(L, x):
     the (1/m)Z lattice fail immediately.
     """
     A = L.base
-    if x.field is not A.field:
-        raise DomainError(
-            "element lives over Q(zeta_%d), the loop over Q(zeta_%d)"
-            % (x.field.conductor, A.field.conductor))
+    _same_field(x.field, A.field, "element", "loop")
     grouped = {}
     for (g, l, q), c in to_hat_basis(A, x).items():
         _add_to(grouped.setdefault((l, q), {}), g, c)
@@ -308,11 +305,7 @@ def split_check(L, window):
     missing_gens = []
     for g in range(n):
         rhs = [field.one() if r == g else field.zero() for r in range(n)]
-        if columns:
-            hit = solve(rows, rhs, len(columns), field.zero()) is not None
-        else:
-            hit = False
-        if not hit:
+        if solve(rows, rhs, len(columns), field.zero()) is None:
             missing_gens.append(g)
 
     top = math.floor(W * L.order)
@@ -416,15 +409,20 @@ class AlgElt:
 def alg_reduce(L, raw):
     """Normalize decorated modes: (D^{(j)} v)_mu = (-1)^j C(mu,j) v_{mu-j}.
 
-    ``raw`` maps (generator, D-power, mode) to a scalar.  Killing the image
-    of Dhat = D + d/dt leaves the level-0 coordinates of the hat basis, so
-    the raw terms are lifted to an element and read off ``to_hat_basis``,
-    which holds the decoration rule.
+    ``raw`` maps (generator, D-power, mode) to a scalar; a negative
+    D-power is refused.  Killing the image of Dhat = D + d/dt leaves the
+    level-0 coordinates of the hat basis, so the raw terms are lifted to
+    an element and read off ``to_hat_basis``, which holds the decoration
+    rule.
     """
     base = L.base
     terms = {}
     for (g, j, mu), c in raw.items():
-        _add_to(terms, (base.gen_index(g), j, _q(mu)), base.field.scalar(c))
+        g = base.gen_index(g)
+        if j < 0:
+            raise DomainError("negative D-power %s on %s[%s]"
+                              % (j, base.generators[g].name, mu))
+        _add_to(terms, (g, j, _q(mu)), base.field.scalar(c))
     hat = to_hat_basis(base, ConfElt._trusted(base.field, terms))
     return AlgElt(L, {(g, mu): c for (g, l, mu), c in hat.items() if not l})
 

@@ -14,7 +14,8 @@ from math import lcm
 from .algebras import _pauli, make_n2, make_n4
 from .core import (ConfElt, _hat_sum, _plain_verdict, lambda_bracket,
                    to_hat_basis)
-from .cyclotomic import DEFAULT_CONDUCTOR, CycloField, _q
+from .cyclotomic import (DEFAULT_CONDUCTOR, CycloField, _declared_level, _q,
+                         _same_field)
 from .errors import CsalgError, DomainError
 from .laurent import LaurentElt, delta_t
 from .linalg import det, mat_inverse_laurent, mat_mul
@@ -25,7 +26,8 @@ class GenMorphism:
 
     ``images`` maps each generator (by name or index) to the image of
     v (x) 1.  The declared level is the ring S_m the morphism acts
-    over and must be a multiple of every level occurring in an image.
+    over and must be a multiple of every level occurring in an image;
+    None declares the least such level.
     Equality deliberately ignores the level: the same map seen inside
     a finer ring is still the same map, so for example the square of
     theta_{t^{1/2}} (declared over S_2) equals theta_t (over S_1).
@@ -44,19 +46,13 @@ class GenMorphism:
         if missing:
             raise DomainError(
                 "missing images for generators %s" % ", ".join(missing))
-        needed = 1
         for i, elt in imgs.items():
-            if not elt.is_zero():
-                if algebra.homogeneous_parity(elt) != algebra.parity(i):
-                    raise DomainError(
-                        "image of %s does not have its parity"
-                        % algebra.generators[i].name)
-            needed = lcm(needed, elt.level)
-        if level % needed:
-            raise DomainError(
-                "images need level %d, which does not divide the declared %d"
-                % (needed, level))
-        self.level = level
+            if (not elt.is_zero()
+                    and algebra.homogeneous_parity(elt) != algebra.parity(i)):
+                raise DomainError("image of %s does not have its parity"
+                                  % algebra.generators[i].name)
+        self.level = _declared_level(
+            level, lcm(1, *(elt.level for elt in imgs.values())), "images")
         self.images = imgs
 
     def image(self, ref):
@@ -106,10 +102,7 @@ def extend_apply(phi, x):
     power of t^q times the recorded image of v (x) 1.
     """
     A = phi.algebra
-    if x.field is not A.field:
-        raise DomainError(
-            "element lives over Q(zeta_%d), the morphism over Q(zeta_%d)"
-            % (x.field.conductor, A.field.conductor))
+    _same_field(x.field, A.field, "element", "morphism")
     return _hat_sum(A, to_hat_basis(A, x), phi.images)
 
 
@@ -236,10 +229,7 @@ def n2_theta(s, algebra=None):
     if not s.is_unit():
         raise DomainError("theta_s needs a unit monomial, got %s" % s)
     A = algebra if algebra is not None else make_n2(s.field.conductor)
-    if A.field is not s.field:
-        raise DomainError(
-            "s lives over Q(zeta_%d), the algebra over Q(zeta_%d)"
-            % (s.field.conductor, A.field.conductor))
+    _same_field(s.field, A.field, "s", "algebra")
     ((q, alpha),) = s.terms.items()
     images = {
         "L": A.elt("L") + A.elt("J", q=-1, coeff=q),
@@ -283,14 +273,8 @@ class SL2MatrixOverS:
         _det_one(rows, _one(field))
         self.field = field
         self.entries = rows
-        needed = lcm(*(e.level for row in rows for e in row))
-        if level is None:
-            level = needed
-        elif level % needed:
-            raise DomainError(
-                "entries need level %d, which does not divide the declared %d"
-                % (needed, level))
-        self.level = level
+        self.level = _declared_level(
+            level, lcm(*(e.level for row in rows for e in row)), "entries")
 
     @classmethod
     def identity(cls, conductor=None, field=None):
@@ -324,10 +308,7 @@ class SL2MatrixOverS:
 
 def _laurent(field, value):
     if isinstance(value, LaurentElt):
-        if value.field is not field:
-            raise DomainError(
-                "matrix entry over Q(zeta_%d), the matrix over Q(zeta_%d)"
-                % (value.field.conductor, field.conductor))
+        _same_field(value.field, field, "matrix entry", "matrix")
         return value
     return LaurentElt(field, {Fraction(0): value})
 
@@ -384,10 +365,7 @@ def n4_auto(Y, X, algebra=None):
         A = algebra if algebra is not None else make_n4()
         Y = SL2MatrixOverS(A.field, Y)
     field = A.field
-    if Y.field is not field:
-        raise DomainError(
-            "Y lives over Q(zeta_%d), the algebra over Q(zeta_%d)"
-            % (Y.field.conductor, field.conductor))
+    _same_field(Y.field, field, "Y", "algebra")
     (c, d), (e, f) = _x_matrix(field, X)
 
     ye = Y.entries

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from csalg import centroid
-from csalg.algebras import make_current, make_n2, make_n4, sl2_constants
+from csalg.algebras import (gl2_constants, make_current, make_n2, make_n4,
+                            sl2_constants)
 from csalg.centroid import _Frame, centroid_basis, is_scalar_action
 from csalg.core import (EVEN, AlgebraDef, ConfElt, Generator, LambdaPoly,
                         apply_partial, lambda_bracket, to_hat_basis)
@@ -186,6 +187,12 @@ def test_interior_must_sit_inside_the_window():
     with pytest.raises(DomainError, match=r"^interior radius 2 must sit "
                        r"inside the window 1 \(0 < interior < window\)$"):
         centroid_basis(UNTWISTED, 1, 2)
+    # every generator sits in residue 1, whose exponents +-1/2, +-3/2, ...
+    # all lie outside the interior 1/4
+    odd = LoopAlgebra(N2, 2, [[], [N2.elt(g) for g in ("L", "J", "G+", "G-")]])
+    with pytest.raises(DomainError, match=r"^interior window contains no "
+                       r"basis elements$"):
+        centroid_basis(odd, 3, Fraction(1, 4))
 
 
 def test_eigenbasis_short_of_the_generators_names_both_counts():
@@ -385,6 +392,24 @@ def test_current_loop_solves_to_the_identity():
     assert len(domain) == 15 and all(l == 0 for _, l, _ in domain)
     assert chi.entries == {(k, k): one for k in map(frame.entry_key,
                                                      frame.domain)}
+
+
+def test_gl2_current_loop_solves_to_the_projection_onto_sl2():
+    # gl2 = sl2 + k z with z central: no product a_(n) b has a z component,
+    # so no row touches z's columns and they are pinned to 0.  The
+    # candidate r = 1 then fails on the z keys of the interior, and the one
+    # leftover direction is the identity on the e, h and f keys alone: the
+    # projection onto sl2 (x) k[t^{+-1}], a centroid element that is not a
+    # multiplication
+    gl2 = make_current(gl2_constants())
+    assert [g.name for g in gl2.generators] == ["e", "h", "f", "z"]
+    (chi,) = centroid_basis(eigenspaces(gl2, identity_morphism(gl2), 1), 3, 1)
+    one = gl2.field.one()
+    # records 0, 1, 2 are e, h, f; each product closure reaches |q| <= 2
+    keys = [(ai, 0, Fraction(q)) for ai in range(3) for q in range(-2, 3)]
+    assert len(keys) == 15
+    assert chi.entries == {(k, k): one for k in keys}
+    assert is_scalar_action(chi) is None
 
 
 @pytest.mark.parametrize("loop", [OMEGA_LOOP, N4_MINUS, N4_Z3, N4_I,

@@ -255,6 +255,8 @@ _MOR = "morphism f on N2 level 1\n"
     ("algebra", "generator a parity=even\n", "missing algebra line", 1, 1),
     ("algebra", "algebra X\n", "no generators declared", 1, 1),
     ("algebra", _ALG + "bracket a a a\n", "usage: bracket G1 G2 = EXPR", 3, 1),
+    # an empty right-hand side is placed at its line's bracket token
+    ("algebra", _ALG + "bracket a a =\n", "empty expression", 3, 1),
     # morphism directives
     ("morphism", _MOR + _MOR, "duplicate morphism line", 2, 1),
     ("morphism", "morphism f on N2\n",

@@ -140,7 +140,8 @@ def test_level_tracking():
     y = mono(1, Fraction(1, 3))
     assert (x * y).level == 6
     assert (x + y).level == 6
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^exponents need level 2, which "
+                       "does not divide the declared 3$"):
         LaurentElt(CycloField.get(24), {Fraction(1, 2): 1}, level=3)
 
 

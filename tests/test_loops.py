@@ -339,6 +339,16 @@ def test_residue_of_matches_the_scaled_exponent(m):
             assert loop.residue_of(int(mu)) == want == 0, mu
 
 
+def test_split_check_on_a_loop_without_records_misses_everything():
+    # no columns: nothing is hit, and the empty family is independent
+    report = split_check(LoopAlgebra(N2, 1, [[]]), 1)
+    assert report.injective
+    want = {(name, Fraction(q)) for name in ("L", "J", "G+", "G-")
+            for q in (-1, 0, 1)}
+    assert len(report.missed) == 12
+    assert set(report.missed) == want
+
+
 def test_split_check_flags_dependent_generators():
     doctored = LoopAlgebra(N2, 2, [
         [N2.elt("L"), N2.elt("L").scale(2)],
@@ -573,6 +583,13 @@ def _refusal(call):
     with pytest.raises(DomainError) as err:
         call()
     return str(err.value)
+
+
+def test_negative_d_powers_are_refused():
+    assert _refusal(lambda: N2.elt("L", dpow=-1)) == \
+        "negative D-power -1 on L"
+    assert _refusal(lambda: alg_reduce(UNTWISTED, {("L", -1, 2): 1})) == \
+        "negative D-power -1 on L[2]"
 
 
 def test_loop_algebra_refuses_malformed_eigenspace_data():

@@ -155,6 +155,15 @@ def test_morphism_validation():
         })
 
 
+def test_a_morphism_takes_the_level_its_images_need():
+    images = {"L": N2.elt("L"), "J": N2.elt("J"),
+              "G+": N2.elt("G+", q=HALF), "G-": N2.elt("G-", q=-HALF)}
+    assert GenMorphism(N2, None, images).level == 2
+    assert GenMorphism(N2, 4, images).level == 4
+    assert _refusal(lambda: GenMorphism(N2, 1, images)) == \
+        "images need level 2, which does not divide the declared 1"
+
+
 def test_theta_names_both_fields():
     s = LaurentElt.monomial(1, 1, conductor=12)
     with pytest.raises(DomainError) as err:
@@ -168,7 +177,7 @@ def test_matrix_entry_names_both_fields():
     with pytest.raises(DomainError) as err:
         SL2MatrixOverS(FIELD, [[1, u], [0, 1]])
     assert str(err.value) == \
-        "matrix entry over Q(zeta_12), the matrix over Q(zeta_24)"
+        "matrix entry lives over Q(zeta_12), the matrix over Q(zeta_24)"
 
 
 def test_n4_auto_names_both_fields_of_y():
