@@ -50,8 +50,9 @@ once, into lists.  An exponent enters the lattice exactly; one off (1/M)Z
 is refused with a DomainError that names it.  The exponent q, a Fraction,
 comes back only where a caller reads it: the entries and images of a
 ``CentroidSolution``, its hat elements, the r of ``is_scalar_action`` and
-the error texts, and as the factor -s of a fractional shift in ``times``;
-``_Frame.exponent`` builds one Fraction per M q and hands it out again.
+the error texts, and as the factor 1/M of a level-1 term -s w = -(M s) w
+/ M of ``times`` that M does not divide; ``_Frame.exponent`` builds one
+Fraction per M q and hands it out again.
 
 Coordinates: each pair of t-free record vectors v_alpha, v_beta is
 bracketed once, and each lambda-coefficient is decomposed on the ids once;
@@ -88,11 +89,12 @@ unscaled system, entry for entry.  On the N=2 and N=4 loops of order 1 and
 through ``times``.  ``times``, the columns, the rows and the ``linalg``
 eliminator work on these mixed exact scalars through Python's numeric
 coercion, and ``_add_to`` and the eliminator keep every integral result an
-int.  A product of two irrational pivot entries can still be a rational
-``CycloScalar``, so the null vectors read off the pivots are lowered again
-before they are reinserted.  ``CentroidSolution`` lifts its entries back
-through ``field.scalar``, so the entries a caller reads are
-``CycloScalar``s.
+int.  The eliminator normalizes an int pivot by exact division where its
+lead divides the entry and lowers a rational product of two irrational
+entries, such as zeta^6 * zeta^6 = -1, so the pivots and the null vectors
+read off them hold the same three kinds of scalar.  ``CentroidSolution``
+lifts its entries back through ``field.scalar``, so the entries a caller
+reads are ``CycloScalar``s.
 """
 
 import math
@@ -294,17 +296,20 @@ class _Frame:
         keys = self.keys
         slot = self._slot
         M = self.scale
-        # (S, c_s, -s), with -s under the _q rule
-        steps = [(S, c, -S // M if not S % M else self.exponent(-S))
-                 for S, c in terms.items()]
         out = {}
         for i, v in coords.items():
             ai, l, Q = keys[i]
-            for S, c, minus_s in steps:
+            for S, c in terms.items():
                 w = v * c
                 _add_to(out, slot(l, Q + S) + ai, w)
                 if l and S:
-                    _add_to(out, slot(0, Q + S - M) + ai, w * minus_s)
+                    # -s w = -S w / M, an int when M divides it
+                    x = -S * w
+                    if x.__class__ is int and not x % M:
+                        x //= M
+                    else:
+                        x = _q(x * self.exponent(1))
+                    _add_to(out, slot(0, Q + S - M) + ai, x)
         return out
 
 
@@ -554,9 +559,7 @@ def centroid_basis(L, window, interior):
         del minus  # free these columns before the next key's
 
     pivots = {lead: row for block in blocks for lead, row in block.items()}
-    # a product of two irrational pivot entries can be a rational CycloScalar
-    raw = [{u: _lower(v) for u, v in vec.items()}
-           for vec in _null_basis(pivots, touched, 1)]
+    raw = _null_basis(pivots, touched, 1)
     # raw lives on touched unknowns: its span solves every row, untouched 0
     null = Echelon()
     for vec in raw:

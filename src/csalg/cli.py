@@ -93,10 +93,18 @@ def cmd_check(args):
     return 0 if report.ok else 1
 
 
+def _parse_argument(A, text, name):
+    """An element argument; a ParseError names the argument."""
+    try:
+        return parse_element(A, text)
+    except ParseError as err:
+        raise err.within(name) from err
+
+
 def cmd_bracket(args):
     A = _read_source(args.file).algebra()
-    x = parse_element(A, args.a)
-    y = parse_element(A, args.b)
+    x = _parse_argument(A, args.a, "left element")
+    y = _parse_argument(A, args.b, "right element")
     poly = lambda_bracket(A, x, y)
     if args.n is None:
         out = A.poly_string(poly)

@@ -13,14 +13,15 @@ covers scalar coefficients and the t-exponents of ``core.ConfElt`` keys.
 The two types compare and hash equal, so a value the rule misses is only
 slower, never wrong.  Values a caller reads stay ``Fraction``:
 ``as_rational``, Laurent exponents, ``L0Spectrum`` eigenvalues and centroid
-solution keys.  The windowed centroid solve and the lambda-bracket
-kernel (``core._bracket_terms``) hold their rational scalars under the
-same rule, as Python numbers beside the irrational ``CycloScalar`` ones:
-``_lower`` turns a rational ``CycloScalar`` into its value, ``_q`` passes
-a ``CycloScalar`` through and ``_add_to`` keeps an int or ``Fraction`` sum
-under the rule.  ``_denominator`` reads the lcm of the denominators of any
-of these scalars; the axiom checks and the centroid solve multiply their
-inputs by it, so that their rational arithmetic runs on ints.
+solution keys.  The ``linalg`` eliminator, the windowed centroid solve
+and the lambda-bracket kernel (``core._bracket_terms``) hold their
+rational scalars under the same rule, as Python numbers beside the
+irrational ``CycloScalar`` ones: ``_lower`` turns a rational
+``CycloScalar`` into its value, ``_q`` passes a ``CycloScalar`` through
+and ``_add_to`` keeps an int or ``Fraction`` sum under the rule.
+``_denominator`` reads the lcm of the denominators of any of these
+scalars; the axiom checks and the centroid solve multiply their inputs by
+it, so that their rational arithmetic runs on ints.
 """
 
 from __future__ import annotations
@@ -371,9 +372,13 @@ class CycloScalar:
     def inverse(self):
         if not self.coeffs:
             raise DomainError("division by zero in Q(zeta_%d)" % self.field.conductor)
-        if len(self.coeffs) == 1 and 0 in self.coeffs:
-            # the coefficient may be an int, whose true division is a float
-            return self.field.rational(Fraction(1) / self.coeffs[0])
+        if len(self.coeffs) == 1:
+            # (c zeta^e)^-1 = c^-1 zeta^-e; c may be an int, whose true
+            # division is a float
+            ((e, c),) = self.coeffs.items()
+            inv = Fraction(1) / c
+            return (self.field.element({-e: inv}) if e
+                    else self.field.rational(inv))
         # x times its other conjugates sigma_k(x) (zeta -> zeta^k, k a
         # unit mod N) is the norm N(x), a nonzero rational
         field = self.field

@@ -650,5 +650,4 @@ class SourceFile:
         try:
             return parse(self.text, *args)
         except ParseError as err:
-            raise ParseError(err.reason, err.line, err.col,
-                             self.path) from err
+            raise err.within(self.path) from err

@@ -24,6 +24,10 @@ class ParseError(CsalgError):
             message = "%s: %s" % (path, message)
         super().__init__(message)
 
+    def within(self, path):
+        """This error, pointed at the named input ``path``."""
+        return ParseError(self.reason, self.line, self.col, path)
+
 
 class DomainError(CsalgError):
     """A value is outside the mathematical domain of an operation.

@@ -3,11 +3,17 @@
 All elimination over a field goes through one sparse exact eliminator,
 the solved-form echelon below: rows are dicts {column: scalar} of exact
 scalars, and each pivot is kept solved for its least column and free of
-every other pivot column.  ``rank``, ``null_space`` and ``solve`` are
-dense adapters over it, on CycloScalar entries of one field; the windowed
-centroid solve drives it directly, on rationals held under the ``_q`` rule
-(an int when integral, else a Fraction) mixed with irrational
-CycloScalars, and every result keeps that rule.
+every other pivot column.  The eliminator holds one representation of a
+scalar: a rational under the ``_q`` rule (an int when integral, else a
+Fraction), and a CycloScalar only when it is irrational.  A product or a
+normalized entry that comes out as a rational CycloScalar is lowered
+(``_lower``) before it is stored, and an int pivot row is normalized by
+exact division wherever its lead divides the entry, so the pivots of
+integral rows stay integral.  The windowed centroid solve drives the
+eliminator directly on such rows.  ``rank``, ``null_space`` and ``solve``
+are dense adapters over it: they take CycloScalar entries of one field,
+lower them on the way in, and lift what they return with ``zero + v``, so
+their results are CycloScalars of that field.
 Determinants and adjugates are also provided over the Laurent ring, where
 division is not available, via minor expansion.
 """
@@ -16,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import CycloScalar, _add_to, _q
+from .cyclotomic import CycloScalar, _add_to, _lower, _q
 from .errors import DomainError
 
 
@@ -25,7 +31,10 @@ from .errors import DomainError
 # than lead and none of them a pivot column.  Eliminating a lead with
 # coefficient coef then adds coef * m_u, a row reduces in one pass over its
 # entries, and a null vector reads the m_u off directly, with no negation on
-# any path.  users[u] is a superset of the leads whose row mentions u (an
+# any path.  Normalizing a new pivot by an int lead divides each int entry
+# exactly when the lead divides it (95% of such ratios on the centroid
+# solves), and builds Fraction(-1, lead) only for an entry it does not
+# divide.  users[u] is a superset of the leads whose row mentions u (an
 # entry that cancels leaves its lead behind), so a new pivot is substituted
 # into those rows alone.  pins lists the leads an insert leaves with an
 # empty row, x_lead = 0: the new lead when its row reduces to it alone, and
@@ -44,6 +53,13 @@ class Echelon(dict):
         self.pins = []  # leads pinned to 0 since the caller last drained it
 
 
+def _product(c, f):
+    """c * f in the one representation: an int, a non-integral Fraction or
+    an irrational CycloScalar."""
+    p = c * f
+    return _lower(p) if p.__class__ is CycloScalar else _q(p)
+
+
 def _reduce_against(pivots, vec):
     """Eliminate every pivot column from vec, into a new dict.
 
@@ -56,7 +72,10 @@ def _reduce_against(pivots, vec):
             _add_to(out, col, coef)
         else:
             for u, m in piv.items():
-                _add_to(out, u, coef * m)
+                p = coef * m
+                if p.__class__ is CycloScalar:
+                    p = _lower(p)
+                _add_to(out, u, p)
     return out, (min(out) if out else None)
 
 
@@ -67,23 +86,33 @@ def _echelon_insert(pivots, row):
     so the set stays fully reduced.  Every lead left with an empty row is
     appended to ``pivots.pins``.
     """
-    row, lead = _reduce_against(pivots, row)
+    new, lead = _reduce_against(pivots, row)
     if lead is not None:
-        coef = row.pop(lead)
-        if not row:
-            ninv = None
-        elif coef.__class__ is CycloScalar:
-            ninv = -coef.inverse()
-        else:  # a rational lead
-            ninv = _q(Fraction(-1, coef))
-        new = {u: _q(c * ninv) for u, c in row.items()}
+        coef = new.pop(lead)
+        ninv = None
+        if coef.__class__ is int:
+            for u, c in new.items():
+                if c.__class__ is int and not c % coef:
+                    new[u] = -c // coef
+                else:
+                    if ninv is None:
+                        ninv = Fraction(-1, coef)
+                    new[u] = _product(c, ninv)
+        elif new:
+            ninv = (-coef.inverse() if coef.__class__ is CycloScalar
+                    else _q(Fraction(-1, coef)))
+            for u, c in new.items():
+                new[u] = _product(c, ninv)
         users = pivots.users
         for other in users.pop(lead, ()):
             piv = pivots[other]
             c = piv.pop(lead, None)
             if c is not None:
                 for u, m in new.items():
-                    _add_to(piv, u, c * m)
+                    p = c * m
+                    if p.__class__ is CycloScalar:
+                        p = _lower(p)
+                    _add_to(piv, u, p)
                     users.setdefault(u, set()).add(other)
                 if not piv:
                     pivots.pins.append(other)
@@ -109,10 +138,12 @@ def _null_basis(pivots, touched, one):
 
 
 def _echelon(rows):
-    """Fully reduced solved-form pivots of dense rows."""
+    """Fully reduced solved-form pivots of dense rows, their entries
+    lowered to the one representation."""
     pivots = Echelon()
     for row in rows:
-        _echelon_insert(pivots, {c: v for c, v in enumerate(row) if v})
+        _echelon_insert(pivots, {c: _lower(v) for c, v in enumerate(row)
+                                 if v})
     return pivots
 
 
@@ -126,7 +157,8 @@ def null_space(rows, ncols, one, zero):
     Rows may be empty, in which case the identity basis is returned.
     """
     basis = _null_basis(_echelon(rows), range(ncols), one)
-    return [[vec.get(c, zero) for c in range(ncols)] for vec in basis]
+    return [[zero + vec[c] if c in vec else zero for c in range(ncols)]
+            for vec in basis]
 
 
 def solve(rows, rhs, ncols, zero):
@@ -140,7 +172,8 @@ def solve(rows, rhs, ncols, zero):
         return None
     sol = [zero] * ncols
     for lead, row in pivots.items():
-        sol[lead] = row.get(ncols, zero)
+        if ncols in row:
+            sol[lead] = zero + row[ncols]
     # verify (cheap, and catches free-variable interactions)
     for row, b in zip(rows, rhs):
         acc = zero

@@ -661,25 +661,37 @@ ROW_CASES = {
 }
 
 
+def _check_exact(v):
+    """v is an int, a non-integral Fraction or an irrational CycloScalar."""
+    if v.__class__ is Fraction:
+        assert v.denominator != 1, v
+    elif v.__class__ is CycloScalar:
+        assert v.as_rational() is None, v
+    else:
+        assert v.__class__ is int, v
+
+
 @pytest.mark.parametrize("name", sorted(ROW_CASES))
 def test_rows_hold_rationals_as_python_numbers(monkeypatch, name):
     # the solve runs on rationals under the _q rule: an int when integral,
-    # else a Fraction, and a CycloScalar only when irrational
+    # else a Fraction, and a CycloScalar only when irrational; the rows and
+    # the pivots the eliminator keeps, products of zeta^6 entries included
     seen = Counter()
+    echelons = {}
 
     def checked(pivots, row):
         for v in row.values():
-            if v.__class__ is Fraction:
-                assert v.denominator != 1, v
-            elif v.__class__ is CycloScalar:
-                assert v.as_rational() is None, v
-            else:
-                assert v.__class__ is int, v
+            _check_exact(v)
             seen[v.__class__] += 1
+        echelons[id(pivots)] = pivots
         return _echelon_insert(pivots, row)
 
     monkeypatch.setattr(centroid, "_echelon_insert", checked)
     sols = centroid_basis(*ROW_CASES[name])
+    for pivots in echelons.values():
+        for row in pivots.values():
+            for v in row.values():
+                _check_exact(v)
     assert len(sols) == 3
     assert all(is_scalar_action(chi) is not None for chi in sols)
     # the brackets are scaled by K = 2, which clears every denominator on

@@ -211,6 +211,17 @@ def test_parse_errors_exit_2(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_bracket_parse_error_names_its_argument(capsys):
+    for argv, want in [
+            (["J $", "L"],
+             "error: left element: line 1, col 3: unexpected character "
+             "'$'\n"),
+            (["L", ""], "error: right element: line 1, col 1: empty "
+                        "expression\n")]:
+        code, out, err = run(capsys, ["bracket", "n2.csa"] + argv)
+        assert (code, out, err) == (2, "", want), argv
+
+
 def test_domain_errors_exit_3(capsys):
     cases = [
         ["classify-n4", "--matrix", "2,0;0,2"],

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -122,6 +123,34 @@ def test_inverse_of_root_is_negative_power():
     z = field.zeta()
     assert z.inverse() == field.zeta(-1)
     assert field.zeta(7).inverse() == field.zeta(17)
+
+
+def _norm_inverse(a):
+    """a^-1 as the product of the other Galois conjugates of a over the
+    norm, each conjugate zeta -> zeta^k built from the coefficients."""
+    field = a.field
+    n = field.conductor
+    rest = field.one()
+    for k in range(2, n):
+        if math.gcd(k, n) == 1:
+            rest = rest * field.element(
+                {e * k: c for e, c in a.coeffs.items()})
+    norm = (a * rest).as_rational()
+    assert norm
+    return rest * (1 / norm)
+
+
+def test_monomial_inverse_matches_the_norm_inverse():
+    # c zeta^e is inverted as c^-1 zeta^-e, on every power basis exponent
+    for n in (1, 3, 4, 8, 12, 24):
+        field = CycloField.get(n)
+        for e in range(field.degree):
+            for c in (1, -2, Fraction(3, 5)):
+                a = field.element({e: c})
+                assert list(a.coeffs) == [e]
+                inv = a.inverse()
+                assert inv == _norm_inverse(a), (n, e, c)
+                assert a * inv == field.one(), (n, e, c)
 
 
 def test_reduction_beyond_degree():

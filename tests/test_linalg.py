@@ -41,7 +41,7 @@ def rref(rows):
         row = [FIELD.zero()] * len(rows[0])
         row[lead] = FIELD.one()
         for u, m in pivots[lead].items():
-            row[u] = -m
+            row[u] = FIELD.scalar(-m)
         reduced.append(row)
     return reduced, leads
 
@@ -199,7 +199,7 @@ def test_echelon_pivots_stay_fully_reduced():
             pivots.pins.clear()
             for lead, piv in pivots.items():
                 assert all(u > lead and u not in pivots for u in piv)
-                assert not any(v.is_zero() for v in piv.values())
+                assert all(v for v in piv.values())
                 assert all(lead in pivots.users[u] for u in piv)
             # a pivot column is never substituted again, so it leaves the
             # index when it becomes one
@@ -257,6 +257,29 @@ def test_eliminator_on_mixed_exact_scalars_matches_the_lifted_rows():
         assert _regular_rank(lifted, powers) == FIELD.degree * r
     # leads of every kind were inverted
     assert leads == {int, Fraction, CycloScalar}
+
+
+def test_dense_adapters_lift_the_lowered_pivots():
+    # x0 = zeta^6 x1 from the first row; reducing the second row by it
+    # multiplies zeta^6 by zeta^6 = -1, which the pivots hold as the int -1,
+    # while null_space and solve still return scalars of the field
+    z6 = FIELD.zeta(6)
+    one, zero = FIELD.one(), FIELD.zero()
+    rows = [[z6, one, zero], [z6, FIELD.rational(2), one]]
+    pivots = _echelon(rows)
+    assert pivots == {0: {2: -z6}, 1: {2: -1}}
+    assert pivots[1][2].__class__ is int
+    basis = null_space(rows, 3, one, zero)
+    assert basis == [[-z6, FIELD.rational(-1), one]]
+    rhs = [one, z6]
+    sol = solve(rows, rhs, 3, zero)
+    assert sol is not None
+    for got in basis + [sol]:
+        assert all(v.__class__ is CycloScalar and v.field is FIELD
+                   for v in got)
+    for row, b in zip(rows, rhs):
+        assert sum((a * x for a, x in zip(row, basis[0])), zero).is_zero()
+        assert sum((a * x for a, x in zip(row, sol)), zero) == b
 
 
 def test_rref_agrees_with_sympy():
