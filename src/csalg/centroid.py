@@ -17,7 +17,7 @@ of a current algebra is level 0 alone), the codomain is padded past
 the domain range by the table's lambda-degree maxl so that multiplication
 by a small power of t stays representable, equations are imposed on all
 ambient components, and matrix entries never touched by a constraint are
-pinned to zero.  On the graded path (see Blocks) the codomain reaches one
+pinned to zero.  On the graded path (see Shifts) the codomain reaches one
 step further down, since t^{-1} sends Dhat(v t^q) to Dhat(v t^{q-1})
 - v t^{q-2}; without it an interior of one exponent per coset (interior
 1/2 on an untwisted loop) misses t^{-1}.  The ungraded path keeps the
@@ -25,18 +25,19 @@ shorter codomain: it solves every shift, and the extra step would admit
 t^{-2} there.  Solutions preserve parity and the exponent cosets, which is
 what a graded endomorphism of the loop algebra must do.
 
-Blocks: when the generator weights grade the bracket table and every loop
+Shifts: when the generator weights grade the bracket table and every loop
 basis vector has a single weight (``LoopAlgebra.weights``), the key
 (alpha, l, q) has degree q - l - wt(alpha) + 1, and every row is
 homogeneous in the shift deg(codomain key) - deg(domain key) of its
-unknowns.  Each shift is then eliminated in an echelon of its own, and
-multiplication by t^j lives in block j alone.  Only the shifts
+unknowns.  Rows of different shifts then share no column, so one echelon
+eliminates every shift: a row reduces only against pivots of its own
+shift, and multiplication by t^j lives in shift j alone.  Only the shifts
 |s| <= maxl, the range the monomial candidates t^j are drawn from, are
-built at all: a dropped shift drops whole rows and leaves the other blocks
+built at all: a dropped shift drops whole rows and leaves the other pivots
 as they are, and leftover directions come from the built shifts alone.
 Without weights, or when the check fails, every unknown gets shift 0 and
-the system is one block holding every shift, on the shorter codomain: at
-interior 1/2 it misses the t^{-1} that the graded solve finds.
+the one system holds every shift, on the shorter codomain: at interior 1/2
+it misses the t^{-1} that the graded solve finds.
 
 Key ids: the solve runs on small int ids and int exponents.  A loop's
 exponents and degrees lie on the lattice (1/M)Z, M the lcm of the twist
@@ -193,7 +194,7 @@ class _Frame:
         try:
             self.weights = loop.weights()
         except DomainError:
-            self.weights = None  # ungraded: the system is one block
+            self.weights = None  # ungraded: every shift is 0
         # the exponent lattice (1/M)Z; a key holds the int M q, and the
         # degree q - l - wt + 1 of record alpha is M q - M l - offset[alpha]
         M = self.scale = math.lcm(loop.order, *(
@@ -308,7 +309,7 @@ class _Frame:
                     if x.__class__ is int and not x % M:
                         x //= M
                     else:
-                        x = _q(x * self.exponent(1))
+                        x = x * self.exponent(1)
                     _add_to(out, slot(0, Q + S - M) + ai, x)
         return out
 
@@ -496,9 +497,9 @@ def centroid_basis(L, window, interior):
                 for q in L.exponents(res, dlo, dhi) for l in (0, 1)]
 
     # legal matrix positions: same parity, and the same residue, so the
-    # exponent difference is an integer, and a shift |s| <= maxl, the
-    # blocks a candidate t^j can live in (every shift is 0 when ungraded);
-    # shifts are scaled by M, like the degrees
+    # exponent difference is an integer, and a shift |s| <= maxl, the range
+    # a candidate t^j can live in (every shift is 0 when ungraded); shifts
+    # are scaled by M, like the degrees
     sigs = frame.sigs
     degrees = frame.degrees
     bound = frame.maxl * M
@@ -507,60 +508,52 @@ def centroid_basis(L, window, interior):
         if sigs[d] not in cod_of:
             cod_of[sigs[d]] = [c for c in codomain if sigs[c] == sigs[d]]
     unknowns = []  # unknown id -> (domain id, codomain id)
-    cols = {}  # domain id -> {codomain id: unknown id}
-    shift = []  # unknown id -> its block
-    block_of = {}  # shift -> block
+    cols = {}  # domain id -> {codomain id: unknown id}, the unpinned ones
     for d in domain:
         col = cols[d] = {}
         ddeg = degrees[d]
         for c in cod_of[sigs[d]]:
-            s = degrees[c] - ddeg
-            if abs(s) <= bound:
+            if abs(degrees[c] - ddeg) <= bound:
                 col[c] = len(unknowns)
                 unknowns.append((d, c))
-                shift.append(block_of.setdefault(s, len(block_of)))
 
     # assemble the strict rows, n running one past the table degree so the
     # vanishing products constrain the unknowns too: [a lambda Dhat y] has
     # lambda^(maxl+1) coefficient (maxl+1) a_(maxl) y, and only these rows
     # see it, so without them the Dhat components of chi(b) go free (the
     # sl2 current loop then solves to a non-scalar direction beside r = 1);
-    # each row is homogeneous in the shift and goes to the echelon of its
-    # own block; ``live`` drops each unknown an insert pins to 0, at the
-    # row that reduces to it alone or at a substitution that empties its
-    # pivot row (``Echelon.pins``)
-    blocks = [Echelon() for _ in block_of]
-    touched = set()
-    live = {d: dict(col) for d, col in cols.items()}
+    # each row is homogeneous in the shift, so rows of different shifts
+    # share no column and one echelon holds them all; ``cols`` drops each
+    # unknown an insert pins to 0, at the row that reduces to it alone or
+    # at a substitution that empties its pivot row (``Echelon.pins``)
+    pivots = Echelon()
     for a in interior0:
         # b is its own level-0 column, for the product a_(n) b
         minus = _minus_columns(frame, brackets[a], set(interior0).union(
-            *(live[b] for b in interior0)))
+            *(cols[b] for b in interior0)))
         for b in interior0:
             product = minus[b]
             for n in range(frame.maxl + 2):
                 eq = {}
                 for d, w in product.get(n, {}).items():
                     w = -w
-                    for c, uid in live[d].items():
+                    for c, uid in cols[d].items():
                         _add_to(eq.setdefault(c, {}), uid, w)
-                for c, uid in live[b].items():
+                for c, uid in cols[b].items():
                     for e, v in minus[c].get(n, {}).items():
                         _add_to(eq.setdefault(e, {}), uid, v)
                 for row in eq.values():
                     if row:
-                        touched.update(row)
-                        block = blocks[shift[next(iter(row))]]
-                        _echelon_insert(block, row)
-                        for lead in block.pins:
+                        _echelon_insert(pivots, row)
+                        for lead in pivots.pins:
                             d, c = unknowns[lead]
-                            del live[d][c]
-                        block.pins.clear()
+                            del cols[d][c]
+                        pivots.pins.clear()
         del minus  # free these columns before the next key's
 
-    pivots = {lead: row for block in blocks for lead, row in block.items()}
-    raw = _null_basis(pivots, touched, 1)
-    # raw lives on touched unknowns: its span solves every row, untouched 0
+    # the columns the rows mention are the leads and the keys of users, so
+    # raw lives on them: its span solves every row, the others 0
+    raw = _null_basis(pivots, pivots.users)
     null = Echelon()
     for vec in raw:
         _echelon_insert(null, vec)
@@ -577,7 +570,7 @@ def centroid_basis(L, window, interior):
         try:
             entries = {cols[d][c]: v for d in domain
                        for c, v in frame.times({d: 1}, {j * M: 1}).items()}
-        except KeyError:  # the image leaves the codomain
+        except KeyError:  # the image leaves the codomain or meets a pin
             continue
         if _reduce_against(null, entries)[0]:
             continue

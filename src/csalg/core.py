@@ -839,9 +839,10 @@ def _sweep_cs5(A, report):
 
     Every argument is t-free, so no base change enters and each of the
     three Jacobi terms is a sum of ``_decorated_pair`` brackets, each
-    weighted by a lowered table scalar s: [a_(m) [b_(n) c]] with weight
-    +s, [[a_(jj) b]_(k) c] with -C(m, jj) s on every m + n = jj + k,
-    m >= jj, and [b_(n) [a_(m) c]] with -p(a, b) s.  They are added into
+    weighted by a table scalar s, itself read from the cached, lowered
+    pair of two undecorated generators: [a_(m) [b_(n) c]] with weight +s,
+    [[a_(jj) b]_(k) c] with -C(m, jj) s on every m + n = jj + k, m >= jj,
+    and [b_(n) [a_(m) c]] with -p(a, b) s.  They are added into
     one difference map {(m, n): {(g, j): coefficient}} per triple, and
     its nonzero cells are the failures, reported n-major, m-minor.  Only
     the middle term reaches past the bound, at m > bound, and those cells
@@ -866,28 +867,26 @@ def _sweep_cs5(A, report):
     for a in range(ngen):
         for b in range(ngen):
             p_ab = A.parity_sign(a, b)
-            poly_ab = _table_poly(A, a, b).coeffs
+            pair_ab = _decorated_pair(A, a, 0, b, 0)
             for c in range(ngen):
                 triples += 1
                 diff = {}
                 # [a_(m) [b_(n) c]]
-                for n, e in _table_poly(A, b, c).coeffs.items():
-                    for (g, j, _), v in e.terms.items():
-                        v = _lower(v)
+                for n, inner in _decorated_pair(A, b, 0, c, 0):
+                    for g, j, v in inner:
                         for m, terms in _decorated_pair(A, a, 0, g, j):
                             add(diff, (m, n), terms, v)
                 # [[a_(jj) b]_(k) c] feeds every m + n = jj + k, m >= jj
-                for jj, e in poly_ab.items():
-                    for (g, j, _), v in e.terms.items():
-                        v = _lower(v)
+                for jj, inner in pair_ab:
+                    for g, j, v in inner:
                         for k, terms in _decorated_pair(A, g, j, c, 0):
                             for m in range(jj, min(jj + k, bound) + 1):
                                 add(diff, (m, jj + k - m), terms,
                                     v * -comb(m, jj))
                 # p(a, b) [b_(n) [a_(m) c]]
-                for m, e in _table_poly(A, a, c).coeffs.items():
-                    for (g, j, _), v in e.terms.items():
-                        v = _lower(v) * -p_ab
+                for m, inner in _decorated_pair(A, a, 0, c, 0):
+                    for g, j, v in inner:
+                        v = v * -p_ab
                         for n, terms in _decorated_pair(A, b, 0, g, j):
                             add(diff, (m, n), terms, v)
                 for m, n in sorted(diff, key=lambda mn: (mn[1], mn[0])):

@@ -337,14 +337,14 @@ class _ExprParser:
                                   for n, terms in coeffs.items()})
 
 
-def parse_element(algebra, text, line=1):
+def parse_element(algebra, text):
     """Parse one element expression (no x powers, t tails allowed)."""
-    toks = _tokenize(text, line)
-    poly = _ExprParser(algebra, toks, line, 1).finish_poly()
+    toks = _tokenize(text, 1)
+    poly = _ExprParser(algebra, toks, 1, 1).finish_poly()
     for n in poly.coeffs:
         if n:
             raise ParseError("x is only allowed in bracket tables",
-                             line, toks[0].col)
+                             1, toks[0].col)
     return poly.get(0)
 
 

@@ -49,10 +49,8 @@ class TableInconsistencyError(CsalgError):
     generator pair are present but do not determine each other.
     """
 
-    def __init__(self, pair, n, message=None):
+    def __init__(self, pair, n):
         self.pair = pair
         self.n = n
-        if message is None:
-            message = "table entry (%s, %s) inconsistent at n=%d" % (
-                pair[0], pair[1], n)
-        super().__init__(message)
+        super().__init__("table entry (%s, %s) inconsistent at n=%d" % (
+            pair[0], pair[1], n))

@@ -36,9 +36,12 @@ from .errors import DomainError
 # solves), and builds Fraction(-1, lead) only for an entry it does not
 # divide.  users[u] is a superset of the leads whose row mentions u (an
 # entry that cancels leaves its lead behind), so a new pivot is substituted
-# into those rows alone.  pins lists the leads an insert leaves with an
-# empty row, x_lead = 0: the new lead when its row reduces to it alone, and
-# every lead whose row a substitution empties.  A caller that builds its
+# into those rows alone.  A column leaves users only when it becomes a lead,
+# and one that cancels in a reduced row came from a pivot row listed under
+# it, so the columns the inserted rows mention are exactly the leads and the
+# keys of users.  pins lists the leads an insert leaves with an empty row,
+# x_lead = 0: the new lead when its row reduces to it alone, and every lead
+# whose row a substitution empties.  A caller that builds its
 # rows as it goes drains it to leave those unknowns out of later rows;
 # ``rank``, ``null_space`` and ``solve`` ignore it.
 
@@ -124,11 +127,11 @@ def _echelon_insert(pivots, row):
     return lead
 
 
-def _null_basis(pivots, touched, one):
+def _null_basis(pivots, columns):
     """One null vector per free column f: x_f = 1, the other free columns 0."""
     basis = []
-    for f in sorted(u for u in touched if u not in pivots):
-        vec = {f: one}
+    for f in sorted(u for u in columns if u not in pivots):
+        vec = {f: 1}
         for u, row in pivots.items():
             c = row.get(f)
             if c is not None:
@@ -151,12 +154,12 @@ def rank(rows):
     return len(_echelon(rows))
 
 
-def null_space(rows, ncols, one, zero):
+def null_space(rows, ncols, zero):
     """Basis of the right null space of the matrix given by ``rows``.
 
     Rows may be empty, in which case the identity basis is returned.
     """
-    basis = _null_basis(_echelon(rows), range(ncols), one)
+    basis = _null_basis(_echelon(rows), range(ncols))
     return [[zero + vec[c] if c in vec else zero for c in range(ncols)]
             for vec in basis]
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .core import (EVEN, ODD, ConfElt, find_virasoro, lambda_bracket,
                    to_hat_basis)
 from .cyclotomic import _add_to, _q, _same_field, _scaled_terms, _signed_sum
-from .errors import CsalgError, DomainError
+from .errors import DomainError
 from .linalg import _echelon, _reduce_against, null_space, rank, solve
 
 __all__ = [
@@ -197,7 +197,7 @@ def eigenspaces(A, sigma, m):
         shift = xi ** i
         rows = [[cols[c][r] - (shift if r == c else field.zero())
                  for c in range(n)] for r in range(n)]
-        basis = null_space(rows, n, field.one(), field.zero())
+        basis = null_space(rows, n, field.zero())
         eigenbasis.append([ConfElt(field, {(g, 0, 0): c
                                            for g, c in enumerate(vec)})
                            for vec in basis])
@@ -496,10 +496,13 @@ def l0_spectrum(L, parity, window):
             # a zero ratio scales am to zero, which the nonzero image is not
             ratio = image.terms.get(k0, L.base.field.zero()) / c0
             if image != am.scale(ratio):
-                raise CsalgError(
-                    "L_1 action is not diagonal on the mode basis")
+                raise DomainError(
+                    "L_1 action is not diagonal on the mode basis: "
+                    "[L_1, %s] = %s" % (am, image))
             val = ratio.as_rational()
             if val is None:
-                raise CsalgError("non-rational Virasoro eigenvalue")
+                raise DomainError(
+                    "non-rational Virasoro eigenvalue %s on the mode %s"
+                    % (ratio, am))
             values.add(val)
     return L0Spectrum(values)

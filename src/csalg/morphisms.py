@@ -89,9 +89,9 @@ class GenMorphism:
         return "GenMorphism(%s, level %d)" % (self.algebra.name, self.level)
 
 
-def identity_morphism(A, level=1):
-    """The identity of A (x) S_m as a GenMorphism."""
-    return GenMorphism(A, level, {i: A.elt(i) for i in range(A.ngens())})
+def identity_morphism(A):
+    """The identity of A (x) S as a GenMorphism, declared over S_1."""
+    return GenMorphism(A, 1, {i: A.elt(i) for i in range(A.ngens())})
 
 
 def extend_apply(phi, x):

@@ -16,6 +16,7 @@ from csalg import loops
 from csalg.cli import main
 from csalg.cyclotomic import CycloField
 from csalg.dsl import parse_scalar
+from test_loops import NONDIAG_CASES, NONDIAG_SOURCE
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -151,6 +152,19 @@ def test_twist_image_off_the_generator_span_is_named(capsys, tmp_path):
     assert out == ""
     assert err == ("error: image of L: expected an element of the generator "
                    "span, got a term with D-power 1 and exponent 0\n")
+
+
+@pytest.mark.parametrize("entry, message", NONDIAG_CASES,
+                         ids=["non-diagonal", "non-rational"])
+def test_loop_refuses_an_unreadable_l0_spectrum(capsys, tmp_path, entry,
+                                                message):
+    path = tmp_path / "nondiag.csa"
+    path.write_text(NONDIAG_SOURCE.replace("LG", entry))
+    code, out, err = run(capsys, ["loop", str(path), "--auto", "id",
+                                  "--window", "2"])
+    assert code == 3
+    assert out == ""
+    assert err == "error: %s\n" % message
 
 
 def test_loop_report(capsys):

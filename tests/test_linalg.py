@@ -4,13 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from csalg.cyclotomic import CycloField, CycloScalar, _q
+from csalg.cyclotomic import CycloField, CycloScalar, _add_to, _q
 from csalg.errors import DomainError
 from csalg.laurent import LaurentElt
 from csalg.linalg import (
     Echelon,
     _echelon,
     _echelon_insert,
+    _null_basis,
+    _product,
     _reduce_against,
     adjugate,
     det,
@@ -59,7 +61,7 @@ def test_null_space_annihilates():
     for _ in range(20):
         nrows, ncols = rng.randrange(1, 5), rng.randrange(1, 6)
         m = _random_matrix(rng, nrows, ncols)
-        basis = null_space(m, ncols, FIELD.one(), FIELD.zero())
+        basis = null_space(m, ncols, FIELD.zero())
         assert len(basis) == ncols - rank(m)
         for vec in basis:
             for row in m:
@@ -159,7 +161,7 @@ def test_eliminator_over_roots_of_unity_matches_regular_rank():
             assert _regular_rank(reduced, powers) == phi * r
         assert _regular_rank(m + reduced, powers) == phi * r
         assert rank(m) == r
-        basis = null_space(m, ncols, FIELD.one(), zero)
+        basis = null_space(m, ncols, zero)
         assert len(basis) == ncols - r
         for vec in basis:
             for row in m:
@@ -259,6 +261,48 @@ def test_eliminator_on_mixed_exact_scalars_matches_the_lifted_rows():
     assert leads == {int, Fraction, CycloScalar}
 
 
+def test_inserted_columns_are_the_leads_and_the_users():
+    # a column leaves ``users`` only when it becomes a lead, and a column
+    # that cancels in a reduced row came from a pivot row that lists it, so
+    # the columns the rows mention are the leads and the keys of users: the
+    # centroid solve reads its free columns off them
+    rng = random.Random(4711)
+    z6 = FIELD.zeta(6)  # i: its products with itself lower to -1
+
+    def entry():
+        return rng.choice((rng.randrange(-3, 4) or 1,
+                           Fraction(rng.choice((-3, -1, 1, 3)), 2),
+                           z6 * rng.choice((-2, -1, 1, 2))))
+
+    cancelled = 0
+    for _ in range(60):
+        ncols = rng.randrange(2, 12)
+        pivots, rows = Echelon(), []
+        for _ in range(rng.randrange(1, 10)):
+            row = {c: entry() for c in rng.sample(range(ncols),
+                                                  rng.randrange(1, ncols + 1))}
+            if rows and rng.random() < 0.5:
+                # an earlier row times a scalar, plus the new one on one
+                # column at most: the earlier row's columns cancel
+                scale = entry()
+                row = dict(list(row.items())[:rng.randrange(2)])
+                for c, v in rng.choice(rows).items():
+                    _add_to(row, c, _product(v, scale))
+                if not row:
+                    continue
+            reduced, _ = _reduce_against(pivots, row)
+            cancelled += sum(1 for c in row
+                             if c not in pivots and c not in reduced)
+            rows.append(row)
+            _echelon_insert(pivots, row)
+            pivots.pins.clear()
+            mentioned = set().union(*rows)
+            assert mentioned == set(pivots) | set(pivots.users)
+        assert (_null_basis(pivots, pivots.users)
+                == _null_basis(pivots, mentioned))
+    assert cancelled
+
+
 def test_dense_adapters_lift_the_lowered_pivots():
     # x0 = zeta^6 x1 from the first row; reducing the second row by it
     # multiplies zeta^6 by zeta^6 = -1, which the pivots hold as the int -1,
@@ -269,7 +313,7 @@ def test_dense_adapters_lift_the_lowered_pivots():
     pivots = _echelon(rows)
     assert pivots == {0: {2: -z6}, 1: {2: -1}}
     assert pivots[1][2].__class__ is int
-    basis = null_space(rows, 3, one, zero)
+    basis = null_space(rows, 3, zero)
     assert basis == [[-z6, FIELD.rational(-1), one]]
     rhs = [one, z6]
     sol = solve(rows, rhs, 3, zero)

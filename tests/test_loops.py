@@ -5,9 +5,10 @@ import pytest
 
 from csalg.algebras import make_current, make_n2, make_n4, sl2_constants
 from csalg.core import (EVEN, ODD, AlgebraDef, Generator, LambdaPoly,
-                        apply_partial, lambda_bracket)
+                        apply_partial, check_axioms, lambda_bracket)
 from csalg import loops
 from csalg.cyclotomic import CycloField
+from csalg.dsl import parse_algebra
 from csalg.errors import ConductorError, CsalgError, DomainError
 from csalg.laurent import LaurentElt
 from csalg.loops import (
@@ -523,6 +524,39 @@ def test_l0_spectrum_requires_fixed_virasoro():
     ])
     with pytest.raises(DomainError):
         l0_spectrum(doctored, "odd", 1)
+
+
+#: A Virasoro L and two odd generators of weight 3/2; the token LG stands
+#: for the lambda-part of [L lambda G].  Both tables below pass every axiom.
+NONDIAG_SOURCE = (
+    "algebra X\ncyclotomic 24\n"
+    "generator L parity=even weight=2\n"
+    "generator G parity=odd weight=3/2\n"
+    "generator H parity=odd weight=3/2\n"
+    "bracket L L = D L + x*(2*L)\n"
+    "bracket L G = D G + LG\n"
+    "bracket L H = D H + x*(3/2*H)\n")
+
+#: [L_1, G_mu] = (D G)_{1+mu} + (c_1)_mu, with (D G)_nu = -nu G_{nu-1}, so
+#: at mu = -2 (the first odd mode of window 2) it is (c_1 - 1 + 2)_{-2}:
+#: 5/2 G + H when c_1 = 3/2 G + H, and (1 + zeta) G when c_1 = zeta G.
+NONDIAG_CASES = [
+    ("x*(3/2*G) + x*(H)", "L_1 action is not diagonal on the mode basis: "
+                          "[L_1, G[-2]] = 5/2*G[-2] + H[-2]"),
+    ("x*(zeta*G)", "non-rational Virasoro eigenvalue 1 + zeta on the mode "
+                   "G[-2]"),
+]
+
+
+@pytest.mark.parametrize("entry, message", NONDIAG_CASES,
+                         ids=["non-diagonal", "non-rational"])
+def test_l0_spectrum_names_the_mode_it_cannot_read(entry, message):
+    A = parse_algebra(NONDIAG_SOURCE.replace("LG", entry))
+    assert check_axioms(A).ok
+    loop = eigenspaces(A, identity_morphism(A), 1)
+    with pytest.raises(DomainError) as err:
+        l0_spectrum(loop, "odd", 2)
+    assert str(err.value) == message
 
 
 def test_cancelling_mode_sums_leave_no_key():
