@@ -112,8 +112,9 @@ class N4AutElt:
     """A pair (Y, X) of determinant-one matrices modulo the joint sign.
 
     Y has Laurent entries, X constant ones.  The stored representative is
-    the one whose first nonzero X entry has a positive leading rational,
-    so equality and hashing across the sign ambiguity come for free.
+    the one whose first nonzero X entry, in row-major order, has a
+    positive leading rational, so equality across the sign ambiguity
+    comes for free.  Elements are unhashable (``__hash__`` is None).
     """
 
     __slots__ = ("y", "x")
@@ -125,16 +126,9 @@ class N4AutElt:
             field = CycloField.get(conductor or DEFAULT_CONDUCTOR)
             y = SL2MatrixOverS(field, y)
         x = _x_matrix(field, x)
-        flip = False
-        for r in range(2):
-            for c in range(2):
-                if not x[r][c].is_zero():
-                    flip = not _leading_is_positive(x[r][c])
-                    break
-            else:
-                continue
-            break
-        if flip:
+        # det X = 1, so X has a nonzero entry
+        first = next(e for row in x for e in row if not e.is_zero())
+        if not _leading_is_positive(first):
             y = SL2MatrixOverS(field, [[-e for e in row] for row in y.entries])
             x = [[-e for e in row] for row in x]
         self.y = y
@@ -245,7 +239,8 @@ def cocycle_of(sigma, m):
 
 
 def coboundary(u, g):
-    """Twist a cocycle by a group element: b(n) = g^{-1} u(n) (n acting on g)."""
+    """Twist a cocycle by a group element: b(n) = g^{-1} u(n) (n acting on g);
+    the isomorphism L(u) -> L(b) it witnesses is g^{-1}, not g."""
     ginv = g.inverse()
     return Cocycle(u.m, {n: ginv * u.value(n) * g.galois(n)
                          for n in range(u.m)})

@@ -261,9 +261,11 @@ class AlgebraDef:
         self.field = field
         self.generators = list(generators)
         self.table = dict(table)
-        self.index = {g.name: i for i, g in enumerate(self.generators)}
-        if len(self.index) != len(self.generators):
-            raise CsalgError("duplicate generator names in %r" % name)
+        names = [g.name for g in self.generators]
+        self.index = {n: i for i, n in enumerate(names)}
+        if len(self.index) != len(names):
+            dup = next(n for k, n in enumerate(names) if n in names[:k])
+            raise CsalgError("duplicate generator name %r in %r" % (dup, name))
         self._pair_cache = {}
         self._hat_cache = {}
 
@@ -588,10 +590,9 @@ def complete_table_cs4(A):
 
 
 def _first_mismatch(p1, p2):
-    for n in sorted(set(p1.coeffs) | set(p2.coeffs)):
-        if p1.get(n) != p2.get(n):
-            return n
-    return -1
+    """The lowest degree where p1 and p2 differ; they must not be equal."""
+    return min(n for n in set(p1.coeffs) | set(p2.coeffs)
+               if p1.get(n) != p2.get(n))
 
 
 # -- axiom verification ----------------------------------------------------
@@ -715,10 +716,11 @@ def check_axioms(A, seed=0):
     the result; the derived brackets [Dx lambda y], [x lambda Dy],
     [x lambda y t^q] and [x t^q lambda y] come from the kernel
     ``_bracket_terms``, and each is compared with its law's right-hand
-    side built on the lowered maps, with exponents on (1/2)Z.  CS2 checks
-    ``apply_partial`` on public elements.  CS5 sums the three Jacobi
-    terms of each triple into one difference map (``_sweep_cs5``) and
-    reports its nonzero cells n-major, m-minor.
+    side built on the lowered maps, with exponents on the kernel's lattice
+    (1/M)Z: D and integer powers of t keep exponent denominators, so one M
+    serves a trial.  CS2 checks ``apply_partial`` on public elements.  CS5
+    sums the three Jacobi terms of each triple into one difference map
+    (``_sweep_cs5``) and reports its nonzero cells n-major, m-minor.
     """
     import random
 
@@ -732,18 +734,17 @@ def check_axioms(A, seed=0):
         return ConfElt._trusted(field, _sample_terms(A, rng))
 
     def base_bracket(x, y):
-        """The public [x lambda y], lowered onto (1/2)Z."""
-        return {n: {(g, j, q.numerator * (2 // q.denominator)): _lower(c)
+        """The public [x lambda y] lowered onto the kernel's lattice (1/M)Z,
+        M = lcm(x.level, y.level), and M."""
+        M = lcm(x.level, y.level)
+        return {n: {(g, j, q.numerator * (M // q.denominator)): _lower(c)
                     for (g, j, q), c in e.terms.items()}
-                for n, e in lambda_bracket(A, x, y).coeffs.items()}
+                for n, e in lambda_bracket(A, x, y).coeffs.items()}, M
 
     def kernel_bracket(x, y):
-        """[x lambda y] from the kernel, moved from (1/M)Z onto (1/2)Z and
-        without its empty degrees."""
-        acc, M = _bracket_terms(A, x, y)
-        s = 2 // M
-        return {n: {(g, j, Q * s): c for (g, j, Q), c in terms.items()}
-                for n, terms in acc.items() if terms}
+        """[x lambda y] from the kernel without its empty degrees."""
+        acc, _ = _bracket_terms(A, x, y)
+        return {n: terms for n, terms in acc.items() if terms}
 
     # CS0: finiteness is structural; confirm the table is finite in lambda.
     report.verdicts["CS0"] = True
@@ -755,7 +756,7 @@ def check_axioms(A, seed=0):
     for _ in range(trials):
         x = sample()
         y = sample()
-        base = base_bracket(x, y)
+        base, M = base_bracket(x, y)
         # -lambda [x lambda y]; lambda lambda^{(n)} = (n + 1) lambda^{(n+1)}
         rhs = {n + 1: {k: c * -(n + 1) for k, c in terms.items()}
                for n, terms in base.items()}
@@ -764,7 +765,7 @@ def check_axioms(A, seed=0):
         if lhs != rhs:
             report.fail("CS1", "left slot", "random spot check")
         # (D + lambda) [x lambda y]
-        rhs = {n: _partial_terms(terms, 2) for n, terms in base.items()}
+        rhs = {n: _partial_terms(terms, M) for n, terms in base.items()}
         for n, terms in base.items():
             out = rhs.setdefault(n + 1, {})
             for k, c in terms.items():
@@ -792,9 +793,9 @@ def check_axioms(A, seed=0):
         x = sample()
         y = sample()
         q = rng.choice((1, -1, 2))
-        base = base_bracket(x, y)
+        base, M = base_bracket(x, y)
         # [x lambda y t^q] = [x lambda y] t^q
-        rhs = {n: {(g, j, Q + 2 * q): c for (g, j, Q), c in terms.items()}
+        rhs = {n: {(g, j, Q + M * q): c for (g, j, Q), c in terms.items()}
                for n, terms in base.items()}
         if kernel_bracket(x, y.shift_t(q)) != rhs:
             report.fail("CS3", "right slot", "random spot check")
@@ -804,7 +805,7 @@ def check_axioms(A, seed=0):
         for n, terms in base.items():
             for l, w in enumerate(weights[:n + 1]):
                 out = rhs.setdefault(n - l, {})
-                dQ = 2 * (q - l)
+                dQ = M * (q - l)
                 for (g, j, Q), c in terms.items():
                     _add_to(out, (g, j, Q + dQ), c * w)
         if kernel_bracket(x.shift_t(q), y) != \

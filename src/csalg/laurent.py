@@ -77,10 +77,6 @@ class LaurentElt:
         """Units of S_m are the nonzero monomials."""
         return len(self.terms) == 1
 
-    def is_one(self):
-        return (len(self.terms) == 1
-                and self.terms.get(Fraction(0)) == self.field.one())
-
     # -- arithmetic -------------------------------------------------------
 
     def _coerce(self, other):

@@ -225,6 +225,27 @@ def test_parse_errors_exit_2(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_unknown_generator_in_a_mode_exits_2(capsys):
+    code, out, err = run(capsys, ["alg", "n2.csa", "--auto", "id",
+                                  "--bracket", "Q[1] L[0]"])
+    assert (code, out, err) == (2, "", "error: unknown generator 'Q'\n")
+
+
+def test_twist_of_no_finite_order_exits_3(capsys, tmp_path):
+    twice = tmp_path / "twice.csm"
+    twice.write_text("morphism twice on N2 level 1\n\nimage L = L\n"
+                     "image J = 2*J\nimage G+ = G+\nimage G- = G-\n")
+    code, out, err = run(capsys, ["loop", "n2.csa", "--auto", str(twice),
+                                  "--window", "2"])
+    assert (code, out) == (3, "")
+    assert err == "error: automorphism has no order up to 48; pass --order\n"
+
+
+def test_bracket_of_a_generator_with_itself_can_be_zero(capsys):
+    code, out, _ = run(capsys, ["bracket", "n2.csa", "J", "J"])
+    assert (code, out) == (0, "0\n")
+
+
 def test_bracket_parse_error_names_its_argument(capsys):
     for argv, want in [
             (["J $", "L"],

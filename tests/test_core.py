@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import count
 from math import comb, factorial, lcm
 
@@ -9,8 +9,10 @@ import pytest
 from csalg import core
 from csalg.algebras import make_current, make_n2, make_n4, sl2_constants
 from csalg.core import (
+    EVEN,
     AlgebraDef,
     ConfElt,
+    Generator,
     LambdaPoly,
     apply_partial,
     _hat_rep,
@@ -231,6 +233,16 @@ def test_unknown_generator_rejected():
         N2.gen_index(17)
 
 
+def test_duplicate_generator_names_are_named():
+    # the first name seen twice, as the parser and StructureConstants
+    # report it
+    gens = [Generator("a", EVEN), Generator("b", EVEN), Generator("b", EVEN),
+            Generator("a", EVEN)]
+    with pytest.raises(CsalgError) as err:
+        AlgebraDef("X", N2.field, gens, {})
+    assert str(err.value) == "duplicate generator name 'b' in 'X'"
+
+
 def test_cs4_completion_derives_missing_pairs():
     # from [J lambda G+] = G+ the completion must produce
     # G+_{(0)} J = -G+ and nothing in higher lambda degree
@@ -351,6 +363,39 @@ def test_check_axioms_detects_a_lift_with_unscaled_exponents(monkeypatch):
     # only the public bracket is wrong: its lowered base no longer agrees
     # with the derived brackets, which come from the kernel
     monkeypatch.setattr(core, "lambda_bracket", _lift_with_unscaled_exponents)
+    for A in (N2, make_n4()):
+        for seed in range(5):
+            report = check_axioms(A, seed)
+            failed = {ax for ax, ok in report.verdicts.items() if not ok}
+            assert failed == {"CS1", "CS3"}, (A.name, seed)
+
+
+def test_check_axioms_detects_a_derivation_without_d_dt(monkeypatch):
+    # D_A (x) 1 alone breaks the Leibniz rule against t^q exactly when
+    # q != 0; CS1 and CS3 build their derivations from _partial_terms and
+    # the sweeps never call apply_partial, so only CS2 sees the mutant
+    monkeypatch.setattr(core, "apply_partial", apply_partial_algebra)
+    for A in (N2, make_n4()):
+        for seed in range(5):
+            report = check_axioms(A, seed)
+            failed = {ax for ax, ok in report.verdicts.items() if not ok}
+            assert failed == {"CS2"}, (A.name, seed)
+            where = {f.location for f in report.failures}
+            assert where and where <= {"t^-2", "t^-1", "t^1", "t^2"}, \
+                (A.name, seed)
+
+
+def test_spot_checks_read_the_lattice_of_their_samples(monkeypatch):
+    # with exponents in (1/6)Z the spot checks still pass on true tables
+    # and still catch the kernel without base change; a lattice fixed at
+    # (1/2)Z sends t^{1/3} to t^0
+    exponents = (0, 1, -1, HALF, Fraction(1, 3), Fraction(-5, 6))
+    monkeypatch.setattr(core, "_sample_terms",
+                        partial(core._sample_terms, exponents=exponents))
+    for A in (N2, make_n4()):
+        for seed in range(5):
+            assert check_axioms(A, seed).ok, (A.name, seed)
+    monkeypatch.setattr(core, "_bracket_terms", _kernel_without_base_change)
     for A in (N2, make_n4()):
         for seed in range(5):
             report = check_axioms(A, seed)

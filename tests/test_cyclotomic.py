@@ -123,6 +123,7 @@ def test_inverse_of_root_is_negative_power():
     z = field.zeta()
     assert z.inverse() == field.zeta(-1)
     assert field.zeta(7).inverse() == field.zeta(17)
+    assert z ** -3 == (z ** 3).inverse() == field.zeta(21)
 
 
 def _norm_inverse(a):

@@ -158,6 +158,9 @@ def test_printing():
     assert str(mono(1, Fraction(1, 2))) == "t^{1/2}"
     assert str(mono(-1, 2) + mono(Fraction(3, 2), 0)) == "3/2 - t^{2}"
     assert str(LaurentElt.zero()) == "0"
+    # a coefficient with more than one term is parenthesised
+    assert str(LaurentElt(F, {1: 1 + F.zeta(), 0: 2})) == \
+        "2 + (1 + zeta)*t^{1}"
 
 
 def test_cancelling_laurent_sums_leave_no_key():

@@ -52,6 +52,13 @@ def test_omega_eigenspaces():
     assert not loop_membership(OMEGA_LOOP, N2.elt("G+"))
 
 
+def test_membership_refuses_an_exponent_off_the_lattice():
+    # the omega loop has m = 2: t^{1/3} has no residue mod (1/2)Z
+    assert not loop_membership(OMEGA_LOOP, N2.elt("L", q=Fraction(1, 3)))
+    assert loop_membership(OMEGA_LOOP, N2.elt("J", q=HALF))
+    assert loop_membership(OMEGA_LOOP, N2.elt("L", q=1))
+
+
 def test_omega_loop_basis_records():
     one, zero = FIELD.one(), FIELD.zero()
     L, J, GP, GM = (N2.elt(g) for g in ("L", "J", "G+", "G-"))
