@@ -22,17 +22,18 @@ lowered scalars: a rational coefficient is held as its ``_q`` value (an
 int or a Fraction) and only an irrational one stays a ``CycloScalar``.
 Exponents sit on the integer lattice (1/M)Z, M the lcm of the exponent
 denominators of both arguments, as the ints M q, and the base-change
-weights C(q, l) are built once per left term.  ``lambda_bracket`` lifts
-the kernel's maps once into ``ConfElt``s and a ``LambdaPoly``.  The CS1
-and CS3 spot checks of ``check_axioms`` read the kernel's maps as they
-are, against one public bracket per trial.  Its Jacobi sweep has only
-t-free arguments, so it sums the cached decorated pairs directly.
+weights C(q, l) sit over one denominator S per bracket, as ints.
+``lambda_bracket`` lifts the kernel's maps once into ``ConfElt``s and a
+``LambdaPoly``.  The CS1 and CS3 spot checks of ``check_axioms`` read the
+kernel's maps as they are, against one public bracket per trial.  Its
+Jacobi sweep has only t-free arguments, so it sums the cached decorated
+pairs directly, as int polynomials in zeta.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, factorial, lcm
 
 from .cyclotomic import (CycloScalar, _add_to, _denominator, _lower, _q,
                          _scaled_terms, _signed_sum)
@@ -444,12 +445,18 @@ def _decorated_pair(A, g1, j1, g2, j2):
     return got
 
 
-def _binomials(Q, M, top):
-    """C(Q/M, l) for l = 0..top under the ``_q`` rule, each from the one
+def _binomials(Q, M, top, S=1):
+    """S C(Q/M, l) for l = 0..top under the ``_q`` rule, each from the one
     before; the list stops short of the first zero (Q/M a smaller
-    nonnegative integer)."""
-    out = [1]
-    w = 1
+    nonnegative integer).
+
+    With S = T! M^T and top <= T every entry is an int, S C(Q/M, l) =
+    P_l (T!/l!) M^(T-l) with P_l = prod_{i<l} (Q - i M), and so is every
+    entry for an integral Q/M, whatever S and top; each step is then an
+    exact int division.
+    """
+    out = [S]
+    w = S
     for l in range(1, top + 1):
         num, den = w * (Q - (l - 1) * M), l * M
         if w.__class__ is int and not num % den:
@@ -465,17 +472,23 @@ def _binomials(Q, M, top):
 def _bracket_terms(A, x, y):
     """The lambda-bracket [x lambda y] as ({n: {(g, j, Q): c}}, M).
 
-    The kernel of ``lambda_bracket`` and of the Jacobi sweep.  Scalars are
-    lowered once under the ``_q`` rule, and exponents ride on the lattice
-    (1/M)Z, M the lcm of the exponent denominators of x and y, as the ints
-    Q = M q.  The base-change rule weighs the lambda-derivatives of a left
-    term c1 D^{(j1)} v t^{q1} by C(q1, l), built once per left term.  A
-    degree whose terms cancel maps to an empty dict.
+    The kernel of ``lambda_bracket`` and of the CS1 and CS3 spot checks.
+    Scalars are lowered once under the ``_q`` rule, and exponents ride on
+    the lattice (1/M)Z, M the lcm of the exponent denominators of x and y,
+    as the ints Q = M q.  The base-change rule weighs the
+    lambda-derivatives of a left term c1 D^{(j1)} v t^{q1} by C(q1, l).
+    All weights of one bracket share the denominator S = T! M^T, T the top
+    lambda-degree over the left terms whose exponent is off Z: each
+    weight S C(q1, l) is an int (``_binomials``), and each output
+    coefficient is divided by S once at the end, by exact int division
+    where S divides it.  When every left exponent is integral S = 1 and
+    nothing is divided.  A degree whose terms cancel maps to an empty dict.
     """
     M = lcm(x.level, y.level)
     right = [(g2, j2, q2.numerator * (M // q2.denominator), _lower(c2))
              for (g2, j2, q2), c2 in y.terms.items()]
-    acc = {}  # n -> {(g, j, Q): coefficient}
+    lefts = []
+    T = 0
     for (g1, j1, q1), c1 in x.terms.items():
         Q1 = q1.numerator * (M // q1.denominator)
         c1 = _lower(c1)
@@ -486,15 +499,20 @@ def _bracket_terms(A, x, y):
             if pair:
                 pairs.append((pair, Q1 + Q2,
                               c2 if left_unit else _lower(c1 * c2)))
+        top = max((n for pair, _, _ in pairs for n, _ in pair),
+                  default=0) if Q1 else 0
+        lefts.append((Q1, top, pairs))
+        if Q1 % M and top > T:
+            T = top
+    S = factorial(T) * M ** T
+    acc = {}  # n -> {(g, j, Q): S times the coefficient}
+    for Q1, top, pairs in lefts:
         # base-change rule: powers of t on the left argument turn into
-        # lambda-derivatives with the weights C(q1, l)
-        weights = (1,)
-        if Q1:
-            top = max((n for pair, _, _ in pairs for n, _ in pair), default=0)
-            weights = _binomials(Q1, M, top)
+        # lambda-derivatives with the weights S C(q1, l)
+        weights = _binomials(Q1, M, top, S)
         for pair, Q, c in pairs:
             for l, w in enumerate(weights):
-                cw = c * w if l else c
+                cw = c * w if w != 1 else c
                 unit = cw.__class__ is int and cw == 1  # v * 1 is v
                 dQ = Q - l * M
                 for n, terms in pair:
@@ -503,6 +521,16 @@ def _bracket_terms(A, x, y):
                     out = acc.setdefault(n - l, {})
                     for g, j, v in terms:
                         _add_to(out, (g, j, dQ), v if unit else v * cw)
+    if S != 1:
+        inverse = Fraction(1, S)
+        for terms in acc.values():
+            for k, c in terms.items():
+                if c.__class__ is not int:
+                    terms[k] = c * inverse
+                elif c % S:
+                    terms[k] = Fraction(c, S)
+                else:
+                    terms[k] = c // S
     return acc, M
 
 
@@ -718,9 +746,14 @@ def check_axioms(A, seed=0):
     ``_bracket_terms``, and each is compared with its law's right-hand
     side built on the lowered maps, with exponents on the kernel's lattice
     (1/M)Z: D and integer powers of t keep exponent denominators, so one M
-    serves a trial.  CS2 checks ``apply_partial`` on public elements.  CS5
-    sums the three Jacobi terms of each triple into one difference map
-    (``_sweep_cs5``) and reports its nonzero cells n-major, m-minor.
+    serves a trial.  The kernel holds the base-change weights of a bracket
+    as ints over one denominator S = T! M^T, T the top lambda-degree of
+    its left terms off Z, and divides each coefficient by S once; a t-free
+    or integral left side has S = 1.  CS2 checks ``apply_partial`` on
+    public elements.  CS5 sums the three Jacobi terms of each triple into
+    one difference map of unreduced int polynomials in zeta
+    (``_sweep_cs5``), reduces each cell once, and reports the nonzero
+    cells n-major, m-minor.
     """
     import random
 
@@ -843,55 +876,77 @@ def _sweep_cs5(A, report):
     weighted by a table scalar s, itself read from the cached, lowered
     pair of two undecorated generators: [a_(m) [b_(n) c]] with weight +s,
     [[a_(jj) b]_(k) c] with -C(m, jj) s on every m + n = jj + k, m >= jj,
-    and [b_(n) [a_(m) c]] with -p(a, b) s.  They are added into
-    one difference map {(m, n): {(g, j): coefficient}} per triple, and
-    its nonzero cells are the failures, reported n-major, m-minor.  Only
-    the middle term reaches past the bound, at m > bound, and those cells
-    are left out.
+    and [b_(n) [a_(m) c]] with -p(a, b) s.  Each cached pair is read once
+    as polynomials in zeta: a scalar sum_e c_e zeta^e of Q(zeta_N), or of
+    a subfield embedded through ``A.field.scalar``, as its pairs (e, c_e),
+    which are ints on an ``_integral`` table.  The three terms of a triple
+    are added into one difference map keyed (m, n, g, j, e1 + e2), whose
+    values are sums of unreduced products; a cell (m, n) is called nonzero
+    only after each of its coefficients at D^{(j)} v_g is reduced modulo
+    the cyclotomic polynomial once, by ``CycloField.reduce_terms``.  The
+    nonzero cells are the failures, reported n-major, m-minor.  Only the
+    middle term reaches past the bound, at m > bound, and those cells are
+    left out.
     """
     ngen = A.ngens()
     report.verdicts.setdefault("CS5", True)
     maxl, maxd = A.table_degrees()
     bound = maxl + maxd + 2
     names = [g.name for g in A.generators]
+    field = A.field
+    polys = {}
 
-    def add(diff, cell, pair_terms, w):
-        out = diff.setdefault(cell, {})
-        if w.__class__ is int and w == 1:
-            for g, j, v in pair_terms:
-                _add_to(out, (g, j), v)
-        else:
-            for g, j, v in pair_terms:
-                _add_to(out, (g, j), v * w)
+    def pair(g1, j1, g2, j2):
+        key = (g1, j1, g2, j2)
+        got = polys.get(key)
+        if got is None:
+            got = polys[key] = tuple(
+                (n, tuple((g, j, tuple(field.scalar(v).coeffs.items())
+                           if v.__class__ is CycloScalar else ((0, v),))
+                          for g, j, v in terms))
+                for n, terms in _decorated_pair(A, g1, j1, g2, j2))
+        return got
+
+    def add(diff, m, n, terms, w, f=1):
+        for e1, c1 in w:
+            c1 *= f
+            for g, j, b in terms:
+                for e2, c2 in b:
+                    key = (m, n, g, j, e1 + e2)
+                    diff[key] = diff.get(key, 0) + c1 * c2
 
     triples = 0
     for a in range(ngen):
         for b in range(ngen):
             p_ab = A.parity_sign(a, b)
-            pair_ab = _decorated_pair(A, a, 0, b, 0)
+            pair_ab = pair(a, 0, b, 0)
             for c in range(ngen):
                 triples += 1
                 diff = {}
                 # [a_(m) [b_(n) c]]
-                for n, inner in _decorated_pair(A, b, 0, c, 0):
+                for n, inner in pair(b, 0, c, 0):
                     for g, j, v in inner:
-                        for m, terms in _decorated_pair(A, a, 0, g, j):
-                            add(diff, (m, n), terms, v)
+                        for m, terms in pair(a, 0, g, j):
+                            add(diff, m, n, terms, v)
                 # [[a_(jj) b]_(k) c] feeds every m + n = jj + k, m >= jj
                 for jj, inner in pair_ab:
                     for g, j, v in inner:
-                        for k, terms in _decorated_pair(A, g, j, c, 0):
+                        for k, terms in pair(g, j, c, 0):
                             for m in range(jj, min(jj + k, bound) + 1):
-                                add(diff, (m, jj + k - m), terms,
-                                    v * -comb(m, jj))
+                                add(diff, m, jj + k - m, terms, v,
+                                    -comb(m, jj))
                 # p(a, b) [b_(n) [a_(m) c]]
-                for m, inner in _decorated_pair(A, a, 0, c, 0):
+                for m, inner in pair(a, 0, c, 0):
                     for g, j, v in inner:
-                        v = v * -p_ab
-                        for n, terms in _decorated_pair(A, b, 0, g, j):
-                            add(diff, (m, n), terms, v)
-                for m, n in sorted(diff, key=lambda mn: (mn[1], mn[0])):
-                    if diff[(m, n)]:
+                        for n, terms in pair(b, 0, g, j):
+                            add(diff, m, n, terms, v, -p_ab)
+                cells = {}
+                for (m, n, g, j, e), x in diff.items():
+                    if x:
+                        cells.setdefault((n, m), {}).setdefault(
+                            (g, j), {})[e] = x
+                for n, m in sorted(cells):
+                    if any(map(field.reduce_terms, cells[(n, m)].values())):
                         report.fail("CS5", (names[a], names[b], names[c]),
                                     "m=%d n=%d" % (m, n))
     report.counts["CS5"] = "%d triples" % triples

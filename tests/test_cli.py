@@ -596,6 +596,24 @@ def test_centroid_of_a_current_loop_is_the_identity(capsys, tmp_path):
     assert [s["scalar"] for s in json.loads(out)["solutions"]] == [True]
 
 
+def test_a_centroid_solution_off_the_scalars_is_named(capsys, tmp_path):
+    # gl2 = sl2 + k z with z central: no row touches z's columns, so r = 1
+    # is refused and the one solution, the projection onto sl2, is no
+    # scalar action
+    path = tmp_path / "gl2.csa"
+    path.write_text(SL2_CSA.replace("algebra sl2", "algebra gl2")
+                    + "generator z parity=even\n")
+    argv = ["centroid", str(path), "--auto", "id", "--window", "3",
+            "--interior", "1"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out == ("1 centroid solutions on window 3 (interior 1):\n"
+                   "  (not a scalar action)\n")
+    code, out, _ = run(capsys, argv + ["--json"])
+    assert code == 0
+    assert json.loads(out)["solutions"] == [{"r": None, "scalar": False}]
+
+
 @pytest.mark.parametrize("argv", [
     ["centroid", "--window", "3", "--interior", "1"],
     ["loop", "--window", "3"],
@@ -683,6 +701,16 @@ def test_non_numeric_fraction_names_the_type_not_the_parser(capsys,
         "--window WINDOW --interior INTERIOR file\n"
         "csalg centroid: error: argument --interior: "
         "invalid fraction value: 'abc'\n")
+
+
+def test_non_numeric_int_names_the_type_not_the_parser(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # usage on one line everywhere
+    with pytest.raises(SystemExit) as exc:
+        main(["bracket", "n2.csa", "G+", "G-", "--n", "abc"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "usage: csalg bracket [-h] [--json] [--n N] file a b\n"
+        "csalg bracket: error: argument --n: invalid int value: 'abc'\n")
 
 
 def test_mode_errors_name_the_mode(capsys):

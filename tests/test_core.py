@@ -10,6 +10,7 @@ from csalg import core
 from csalg.algebras import make_current, make_n2, make_n4, sl2_constants
 from csalg.core import (
     EVEN,
+    ODD,
     AlgebraDef,
     ConfElt,
     Generator,
@@ -575,6 +576,45 @@ def test_reports_are_homogeneous_in_the_table(make):
                 assert got.as_json() == want.as_json()
 
 
+def _rescaled(A, powers):
+    """A on the basis w_g = zeta^{powers[g]} v_g, a name missing from
+    ``powers`` keeping v_g: [w_a lambda w_b] = u_a u_b [v_a lambda v_b],
+    so the coefficient c at D^{(j)} v_k becomes c u_a u_b / u_k."""
+    F = A.field
+    s = [powers.get(g.name, 0) for g in A.generators]
+    return AlgebraDef(A.name, F, A.generators, {
+        (a, b): LambdaPoly(F, {
+            n: ConfElt(F, {(k, j, q): c * F.zeta(s[a] + s[b] - s[k])
+                           for (k, j, q), c in e.terms.items()})
+            for n, e in p.coeffs.items()})
+        for (a, b), p in A.table.items()})
+
+
+def test_jacobi_sweep_is_covariant_under_roots_of_unity():
+    # the rescaling is a change of basis, so every verdict, count and
+    # failure location is that of the table it rescales; products of the
+    # rescaled scalars (zeta^1, zeta^5, zeta^7, ...) reach exponents past
+    # phi(24) = 8 before the sweep reduces them
+    n4 = make_n4()
+    powers = {"G1": 1, "J1": 5}
+    # table indices 18, 27 and 72 hold zeta^6, 9 and 45 are rational
+    mutants = list(_times_three_mutants(
+        n4, lambda i, v: i in (9, 18, 27, 45, 72)))
+    assert len(mutants) == 5
+    failing = 0
+    for M in [n4] + mutants:
+        R = _rescaled(M, powers)
+        assert any(max(v.coeffs) >= 4 for p in R.table.values()
+                   for e in p.coeffs.values() for v in e.terms.values())
+        for seed in range(2):
+            want = check_axioms(M, seed)
+            got = check_axioms(R, seed)
+            assert str(got) == str(want)
+            assert got.as_json() == want.as_json()
+        failing += not want.ok
+    assert failing == 5
+
+
 def test_integral_table_clears_the_denominators():
     sl2 = make_current(sl2_constants())
     assert core._integral(sl2) is sl2
@@ -772,6 +812,17 @@ def test_cs1_algebra_only_form_on_t_constant_elements():
 
 def test_find_virasoro():
     assert find_virasoro(N2) == N2.gen_index("L")
+
+
+def test_find_virasoro_skips_an_odd_generator():
+    # an odd G scanned first, its table entry shaped like the Virasoro one
+    # [G lambda G] = (D + 2 lambda) G
+    gens = [Generator("G", ODD), Generator("L", EVEN)]
+    A = AlgebraDef("V", N2.field, gens, {})
+    for i in range(2):
+        A.table[(i, i)] = LambdaPoly(A.field, {0: A.elt(i, dpow=1),
+                                               1: A.elt(i, coeff=2)})
+    assert find_virasoro(A) == 1
 
 
 def test_printing_round_trippable_forms():

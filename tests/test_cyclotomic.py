@@ -118,6 +118,25 @@ def test_conductor_bound():
         CycloField._instances.pop(MAX_CONDUCTOR, None)
 
 
+def test_conductor_must_be_positive():
+    for n in (0, -3):
+        with pytest.raises(ConductorError,
+                           match="conductor must be positive, got %d" % n):
+            CycloField.get(n)
+        assert n not in CycloField._instances
+
+
+def test_a_non_number_operand_is_not_implemented():
+    z = CycloField.get(24).zeta()
+    for op in ("__add__", "__sub__", "__mul__", "__truediv__", "__eq__"):
+        assert getattr(z, op)("zeta") is NotImplemented, op
+    with pytest.raises(TypeError):
+        z + "zeta"
+    with pytest.raises(TypeError):
+        None * z
+    assert z != "zeta"
+
+
 def test_inverse_of_root_is_negative_power():
     field = CycloField.get(24)
     z = field.zeta()

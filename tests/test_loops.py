@@ -497,6 +497,13 @@ def test_mode_bracket_jacobi():
             assert lhs == rhs
 
 
+def test_negating_a_mode():
+    x = UNTWISTED.mode("L", 2).scale(3) + UNTWISTED.mode("J", -1)
+    assert str(-x) == "-3*L[2] - J[-1]"
+    assert (x + -x).is_zero()
+    assert -(-x) == x
+
+
 def test_mode_rendering():
     assert str(UNTWISTED.mode("L", 0).scale(3)) == "3*L[0]"
     assert str(AlgElt(OMEGA_LOOP, {("G+", -HALF): 1, ("G-", -HALF): -1})) \
