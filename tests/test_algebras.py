@@ -233,7 +233,7 @@ def test_structure_constants_are_validated_by_the_cs4_and_cs5_sweeps_alone(
     def unreachable(*args):
         raise AssertionError("construction ran a CS1-CS3 spot check")
 
-    monkeypatch.setattr(core, "_sample_elt", unreachable)
+    monkeypatch.setattr(core, "_trials", unreachable)
     assert gl2_constants().dim == 4
     with pytest.raises(CsalgError, match=r"not super-antisymmetric at \(a, b\)"):
         StructureConstants(["a", "b"], [EVEN, EVEN],

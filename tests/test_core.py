@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import count
 from math import comb, factorial, lcm
 
@@ -28,7 +28,7 @@ from csalg.core import (
     n_product,
     to_hat_basis,
 )
-from csalg.cyclotomic import CycloField, CycloScalar, _add_to
+from csalg.cyclotomic import CycloField, CycloScalar, _add_to, _q
 from csalg.dsl import parse_algebra
 from csalg.errors import ConductorError, CsalgError, TableInconsistencyError
 from csalg.laurent import binom_frac
@@ -318,6 +318,7 @@ def test_check_axioms_detects_jacobi_mutation():
 
 
 _KERNEL = core._bracket_terms
+_DECORATED_PAIR = core._decorated_pair
 
 
 def _kernel_without_base_change(A, x, y):
@@ -351,13 +352,12 @@ def test_check_axioms_detects_an_evaluator_without_base_change(monkeypatch):
     # CS5 sweeps see the true table
     monkeypatch.setattr(core, "_bracket_terms", _kernel_without_base_change)
     for A in (N2, make_n4()):
-        for seed in range(5):
-            report = check_axioms(A, seed)
-            assert not report.verdicts["CS1"] and not report.verdicts["CS3"]
-            assert report.verdicts["CS4"] and report.verdicts["CS5"]
-            where = {(f.axiom, f.location) for f in report.failures}
-            assert where == {("CS1", "left slot"), ("CS1", "right slot"),
-                             ("CS3", "left slot")}, (A.name, seed)
+        report = check_axioms(A)
+        assert not report.verdicts["CS1"] and not report.verdicts["CS3"]
+        assert report.verdicts["CS4"] and report.verdicts["CS5"]
+        where = {(f.axiom, f.location) for f in report.failures}
+        assert where == {("CS1", "left slot"), ("CS1", "right slot"),
+                         ("CS3", "left slot")}, A.name
 
 
 def test_check_axioms_detects_a_lift_with_unscaled_exponents(monkeypatch):
@@ -365,10 +365,9 @@ def test_check_axioms_detects_a_lift_with_unscaled_exponents(monkeypatch):
     # with the derived brackets, which come from the kernel
     monkeypatch.setattr(core, "lambda_bracket", _lift_with_unscaled_exponents)
     for A in (N2, make_n4()):
-        for seed in range(5):
-            report = check_axioms(A, seed)
-            failed = {ax for ax, ok in report.verdicts.items() if not ok}
-            assert failed == {"CS1", "CS3"}, (A.name, seed)
+        report = check_axioms(A)
+        failed = {ax for ax, ok in report.verdicts.items() if not ok}
+        assert failed == {"CS1", "CS3"}, A.name
 
 
 def test_check_axioms_detects_a_derivation_without_d_dt(monkeypatch):
@@ -377,49 +376,130 @@ def test_check_axioms_detects_a_derivation_without_d_dt(monkeypatch):
     # the sweeps never call apply_partial, so only CS2 sees the mutant
     monkeypatch.setattr(core, "apply_partial", apply_partial_algebra)
     for A in (N2, make_n4()):
-        for seed in range(5):
-            report = check_axioms(A, seed)
-            failed = {ax for ax, ok in report.verdicts.items() if not ok}
-            assert failed == {"CS2"}, (A.name, seed)
-            where = {f.location for f in report.failures}
-            assert where and where <= {"t^-2", "t^-1", "t^1", "t^2"}, \
-                (A.name, seed)
+        report = check_axioms(A)
+        failed = {ax for ax, ok in report.verdicts.items() if not ok}
+        assert failed == {"CS2"}, A.name
+        where = {f.location for f in report.failures}
+        assert where and where <= {"t^-2", "t^-1", "t^1", "t^2"}, A.name
+
+
+def _snap(x):
+    """x with every exponent moved to the nearest point of (1/2)Z."""
+    terms = {}
+    for (g, j, q), c in x.terms.items():
+        _add_to(terms, (g, j, _q(Fraction(round(2 * q), 2))), c)
+    return ConfElt._trusted(x.field, terms)
+
+
+def _kernel_on_half_integers(A, x, y):
+    """A mutant of ``_bracket_terms`` that brackets on (1/2)Z alone: t^{1/3}
+    goes to t^{1/2}, as a lattice fixed at (1/2)Z would send it."""
+    return _KERNEL(A, _snap(x), _snap(y))
+
+
+def test_check_axioms_detects_a_kernel_on_half_integers(monkeypatch):
+    monkeypatch.setattr(core, "_bracket_terms", _kernel_on_half_integers)
+    for A in (N2, make_n4()):
+        report = check_axioms(A)
+        failed = {ax for ax, ok in report.verdicts.items() if not ok}
+        assert failed == {"CS1", "CS3"}, A.name
+
+
+def test_check_axioms_detects_a_pair_wrong_only_at_d2(monkeypatch):
+    # every decorated pair with a D^{(2)} argument doubled; the trials
+    # reach D^{(2)} directly and as D of a D^{(1)} term
+    def doubled_at_d2(A, g1, j1, g2, j2):
+        pair = _DECORATED_PAIR(A, g1, j1, g2, j2)
+        if 2 not in (j1, j2):
+            return pair
+        return tuple((n, tuple((g, j, 2 * c) for g, j, c in terms))
+                     for n, terms in pair)
+
+    monkeypatch.setattr(core, "_decorated_pair", doubled_at_d2)
+    for A in (N2, make_n4()):
+        report = check_axioms(A)
+        assert not report.verdicts["CS1"], A.name
 
 
 def test_spot_checks_read_the_lattice_of_their_samples(monkeypatch):
-    # with exponents in (1/6)Z the spot checks still pass on true tables
-    # and still catch the kernel without base change; a lattice fixed at
-    # (1/2)Z sends t^{1/3} to t^0
-    exponents = (0, 1, -1, HALF, Fraction(1, 3), Fraction(-5, 6))
-    monkeypatch.setattr(core, "_sample_terms",
-                        partial(core._sample_terms, exponents=exponents))
+    # on trials with exponents in (1/6)Z the spot checks still pass on true
+    # tables and still catch the kernel without base change; a lattice
+    # fixed at (1/2)Z sends t^{1/3} to t^0
+    third, sixth = Fraction(1, 3), Fraction(-5, 6)
+    trials = tuple(
+        (((0, j, q1, 2), (1, 2 - j, sixth, -1)), ((3, j, q2, 1),), q)
+        for j, q1, q2, q in [(0, third, HALF, 1), (1, sixth, -1, -1),
+                             (2, -third, third, 2), (1, 1, sixth, -2)])
+    monkeypatch.setattr(core, "_TRIALS", trials)
     for A in (N2, make_n4()):
-        for seed in range(5):
-            assert check_axioms(A, seed).ok, (A.name, seed)
+        report = check_axioms(A)
+        assert report.ok and report.counts["CS1"] == "8 spot checks", A.name
     monkeypatch.setattr(core, "_bracket_terms", _kernel_without_base_change)
     for A in (N2, make_n4()):
-        for seed in range(5):
-            report = check_axioms(A, seed)
-            failed = {ax for ax, ok in report.verdicts.items() if not ok}
-            assert failed == {"CS1", "CS3"}, (A.name, seed)
+        report = check_axioms(A)
+        failed = {ax for ax, ok in report.verdicts.items() if not ok}
+        assert failed == {"CS1", "CS3"}, A.name
 
 
-def _public_sample(A, rng):
-    """A random element as ``check_axioms`` draws it."""
+@pytest.mark.parametrize("make", [make_n2, make_n4], ids=["N2", "N4"])
+def test_the_trials_reach_every_branch_on_each_slot(make):
+    A = make()
+    trials = core._trials(A)
+    assert len(trials) == 8
+    for slot in (0, 1):
+        keys = [k for trial in trials for k in trial[slot].terms]
+        assert 1 <= min(len(t[slot].terms) for t in trials)
+        assert max(len(t[slot].terms) for t in trials) <= 2
+        assert {g for g, _, _ in keys} == set(range(A.ngens()))
+        assert {j for _, j, _ in keys} == {0, 1, 2}
+        exponents = {q for _, _, q in keys}
+        if slot == 0:
+            assert exponents == {0, 1, -1, 2, HALF, -HALF, Fraction(1, 3)}
+            assert {Fraction(q).denominator for q in exponents} == {1, 2, 3}
+        else:
+            assert exponents == {0, HALF, 1, -1}
+    assert {lcm(x.level, y.level) for x, y, _ in trials} == {1, 2, 3, 6}
+    assert {q for _, _, q in trials} == {1, -1, 2, -2}
+    # the seed is ignored
+    want = check_axioms(A)
+    for seed in range(4):
+        got = check_axioms(A, seed)
+        assert str(got) == str(want)
+        assert got.as_json() == want.as_json()
+
+
+def test_an_algebra_without_generators_passes_vacuously():
+    report = check_axioms(AlgebraDef("E", CycloField.get(24), [], {}))
+    assert report.ok
+    assert str(report) == "\n".join([
+        "algebra E:",
+        "  CS0: pass (0 table entries)",
+        "  CS1: pass (0 spot checks)",
+        "  CS2: pass (0 spot checks)",
+        "  CS3: pass (0 spot checks)",
+        "  CS4: pass (0 pairs)",
+        "  CS5: pass (0 triples)"])
+
+
+def _public_sample(A, rng, exponents=(0, 1, -1, HALF)):
+    """A random element: 1-3 terms, each D-power at most 2, each exponent
+    from ``exponents`` and each coefficient an int in [-3, 3]."""
     terms = {}
     for _ in range(rng.randrange(1, 4)):
         g = rng.randrange(A.ngens())
         j = rng.randrange(3)
-        q = rng.choice((0, 1, -1, HALF))
+        q = rng.choice(exponents)
         terms[(g, j, q)] = A.field.rational(rng.randrange(-3, 4))
     return ConfElt(A.field, terms)
 
 
-def _spot_checks_on_public_objects(A, seed):
+def _spot_checks_on_public_objects(A):
     """The CS1-CS3 verdicts and failure locations of check_axioms, from the
-    laws written on LambdaPoly and ConfElt and every bracket taken through
-    the public lambda_bracket."""
-    rng = random.Random(seed)
+    laws written on LambdaPoly and ConfElt, on the trials of check_axioms
+    lifted to public scalars, and every bracket taken through the public
+    lambda_bracket."""
+    one = A.field.one()
+    trials = [(x.scale(one), y.scale(one), q) for x, y, q in core._trials(A)]
     verdicts = {"CS1": True, "CS2": True, "CS3": True}
     failures = []
 
@@ -427,9 +507,7 @@ def _spot_checks_on_public_objects(A, seed):
         verdicts[axiom] = False
         failures.append((axiom, location))
 
-    for _ in range(8):
-        x = _public_sample(A, rng)
-        y = _public_sample(A, rng)
+    for x, y, _ in trials:
         base = lambda_bracket(A, x, y)
         if lambda_bracket(A, apply_partial(A, x), y) != -base.lambda_shift(1):
             fail("CS1", "left slot")
@@ -437,16 +515,11 @@ def _spot_checks_on_public_objects(A, seed):
             + base.lambda_shift(1)
         if lambda_bracket(A, x, apply_partial(A, y)) != rhs:
             fail("CS1", "right slot")
-    for _ in range(8):
-        x = _public_sample(A, rng)
-        q = rng.randrange(-2, 3)
+    for x, _, q in trials:
         rhs = apply_partial(A, x).shift_t(q) + x.shift_t(q - 1).scale(q)
         if apply_partial(A, x.shift_t(q)) != rhs:
             fail("CS2", "t^%s" % q)
-    for _ in range(8):
-        x = _public_sample(A, rng)
-        y = _public_sample(A, rng)
-        q = rng.choice((1, -1, 2))
+    for x, y, q in trials:
         base = lambda_bracket(A, x, y)
         if lambda_bracket(A, x, y.shift_t(q)) != \
                 base.map_coeffs(lambda e: e.shift_t(q)):
@@ -468,14 +541,13 @@ def test_spot_checks_match_the_laws_on_public_objects(monkeypatch, kernel):
     monkeypatch.setattr(core, "_bracket_terms", kernel)
     failing = 0
     for A in (N2, make_n4()):
-        for seed in range(20):
-            report = check_axioms(A, seed)
-            verdicts, failures = _spot_checks_on_public_objects(A, seed)
-            assert {ax: report.verdicts[ax] for ax in verdicts} == verdicts
-            assert [(f.axiom, f.location) for f in report.failures
-                    if f.axiom in verdicts] == failures, (A.name, seed)
-            failing += bool(failures)
-    assert failing == (0 if kernel is _KERNEL else 40)
+        report = check_axioms(A)
+        verdicts, failures = _spot_checks_on_public_objects(A)
+        assert {ax: report.verdicts[ax] for ax in verdicts} == verdicts
+        assert [(f.axiom, f.location) for f in report.failures
+                if f.axiom in verdicts] == failures, A.name
+        failing += bool(failures)
+    assert failing == (0 if kernel is _KERNEL else 2)
 
 
 def _cs5_failures_by_dense_sweep(A):
@@ -567,13 +639,11 @@ def test_reports_are_homogeneous_in_the_table(make):
     # failure location
     A = make()
     for M in [A] + list(_times_three_mutants(A)):
-        scaled = [_scaled(M, Fraction(7, 3)), _scaled(M, -2)]
-        for seed in range(3):
-            want = check_axioms(M, seed)
-            for S in scaled:
-                got = check_axioms(S, seed)
-                assert str(got) == str(want)
-                assert got.as_json() == want.as_json()
+        want = check_axioms(M)
+        for S in [_scaled(M, Fraction(7, 3)), _scaled(M, -2)]:
+            got = check_axioms(S)
+            assert str(got) == str(want)
+            assert got.as_json() == want.as_json()
 
 
 def _rescaled(A, powers):
@@ -606,11 +676,10 @@ def test_jacobi_sweep_is_covariant_under_roots_of_unity():
         R = _rescaled(M, powers)
         assert any(max(v.coeffs) >= 4 for p in R.table.values()
                    for e in p.coeffs.values() for v in e.terms.values())
-        for seed in range(2):
-            want = check_axioms(M, seed)
-            got = check_axioms(R, seed)
-            assert str(got) == str(want)
-            assert got.as_json() == want.as_json()
+        want = check_axioms(M)
+        got = check_axioms(R)
+        assert str(got) == str(want)
+        assert got.as_json() == want.as_json()
         failing += not want.ok
     assert failing == 5
 
@@ -648,11 +717,10 @@ def test_a_subfield_scalar_in_the_table_is_read_in_its_own_field():
     assert len(held) == 22
     assert any(r.__class__ is Fraction for v in held
                for r in v.coeffs.values())
-    for seed in range(3):
-        want = check_axioms(n4, seed)
-        got = check_axioms(A, seed)
-        assert str(got) == str(want)
-        assert got.as_json() == want.as_json()
+    want = check_axioms(n4)
+    got = check_axioms(A)
+    assert str(got) == str(want)
+    assert got.as_json() == want.as_json()
 
 
 #: N2 on the generators L, 3J, G+, G-: [J lambda G+-] = +-3 G+- and
@@ -780,11 +848,9 @@ def test_hat_elements_are_unit_vectors_on_the_hat_basis():
 
 def test_cs1_evaluator_laws():
     rng = random.Random(5)
-    from csalg.core import _sample_elt
-
     for _ in range(15):
-        x = _sample_elt(N2, rng)
-        y = _sample_elt(N2, rng)
+        x = _public_sample(N2, rng)
+        y = _public_sample(N2, rng)
         base = lambda_bracket(N2, x, y)
         # full-derivation forms hold for arbitrary decorated elements
         assert lambda_bracket(N2, apply_partial(N2, x), y) == \
@@ -800,11 +866,9 @@ def test_cs1_evaluator_laws():
 
 def test_cs1_algebra_only_form_on_t_constant_elements():
     rng = random.Random(6)
-    from csalg.core import _sample_elt
-
     for _ in range(15):
-        x = _sample_elt(N2, rng, exponents=(0,))
-        y = _sample_elt(N2, rng, exponents=(0,))
+        x = _public_sample(N2, rng, exponents=(0,))
+        y = _public_sample(N2, rng, exponents=(0,))
         base = lambda_bracket(N2, x, y)
         assert lambda_bracket(N2, apply_partial_algebra(N2, x), y) == \
             -base.lambda_shift(1)
