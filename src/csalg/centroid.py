@@ -73,17 +73,30 @@ row reads both sides of its equation from one map.  An unknown pinned to
 its pivot row, is left out of the later rows (subtracting the pin row
 keeps the row space) and of the columns built for them.
 
+Row order: ``_row_order`` hands the interior keys a to the eliminator by
+record weight, and within one weight from the highest exponent down; a
+loop without weights keeps the interior order.  The rows of the currents
+are short and pin most unknowns before the longer Virasoro rows are
+built, so those rows leave the pinned unknowns out and fewer pivots take
+a substitution.  No result depends on the order.  The eliminator keeps
+the fully reduced solved form with least-column pivots, a function of the
+row space and of the order of the unknown ids alone.  The unknown ids are
+fixed before any row is built, and leaving a pinned unknown out of a
+later row keeps the row space.  So the pivots, the pins, the null basis
+and every solution are the same in any order, entry for entry.
+
 Scalars: the solve runs on Python rationals wherever it can, and on ints
-where the table allows.  ``_Frame.coords`` lowers each rational coordinate
-to its ``_q`` value (an int when integral, else a Fraction); only an
-irrational one, such as the zeta^6 coefficients of the N=4 table, stays a
-``CycloScalar``.  ``_interior_brackets`` then multiplies the coordinates
-of the record-pair brackets by K, the lcm of their denominators (those
-inside a ``CycloScalar`` too): 2 for the 1/2 and 3/2 of the N=2 and N=4
-tables and of the eigenbasis inverse, 1 for the sl2 current algebra.
-Every product, column and row is linear in these brackets, since both
-sides of chi(a_(n) b) = a_(n) chi(b) read them, so each row is K times the
-unscaled one.  The eliminator normalizes each pivot by its lead, so the
+where the table allows.  ``_Frame`` lowers the entries of its eigenbasis
+inverse once, and ``_Frame.coords`` lowers each finished rational
+coordinate to its ``_q`` value (an int when integral, else a Fraction);
+only an irrational one, such as the zeta^6 coefficients of the N=4 table,
+stays a ``CycloScalar``.  ``_interior_brackets`` then multiplies the
+coordinates of the record-pair brackets by K, the lcm of their
+denominators (those inside a ``CycloScalar`` too): 2 for the 1/2 and 3/2
+of the N=2 and N=4 tables and of the eigenbasis inverse, 1 for the sl2
+current algebra.  Every product, column and row is linear in these
+brackets, since both sides of chi(a_(n) b) = a_(n) chi(b) read them, so
+each row is K times the unscaled one.  The eliminator normalizes each pivot by its lead, so the
 pivots, the pins, the null space and every solution are those of the
 unscaled system, entry for entry.  On the N=2 and N=4 loops of order 1 and
 2 no Fraction then reaches a row; the thirds of an order-3 shift still do,
@@ -178,7 +191,7 @@ class _Frame:
         dinv = d.inverse()
         adj = adjugate(ematrix, self.field.one())
         # sparse rows of the inverse: (generator index, nonzero entry)
-        self._einv = [[(r, e * dinv) for r, e in enumerate(row)
+        self._einv = [[(r, _lower(e * dinv)) for r, e in enumerate(row)
                        if not e.is_zero()]
                       for row in adj]
 
@@ -204,6 +217,7 @@ class _Frame:
 
         self.keys = []  # id -> (alpha, l, M q)
         self._exponents = {}  # M q -> q, for ``exponent``
+        self._entry_keys = {}  # id -> (alpha, l, q), for ``entry_key``
         self._slots = {}  # (l, M q) -> the id of (0, l, M q)
         self.sigs = []  # id -> (parity, residue)
         self.degrees = []  # id -> M * degree, 0 when the weights do not grade
@@ -251,9 +265,13 @@ class _Frame:
         return q
 
     def entry_key(self, i):
-        """The key of id i as a solution shows it: q as a Fraction."""
-        ai, l, Q = self.keys[i]
-        return ai, l, self.exponent(Q)
+        """The key of id i as a solution shows it: q as a Fraction.  One
+        tuple per id, built on first sight."""
+        key = self._entry_keys.get(i)
+        if key is None:
+            ai, l, Q = self.keys[i]
+            key = self._entry_keys[i] = (ai, l, self.exponent(Q))
+        return key
 
     def key_id(self, key):
         """The id of a key (alpha, l, q), interned on first sight."""
@@ -268,7 +286,6 @@ class _Frame:
 
     def coords(self, x):
         """Coordinates of x on the key ids, via the hat basis."""
-        zero = self.field.zero()
         grouped = {}
         for (g, l, q), c in to_hat_basis(self.algebra, x).items():
             _add_to(grouped.setdefault(self._slot(l, self._lattice(q)), {}),
@@ -276,13 +293,16 @@ class _Frame:
         out = {}
         for base, vec in grouped.items():
             for ai, row in enumerate(self._einv):
-                coord = zero
+                coord = None
                 for r, e in row:
                     v = vec.get(r)
                     if v is not None:
-                        coord = coord + e * v
-                if not coord.is_zero():
-                    out[base + ai] = _lower(coord)
+                        v = v * e
+                        coord = v if coord is None else coord + v
+                if coord is not None:
+                    coord = _lower(coord)
+                    if coord:
+                        out[base + ai] = coord
         return out
 
     def times(self, coords, terms):
@@ -295,14 +315,20 @@ class _Frame:
         levels 0 and 1; the product closure refuses any higher level.
         """
         keys = self.keys
-        slot = self._slot
+        slots = self._slots
         M = self.scale
+        # a factor 1 is left out of the products
+        terms = [(S, None if c.__class__ is int and c == 1 else c)
+                 for S, c in terms.items()]
         out = {}
         for i, v in coords.items():
             ai, l, Q = keys[i]
-            for S, c in terms.items():
-                w = v * c
-                _add_to(out, slot(l, Q + S) + ai, w)
+            for S, c in terms:
+                w = v if c is None else v * c
+                base = slots.get((l, Q + S))
+                if base is None:
+                    base = self._slot(l, Q + S)
+                _add_to(out, base + ai, w)
                 if l and S:
                     # -s w = -S w / M, an int when M divides it
                     x = -S * w
@@ -310,7 +336,10 @@ class _Frame:
                         x //= M
                     else:
                         x = x * self.exponent(1)
-                    _add_to(out, slot(0, Q + S - M) + ai, x)
+                    base = slots.get((0, Q + S - M))
+                    if base is None:
+                        base = self._slot(0, Q + S - M)
+                    _add_to(out, base + ai, x)
         return out
 
 
@@ -441,6 +470,19 @@ def _minus_columns(frame, brackets, wanted):
     return out
 
 
+def _row_order(frame):
+    """The interior keys a in the order their rows reach the eliminator:
+    by record weight, then highest exponent first, so the short rows of
+    the currents come before the Virasoro rows; the interior order when
+    the weights do not grade.  Any order gives the same solutions (see
+    the module docstring)."""
+    if frame.weights is None:
+        return frame.interior0
+    keys, weights = frame.keys, frame.weights
+    return sorted(frame.interior0,
+                  key=lambda a: (weights[keys[a][0]], -keys[a][2]))
+
+
 def centroid_basis(L, window, interior):
     """Exact basis of the windowed centroid system of a loop algebra.
 
@@ -527,18 +569,22 @@ def centroid_basis(L, window, interior):
     # unknown an insert pins to 0, at the row that reduces to it alone or
     # at a substitution that empties its pivot row (``Echelon.pins``)
     pivots = Echelon()
-    for a in interior0:
+    for a in _row_order(frame):
         # b is its own level-0 column, for the product a_(n) b
         minus = _minus_columns(frame, brackets[a], set(interior0).union(
             *(cols[b] for b in interior0)))
+        # a degree no column reaches gives only empty rows
+        reached = set().union(*minus.values())
+        degrees = [n for n in range(frame.maxl + 2) if n in reached]
         for b in interior0:
             product = minus[b]
-            for n in range(frame.maxl + 2):
+            for n in degrees:
                 eq = {}
+                # each unknown (d, c) of chi(a_(n) b) meets row c once
                 for d, w in product.get(n, {}).items():
                     w = -w
                     for c, uid in cols[d].items():
-                        _add_to(eq.setdefault(c, {}), uid, w)
+                        eq.setdefault(c, {})[uid] = w
                 for c, uid in cols[b].items():
                     for e, v in minus[c].get(n, {}).items():
                         _add_to(eq.setdefault(e, {}), uid, v)

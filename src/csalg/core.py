@@ -384,13 +384,20 @@ def _partial_terms(terms, unit=1):
     """The full derivation on a map {(g, j, Q): c} whose exponents are
     Q = unit * q: D^{(j)} v t^q goes to (j + 1) D^{(j+1)} v t^q +
     q D^{(j)} v t^{q-1}.  The scalars may be lowered; none of the result
-    is zero."""
+    is zero.  An int c takes c q = c Q / unit by exact int division where
+    unit divides c Q, and as one Fraction only where it does not."""
     acc = {}
     for (g, j, Q), c in terms.items():
         _add_to(acc, (g, j + 1, Q), c * (j + 1))
         if Q:
-            q = Q if unit == 1 else _q(Fraction(Q, unit))
-            _add_to(acc, (g, j, _q(Q - unit)), c * q)
+            if unit == 1:
+                cq = c * Q
+            elif c.__class__ is int:
+                cq = c * Q
+                cq = cq // unit if not cq % unit else Fraction(cq, unit)
+            else:
+                cq = c * _q(Fraction(Q, unit))
+            _add_to(acc, (g, j, _q(Q - unit)), cq)
     return acc
 
 
@@ -439,7 +446,10 @@ def _decorated_pair(A, g1, j1, g2, j2):
             f = sign * comb(n + w, w) * comb(n + w + j1, j1)
             out = acc.setdefault(n + w + j1, {})
             for (g, j, _), c in e.terms.items():
-                _add_to(out, (g, j + u), _lower(c) * (f * comb(j + u, u)))
+                # the weight is 1 on every t-free pair (j1 = j2 = 0)
+                wt = f * comb(j + u, u)
+                c = _lower(c)
+                _add_to(out, (g, j + u), c if wt == 1 else c * wt)
     got = A._pair_cache[key] = tuple(
         (n, tuple((g, j, c) for (g, j), c in terms.items()))
         for n, terms in acc.items() if terms)

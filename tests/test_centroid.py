@@ -13,12 +13,13 @@ from csalg.centroid import _Frame, centroid_basis, is_scalar_action
 from csalg.core import (EVEN, AlgebraDef, ConfElt, Generator, LambdaPoly,
                         apply_partial, lambda_bracket, to_hat_basis)
 from csalg.cyclotomic import CycloField, CycloScalar, _add_to
-from csalg.dsl import parse_algebra
+from csalg.dsl import parse_algebra, parse_morphism
 from csalg.errors import ConductorError, DomainError
 from csalg.linalg import _echelon_insert
 from csalg.laurent import LaurentElt, delta_t
 from csalg.loops import LoopAlgebra, eigenspaces
 from csalg.morphisms import identity_morphism, n2_omega, n4_auto
+from test_cli import ROT3_CSM
 from test_core import N2J3_SOURCE, _scaled
 
 N2 = make_n2()
@@ -716,3 +717,53 @@ def test_scalar_action_reads_r_off_the_first_interior_column():
     entries = {k: v for k, v in sol.entries.items() if k[0] != first}
     assert entries
     assert is_scalar_action(sol.replace_entries(entries)) is None
+
+
+#: The four perfbench cases, and loops whose rows take other paths: the gl2
+#: current loop, whose one solution is a projection; the ungraded sl2 loop;
+#: N2 under an order-3 twist, on thirds; and N4 at one exponent per coset.
+GL2 = make_current(gl2_constants())
+ORDER_CASES = dict(
+    {name: ROW_CASES[name] for name in ("n2_id_w3", "n2_omega_w3",
+                                         "n2_omega_w5", "n4_minus_w3")},
+    gl2_current=(eigenspaces(GL2, identity_morphism(GL2), 1), 3, 1),
+    sl2_current=(CURRENT_LOOP, 3, 1),
+    n2_rot3=(eigenspaces(N2, parse_morphism(ROT3_CSM, N2)[1], 3), 3, 1),
+    n4_id_half=(eigenspaces(N4, identity_morphism(N4), 1), 3,
+                Fraction(1, 2)),
+)
+
+
+def _solved(case):
+    """Every solution's entries, in order and with their scalar types,
+    and its r."""
+    return [([(k, v, v.__class__) for k, v in chi.entries.items()],
+             is_scalar_action(chi)) for chi in centroid_basis(*case)]
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_CASES))
+def test_row_order_leaves_every_solution_as_it_is(monkeypatch, name):
+    # the eliminator keeps the fully reduced solved form with least-column
+    # pivots, a function of the row space and the unknown ids alone, and
+    # the order of the interior keys changes neither
+    case = ORDER_CASES[name]
+    forward = _solved(case)
+    order = centroid._row_order
+    assert len(order(_Frame(*case))) > 1
+    monkeypatch.setattr(centroid, "_row_order",
+                        lambda frame: order(frame)[::-1])
+    assert _solved(case) == forward
+
+
+def test_rows_start_at_the_lightest_record_and_the_highest_exponent():
+    frame = _Frame(N4_MINUS, 3, 1)
+    keys = [frame.entry_key(a) for a in centroid._row_order(frame)]
+    assert sorted(keys) == sorted(map(frame.entry_key, frame.interior0))
+    ranks = [(frame.weights[ai], -q) for ai, _, q in keys]
+    assert ranks == sorted(ranks)
+    ai, _, q = keys[0]
+    assert N4.elt_string(frame.alphas[ai][1]) == "J1" and q == 1
+    # no weights: the interior order
+    bare = _weightless(N2)
+    frame = _Frame(eigenspaces(bare, n2_omega(bare), 2), 3, 1)
+    assert centroid._row_order(frame) == frame.interior0

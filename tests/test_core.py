@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -28,7 +29,7 @@ from csalg.core import (
     n_product,
     to_hat_basis,
 )
-from csalg.cyclotomic import CycloField, CycloScalar, _add_to, _q
+from csalg.cyclotomic import CycloField, CycloScalar, _add_to, _lower, _q
 from csalg.dsl import parse_algebra
 from csalg.errors import ConductorError, CsalgError, TableInconsistencyError
 from csalg.laurent import binom_frac
@@ -216,6 +217,62 @@ def test_decorated_pair_closed_form_matches_the_lambda_poly_route():
                     assert {n: {(g, j, 0): F.scalar(c) for g, j, c in terms}
                             for n, terms in got} == \
                         {n: e.terms for n, e in want.coeffs.items()}
+
+
+def test_t_free_pairs_multiply_no_scalar(monkeypatch):
+    # every table term of a t-free pair (j1 = j2 = 0) has weight 1, so the
+    # closed form keeps the table scalar as it is; the decorated pairs
+    # still multiply their zeta^6 coefficients by the weights
+    callers = []
+    mul = CycloScalar.__mul__
+
+    def recorded(self, other):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return mul(self, other)
+
+    monkeypatch.setattr(CycloScalar, "__mul__", recorded)
+    A = make_n4()
+    pairs = {(g1, g2): core._decorated_pair(A, g1, 0, g2, 0)
+             for g1, g2 in A.table}
+    assert "_decorated_pair" not in callers
+    for (g1, g2), got in pairs.items():
+        assert got == tuple(
+            (n, tuple((g, j, _lower(c)) for (g, j, _), c in e.terms.items()))
+            for n, e in A.table[g1, g2].coeffs.items())
+    for g1, g2 in A.table:
+        core._decorated_pair(A, g1, 1, g2, 1)
+    assert "_decorated_pair" in callers
+
+
+def _partial_terms_by_fractions(terms, unit):
+    """``core._partial_terms`` with every factor q = Q / unit built as a
+    Fraction first."""
+    acc = {}
+    for (g, j, Q), c in terms.items():
+        _add_to(acc, (g, j + 1, Q), c * (j + 1))
+        if Q:
+            _add_to(acc, (g, j, _q(Q - unit)), c * _q(Fraction(Q, unit)))
+    return acc
+
+
+@pytest.mark.parametrize("q", [2, HALF, Fraction(1, 3), Fraction(-5, 6)],
+                         ids=["2", "1/2", "1/3", "-5/6"])
+def test_partial_terms_match_the_fraction_route(q):
+    zeta = make_n4().field.zeta(6)
+    coefficients = [1, -3, 4, 6, HALF, Fraction(-2, 3), zeta,
+                    zeta * Fraction(3, 2)]
+    q = Fraction(q)
+    for unit in (1, q.denominator, 6):
+        Q = q * unit
+        if unit > 1:
+            Q = Q.numerator  # on the lattice (1/unit)Z, as an int
+        for c in coefficients:
+            terms = {(0, 0, Q): c, (1, 2, Q): c}
+            got = core._partial_terms(terms, unit)
+            want = _partial_terms_by_fractions(terms, unit)
+            assert got == want, (q, unit, c)
+            assert [v.__class__ for v in got.values()] == \
+                [v.__class__ for v in want.values()], (q, unit, c)
 
 
 def test_n_products_match_table():
