@@ -67,11 +67,16 @@ candidate t^j and the check of ``is_scalar_action``.  The derivation rule,
 CS1 on the right slot, [x lambda Dhat y] = (Dhat + lambda)[x lambda y],
 gives (beta, 1, q) from (beta, 0, q): its lambda^{(m)} component is
 Dhat c_m + m c_{m-1}, with Dhat (alpha, l, q) = (l + 1) (alpha, l + 1, q).
-The column of an interior key b is minus the products a_(n) b, so each
-row reads both sides of its equation from one map.  An unknown pinned to
-0, by a row that reduces to it alone or by a substitution that empties
-its pivot row, is left out of the later rows (subtracting the pin row
-keeps the row space) and of the columns built for them.
+The row of component e for the pair a, b and the degree n reads
+a_(n) chi(b) - chi(a_(n) b), so the column of a key c is the products
+a_(n) c themselves, and only the first side of the product a_(n) b is
+negated, once per component.  The column of an interior key b is that
+product: ``_closure`` shifts each a_(n) b once, for the solved domain,
+and ``_columns`` serves those maps as a's interior columns, so no
+coordinate map is shifted twice.  An unknown pinned to 0, by a row that
+reduces to it alone or by a substitution that empties its pivot row, is
+left out of the later rows (subtracting the pin row keeps the row space)
+and of the columns built for them.
 
 Row order: ``_row_order`` hands the interior keys a to the eliminator by
 record weight, and within one weight from the highest exponent down; a
@@ -308,38 +313,59 @@ class _Frame:
     def times(self, coords, terms):
         """Coordinates of x * sum_s c_s t^s, from the coordinates of x.
 
-        ``terms`` maps the scaled shift S = M s to c_s.  On the hat basis
-        t^s sends (alpha, 0, q) to (alpha, 0, q + s), and Dhat(v t^q) t^s =
-        Dhat(v t^{q+s}) - s v t^{q+s-1} sends (alpha, 1, q) to
-        (alpha, 1, q + s) minus s (alpha, 0, q + s - 1).  Exact on hat
-        levels 0 and 1; the product closure refuses any higher level.
+        ``terms`` maps the scaled shift S = M s to c_s.  A single shift
+        with c_s = 1 is ``shift`` alone; any other sum scales the shift of
+        each term.
         """
+        if len(terms) == 1:
+            ((S, c),) = terms.items()
+            if c.__class__ is int and c == 1:
+                return self.shift(coords, S)
+        out = {}
+        for S, c in terms.items():
+            for i, v in self.shift(coords, S).items():
+                _add_to(out, i, v * c)
+        return out
+
+    def shift(self, coords, S):
+        """Coordinates of x t^s, S = M s, from the coordinates of x.
+
+        On the hat basis t^s sends (alpha, 0, q) to (alpha, 0, q + s), and
+        Dhat(v t^q) t^s = Dhat(v t^{q+s}) - s v t^{q+s-1} sends
+        (alpha, 1, q) to (alpha, 1, q + s) minus s (alpha, 0, q + s - 1).
+        Exact on hat levels 0 and 1; the product closure refuses any higher
+        level.  Like every coordinate map of the solve, ``coords`` holds
+        nonzero scalars under the ``_q`` rule, so t^0 copies it.
+        """
+        if not S:
+            return dict(coords)
         keys = self.keys
         slots = self._slots
         M = self.scale
-        # a factor 1 is left out of the products
-        terms = [(S, None if c.__class__ is int and c == 1 else c)
-                 for S, c in terms.items()]
         out = {}
         for i, v in coords.items():
             ai, l, Q = keys[i]
-            for S, c in terms:
-                w = v if c is None else v * c
-                base = slots.get((l, Q + S))
+            base = slots.get((l, Q + S))
+            if base is None:
+                base = self._slot(l, Q + S)
+            # t^s is one-to-one on the keys: only a term of the level-1
+            # rule below can be there first
+            k = base + ai
+            if k in out:
+                _add_to(out, k, v)
+            else:
+                out[k] = v
+            if l:
+                # -s v = -S v / M, an int when M divides it
+                x = -S * v
+                if x.__class__ is int and not x % M:
+                    x //= M
+                else:
+                    x = x * self.exponent(1)
+                base = slots.get((0, Q + S - M))
                 if base is None:
-                    base = self._slot(l, Q + S)
-                _add_to(out, base + ai, w)
-                if l and S:
-                    # -s w = -S w / M, an int when M divides it
-                    x = -S * w
-                    if x.__class__ is int and not x % M:
-                        x //= M
-                    else:
-                        x = x * self.exponent(1)
-                    base = slots.get((0, Q + S - M))
-                    if base is None:
-                        base = self._slot(0, Q + S - M)
-                    _add_to(out, base + ai, x)
+                    base = self._slot(0, Q + S - M)
+                _add_to(out, base + ai, x)
         return out
 
 
@@ -436,22 +462,37 @@ def _interior_brackets(frame):
     return brackets, K
 
 
-def _minus_columns(frame, brackets, wanted):
-    """Minus the coordinates of [x lambda hat(c)]_n, for each id c in
-    ``wanted`` and for the level-0 sibling of each.
+def _closure(frame, brackets):
+    """closure[a][b][n]: the coordinates of a_(n) b for interior keys a
+    and b, the brackets[a] of b's record shifted by t^q for b = (beta, 0,
+    q).  They are the product closure and the interior columns of a's
+    rows."""
+    keys = frame.keys
+    return {a: {b: {n: frame.shift(coords, keys[b][2])
+                    for n, coords in brackets[a][keys[b][0]].items()}
+                for b in frame.interior0}
+            for a in frame.interior0}
+
+
+def _columns(frame, brackets, products, wanted):
+    """The coordinates of [x lambda hat(c)]_n, for each id c in ``wanted``
+    and for the level-0 sibling of each.
 
     ``brackets[beta]`` holds the coordinates of the lambda-coefficients of
-    [x lambda v_beta].  A level-0 column (beta, 0, q) shifts them by t^q;
-    its sibling (beta, 1, q) is derived from it by the derivation rule.
+    [x lambda v_beta], and ``products[b]`` those of [x lambda hat(b)] for
+    each interior key b, the product closure's own maps, which are served
+    as they are.  Any other level-0 column (beta, 0, q) shifts brackets by
+    t^q; its sibling (beta, 1, q) is derived from it by the derivation
+    rule.
     """
     keys = frame.keys
     slot = frame._slot
-    out = {}
+    out = dict(products)
     for c in wanted:
         bi, l, Q = keys[c]
         base = slot(0, Q) + bi
         if base not in out:
-            out[base] = {n: frame.times(coords, {Q: -1})
+            out[base] = {n: frame.shift(coords, Q)
                          for n, coords in brackets[bi].items()}
         if not l:
             continue
@@ -505,13 +546,14 @@ def centroid_basis(L, window, interior):
     brackets, _ = _interior_brackets(frame)
 
     # product closure: the solved domain is the interior and every
-    # component of a_(n) b, which must stay in the window
+    # component of a_(n) b, which must stay in the window; the maps
+    # a_(n) b stay, as the interior columns of a's rows
+    closure = _closure(frame, brackets)
     domain = set(interior0)
-    for a in interior0:
-        for b in interior0:
-            bi, _, Q = keys[b]
-            for coords in brackets[a][bi].values():
-                for i in frame.times(coords, {Q: 1}):
+    for a, products in closure.items():
+        for b, product in products.items():
+            for coords in product.values():
+                for i in coords:
                     if keys[i][1] > 1:
                         raise DomainError(
                             "table depth exceeds the windowed solver: "
@@ -571,23 +613,30 @@ def centroid_basis(L, window, interior):
     pivots = Echelon()
     for a in _row_order(frame):
         # b is its own level-0 column, for the product a_(n) b
-        minus = _minus_columns(frame, brackets[a], set(interior0).union(
-            *(cols[b] for b in interior0)))
+        columns = _columns(frame, brackets[a], closure.pop(a),
+                           set(interior0).union(*(cols[b] for b in interior0)))
         # a degree no column reaches gives only empty rows
-        reached = set().union(*minus.values())
+        reached = set().union(*columns.values())
         degrees = [n for n in range(frame.maxl + 2) if n in reached]
         for b in interior0:
-            product = minus[b]
+            product = columns[b]
             for n in degrees:
                 eq = {}
-                # each unknown (d, c) of chi(a_(n) b) meets row c once
+                # row e reads a_(n) chi(b) - chi(a_(n) b): each unknown
+                # (d, e) of chi(a_(n) b) meets it once, and so does each
+                # unknown (b, c) of a_(n) chi(b), which the first side
+                # holds too only when b is a component of a_(n) b
                 for d, w in product.get(n, {}).items():
                     w = -w
                     for c, uid in cols[d].items():
                         eq.setdefault(c, {})[uid] = w
                 for c, uid in cols[b].items():
-                    for e, v in minus[c].get(n, {}).items():
-                        _add_to(eq.setdefault(e, {}), uid, v)
+                    for e, v in columns[c].get(n, {}).items():
+                        row = eq.setdefault(e, {})
+                        if uid in row:
+                            _add_to(row, uid, v)
+                        else:
+                            row[uid] = v
                 for row in eq.values():
                     if row:
                         _echelon_insert(pivots, row)
@@ -595,7 +644,7 @@ def centroid_basis(L, window, interior):
                             d, c = unknowns[lead]
                             del cols[d][c]
                         pivots.pins.clear()
-        del minus  # free these columns before the next key's
+        del columns  # free these columns before the next key's
 
     # the columns the rows mention are the leads and the keys of users, so
     # raw lives on them: its span solves every row, the others 0
@@ -615,7 +664,7 @@ def centroid_basis(L, window, interior):
     for j in range(-frame.maxl, frame.maxl + 1):
         try:
             entries = {cols[d][c]: v for d in domain
-                       for c, v in frame.times({d: 1}, {j * M: 1}).items()}
+                       for c, v in frame.shift({d: 1}, j * M).items()}
         except KeyError:  # the image leaves the codomain or meets a pin
             continue
         if _reduce_against(null, entries)[0]:

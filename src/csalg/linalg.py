@@ -15,7 +15,8 @@ are dense adapters over it: they take CycloScalar entries of one field,
 lower them on the way in, and lift what they return with ``zero + v``, so
 their results are CycloScalars of that field.
 Determinants and adjugates are also provided over the Laurent ring, where
-division is not available, via minor expansion.
+division is not available, via minor expansion; the n^2 cofactors of an
+adjugate share one memo of minors.
 """
 
 from __future__ import annotations
@@ -44,6 +45,17 @@ from .errors import DomainError
 # whose row a substitution empties.  A caller that builds its
 # rows as it goes drains it to leave those unknowns out of later rows;
 # ``rank``, ``null_space`` and ``solve`` ignore it.
+#
+# The rows of the centroid solve average two entries, so the eliminator's
+# cost is its per-entry overhead.  ``_reduce_against`` adds an int product,
+# or an int entry of the row that meets an empty or int slot, in place: an
+# int sum needs neither the ``_q`` rule nor an ``is_zero`` call, and one
+# that cancels drops its key.  Every other sum goes through ``_add_to``.
+# An irrational lead takes a norm and a product over the conjugates to
+# invert, and the centroid rows repeat a few lead values (-2 zeta^6,
+# 2 zeta^6 and -8 zeta^6 on the N=4 loops), so each ``Echelon`` keeps
+# -1/lead per lead value in ``inverses``; the cache lives and dies with its
+# echelon, and an echelon holds the scalars of one field.
 
 
 class Echelon(dict):
@@ -54,6 +66,8 @@ class Echelon(dict):
         super().__init__()
         self.users = {}  # column -> leads whose row may mention it
         self.pins = []  # leads pinned to 0 since the caller last drained it
+        # (field, coefficients) of an irrational lead -> -1/lead
+        self.inverses = {}
 
 
 def _product(c, f):
@@ -69,16 +83,31 @@ def _reduce_against(pivots, vec):
     Returns the reduced vector and its least column (None when it vanished).
     """
     out = {}
+    get = out.get
     for col, coef in vec.items():
         piv = pivots.get(col)
         if piv is None:
-            _add_to(out, col, coef)
-        else:
-            for u, m in piv.items():
-                p = coef * m
-                if p.__class__ is CycloScalar:
-                    p = _lower(p)
-                _add_to(out, u, p)
+            if coef.__class__ is int and col not in out:
+                if coef:
+                    out[col] = coef
+            else:
+                _add_to(out, col, coef)
+            continue
+        for u, m in piv.items():
+            p = coef * m
+            if p.__class__ is int:
+                # an int sum in place; a sum that cancels leaves no key
+                s = get(u, 0)
+                if s.__class__ is int:
+                    s += p
+                    if s:
+                        out[u] = s
+                    else:
+                        out.pop(u, None)
+                    continue
+            elif p.__class__ is CycloScalar:
+                p = _lower(p)
+            _add_to(out, u, p)
     return out, (min(out) if out else None)
 
 
@@ -102,8 +131,13 @@ def _echelon_insert(pivots, row):
                         ninv = Fraction(-1, coef)
                     new[u] = _product(c, ninv)
         elif new:
-            ninv = (-coef.inverse() if coef.__class__ is CycloScalar
-                    else _q(Fraction(-1, coef)))
+            if coef.__class__ is CycloScalar:
+                key = coef.field, frozenset(coef.coeffs.items())
+                ninv = pivots.inverses.get(key)
+                if ninv is None:
+                    ninv = pivots.inverses[key] = -coef.inverse()
+            else:
+                ninv = _q(Fraction(-1, coef))
             for u, c in new.items():
                 new[u] = _product(c, ninv)
         users = pivots.users
@@ -187,17 +221,21 @@ def solve(rows, rhs, ncols, zero):
     return sol
 
 
-def det(matrix, one):
-    """Determinant over a commutative ring by memoized minor expansion."""
+def _minors(matrix, one):
+    """minor(row, skip, mask): the determinant of the rows row, row + 1,
+    ... other than ``skip`` (-1 for none) on the columns in the bit mask,
+    by expansion along the first of them.  Once the expansion is past
+    ``skip`` the rows left are those of every other skip, so one memo
+    serves ``det`` and all n^2 cofactors of ``adjugate``."""
     n = len(matrix)
-    if n == 0:
-        return one
     memo = {}
 
-    def minor(row, mask):
-        if mask == 0:
+    def minor(row, skip, mask):
+        if row == skip:
+            row += 1
+        if not mask:
             return one
-        key = mask
+        key = (skip if skip > row else -1, mask)
         got = memo.get(key)
         if got is not None:
             return got
@@ -209,7 +247,7 @@ def det(matrix, one):
                 continue
             entry = matrix[row][col]
             if not entry.is_zero():
-                piece = entry * minor(row + 1, mask & ~bit)
+                piece = entry * minor(row + 1, skip, mask & ~bit)
                 if sign < 0:
                     piece = -piece
                 acc = piece if acc is None else acc + piece
@@ -219,21 +257,26 @@ def det(matrix, one):
         memo[key] = acc
         return acc
 
-    return minor(0, (1 << n) - 1)
+    return minor
+
+
+def det(matrix, one):
+    """Determinant over a commutative ring by memoized minor expansion."""
+    return _minors(matrix, one)(0, -1, (1 << len(matrix)) - 1)
 
 
 def adjugate(matrix, one):
-    """Adjugate over a commutative ring: adj(A) A = det(A) I."""
+    """Adjugate over a commutative ring: adj(A) A = det(A) I.  Entry
+    (j, i) is the cofactor (-1)^(i+j) of row i and column j, and every
+    cofactor reads the one memo of ``_minors``."""
     n = len(matrix)
+    minor = _minors(matrix, one)
+    full = (1 << n) - 1
     adj = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            sub = [[matrix[r][c] for c in range(n) if c != j]
-                   for r in range(n) if r != i]
-            cof = det(sub, one)
-            if (i + j) % 2:
-                cof = -cof
-            adj[j][i] = cof
+            cof = minor(0, i, full & ~(1 << j))
+            adj[j][i] = -cof if (i + j) % 2 else cof
     return adj
 
 

@@ -299,6 +299,10 @@ def test_times_matches_multiplication_on_the_hat_basis(loop, M):
                     Fraction(-2): field.rational(Fraction(-3, 2))})
     # a shift off the integers, so the level-1 correction -s is a Fraction
     factors.append({Fraction(1, M): one, Fraction(-3, M): field.zeta(5)})
+    # a single shift by the int 1 takes the unit path, on int coordinates
+    # as the solve holds them
+    factors.extend({s: 1} for s in (Fraction(-1), Fraction(0),
+                                    Fraction(1, M), Fraction(2)))
     mutants = {"dropped": None, "unlowered": 0}
     caught = set()
     for i in ids:
@@ -308,6 +312,10 @@ def test_times_matches_multiplication_on_the_hat_basis(loop, M):
             scaled = {int(s * M): c for s, c in terms.items()}
             assert frame.times({i: one}, scaled) == want, (
                 frame.entry_key(i), terms)
+            if [c.__class__ for c in scaled.values()] == [int]:
+                ((S, _),) = scaled.items()
+                assert frame.times({i: 1}, scaled) == want
+                assert frame.shift({i: 1}, S) == want
             for name, lower in mutants.items():
                 if _times_mutant(frame, {i: one}, terms, lower) != want:
                     caught.add(name)
@@ -487,26 +495,31 @@ def test_an_exponent_off_the_lattice_is_refused_by_name(loop, generator, q):
                          ids=["n2_omega", "n4_minus"])
 def test_derived_columns_match_direct_brackets(loop):
     # oracle: bracket each interior key with each codomain element directly
-    # and decompose the result, with no t-shift and no derivation rule
+    # and decompose the result, with no t-shift and no derivation rule.
+    # The columns read the brackets as the solve does, scaled by K, and
+    # take the interior ones from the product closure as they are
     frame = _Frame(loop, 3, 1)
     A = frame.algebra
     reach = frame.window + frame.maxl  # the codomain never reaches past
     columns = [frame.key_id((bi, l, q))
                for bi, (res, _, _, _) in enumerate(frame.alphas)
                for q in loop.exponents(res, -reach, reach) for l in (0, 1)]
+    brackets, K = centroid._interior_brackets(frame)
+    closure = centroid._closure(frame, brackets)
     for a in frame.interior0:
         xa = frame.hat(a)
-        brackets = {bi: {n: frame.coords(e) for n, e in
-                         lambda_bracket(A, xa, record).coeffs.items()}
-                    for bi, (_, record, _, _) in enumerate(frame.alphas)}
-        got = centroid._minus_columns(frame, brackets, columns)
+        got = centroid._columns(frame, brackets[a], closure[a], columns)
         assert sorted(got) == sorted(columns)
         for c in columns:
             poly = lambda_bracket(A, xa, frame.hat(c))
-            want = {n: {i: -v for i, v in frame.coords(elt).items()}
+            want = {n: {i: v * K for i, v in frame.coords(elt).items()}
                     for n, elt in poly.coeffs.items()}
             assert got[c] == want, (frame.entry_key(a),
                                     frame.entry_key(c))
+        # the interior columns are the closure's maps a_(n) b themselves,
+        # so each equals the direct bracket checked above
+        for b in frame.interior0:
+            assert got[b] is closure[a][b]
 
 
 @pytest.mark.parametrize("loop", [OMEGA_LOOP, N4_MINUS, N4_Z3, N4_I],

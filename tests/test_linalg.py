@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from csalg import linalg
+from csalg.algebras import make_n4
 from csalg.cyclotomic import CycloField, CycloScalar, _add_to, _q
 from csalg.errors import DomainError
 from csalg.laurent import LaurentElt
+from csalg.loops import eigenspaces
 from csalg.linalg import (
     Echelon,
     _echelon,
@@ -22,6 +25,7 @@ from csalg.linalg import (
     rank,
     solve,
 )
+from csalg.morphisms import n4_auto
 
 FIELD = CycloField.get(24)
 
@@ -373,6 +377,147 @@ def test_adjugate_identity():
             for j in range(n):
                 expect = d if i == j else FIELD.zero()
                 assert prod[i][j] == expect
+
+
+def _cofactors(m, one):
+    """Oracle: adj(A)[j][i] is (-1)^(i+j) times the determinant of A
+    without row i and column j, each through ``det`` on its own."""
+    n = len(m)
+    adj = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            cof = det([[m[r][c] for c in range(n) if c != j]
+                       for r in range(n) if r != i], one)
+            adj[j][i] = -cof if (i + j) % 2 else cof
+    return adj
+
+
+def _n4_eigenbasis():
+    """The eigenbasis matrix of N4 under y = 1, x = [[0, 1], [-1, 0]] (order
+    4), built as the centroid frame builds it: its odd block holds
+    +-zeta^6 = +-i."""
+    n4 = make_n4()
+    loop = eigenspaces(n4, n4_auto([[1, 0], [0, 1]], [[0, 1], [-1, 0]], n4),
+                       4)
+    cols = [vec for _, _, vec, _ in loop.basis]
+    return [[col[r] for col in cols] for r in range(n4.ngens())]
+
+
+def _laurent_3x3():
+    """A lower unitriangular times an upper triangular Laurent matrix with
+    the monomial diagonal t, 1, 2 t^{-2}: its determinant 2 t^{-1} is a
+    unit."""
+    one, zero = LaurentElt.one(), LaurentElt.zero()
+    t, tinv = LaurentElt.monomial(1, 1), LaurentElt.monomial(1, -1)
+    lower = [[one, zero, zero], [t, one, zero], [one - t, one + one, one]]
+    upper = [[t, one + t, one + one + one],
+             [zero, one, tinv - one - one],
+             [zero, zero, LaurentElt.monomial(2, -2)]]
+    return mat_mul(lower, upper)
+
+
+def test_adjugate_matches_the_cofactors_and_the_determinant():
+    z6 = FIELD.zeta(6)
+    one = FIELD.one()
+    r1 = [FIELD.rational(2), z6, one]
+    r2 = [one, FIELD.rational(-3), z6 * 2]
+    singular = [r1, r2, [a + z6 * b for a, b in zip(r1, r2)]]
+    cases = [([], one),
+             ([[FIELD.rational(5)]], one),
+             (singular, one),
+             (_n4_eigenbasis(), one),
+             (_laurent_3x3(), LaurentElt.one())]
+    for m, unit in cases:
+        n = len(m)
+        adj = adjugate(m, unit)
+        want = _cofactors(m, unit)
+        assert len(adj) == n
+        for j in range(n):
+            for i in range(n):
+                assert (adj[j][i] - want[j][i]).is_zero(), (n, i, j)
+        d = det(m, unit)
+        prod = mat_mul(adj, m)
+        for i in range(n):
+            for j in range(n):
+                expect = d if i == j else unit - unit
+                assert (prod[i][j] - expect).is_zero(), (n, i, j)
+    assert adjugate([], one) == [] and det([], one) == one
+    assert adjugate([[FIELD.rational(5)]], one) == [[one]]
+    # rank 2: the determinant vanishes and the adjugate does not
+    assert det(singular, one).is_zero()
+    assert any(not v.is_zero() for row in adjugate(singular, one)
+               for v in row)
+    assert any(v.as_rational() is None for row in _n4_eigenbasis()
+               for v in row)
+    m = _laurent_3x3()
+    lone = LaurentElt.one()
+    assert det(m, lone) == LaurentElt.monomial(2, -1)
+    inv = mat_inverse_laurent(m, lone)
+    for prod in (mat_mul(inv, m), mat_mul(m, inv)):
+        for i in range(3):
+            for j in range(3):
+                expect = lone if i == j else LaurentElt.zero()
+                assert (prod[i][j] - expect).is_zero(), (i, j)
+
+
+def test_echelon_inverts_each_irrational_lead_value_once(monkeypatch):
+    # every row leads at its own column k, and the tail columns 20.. never
+    # pivot, so no row reduces and each insert normalizes by its given lead;
+    # the leads repeat -2 zeta^6, 2 zeta^6 and -8 zeta^6 as fresh objects
+    z6 = FIELD.zeta(6)
+    calls = Counter()
+    inverse = CycloScalar.inverse
+
+    def counted(self):
+        calls[str(self)] += 1
+        return inverse(self)
+
+    monkeypatch.setattr(CycloScalar, "inverse", counted)
+    leads = [z6 * -2, z6 * 2, 3, z6 * -8, z6 * 2, -2, z6 * -2, z6 * -8,
+             Fraction(1, 2), z6 * 2, 3]
+    pivots = Echelon()
+    rows = []
+    for k, lead in enumerate(leads):
+        row = {k: lead, 20: 1 + k % 2, 21 + k % 3: z6 * (k - 4) or 5,
+               23: Fraction(k, 3) or 1}
+        rows.append(row)
+        assert _echelon_insert(pivots, row) == k
+    assert dict(calls) == {str(z6 * -2): 1, str(z6 * 2): 1,
+                           str(z6 * -8): 1}
+    columns = set().union(*rows)
+    basis = _null_basis(pivots, columns)
+    assert len(basis) == len(columns) - len(pivots) == 4
+    for vec in basis:
+        for row in rows:
+            acc = FIELD.zero()
+            for c, v in row.items():
+                acc = acc + v * vec.get(c, 0)
+            assert acc.is_zero()
+
+
+def test_int_entries_that_cancel_leave_no_key(monkeypatch):
+    adds = []
+    add_to = linalg._add_to
+
+    def counted(acc, key, val):
+        adds.append(key)
+        add_to(acc, key, val)
+
+    monkeypatch.setattr(linalg, "_add_to", counted)
+    pivots = Echelon()
+    _echelon_insert(pivots, {0: 1, 5: 2, 6: 1})  # x0 = -2 x5 - x6
+    _echelon_insert(pivots, {1: 1, 6: -1, 8: 4})  # x1 = x6 - 4 x8
+    adds.clear()
+    # the row's own 2 at column 5 meets the product -2 of pivot 0
+    reduced, lead = _reduce_against(pivots, {5: 2, 0: 1, 7: 3})
+    assert (reduced, lead) == ({6: -1, 7: 3}, 6)
+    # the products -1 and +1 of the two pivots meet at column 6
+    reduced, lead = _reduce_against(pivots, {0: 1, 1: 1})
+    assert (reduced, lead) == ({5: -2, 8: -4}, 5)
+    assert all(v.__class__ is int for v in reduced.values())
+    # int products are added in place, with no _add_to call
+    assert adds == []
+    assert _reduce_against(pivots, {0: 3, 5: 6, 6: 3}) == ({}, None)
 
 
 def test_laurent_matrix_inverse():
