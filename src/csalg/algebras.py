@@ -3,6 +3,10 @@
 Current conformal superalgebras are built from Lie structure constants;
 the two small superconformal algebras come with their standard bracket
 tables, Pauli matrices stored exactly over Q(zeta_N) with i = zeta_4.
+Their tables give each pair in one orientation and leave the zero pairs
+out: ``complete_table_cs4`` derives the other orientation by
+skew-symmetry and fills a pair given in neither with 0.  Every generator
+is primary, so the L row is read off the declared weights.
 """
 
 from __future__ import annotations
@@ -10,7 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import (EVEN, ODD, AlgebraDef, AxiomReport, ConfElt, Generator,
-                   LambdaPoly, _sweep_cs4, _sweep_cs5, complete_table_cs4)
+                   LambdaPoly, _primary, _sweep_cs4, _sweep_cs5,
+                   complete_table_cs4)
 from .cyclotomic import DEFAULT_CONDUCTOR, CycloField, _add_to
 from .errors import ConductorError, CsalgError
 
@@ -106,14 +111,12 @@ def gl2_constants(conductor=DEFAULT_CONDUCTOR):
 
 
 def _poly(field, pairs):
-    """Build a LambdaPoly from {n: {(gen, dpow): coeff}} descriptions."""
-    coeffs = {}
-    for n, terms in pairs.items():
-        elt = {}
-        for (g, j), c in terms.items():
-            elt[(g, j, 0)] = field.scalar(c)
-        coeffs[n] = ConfElt(field, elt)
-    return LambdaPoly(field, coeffs)
+    """Build a LambdaPoly from {n: {(gen, dpow): coeff}} descriptions;
+    ``ConfElt`` drops the zero coefficients."""
+    return LambdaPoly(field, {
+        n: ConfElt(field, {(g, j, 0): field.scalar(c)
+                           for (g, j), c in terms.items()})
+        for n, terms in pairs.items()})
 
 
 def make_n2(conductor=DEFAULT_CONDUCTOR):
@@ -126,19 +129,12 @@ def make_n2(conductor=DEFAULT_CONDUCTOR):
         Generator("G-", ODD, Fraction(3, 2)),
     ]
     L, J, GP, GM = 0, 1, 2, 3
-    half = Fraction(1, 2)
-    table = {
-        (L, L): _poly(field, {0: {(L, 1): 1}, 1: {(L, 0): 2}}),
-        (L, J): _poly(field, {0: {(J, 1): 1}, 1: {(J, 0): 1}}),
-        (L, GP): _poly(field, {0: {(GP, 1): 1}, 1: {(GP, 0): Fraction(3, 2)}}),
-        (L, GM): _poly(field, {0: {(GM, 1): 1}, 1: {(GM, 0): Fraction(3, 2)}}),
-        (J, J): _poly(field, {}),
-        (J, GP): _poly(field, {0: {(GP, 0): 1}}),
-        (J, GM): _poly(field, {0: {(GM, 0): -1}}),
-        (GP, GP): _poly(field, {}),
-        (GM, GM): _poly(field, {}),
-        (GP, GM): _poly(field, {0: {(L, 0): 1, (J, 1): half}, 1: {(J, 0): 1}}),
-    }
+    table = {(L, g): _primary(field, g, gen.weight)
+             for g, gen in enumerate(gens)}
+    table[(J, GP)] = _poly(field, {0: {(GP, 0): 1}})
+    table[(J, GM)] = _poly(field, {0: {(GM, 0): -1}})
+    table[(GP, GM)] = _poly(field, {0: {(L, 0): 1, (J, 1): Fraction(1, 2)},
+                                    1: {(J, 0): 1}})
     partial = AlgebraDef("N2", field, gens, table)
     return complete_table_cs4(partial)
 
@@ -182,59 +178,32 @@ def make_n4(conductor=DEFAULT_CONDUCTOR):
     GB = [6, 7]
     sigma = _pauli(field)
     i_unit = field.root_of_unity(4)
-    half = Fraction(1, 2)
-    table = {}
-    # L row: every generator is primary, weights 2, 1, 3/2
-    table[(L, L)] = _poly(field, {0: {(L, 1): 1}, 1: {(L, 0): 2}})
-    for s in range(3):
-        table[(L, J[s])] = _poly(field, {0: {(J[s], 1): 1}, 1: {(J[s], 0): 1}})
-    for a in range(2):
-        table[(L, G[a])] = _poly(field, {0: {(G[a], 1): 1},
-                                         1: {(G[a], 0): Fraction(3, 2)}})
-        table[(L, GB[a])] = _poly(field, {0: {(GB[a], 1): 1},
-                                          1: {(GB[a], 0): Fraction(3, 2)}})
+    # L row: every generator is primary; the J-J diagonal and the G-G and
+    # Gb-Gb pairs are zero and left to the completion
+    table = {(L, g): _primary(field, g, gen.weight)
+             for g, gen in enumerate(gens)}
     # current part: [J^m lambda J^n] = (1/4)[sigma^m, sigma^n] read back
-    # into the J coordinates; concretely i * epsilon_{mnp} J^p
-    eps = {(0, 1): (2, 1), (1, 2): (0, 1), (2, 0): (1, 1),
-           (1, 0): (2, -1), (2, 1): (0, -1), (0, 2): (1, -1)}
-    for m in range(3):
-        for n in range(3):
-            if m == n:
-                table[(J[m], J[n])] = _poly(field, {})
-            else:
-                p, sgn = eps[(m, n)]
-                table[(J[m], J[n])] = _poly(
-                    field, {0: {(J[p], 0): i_unit * sgn}})
+    # into the J coordinates; concretely i * epsilon_{mnp} J^p, m < n
+    for m, n, p, sgn in ((0, 1, 2, 1), (1, 2, 0, 1), (0, 2, 1, -1)):
+        table[(J[m], J[n])] = _poly(field, {0: {(J[p], 0): i_unit * sgn}})
     # [J^s lambda G^a] = -(1/2) sum_b sigma^s_{ab} G^b
     # [J^s lambda Gb^a] = +(1/2) sum_b sigma^s_{ba} Gb^b
     for s in range(3):
         for a in range(2):
-            row = {}
-            for b in range(2):
-                c = sigma[s][a][b] * Fraction(-1, 2)
-                if not c.is_zero():
-                    row[(G[b], 0)] = c
-            table[(J[s], G[a])] = _poly(field, {0: row})
-            row = {}
-            for b in range(2):
-                c = sigma[s][b][a] * half
-                if not c.is_zero():
-                    row[(GB[b], 0)] = c
-            table[(J[s], GB[a])] = _poly(field, {0: row})
+            table[(J[s], G[a])] = _poly(field, {0: {
+                (G[b], 0): sigma[s][a][b] * Fraction(-1, 2)
+                for b in range(2)}})
+            table[(J[s], GB[a])] = _poly(field, {0: {
+                (GB[b], 0): sigma[s][b][a] * Fraction(1, 2)
+                for b in range(2)}})
     # odd-odd part
     for a in range(2):
         for b in range(2):
-            table[(G[a], G[b])] = _poly(field, {})
-            table[(GB[a], GB[b])] = _poly(field, {})
-            n0 = {}
+            n0 = {(L, 0): 2} if a == b else {}
             n1 = {}
-            if a == b:
-                n0[(L, 0)] = field.rational(2)
             for s in range(3):
-                c = sigma[s][a][b]
-                if not c.is_zero():
-                    n0[(J[s], 1)] = c * -2
-                    n1[(J[s], 0)] = c * -4
+                n0[(J[s], 1)] = sigma[s][a][b] * -2
+                n1[(J[s], 0)] = sigma[s][a][b] * -4
             table[(G[a], GB[b])] = _poly(field, {0: n0, 1: n1})
     partial = AlgebraDef("N4", field, gens, table)
     return complete_table_cs4(partial)

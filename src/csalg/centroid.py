@@ -71,12 +71,12 @@ The row of component e for the pair a, b and the degree n reads
 a_(n) chi(b) - chi(a_(n) b), so the column of a key c is the products
 a_(n) c themselves, and only the first side of the product a_(n) b is
 negated, once per component.  The column of an interior key b is that
-product: ``_closure`` shifts each a_(n) b once, for the solved domain,
-and ``_columns`` serves those maps as a's interior columns, so no
-coordinate map is shifted twice.  An unknown pinned to 0, by a row that
-reduces to it alone or by a substitution that empties its pivot row, is
-left out of the later rows (subtracting the pin row keeps the row space)
-and of the columns built for them.
+product: ``_columns`` over the interior keys shifts each a_(n) b once,
+for the solved domain, and serves those maps again as a's interior
+columns, so no coordinate map is shifted twice.  An unknown pinned to 0,
+by a row that reduces to it alone or by a substitution that empties its
+pivot row, is left out of the later rows (subtracting the pin row keeps
+the row space) and of the columns built for them.
 
 Row order: ``_row_order`` hands the interior keys a to the eliminator by
 record weight, and within one weight from the highest exponent down; a
@@ -462,18 +462,6 @@ def _interior_brackets(frame):
     return brackets, K
 
 
-def _closure(frame, brackets):
-    """closure[a][b][n]: the coordinates of a_(n) b for interior keys a
-    and b, the brackets[a] of b's record shifted by t^q for b = (beta, 0,
-    q).  They are the product closure and the interior columns of a's
-    rows."""
-    keys = frame.keys
-    return {a: {b: {n: frame.shift(coords, keys[b][2])
-                    for n, coords in brackets[a][keys[b][0]].items()}
-                for b in frame.interior0}
-            for a in frame.interior0}
-
-
 def _columns(frame, brackets, products, wanted):
     """The coordinates of [x lambda hat(c)]_n, for each id c in ``wanted``
     and for the level-0 sibling of each.
@@ -548,7 +536,8 @@ def centroid_basis(L, window, interior):
     # product closure: the solved domain is the interior and every
     # component of a_(n) b, which must stay in the window; the maps
     # a_(n) b stay, as the interior columns of a's rows
-    closure = _closure(frame, brackets)
+    closure = {a: _columns(frame, brackets[a], {}, interior0)
+               for a in interior0}
     domain = set(interior0)
     for a, products in closure.items():
         for b, product in products.items():

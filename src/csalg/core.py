@@ -575,53 +575,51 @@ def n_product(A, x, y, n):
 
 
 def cs4_transform(A, i, j):
-    """The bracket [v_i lambda v_j] that skew-symmetry derives from (j, i)."""
+    """The bracket [v_i lambda v_j] that skew-symmetry derives from (j, i).
+
+    With [v_j lambda v_i] = sum_m lambda^{(m)} e_m, skew-symmetry reads
+    [v_i lambda v_j] = -p(i, j) sum_m (-lambda - D)^{(m)} e_m, and
+    (-lambda - D)^{(m)} = (-1)^m sum_{l=0}^{m} lambda^{(m-l)} D^{(l)}, so
+    each term adds -p(i, j) (-1)^m D^{(l)} e_m at degree m - l.
+    """
     src = _table_poly(A, j, i)
-    maxn = src.max_degree()
-    sign_p = A.parity_sign(i, j)
+    p = A.parity_sign(i, j)
     out = {}
-    for n in range(maxn + 1):
-        acc = A.zero_elt()
-        for l in range(maxn - n + 1):
-            piece = src.get(n + l)
-            if piece.is_zero():
-                continue
-            piece = piece.apply_dpow(l)
-            if (l + n) % 2:
-                piece = -piece
-            acc = acc + piece
-        acc = -acc if sign_p > 0 else acc
-        if not acc.is_zero():
-            out[n] = acc
-    return LambdaPoly(A.field, out)
+    for m, e in sorted(src.coeffs.items()):
+        negate = p == (-1) ** m  # -p(i, j) (-1)^m = -1
+        for n in range(m + 1):
+            acc = out.setdefault(n, {})
+            for k, v in e.apply_dpow(m - n).terms.items():
+                _add_to(acc, k, -v if negate else v)
+    return LambdaPoly(A.field, {n: ConfElt._trusted(A.field, terms)
+                                for n, terms in out.items()})
 
 
 def complete_table_cs4(A):
     """Fill missing table orientations via skew-symmetry; verify given ones.
 
-    Returns a new AlgebraDef with a total table.  Raises
-    TableInconsistencyError when both orientations of a pair are present
-    but contradict each other (this includes diagonal pairs, which must
-    be self-consistent).
+    Returns a new AlgebraDef with a total table; a pair given in neither
+    orientation is 0.  Raises TableInconsistencyError when both
+    orientations of a pair are present but contradict each other (this
+    includes diagonal pairs, which must be self-consistent).
     """
     table = dict(A.table)
     n = len(A.generators)
-    work = AlgebraDef(A.name, A.field, A.generators, table)
     for i in range(n):
         for j in range(i, n):
             # on the diagonal both orientations are the one key (i, i)
-            have_ij = (i, j) in table
-            have_ji = (j, i) in table
+            have_ij = (i, j) in A.table
+            have_ji = (j, i) in A.table
             if have_ij and have_ji:
-                derived = cs4_transform(work, i, j)
+                derived = cs4_transform(A, i, j)
                 if derived != table[(i, j)]:
                     bad = _first_mismatch(derived, table[(i, j)])
                     raise TableInconsistencyError(
                         (A.generators[i].name, A.generators[j].name), bad)
             elif have_ji:
-                table[(i, j)] = cs4_transform(work, i, j)
+                table[(i, j)] = cs4_transform(A, i, j)
             elif have_ij:
-                table[(j, i)] = cs4_transform(work, j, i)
+                table[(j, i)] = cs4_transform(A, j, i)
             else:
                 table[(i, j)] = A.zero_poly()
                 table[(j, i)] = A.zero_poly()
@@ -1010,6 +1008,13 @@ def _hat_sum(A, coords, vectors):
     return ConfElt._trusted(A.field, acc)
 
 
+def _primary(field, g, weight):
+    """(D + weight lambda) v_g, the bracket [L lambda v_g] of a primary."""
+    return LambdaPoly(field, {
+        0: ConfElt(field, {(g, 1, 0): field.scalar(1)}),
+        1: ConfElt(field, {(g, 0, 0): field.scalar(weight)})})
+
+
 def find_virasoro(A):
     """Index of the generator acting as the Virasoro element, or None.
 
@@ -1017,12 +1022,6 @@ def find_virasoro(A):
     [v lambda v] = (D + 2 lambda) v.
     """
     for i, g in enumerate(A.generators):
-        if g.parity != EVEN:
-            continue
-        expect = LambdaPoly(A.field, {
-            0: A.elt(i, dpow=1),
-            1: A.elt(i).scale(2),
-        })
-        if A.table.get((i, i)) == expect:
+        if g.parity == EVEN and A.table.get((i, i)) == _primary(A.field, i, 2):
             return i
     return None

@@ -128,6 +128,21 @@ def test_n4_table_entries():
     assert n_product(n4, n4.elt("G1"), n4.elt("G2"), 0).is_zero()
 
 
+@pytest.mark.parametrize("make, big, small", [
+    (make_n4, 120, 24), (make_n2, 120, 24), (make_n2, 24, 12)])
+def test_factories_agree_across_conductors(make, big, small):
+    # the tables at two conductors hold the same entries once the smaller
+    # field's scalars are embedded in the larger one
+    A, B = make(big), make(small)
+    assert A.generators == B.generators
+    assert sorted(A.table) == sorted(B.table)
+    for pair, poly in B.table.items():
+        assert sorted(A.table[pair].coeffs) == sorted(poly.coeffs)
+        for n, e in poly.coeffs.items():
+            assert A.table[pair].coeffs[n].terms == {
+                k: A.field.scalar(v) for k, v in e.terms.items()}
+
+
 def test_n4_needs_fourth_root():
     with pytest.raises(ConductorError):
         make_n4(conductor=6)

@@ -505,7 +505,8 @@ def test_derived_columns_match_direct_brackets(loop):
                for bi, (res, _, _, _) in enumerate(frame.alphas)
                for q in loop.exponents(res, -reach, reach) for l in (0, 1)]
     brackets, K = centroid._interior_brackets(frame)
-    closure = centroid._closure(frame, brackets)
+    closure = {a: centroid._columns(frame, brackets[a], {}, frame.interior0)
+               for a in frame.interior0}
     for a in frame.interior0:
         xa = frame.hat(a)
         got = centroid._columns(frame, brackets[a], closure[a], columns)

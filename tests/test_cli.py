@@ -754,6 +754,17 @@ def test_closed_pipe_ends_quietly():
     assert err == b""
 
 
+def test_non_utf8_source_exits_2_across_the_process_boundary(tmp_path):
+    (tmp_path / "bad.csa").write_bytes(b"algebra X\n\xff\n")
+    proc = csalg_process(["check", "bad.csa"], cwd=tmp_path,
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert out == b""
+    assert err == (b"error: bad.csa: cannot read the file: not UTF-8 text "
+                   b"(byte 10: invalid start byte)\n")
+
+
 def readme_commands():
     text = (ROOT / "README.md").read_text()
     block = text.split("## Command line", 1)[1].split("```")[1]

@@ -33,6 +33,7 @@ from csalg.cyclotomic import CycloField, CycloScalar, _add_to, _lower, _q
 from csalg.dsl import parse_algebra
 from csalg.errors import ConductorError, CsalgError, TableInconsistencyError
 from csalg.laurent import binom_frac
+from test_dsl import data_text
 
 N2 = make_n2()
 HALF = Fraction(1, 2)
@@ -307,6 +308,48 @@ def test_cs4_completion_derives_missing_pairs():
     derived = cs4_transform(N2, N2.gen_index("G+"), N2.gen_index("J"))
     assert derived == poly({0: N2.elt("G+", coeff=-1)})
     assert N2.table[(N2.gen_index("G+"), N2.gen_index("J"))] == derived
+
+
+def _skew_oracle(entry, p):
+    """-p sum_m (-lambda - D)^{(m)} e_m on the raw terms of [b lambda a] =
+    sum_m lambda^{(m)} e_m: D^{(l)} D^{(j)} v = C(j + l, l) D^{(j+l)} v."""
+    out = {}
+    for m, e in entry.coeffs.items():
+        for (g, j, q), c in e.terms.items():
+            for l in range(m + 1):
+                _add_to(out.setdefault(m - l, {}), (g, j + l, q),
+                        c * (-p * (-1) ** m * comb(j + l, l)))
+    return LambdaPoly(entry.field, {n: ConfElt(entry.field, terms)
+                                    for n, terms in out.items()})
+
+
+def test_cs4_transform_matches_the_skew_symmetry_expansion():
+    # entries of lambda-degree up to 3 and D-powers up to 2 on the
+    # even-even pair (a, b), the even-odd pairs (a, c), (d, b) and the
+    # odd-odd pair (c, d), each given in one orientation only
+    field = N2.field
+    gens = [Generator("a", EVEN), Generator("b", EVEN), Generator("c", ODD),
+            Generator("d", ODD)]
+    rng = random.Random(35)
+    for _ in range(10):
+        table = {}
+        for i, j in ((0, 1), (0, 2), (3, 1), (2, 3)):
+            parity = (gens[i].parity + gens[j].parity) % 2
+            targets = [g for g in range(4) if gens[g].parity == parity]
+            table[(i, j)] = LambdaPoly(field, {
+                m: ConfElt(field, {
+                    (rng.choice(targets), rng.randint(0, 2), 0):
+                        field.rational(Fraction(rng.randint(-3, 3), 2))
+                        * field.zeta(rng.randrange(24))
+                    for _ in range(3)})
+                for m in range(rng.randint(1, 4))})
+        A = AlgebraDef("X", field, gens, table)
+        for (i, j), given in table.items():
+            derived = cs4_transform(A, j, i)
+            assert derived == _skew_oracle(given, A.parity_sign(i, j))
+            # the transform of the derived orientation gives back the entry
+            back = AlgebraDef("Y", field, gens, {(j, i): derived})
+            assert cs4_transform(back, i, j) == given
 
 
 def test_completion_idempotent_on_complete_table():
@@ -933,6 +976,16 @@ def test_cs1_algebra_only_form_on_t_constant_elements():
 
 def test_find_virasoro():
     assert find_virasoro(N2) == N2.gen_index("L")
+    shipped = [parse_algebra(data_text(name))
+               for name in ("n2.csa", "n4.csa")]
+    for A in [make_n4()] + shipped:
+        assert find_virasoro(A) == 0
+    assert find_virasoro(make_current(sl2_constants())) is None
+    # [L lambda L] = DL + 3 lambda L: L is primary of weight 3, not Virasoro
+    table = dict(N2.table)
+    table[(0, 0)] = poly({0: N2.elt("L", dpow=1), 1: N2.elt("L", coeff=3)})
+    assert find_virasoro(
+        AlgebraDef("N2", N2.field, N2.generators, table)) is None
 
 
 def test_find_virasoro_skips_an_odd_generator():
