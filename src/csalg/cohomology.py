@@ -240,7 +240,13 @@ def cocycle_of(sigma, m):
 
 def coboundary(u, g):
     """Twist a cocycle by a group element: b(n) = g^{-1} u(n) (n acting on g);
-    the isomorphism L(u) -> L(b) it witnesses is g^{-1}, not g."""
+    the isomorphism L(u) -> L(b) it witnesses is g^{-1}, not g.
+
+    Here L(u) = {x : u(1)(gamma x) = x}, with gamma the Galois generator of
+    ``LaurentElt.galois``: then b(1) gamma(g^{-1} x) = g^{-1} u(1) gamma(x)
+    = g^{-1} x.  The loop of u is ``eigenspaces`` of u(1)^{-1}, not of
+    u(1).  The values keep the level of g, also where their entries are
+    constant."""
     ginv = g.inverse()
     return Cocycle(u.m, {n: ginv * u.value(n) * g.galois(n)
                          for n in range(u.m)})

@@ -153,7 +153,10 @@ class LaurentElt:
         """Apply the g-th power of the level's Galois generator.
 
         The generator sends t^{p/m} to xi_m^p t^{p/m} where m is the
-        level; integer-exponent terms are fixed.
+        level; integer-exponent terms are fixed.  This gamma fixes the
+        orientation of descent: the loop of a cocycle u is {x : u(1)(gamma
+        x) = x}, whose piece at t^{p/m} is the xi_m^{-p}-eigenspace of u(1)
+        (see ``loops.eigenspaces`` and ``cohomology.coboundary``).
         """
         m = self.level
         field = self.field

@@ -48,9 +48,11 @@ from .errors import DomainError
 #
 # The rows of the centroid solve average two entries, so the eliminator's
 # cost is its per-entry overhead.  ``_reduce_against`` adds an int product,
-# or an int entry of the row that meets an empty or int slot, in place: an
-# int sum needs neither the ``_q`` rule nor an ``is_zero`` call, and one
-# that cancels drops its key.  Every other sum goes through ``_add_to``.
+# or an int entry of the row that meets an empty or int slot, in place, and
+# so does the substitution of a new pivot into the rows that mention its
+# lead: an int sum needs neither the ``_q`` rule nor an ``is_zero`` call,
+# and one that cancels drops its key.  Every other sum goes through
+# ``_add_to``.
 # An irrational lead takes a norm and a product over the conjugates to
 # invert, and the centroid rows repeat a few lead values (-2 zeta^6,
 # 2 zeta^6 and -8 zeta^6 on the N=4 loops), so each ``Echelon`` keeps
@@ -147,14 +149,31 @@ def _echelon_insert(pivots, row):
             if c is not None:
                 for u, m in new.items():
                     p = c * m
-                    if p.__class__ is CycloScalar:
-                        p = _lower(p)
-                    _add_to(piv, u, p)
-                    users.setdefault(u, set()).add(other)
+                    s = piv.get(u, 0)
+                    if p.__class__ is int and s.__class__ is int:
+                        # an int sum in place; one that cancels leaves no key
+                        s += p
+                        if s:
+                            piv[u] = s
+                        else:
+                            piv.pop(u, None)
+                    else:
+                        if p.__class__ is CycloScalar:
+                            p = _lower(p)
+                        _add_to(piv, u, p)
+                    user = users.get(u)
+                    if user is None:
+                        users[u] = {other}
+                    else:
+                        user.add(other)
                 if not piv:
                     pivots.pins.append(other)
         for u in new:
-            users.setdefault(u, set()).add(lead)
+            user = users.get(u)
+            if user is None:
+                users[u] = {lead}
+            else:
+                user.add(lead)
         if not new:
             pivots.pins.append(lead)
         pivots[lead] = new

@@ -70,9 +70,11 @@ class LoopAlgebra:
 
     ``eigenbasis[i]`` spans the xi_m^i eigenspace of the twist inside the
     generator span; the piece at exponent q of the loop algebra is the
-    eigenspace for residue m*q mod m.  ``basis`` lists the same vectors
-    flat, in eigenbasis order, as records (residue, element, coordinate
-    list on the generators, parity), the parity None for a mixed vector.
+    eigenspace for residue m*q mod m.  For a cocycle u this is L(u) when
+    the twist is u(1)^{-1} (see ``eigenspaces``).  ``basis`` lists the
+    same vectors flat, in eigenbasis order, as records (residue, element,
+    coordinate list on the generators, parity), the parity None for a
+    mixed vector.
     The class stores only V-level data: the twist commutes with D, so the
     D-closure is implied.
     """
@@ -173,15 +175,20 @@ class LoopAlgebra:
 def eigenspaces(A, sigma, m):
     """Split the generator span of A under an order-m twist.
 
-    The twist must be given at level 1 with images inside V (x) 1; twists
-    that genuinely need positive S_m-level (a loop-dependent gauge) are
-    rejected, since the eigenspace picture lives over the base ring.
+    The images of the twist must lie inside V (x) 1; a twist that genuinely
+    needs a t or a D term (a loop-dependent gauge) is refused by the image
+    it names, since the eigenspace picture lives over the base ring.  The
+    declared level is not read: a constant cocycle value keeps the level of
+    the element that made it, such as a coboundary by t^{1/3}.
+
+    The result pairs the xi^i-eigenspace of ``sigma`` with t^{i/m}, so it
+    is the loop L(u) = {x : u(1)(gamma x) = x} of the cocycle u with
+    u(1) = sigma^{-1}, gamma as in ``LaurentElt.galois``: v t^{p/m} is
+    fixed exactly when u(1) v = xi^{-p} v.  The loop of u is built from
+    the inverse of u(1).
     """
     if sigma.algebra != A:
         raise DomainError("morphism is defined on a different algebra")
-    if sigma.level != 1:
-        raise DomainError(
-            "twist must be given at level 1, got level %d" % sigma.level)
     field = A.field
     n = A.ngens()
     cols = [_plain_vector(A, sigma.images[i],

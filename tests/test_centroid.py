@@ -15,7 +15,7 @@ from csalg.core import (EVEN, AlgebraDef, ConfElt, Generator, LambdaPoly,
 from csalg.cyclotomic import CycloField, CycloScalar, _add_to
 from csalg.dsl import parse_algebra, parse_morphism
 from csalg.errors import ConductorError, DomainError
-from csalg.linalg import _echelon_insert
+from csalg.linalg import Echelon, _echelon_insert, _reduce_against
 from csalg.laurent import LaurentElt, delta_t
 from csalg.loops import LoopAlgebra, eigenspaces
 from csalg.morphisms import identity_morphism, n2_omega, n4_auto
@@ -767,6 +767,72 @@ def test_row_order_leaves_every_solution_as_it_is(monkeypatch, name):
     monkeypatch.setattr(centroid, "_row_order",
                         lambda frame: order(frame)[::-1])
     assert _solved(case) == forward
+
+
+def _final_echelon(monkeypatch, case, implied):
+    """The solutions of ``case`` and the echelon of its row loop, with
+    ``implied`` deciding which rows are dropped before the eliminator."""
+    seen = []
+
+    def insert(pivots, row):
+        if not seen:
+            seen.append(pivots)
+        return _echelon_insert(pivots, row)
+
+    monkeypatch.setattr(centroid, "_echelon_insert", insert)
+    monkeypatch.setattr(centroid, "_implied", implied)
+    return _solved(case), seen[0]
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_CASES))
+def test_implied_rows_reduce_to_nothing_and_leave_the_echelon_as_it_is(
+        monkeypatch, name):
+    # a row is dropped only when it reduces to nothing against the pivots
+    # of that moment, and the echelon then ends as inserting every row
+    # leaves it: the same pivots and users, and no pending pins
+    case = ORDER_CASES[name]
+    implied = centroid._implied
+    dropped = Counter()
+
+    def checked(pivots, row):
+        got = implied(pivots, row)
+        if got:
+            assert _reduce_against(pivots, row) == ({}, None)
+            dropped[len(row)] += 1
+        return got
+
+    solved, pivots = _final_echelon(monkeypatch, case, checked)
+    assert dropped[2]
+    every, inserted = _final_echelon(monkeypatch, case,
+                                     lambda pivots, row: False)
+    assert solved == every
+    assert dict(pivots) == dict(inserted)
+    assert pivots.users == inserted.users
+    assert pivots.pins == inserted.pins == []
+
+
+def test_implied_needs_one_term_pivots_on_one_free_column_that_cancel():
+    z = FIELD.zeta(3)
+    pivots = Echelon()
+    # x0 = 2 x9, x1 = -x9, x2 = z x9, x3 = x8, x4 = x8 + x9, x5 = -x8
+    for row in ({0: 1, 9: -2}, {1: 1, 9: 1}, {2: 1, 9: -z}, {3: 1, 8: -1},
+                {4: 1, 8: -1, 9: -1}, {5: 1, 8: 1}):
+        _echelon_insert(pivots, row)
+    assert centroid._implied(pivots, {0: 1, 1: 2})
+    assert centroid._implied(pivots, {0: Fraction(1, 2), 1: 1})
+    assert centroid._implied(pivots, {0: z, 2: -2})
+    assert centroid._implied(pivots, {0: 1, 1: 2 + z, 2: 1})
+    for row in ({0: 1, 1: 1},  # the sum 2 - 1 does not cancel
+                {0: 1, 9: -2},  # x9 is free: it reduces, but not this way
+                {0: 1, 4: -2},  # x4 has a two-term row
+                {0: 1, 3: -2},  # x3 lies on another free column
+                {0: 1, 1: 2, 3: 1, 5: 1}):  # cancels, on two columns
+        assert not centroid._implied(pivots, row)
+    # every row it drops reduces to nothing; the one on two free columns
+    # does too, and is left to the eliminator
+    for row in ({0: 1, 1: 2}, {0: z, 2: -2}, {0: 1, 1: 2 + z, 2: 1},
+                {0: 1, 1: 2, 3: 1, 5: 1}):
+        assert _reduce_against(pivots, row) == ({}, None)
 
 
 def test_rows_start_at_the_lightest_record_and_the_highest_exponent():

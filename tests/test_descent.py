@@ -5,7 +5,8 @@ the twisted loops L(u) and L(b) are then isomorphic through g^{-1}, not g
 (Serre, *Galois Cohomology*, I 5).  Each case checks the coboundary, that g
 is a homomorphism, that g^{-1} carries every window basis element of L(u)
 into L(b) and that g carries every one of L(b) back into L(u).  The loop of
-a cocycle is the eigenspace splitting of its value at 1."""
+a cocycle u is the eigenspace splitting of u(1)^{-1}; each expected count is
+read off the window and the eigenspace dimensions."""
 
 from fractions import Fraction
 
@@ -15,7 +16,8 @@ from csalg.algebras import make_n2, make_n4
 from csalg.cohomology import N2AutElt, N4AutElt, coboundary, cocycle_of
 from csalg.laurent import LaurentElt
 from csalg.loops import eigenspaces, loop_membership
-from csalg.morphisms import check_hom, extend_apply, invert
+from csalg.morphisms import (check_hom, extend_apply, identity_morphism,
+                             invert)
 
 HALF = Fraction(1, 2)
 #: Exponents of the window basis elements v t^q checked in each loop.
@@ -36,7 +38,19 @@ def _window_basis(loop):
 
 
 def _loop(A, u):
-    return eigenspaces(A, u.value(1).as_morphism(A), u.m)
+    # L(u) = {x : u(1)(gamma x) = x}, gamma(v t^{p/m}) = xi^p v t^{p/m}: v
+    # t^{p/m} is fixed exactly when u(1) v = xi^{-p} v, so L(u) pairs the
+    # xi^p-eigenspace of u(1)^{-1} with t^{p/m}
+    return eigenspaces(A, invert(u.value(1).as_morphism(A)), u.m)
+
+
+def _window_count(dims, m):
+    """The size of the window basis of a loop whose xi^i-eigenspace, of
+    dimension dims[i], sits at the exponents i/m + Z: the exponents i/m + k
+    in [-WINDOW, WINDOW], counted from the window alone."""
+    return sum(dim * len([k for k in range(-WINDOW, WINDOW + 1)
+                          if abs(Fraction(i, m) + k) <= WINDOW])
+               for i, dim in enumerate(dims))
 
 
 def _carried(phi, source, target):
@@ -76,14 +90,56 @@ def _n4_order3_case():
     return N4, u, N4AutElt([[1, 0], [0, 1]], p), b, (36, 36)
 
 
-@pytest.mark.parametrize("case", [_n2_case, _n4_case, _n4_order3_case],
-                         ids=["n2-sign", "n4-joint-sign", "n4-order3"])
+def _n4_third_case():
+    # u(1) = (diag(z3, z3^2), I) fixes L and J3, and each of its z3- and
+    # z3^2-eigenspaces holds one current and two odd generators; g =
+    # (diag(t^{-1/3}, t^{1/3}), I) makes the coboundary trivial, though it
+    # keeps level 3.  Dimensions by hand: [2, 3, 3] for u, [8, 0, 0] for
+    # the trivial cocycle
+    F = N4.field
+    z3 = LaurentElt(F, {0: Z3})
+    u = cocycle_of(N4AutElt([[z3, 0], [0, z3 * z3]], [[1, 0], [0, 1]]), 3)
+    b = cocycle_of(N4AutElt.identity(), 3)
+    third = Fraction(1, 3)
+    y = [[mono(F, -third), 0], [0, mono(F, third)]]
+    return (N4, u, N4AutElt(y, [[1, 0], [0, 1]]), b,
+            (_window_count([2, 3, 3], 3), _window_count([8, 0, 0], 3)))
+
+
+def _n2_third_case():
+    # theta(z3) fixes L and J and scales G+- by z3^{+-1}; theta(t^{-1/3})
+    # makes the coboundary trivial.  Dimensions by hand: [2, 1, 1] for u,
+    # [4, 0, 0] for the trivial cocycle
+    F = N2.field
+    z3 = LaurentElt(F, {0: F.root_of_unity(3)})
+    u = cocycle_of(N2AutElt(z3, 0), 3)
+    b = cocycle_of(N2AutElt.identity(), 3)
+    g = N2AutElt(mono(F, Fraction(-1, 3)), 0)
+    return (N2, u, g, b,
+            (_window_count([2, 1, 1], 3), _window_count([4, 0, 0], 3)))
+
+
+def test_window_counts_follow_the_window_and_the_dimensions():
+    # by hand: [-2, 2] holds the 5 exponents of Z and the 4 of 1/3 + Z and
+    # of 2/3 + Z
+    assert _window_count([8, 0, 0], 3) == 40
+    assert _window_count([2, 3, 3], 3) == 34
+    assert _window_count([2, 1, 1], 3) == 18
+    assert _window_count([4], 1) == 20
+
+
+@pytest.mark.parametrize("case", [_n2_case, _n4_case, _n4_order3_case,
+                                  _n4_third_case, _n2_third_case],
+                         ids=["n2-sign", "n4-joint-sign", "n4-order3",
+                              "n4-third", "n2-third"])
 def test_one_element_witnesses_the_coboundary_and_the_isomorphism(case):
     A, u, g, b, (forward, back) = case()
     assert coboundary(u, g) == b
     phi = g.as_morphism(A)
     assert check_hom(A, phi).ok
     Lu, Lb = _loop(A, u), _loop(A, b)
+    assert _window_count([len(p) for p in Lu.eigenbasis], u.m) == forward
+    assert _window_count([len(p) for p in Lb.eigenbasis], b.m) == back
     assert _carried(invert(phi), Lu, Lb) == (forward, forward)
     assert _carried(phi, Lb, Lu) == (back, back)
 
@@ -94,3 +150,19 @@ def test_the_isomorphism_of_the_coboundary_is_g_inverse():
     A, u, g, b, (forward, _) = _n4_order3_case()
     got, total = _carried(g.as_morphism(A), _loop(A, u), _loop(A, b))
     assert total == forward and got < total
+
+
+@pytest.mark.parametrize("case", [_n4_third_case, _n2_third_case],
+                         ids=["n4-third", "n2-third"])
+def test_the_trivial_coboundary_at_level_3_loops_to_the_untwisted_loop(case):
+    # the coboundary keeps the level of g, 3, with constant entries 1 and 0;
+    # its loop puts every generator at residue 0, on the exponents Z
+    A, u, g, b, (_, back) = case()
+    trivial = coboundary(u, g)
+    assert trivial == b and trivial.value(1).level == 3
+    Lb = _loop(A, trivial)
+    assert [len(p) for p in Lb.eigenbasis] == [A.ngens(), 0, 0]
+    identity = identity_morphism(A)
+    untwisted = eigenspaces(A, identity, 1)
+    assert _carried(identity, Lb, untwisted) == (back, back)
+    assert _carried(identity, untwisted, Lb) == (back, back)

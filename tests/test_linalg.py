@@ -520,6 +520,30 @@ def test_int_entries_that_cancel_leave_no_key(monkeypatch):
     assert _reduce_against(pivots, {0: 3, 5: 6, 6: 3}) == ({}, None)
 
 
+def test_int_substitutions_that_cancel_leave_no_key(monkeypatch):
+    adds = []
+    add_to = linalg._add_to
+
+    def counted(acc, key, val):
+        adds.append(key)
+        add_to(acc, key, val)
+
+    monkeypatch.setattr(linalg, "_add_to", counted)
+    pivots = Echelon()
+    _echelon_insert(pivots, {0: 1, 2: -1, 3: -1})  # x0 = x2 + x3
+    _echelon_insert(pivots, {1: 1, 2: -3, 4: -1})  # x1 = 3 x2 + x4
+    adds.clear()
+    # x2 = -x3: x0 = x3 - x3 cancels to the pin x0 = 0, and x1 = -3 x3 + x4
+    assert _echelon_insert(pivots, {2: 1, 3: 1}) == 2
+    assert dict(pivots) == {0: {}, 1: {3: -3, 4: 1}, 2: {3: -1}}
+    assert pivots.pins == [0]
+    assert all(v.__class__ is int for v in pivots[1].values())
+    # int products are added in place, with no _add_to call
+    assert adds == []
+    # users keeps a superset of the leads whose row mentions a column
+    assert pivots.users[3] >= {1, 2} and pivots.users[4] == {1}
+
+
 def test_laurent_matrix_inverse():
     one = LaurentElt.one()
     t = LaurentElt.monomial(1, 1)
