@@ -27,8 +27,9 @@ weights C(q, l) sit over one denominator S per bracket, as ints.
 ``LambdaPoly``.  The CS1-CS3 spot checks of ``check_axioms`` run on one
 fixed list of trials; CS1 and CS3 read the kernel's maps as they are,
 against one public bracket per trial.  Its Jacobi sweep has only t-free
-arguments, so it sums the cached decorated pairs directly, as int
-polynomials in zeta.
+arguments, so it sums the cached decorated pairs directly, read flat as
+int polynomials in zeta, and builds each nested bracket once for the two
+triples that share it.
 """
 
 from __future__ import annotations
@@ -426,10 +427,13 @@ def _decorated_pair(A, g1, j1, g2, j2):
     a tuple of (n, ((g, j, c), ...)) for c lambda^{(n)} D^{(j)} v_g, each c
     lowered under the ``_q`` rule; memoized in ``A._pair_cache``.
 
+    The undecorated pair (j1 = j2 = 0) is the table entry with its scalars
+    lowered, built with no multiplication.  A decorated pair decorates the
+    cached undecorated one, whose scalars are lowered already.
     Sesquilinearity gives (-lambda)^{(j1)} (D + lambda)^{(j2)} [v_{g1}
     lambda v_{g2}] with (D + lambda)^{(j2)} = sum_{u+w=j2} D^{(u)}
     lambda^{(w)}, and divided powers multiply as lambda^{(a)} lambda^{(b)}
-    = C(a+b, a) lambda^{(a+b)}, likewise for D.  So the table term
+    = C(a+b, a) lambda^{(a+b)}, likewise for D.  So the term
     c lambda^{(n)} D^{(j)} v lands at lambda^{(n+w+j1)} D^{(j+u)} v with
     weight (-1)^{j1} C(n+w, w) C(n+w+j1, j1) C(j+u, u).
     """
@@ -437,18 +441,21 @@ def _decorated_pair(A, g1, j1, g2, j2):
     got = A._pair_cache.get(key)
     if got is not None:
         return got
-    table = _table_poly(A, g1, g2).coeffs
+    if not (j1 or j2):
+        got = A._pair_cache[key] = tuple(
+            (n, tuple((g, j, _lower(c)) for (g, j, _), c in e.terms.items()))
+            for n, e in _table_poly(A, g1, g2).coeffs.items() if e.terms)
+        return got
+    base = _decorated_pair(A, g1, 0, g2, 0)
     sign = -1 if j1 % 2 else 1
     acc = {}  # n -> {(g, j): c}
     for u in range(j2 + 1):
         w = j2 - u
-        for n, e in table.items():
+        for n, terms in base:
             f = sign * comb(n + w, w) * comb(n + w + j1, j1)
             out = acc.setdefault(n + w + j1, {})
-            for (g, j, _), c in e.terms.items():
-                # the weight is 1 on every t-free pair (j1 = j2 = 0)
+            for g, j, c in terms:
                 wt = f * comb(j + u, u)
-                c = _lower(c)
                 _add_to(out, (g, j + u), c if wt == 1 else c * wt)
     got = A._pair_cache[key] = tuple(
         (n, tuple((g, j, c) for (g, j), c in terms.items()))
@@ -771,9 +778,14 @@ def check_axioms(A, seed=0):
     derived bracket from the kernel ``_bracket_terms``: D and integer powers
     of t keep exponent denominators, so one M serves a trial.  CS2 checks
     ``apply_partial`` on x lifted to public scalars.  CS4 and CS5 are
-    swept over every generator pair and triple; CS5 sums the three Jacobi
-    terms of a triple into one difference map of unreduced int polynomials
-    in zeta (``_sweep_cs5``) and reports its nonzero cells n-major, m-minor.
+    swept over every generator pair and triple.  CS5 (``_sweep_cs5``)
+    sums the three Jacobi terms of a triple into one difference map of
+    unreduced int polynomials in zeta, with zeta^e for e >= N/2 folded to
+    -zeta^{e-N/2} when the conductor N is even, and reports its nonzero
+    cells n-major, m-minor.  The triples (a, b, c) and (b, a, c) are
+    checked together: the nested brackets [a_(m) [b_(n) c]] and
+    [b_(n) [a_(m) c]] are the first and third terms of both, so they are
+    built once into one map shared by the two.
     """
     A = _integral(A)
     report = AxiomReport(A.name)
@@ -874,6 +886,28 @@ def _sweep_cs4(A, report):
     report.counts["CS4"] = "%d pairs" % (ngen * ngen)
 
 
+class _FlatPairs(dict):
+    """``_decorated_pair`` of A keyed (g1, j1, g2, j2), each flattened on
+    first use into a list of (n, g, j, e, c) for c zeta^e lambda^{(n)}
+    D^{(j)} v_g: a scalar sum_e c_e zeta^e of Q(zeta_N), or of a subfield
+    embedded through ``A.field.scalar``, gives one entry per (e, c_e)."""
+
+    def __init__(self, A):
+        super().__init__()
+        self.A = A
+
+    def __missing__(self, key):
+        A = self.A
+        scalar = A.field.scalar
+        got = self[key] = [
+            (n, g, j, e, c)
+            for n, terms in _decorated_pair(A, *key)
+            for g, j, v in terms
+            for e, c in (scalar(v).coeffs.items()
+                         if v.__class__ is CycloScalar else ((0, v),))]
+        return got
+
+
 def _sweep_cs5(A, report):
     """CS5 (Jacobi) on every ordered generator triple, both lambda and mu
     degrees up to the vanishing bound, into ``report``.
@@ -883,17 +917,34 @@ def _sweep_cs5(A, report):
     weighted by a table scalar s, itself read from the cached, lowered
     pair of two undecorated generators: [a_(m) [b_(n) c]] with weight +s,
     [[a_(jj) b]_(k) c] with -C(m, jj) s on every m + n = jj + k, m >= jj,
-    and [b_(n) [a_(m) c]] with -p(a, b) s.  Each cached pair is read once
-    as polynomials in zeta: a scalar sum_e c_e zeta^e of Q(zeta_N), or of
-    a subfield embedded through ``A.field.scalar``, as its pairs (e, c_e),
-    which are ints on an ``_integral`` table.  The three terms of a triple
-    are added into one difference map keyed (m, n, g, j, e1 + e2), whose
-    values are sums of unreduced products; a cell (m, n) is called nonzero
-    only after each of its coefficients at D^{(j)} v_g is reduced modulo
-    the cyclotomic polynomial once, by ``CycloField.reduce_terms``.  The
-    nonzero cells are the failures, reported n-major, m-minor.  Only the
-    middle term reaches past the bound, at m > bound, and those cells are
-    left out.
+    and [b_(n) [a_(m) c]] with -p(a, b) s.  The pairs are read flat
+    (``_FlatPairs``), as int coefficients c of zeta^e on an ``_integral``
+    table, and every product adds in place into a map keyed
+    (m, n, g, j, e1 + e2) whose values are sums of unreduced int products.
+    For an even conductor N a product exponent e1 + e2 >= N/2 is folded to
+    e1 + e2 - N/2 with the product negated, as zeta^{N/2} = -1, so such
+    products cancel raw against rational ones; an odd N is not folded.
+    The cells (m, n) that one middle product feeds, with their weights
+    C(m, jj), are listed once per sweep for each (jj, k).
+
+    The nested map N(x, y, c) of [x_(m) [y_(n) c]] is the first term of
+    (x, y, c), and, read at (n, m) with weight -p(x, y), the third term of
+    (y, x, c).  So for a <= b the triples (a, b, c) and (b, a, c) are
+    checked together from one shared map S = N(a, b, c) - p(a, b) N^T,
+    N^T the map N(b, a, c) with m and n swapped: keyed (m, n), S holds the
+    first and third terms of (a, b, c); keyed (n, m), it is -p(a, b) times
+    those of (b, a, c), a sign that changes no cell's verdict.  A copy of S
+    takes the middle term of (a, b, c) and S itself that of (b, a, c),
+    scaled alike, so at most two maps are alive at once.  Each nested
+    bracket is built once per sweep, and twice on the diagonal a = b.
+
+    A map whose values are all zero has no failing cell.  Otherwise a cell
+    (m, n) is called nonzero only after each of its coefficients at
+    D^{(j)} v_g is reduced modulo the cyclotomic polynomial once, by
+    ``CycloField.reduce_terms``.  The nonzero cells are the failures; they
+    are buffered and reported in (a, b, c) order, n-major, m-minor within
+    a triple.  Only the middle term reaches past the bound, at m > bound,
+    and those cells are left out.
     """
     ngen = A.ngens()
     report.verdicts.setdefault("CS5", True)
@@ -901,62 +952,92 @@ def _sweep_cs5(A, report):
     bound = maxl + maxd + 2
     names = [g.name for g in A.generators]
     field = A.field
-    polys = {}
+    N = field.conductor
+    # flat exponents stay below phi(N), so an odd N, with 2 N, folds nothing
+    half = N // 2 if N % 2 == 0 else 2 * N
+    flats = _FlatPairs(A)
+    # (jj, k) -> the cells (m, n) of the middle term, m + n = jj + k and
+    # jj <= m <= bound, as (m, n, C(m, jj)); swapped as (n, m, C(m, jj))
+    spans = ({}, {})
+    for jj in range(maxl + 1):
+        for k in range(maxl + maxd + 1):
+            fed = [(m, jj + k - m, comb(m, jj))
+                   for m in range(jj, min(jj + k, bound) + 1)]
+            spans[0][jj, k] = fed
+            spans[1][jj, k] = [(n, m, f) for m, n, f in fed]
 
-    def pair(g1, j1, g2, j2):
-        key = (g1, j1, g2, j2)
-        got = polys.get(key)
-        if got is None:
-            got = polys[key] = tuple(
-                (n, tuple((g, j, tuple(field.scalar(v).coeffs.items())
-                           if v.__class__ is CycloScalar else ((0, v),))
-                          for g, j, v in terms))
-                for n, terms in _decorated_pair(A, g1, j1, g2, j2))
-        return got
+    def nested(x, y, c, out, w, swap):
+        """Add w N(x, y, c), N(x, y, c) = [x_(m) [y_(n) c]], into ``out``
+        keyed (m, n, g, j, e), or (n, m, g, j, e) when ``swap``."""
+        get = out.get
+        for n, g, j, e1, c1 in flats[y, 0, c, 0]:
+            c1 *= w
+            for m, g2, j2, e2, c2 in flats[x, 0, g, j]:
+                e = e1 + e2
+                v = c1 * c2
+                if e >= half:
+                    e -= half
+                    v = -v
+                key = (n, m, g2, j2, e) if swap else (m, n, g2, j2, e)
+                out[key] = get(key, 0) + v
 
-    def add(diff, m, n, terms, w, f=1):
-        for e1, c1 in w:
-            c1 *= f
-            for g, j, b in terms:
-                for e2, c2 in b:
-                    key = (m, n, g, j, e1 + e2)
-                    diff[key] = diff.get(key, 0) + c1 * c2
+    def middle(x, y, c, out, w, swap):
+        """Add w sum_jj C(m, jj) [[x_(jj) y]_(m+n-jj) c] into ``out``, keyed
+        as by ``nested``: [[x_(jj) y]_(k) c] feeds the cells of
+        ``spans``."""
+        get = out.get
+        span = spans[swap]
+        for jj, g, j, e1, c1 in flats[x, 0, y, 0]:
+            c1 *= w
+            for k, g2, j2, e2, c2 in flats[g, j, c, 0]:
+                e = e1 + e2
+                v = c1 * c2
+                if e >= half:
+                    e -= half
+                    v = -v
+                for k1, k2, f in span[jj, k]:
+                    key = (k1, k2, g2, j2, e)
+                    out[key] = get(key, 0) + f * v
 
-    triples = 0
+    failed = {}  # triple -> its failing cells (m, n), n-major
+
+    def check(triple, diff, swap):
+        """Record the nonzero cells of the difference map of ``triple``."""
+        if not any(diff.values()):
+            return
+        cells = {}
+        for (k1, k2, g, j, e), x in diff.items():
+            if x:
+                cells.setdefault((k1, k2) if swap else (k2, k1),
+                                 {}).setdefault((g, j), {})[e] = x
+        bad = [(m, n) for n, m in sorted(cells)
+               if any(map(field.reduce_terms, cells[(n, m)].values()))]
+        if bad:
+            failed[triple] = bad
+
     for a in range(ngen):
-        for b in range(ngen):
-            p_ab = A.parity_sign(a, b)
-            pair_ab = pair(a, 0, b, 0)
+        for b in range(a, ngen):
+            p = A.parity_sign(a, b)
             for c in range(ngen):
-                triples += 1
-                diff = {}
-                # [a_(m) [b_(n) c]]
-                for n, inner in pair(b, 0, c, 0):
-                    for g, j, v in inner:
-                        for m, terms in pair(a, 0, g, j):
-                            add(diff, m, n, terms, v)
-                # [[a_(jj) b]_(k) c] feeds every m + n = jj + k, m >= jj
-                for jj, inner in pair_ab:
-                    for g, j, v in inner:
-                        for k, terms in pair(g, j, c, 0):
-                            for m in range(jj, min(jj + k, bound) + 1):
-                                add(diff, m, jj + k - m, terms, v,
-                                    -comb(m, jj))
-                # p(a, b) [b_(n) [a_(m) c]]
-                for m, inner in pair(a, 0, c, 0):
-                    for g, j, v in inner:
-                        for n, terms in pair(b, 0, g, j):
-                            add(diff, m, n, terms, v, -p_ab)
-                cells = {}
-                for (m, n, g, j, e), x in diff.items():
-                    if x:
-                        cells.setdefault((n, m), {}).setdefault(
-                            (g, j), {})[e] = x
-                for n, m in sorted(cells):
-                    if any(map(field.reduce_terms, cells[(n, m)].values())):
-                        report.fail("CS5", (names[a], names[b], names[c]),
-                                    "m=%d n=%d" % (m, n))
-    report.counts["CS5"] = "%d triples" % triples
+                # shared = N(a, b, c) - p N(b, a, c) with its m and n
+                # swapped: the first and third terms of (a, b, c), and
+                # keyed (n, m) -p times those of (b, a, c)
+                shared = {}
+                nested(a, b, c, shared, 1, False)
+                nested(b, a, c, shared, -p, True)
+                diff = dict(shared) if a != b else shared
+                middle(a, b, c, diff, -1, False)
+                check((a, b, c), diff, False)
+                if a != b:
+                    # -p times the difference map of (b, a, c)
+                    middle(b, a, c, shared, p, True)
+                    check((b, a, c), shared, True)
+    for triple in sorted(failed):
+        a, b, c = triple
+        for m, n in failed[triple]:
+            report.fail("CS5", (names[a], names[b], names[c]),
+                        "m=%d n=%d" % (m, n))
+    report.counts["CS5"] = "%d triples" % ngen ** 3
 
 
 # -- hat basis (full-derivation divided powers) -----------------------------

@@ -15,7 +15,8 @@ import pytest
 from csalg import loops
 from csalg.cli import main
 from csalg.cyclotomic import CycloField
-from csalg.dsl import parse_scalar
+from csalg.dsl import parse_algebra, parse_scalar
+from test_core import _cs5_failures_by_dense_sweep
 from test_loops import NONDIAG_CASES, NONDIAG_SOURCE
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -763,6 +764,31 @@ def test_non_utf8_source_exits_2_across_the_process_boundary(tmp_path):
     assert out == b""
     assert err == (b"error: bad.csa: cannot read the file: not UTF-8 text "
                    b"(byte 10: invalid start byte)\n")
+
+
+def test_check_prints_the_first_jacobi_failures_in_the_oracle_order(
+        tmp_path):
+    # N4 with [J1 lambda J2] = -i J3, i = zeta^6, fails CS5 on many cells;
+    # the report prints the first ten failures, and they are those of the
+    # dense sweep, which visits the triples in order and each n-major
+    text = data_text("n4.csa")
+    flipped = text.replace("bracket J1 J2 = zeta^6*J3",
+                           "bracket J1 J2 = -zeta^6*J3")
+    assert flipped != text
+    (tmp_path / "n4flip.csa").write_text(flipped)
+    proc = csalg_process(["check", "n4flip.csa"], cwd=tmp_path,
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1 and err == b""
+    lines = out.decode().splitlines()
+    assert lines[4:7] == ["  CS3: pass (16 spot checks)",
+                          "  CS4: pass (64 pairs)",
+                          "  CS5: FAIL (512 triples)"]
+    want = _cs5_failures_by_dense_sweep(parse_algebra(flipped))
+    assert len(want) > 10
+    assert lines[7:] == ["    CS5 at %s %s" % failure
+                         for failure in want[:10]]
+    assert lines[7] == "    CS5 at ('J1', 'J2', 'G1') m=0 n=0"
 
 
 def readme_commands():

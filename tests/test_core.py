@@ -245,6 +245,35 @@ def test_t_free_pairs_multiply_no_scalar(monkeypatch):
     assert "_decorated_pair" in callers
 
 
+def test_decorated_pairs_decorate_the_cached_undecorated_pair(monkeypatch):
+    # every decorated pair reads the table through its undecorated pair,
+    # so the table is read, and its scalars lowered, once per generator
+    # pair however many decorations are built
+    A = make_n4()
+    read = []
+    table_poly = core._table_poly
+    lowered = []
+    lower = core._lower
+
+    def recorded_read(B, g1, g2):
+        read.append((g1, g2))
+        return table_poly(B, g1, g2)
+
+    def recorded_lower(v):
+        lowered.append(v)
+        return lower(v)
+
+    monkeypatch.setattr(core, "_table_poly", recorded_read)
+    monkeypatch.setattr(core, "_lower", recorded_lower)
+    for j1 in (2, 1, 0):
+        for j2 in (0, 3, 1):
+            for g1, g2 in A.table:
+                core._decorated_pair(A, g1, j1, g2, j2)
+    assert sorted(read) == sorted(A.table)
+    assert len(lowered) == sum(len(e.terms) for p in A.table.values()
+                               for e in p.coeffs.values())
+
+
 def _partial_terms_by_fractions(terms, unit):
     """``core._partial_terms`` with every factor q = Q / unit built as a
     Fraction first."""
@@ -782,6 +811,26 @@ def test_jacobi_sweep_is_covariant_under_roots_of_unity():
         assert got.as_json() == want.as_json()
         failing += not want.ok
     assert failing == 5
+
+
+def test_jacobi_sweep_on_an_odd_conductor():
+    # zeta_15 has no power equal to -1, so the sweep may fold no product
+    # exponent; the rescaled table holds scalars such as zeta^{-1}, whose
+    # reduced form reaches zeta^7, so products reach past 15/2
+    R = _rescaled(make_n2(15), {"G+": 1, "J": 2})
+    assert R.field.conductor == 15
+    assert any(max(v.coeffs) >= 7 for p in R.table.values()
+               for e in p.coeffs.values() for v in e.terms.values())
+    mutants = list(_times_three_mutants(R))
+    assert len(mutants) == 23
+    failing = 0
+    for M in [R] + mutants:
+        report = check_axioms(M)
+        want = _cs5_failures_by_dense_sweep(M)
+        assert _cs5_failures(report) == want
+        assert report.verdicts["CS5"] is not bool(want)
+        failing += bool(want)
+    assert failing == 23
 
 
 def test_integral_table_clears_the_denominators():
