@@ -76,30 +76,24 @@ for the solved domain, and serves those maps again as a's interior
 columns, so no coordinate map is shifted twice.  An unknown pinned to 0,
 by a row that reduces to it alone or by a substitution that empties its
 pivot row, is left out of the later rows (subtracting the pin row keeps
-the row space) and of the columns built for them.  The null basis holds
-one vector per free column, 1 there and 0 at every other free column, so
-a candidate t^j is tested against these raw vectors directly: it lies in
-their span exactly when it is their sum, each scaled by the candidate's
-entry at its free column.  Only when fewer monomials pass than there are
-raw vectors are the raw vectors reduced against the monomials, for the
-directions left over.
+the row space) and of the columns built for them.  A candidate t^j is
+tested against the raw null vectors directly (``linalg._in_null_span``).
+Only when fewer monomials pass than there are raw vectors are the raw
+vectors reduced against the monomials, for the directions left over.
 
 Row order: ``_row_order`` hands the interior keys a to the eliminator by
 record weight, and within one weight from the highest exponent down; a
 loop without weights keeps the interior order.  The rows of the currents
 are short and pin most unknowns before the longer Virasoro rows are
 built, so those rows leave the pinned unknowns out and fewer pivots take
-a substitution.  A row whose unknowns are all pivots with one-term rows
-x_u = m_u x_f on one free column f, and whose sum of c_u m_u cancels, is
-implied by them: it would reduce to nothing and leave the echelon as it
-is, so ``_implied`` drops it before the eliminator: 4,154 of the 7,136
-nonempty rows of the four perfbench solves.  No result depends on the
-order.  The eliminator keeps
-the fully reduced solved form with least-column pivots, a function of the
-row space and of the order of the unknown ids alone.  The unknown ids are
-fixed before any row is built, and leaving a pinned unknown out of a
-later row keeps the row space.  So the pivots, the pins, the null basis
-and every solution are the same in any order, entry for entry.
+a substitution, and more rows are implied by one-term pivots, which the
+eliminator refuses before any reduction (see ``linalg``).  No result
+depends on the order.  The eliminator keeps the fully reduced solved form
+with least-column pivots, a function of the row space and of the order of
+the unknown ids alone.  The unknown ids are fixed before any row is
+built, and leaving a pinned unknown out of a later row keeps the row
+space.  So the pivots, the pins, the null basis and every solution are
+the same in any order, entry for entry.
 
 Scalars: the solve runs on Python rationals wherever it can, and on ints
 where the table allows.  ``_Frame`` lowers the entries of its eigenbasis
@@ -135,7 +129,8 @@ from .core import (_binomials, _hat_sum, apply_partial_power,
 from .cyclotomic import CycloScalar, _add_to, _denominator, _lower, _q
 from .errors import DomainError
 from .laurent import LaurentElt
-from .linalg import Echelon, _echelon_insert, _null_basis, adjugate, det, rank
+from .linalg import (Echelon, _echelon_insert, _in_null_span, _null_basis,
+                     _pivot_vector, adjugate, det, rank)
 
 __all__ = ["CentroidSolution", "centroid_basis", "is_scalar_action"]
 
@@ -375,17 +370,7 @@ class _Frame:
                 base = slots.get((0, Q + S - M))
                 if base is None:
                     base = self._slot(0, Q + S - M)
-                k = base + ai
-                s = out.get(k, 0)
-                if x.__class__ is int and s.__class__ is int:
-                    # an int sum in place; a sum that cancels leaves no key
-                    s += x
-                    if s:
-                        out[k] = s
-                    else:
-                        out.pop(k, None)
-                else:
-                    _add_to(out, k, x)
+                _add_to(out, base + ai, x)
         return out
 
 
@@ -529,28 +514,6 @@ def _columns(frame, brackets, products, wanted):
     return out
 
 
-def _implied(pivots, row):
-    """Whether ``row`` reduces to nothing against ``pivots`` because every
-    unknown u in it is a pivot with the one-term row x_u = m_u x_f, all on
-    one free column f, and the sum of the c_u m_u cancels.
-    ``_echelon_insert`` would leave the echelon as it is, so the row is
-    dropped before it.  A row that cancels on several free columns is left
-    to the eliminator; the four perfbench solves have none."""
-    free = None
-    for u, c in row.items():
-        piv = pivots.get(u)
-        if piv is None or len(piv) != 1:
-            return False
-        ((f, m),) = piv.items()
-        if free is None:
-            free, total = f, c * m
-        elif f == free:
-            total += c * m
-        else:
-            return False
-    return free is not None and not total
-
-
 def _row_order(frame):
     """The interior keys a in the order their rows reach the eliminator:
     by record weight, then highest exponent first, so the short rows of
@@ -685,30 +648,18 @@ def centroid_basis(L, window, interior):
                         else:
                             row[uid] = v
                 for row in eq.values():
-                    if row and not _implied(pivots, row):
+                    if row:
                         _echelon_insert(pivots, row)
-                        for lead in pivots.pins:
-                            d, c = unknowns[lead]
-                            del cols[d][c]
-                        pivots.pins.clear()
+                        if pivots.pins:
+                            for lead in pivots.pins:
+                                d, c = unknowns[lead]
+                                del cols[d][c]
+                            pivots.pins.clear()
         del columns  # free these columns before the next key's
 
     # the columns the rows mention are the leads and the keys of users, so
-    # raw lives on them: its span solves every row, the others 0.  Each raw
-    # vector is 1 at its own free column and 0 at every other, so a vector
-    # lies in the span exactly when it is the sum of the raw vectors, each
-    # scaled by the tested vector's entry at that raw vector's free column
-    free = sorted(u for u in pivots.users if u not in pivots)
-    raw = _null_basis(pivots, free)
-
-    def spanned(entries):
-        total = {}
-        for f, vec in zip(free, raw):
-            x = entries.get(f)
-            if x is not None:
-                for u, v in vec.items():
-                    _add_to(total, u, x * v)
-        return total == entries
+    # raw lives on them: its span solves every row, the others 0
+    raw = _null_basis(pivots, pivots.users)
 
     def solution(vec):
         return CentroidSolution(frame, {unknowns[uid]: vec[uid]
@@ -724,7 +675,7 @@ def centroid_basis(L, window, interior):
                        for c, v in frame.shift({d: 1}, j * M).items()}
         except KeyError:  # the image leaves the codomain or meets a pin
             continue
-        if spanned(entries):
+        if _in_null_span(raw, entries):
             accepted.append(entries)
             solutions.append(solution(entries))
 
@@ -734,15 +685,10 @@ def centroid_basis(L, window, interior):
         chosen = Echelon()
         for entries in accepted:
             _echelon_insert(chosen, entries)
-        for vec in raw:
-            # the pivot keeps the reduced vector as {u: m_u} = minus its
-            # entries over its lead entry, so the vector scaled to 1 at the
-            # lead is 1 there and -m_u at each u
+        for vec in raw.values():
             lead = _echelon_insert(chosen, vec)
             if lead is not None:
-                residue = {u: -m for u, m in chosen[lead].items()}
-                residue[lead] = 1
-                solutions.append(solution(residue))
+                solutions.append(solution(_pivot_vector(chosen, lead)))
     return solutions
 
 

@@ -92,9 +92,9 @@ def _tokenize(text, line):
             i += 1
             continue
         col = i + 1
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             try:
                 value = int(text[i:j])

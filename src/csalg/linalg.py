@@ -42,9 +42,10 @@ from .errors import DomainError
 # it, so the columns the inserted rows mention are exactly the leads and the
 # keys of users.  pins lists the leads an insert leaves with an empty row,
 # x_lead = 0: the new lead when its row reduces to it alone, and every lead
-# whose row a substitution empties.  A caller that builds its
-# rows as it goes drains it to leave those unknowns out of later rows;
-# ``rank``, ``null_space`` and ``solve`` ignore it.
+# whose row a substitution empties.  A caller that builds its rows as it
+# goes drains it to leave those unknowns out of later rows; ``rank``,
+# ``null_space`` and ``solve`` ignore it.  Callers read the solved form
+# only through ``_null_basis``, ``_in_null_span`` and ``_pivot_vector``.
 #
 # The rows of the centroid solve average two entries, so the eliminator's
 # cost is its per-entry overhead.  ``_reduce_against`` adds an int product,
@@ -58,6 +59,12 @@ from .errors import DomainError
 # 2 zeta^6 and -8 zeta^6 on the N=4 loops), so each ``Echelon`` keeps
 # -1/lead per lead value in ``inverses``; the cache lives and dies with its
 # echelon, and an echelon holds the scalars of one field.
+#
+# A row whose unknowns are all pivots with one-term rows x_u = m_u x_f on
+# one free column f, and whose c_u m_u cancel, would reduce to nothing, so
+# ``_echelon_insert`` returns None for it before any reduction: 4,154 of
+# the 7,136 nonempty rows of the four perfbench centroid solves.  A row
+# that cancels on several free columns takes the full reduction.
 
 
 class Echelon(dict):
@@ -120,6 +127,22 @@ def _echelon_insert(pivots, row):
     so the set stays fully reduced.  Every lead left with an empty row is
     appended to ``pivots.pins``.
     """
+    # a row implied by one-term pivots on one free column (see above)
+    free = None
+    for u, c in row.items():
+        piv = pivots.get(u)
+        if piv is None or len(piv) != 1:
+            break
+        ((f, m),) = piv.items()
+        if free is None:
+            free, total = f, c * m
+        elif f == free:
+            total += c * m
+        else:
+            break
+    else:
+        if free is not None and not total:
+            return None
     new, lead = _reduce_against(pivots, row)
     if lead is not None:
         coef = new.pop(lead)
@@ -181,16 +204,38 @@ def _echelon_insert(pivots, row):
 
 
 def _null_basis(pivots, columns):
-    """One null vector per free column f: x_f = 1, the other free columns 0."""
-    basis = []
+    """{f: null vector} in increasing free column f: x_f = 1, the other
+    free columns 0."""
+    basis = {}
     for f in sorted(u for u in columns if u not in pivots):
-        vec = {f: 1}
+        vec = basis[f] = {f: 1}
         for u, row in pivots.items():
             c = row.get(f)
             if c is not None:
                 vec[u] = c
-        basis.append(vec)
     return basis
+
+
+def _in_null_span(basis, vec):
+    """Whether vec lies in the span of a ``_null_basis``: each vector is 1
+    at its own free column and 0 at the others, so vec lies in it exactly
+    when it is their sum, each scaled by vec's entry at its free column."""
+    total = {}
+    for f, null in basis.items():
+        x = vec.get(f)
+        if x is not None:
+            for u, v in null.items():
+                _add_to(total, u, x * v)
+    return total == vec
+
+
+def _pivot_vector(pivots, lead):
+    """The row space vector of pivot ``lead`` scaled to 1 at its lead: the
+    pivot holds {u: m_u} for x_lead = sum_u m_u x_u, so the vector is 1 at
+    the lead and -m_u at each u."""
+    vec = {u: -m for u, m in pivots[lead].items()}
+    vec[lead] = 1
+    return vec
 
 
 def _echelon(rows):
@@ -214,7 +259,7 @@ def null_space(rows, ncols, zero):
     """
     basis = _null_basis(_echelon(rows), range(ncols))
     return [[zero + vec[c] if c in vec else zero for c in range(ncols)]
-            for vec in basis]
+            for vec in basis.values()]
 
 
 def solve(rows, rhs, ncols, zero):

@@ -332,7 +332,7 @@ class AlgElt:
 
     __slots__ = ("loop", "terms")
 
-    def __init__(self, loop, terms, validate=True):
+    def __init__(self, loop, terms):
         base = loop.base
         clean = {}
         for (g, mu), c in terms.items():
@@ -340,8 +340,16 @@ class AlgElt:
                     base.field.scalar(c))
         self.loop = loop
         self.terms = clean
-        if validate:
-            self._check_cosets()
+        self._check_cosets()
+
+    @classmethod
+    def _trusted(cls, loop, terms):
+        """An element on ``terms`` as given, for callers whose terms are
+        normalized and in their eigenspaces; skips all of ``__init__``."""
+        self = object.__new__(cls)
+        self.loop = loop
+        self.terms = terms
+        return self
 
     def _check_cosets(self):
         grouped = {}
@@ -351,8 +359,8 @@ class AlgElt:
             i = self.loop.residue_of(mu)
             if i is not None and self.loop.piece_contains(i, vec):
                 continue
-            mode = AlgElt(self.loop, {k: c for k, c in self.terms.items()
-                                      if k[1] == mu}, validate=False)
+            mode = AlgElt._trusted(self.loop, {
+                k: c for k, c in self.terms.items() if k[1] == mu})
             if i is None:
                 raise DomainError(
                     "mode %s is outside the exponent lattice (1/%d)Z"
@@ -372,7 +380,7 @@ class AlgElt:
         terms = dict(self.terms)
         for k, c in other.terms.items():
             _add_to(terms, k, -c if flip else c)
-        return AlgElt(self.loop, terms, validate=False)
+        return AlgElt._trusted(self.loop, terms)
 
     def __add__(self, other):
         return self._merge(other, False)
@@ -386,10 +394,9 @@ class AlgElt:
     def scale(self, c):
         c = self.loop.base.field.scalar(c)
         if c.is_zero():
-            return AlgElt(self.loop, {}, validate=False)
-        return AlgElt(self.loop,
-                      {k: v * c for k, v in self.terms.items()},
-                      validate=False)
+            return AlgElt._trusted(self.loop, {})
+        return AlgElt._trusted(self.loop,
+                               {k: v * c for k, v in self.terms.items()})
 
     __mul__ = scale
     __rmul__ = scale
@@ -493,8 +500,8 @@ def l0_spectrum(L, parity, window):
     values = set()
     for i, a in chosen:
         for mu in L.exponents(i, -W, W):
-            am = AlgElt(L, {(g, mu): c for (g, _, _), c in a.terms.items()},
-                        validate=False)
+            am = AlgElt._trusted(
+                L, {(g, mu): c for (g, _, _), c in a.terms.items()})
             image = alg_bracket(L, lmode, am)
             if image.is_zero():
                 values.add(Fraction(0))

@@ -6,16 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from csalg import centroid
-from csalg.algebras import (gl2_constants, make_current, make_n2, make_n4,
-                            sl2_constants)
+from csalg import centroid, linalg
+from csalg.algebras import (StructureConstants, gl2_constants, make_current,
+                            make_n2, make_n4, sl2_constants)
 from csalg.centroid import _Frame, centroid_basis, is_scalar_action
 from csalg.core import (EVEN, AlgebraDef, ConfElt, Generator, LambdaPoly,
                         apply_partial, lambda_bracket, to_hat_basis)
 from csalg.cyclotomic import CycloField, CycloScalar, _add_to
 from csalg.dsl import parse_algebra, parse_morphism
 from csalg.errors import ConductorError, DomainError
-from csalg.linalg import Echelon, _echelon_insert, _reduce_against
+from csalg.linalg import _echelon_insert, _reduce_against
 from csalg.laurent import LaurentElt, delta_t
 from csalg.loops import LoopAlgebra, eigenspaces
 from csalg.morphisms import identity_morphism, n2_omega, n4_auto
@@ -421,6 +421,57 @@ def test_gl2_current_loop_solves_to_the_projection_onto_sl2():
     assert is_scalar_action(chi) is None
 
 
+def _sl2_sum():
+    """The current algebra of sl2 + sl2, on e, h, f, E, H, F."""
+    sl2 = sl2_constants()
+    c = dict(sl2.c)
+    c.update({(i + 3, j + 3): {k + 3: v for k, v in row.items()}
+              for (i, j), row in sl2.c.items()})
+    return make_current(StructureConstants(["e", "h", "f", "E", "H", "F"],
+                                           [EVEN] * 6, c))
+
+
+def test_leftover_direction_is_a_raw_vector_reduced_by_the_least_column():
+    # the centroid of the sl2 + sl2 current loop is spanned over
+    # k[t^{+-1}] by the projections P, P' onto the two summands, and maxl
+    # = 0 leaves t^0 alone: the raw null space is the span of P and P' on
+    # the solved domain, and only P + P', the identity, is a monomial
+    A = _sl2_sum()
+    first, leftover = centroid_basis(
+        eigenspaces(A, identity_morphism(A), 1), 3, 1)
+    one = A.field.one()
+    # records 0..5 are e, h, f, E, H, F; each product closure reaches
+    # |q| <= 2, on level 0 alone
+    keys = [(ai, 0, Fraction(q)) for ai in range(6) for q in range(-2, 3)]
+    halves = [{(k, k): 1 for k in keys if k[0] // 3 == s} for s in (0, 1)]
+    identity = {**halves[0], **halves[1]}
+    assert is_scalar_action(first) == LaurentElt(A.field, {0: one})
+    assert first.entries == {k: one for k in identity}
+
+    def unknown(pair):
+        # unknowns are numbered by domain key (record, exponent, level),
+        # then by codomain key in the same order
+        (ai, l, q), (bi, m, p) = pair
+        return ai, q, l, bi, p, m
+
+    # the identity pivots on its least unknown, which P holds and P' does
+    # not; a raw vector reduced against it loses its entry there, and the
+    # first that survives pivots on its own least unknown, scaled to 1
+    lead = min(identity, key=unknown)
+    reduced = []
+    for vec in halves:
+        left = {k: vec.get(k, 0) - vec.get(lead, 0) * v
+                for k, v in identity.items()}
+        reduced.append({k: v for k, v in left.items() if v})
+    vec = next(v for v in reduced if v)
+    top = vec[min(vec, key=unknown)]
+    want = {k: Fraction(v, top) for k, v in vec.items()}
+    # that is the identity on the 15 level-0 keys of E, H and F
+    assert want == halves[1] and len(want) == 15
+    assert leftover.entries == {k: one * v for k, v in want.items()}
+    assert is_scalar_action(leftover) is None
+
+
 @pytest.mark.parametrize("loop", [OMEGA_LOOP, N4_MINUS, N4_Z3, N4_I,
                                   CURRENT_LOOP],
                          ids=["n2_omega", "n4_minus", "n4_z3", "n4_i",
@@ -769,70 +820,62 @@ def test_row_order_leaves_every_solution_as_it_is(monkeypatch, name):
     assert _solved(case) == forward
 
 
-def _final_echelon(monkeypatch, case, implied):
+def _final_echelon(monkeypatch, case, insert):
     """The solutions of ``case`` and the echelon of its row loop, with
-    ``implied`` deciding which rows are dropped before the eliminator."""
+    ``insert`` taking each row in place of ``_echelon_insert``."""
     seen = []
 
-    def insert(pivots, row):
+    def first(pivots, row):
         if not seen:
             seen.append(pivots)
-        return _echelon_insert(pivots, row)
+        return insert(pivots, row)
 
-    monkeypatch.setattr(centroid, "_echelon_insert", insert)
-    monkeypatch.setattr(centroid, "_implied", implied)
+    monkeypatch.setattr(centroid, "_echelon_insert", first)
     return _solved(case), seen[0]
 
 
 @pytest.mark.parametrize("name", sorted(ORDER_CASES))
-def test_implied_rows_reduce_to_nothing_and_leave_the_echelon_as_it_is(
+def test_refused_rows_reduce_to_nothing_and_leave_the_echelon_as_it_is(
         monkeypatch, name):
-    # a row is dropped only when it reduces to nothing against the pivots
-    # of that moment, and the echelon then ends as inserting every row
-    # leaves it: the same pivots and users, and no pending pins
+    # the eliminator refuses a row before any reduction only when it
+    # reduces to nothing against the pivots of that moment, and the echelon
+    # then ends as the full reduction of every row leaves it: the same
+    # pivots and users, and no pending pins
     case = ORDER_CASES[name]
-    implied = centroid._implied
-    dropped = Counter()
+    calls = []
+
+    def counted(pivots, row):
+        calls.append(row)
+        return _reduce_against(pivots, row)
+
+    monkeypatch.setattr(linalg, "_reduce_against", counted)
+    refused = Counter()
 
     def checked(pivots, row):
-        got = implied(pivots, row)
-        if got:
+        before = len(calls)
+        lead = _echelon_insert(pivots, row)
+        if len(calls) == before:
+            assert lead is None
             assert _reduce_against(pivots, row) == ({}, None)
-            dropped[len(row)] += 1
-        return got
+            refused[len(row)] += 1
+        return lead
 
     solved, pivots = _final_echelon(monkeypatch, case, checked)
-    assert dropped[2]
-    every, inserted = _final_echelon(monkeypatch, case,
-                                     lambda pivots, row: False)
+    assert refused[2]
+
+    def reduced(pivots, row):
+        # a zero entry on a column no row mentions stops the refusal and
+        # leaves the reduction as it is
+        before = len(calls)
+        lead = _echelon_insert(pivots, {**row, -1: 0})
+        assert len(calls) == before + 1
+        return lead
+
+    every, inserted = _final_echelon(monkeypatch, case, reduced)
     assert solved == every
     assert dict(pivots) == dict(inserted)
     assert pivots.users == inserted.users
     assert pivots.pins == inserted.pins == []
-
-
-def test_implied_needs_one_term_pivots_on_one_free_column_that_cancel():
-    z = FIELD.zeta(3)
-    pivots = Echelon()
-    # x0 = 2 x9, x1 = -x9, x2 = z x9, x3 = x8, x4 = x8 + x9, x5 = -x8
-    for row in ({0: 1, 9: -2}, {1: 1, 9: 1}, {2: 1, 9: -z}, {3: 1, 8: -1},
-                {4: 1, 8: -1, 9: -1}, {5: 1, 8: 1}):
-        _echelon_insert(pivots, row)
-    assert centroid._implied(pivots, {0: 1, 1: 2})
-    assert centroid._implied(pivots, {0: Fraction(1, 2), 1: 1})
-    assert centroid._implied(pivots, {0: z, 2: -2})
-    assert centroid._implied(pivots, {0: 1, 1: 2 + z, 2: 1})
-    for row in ({0: 1, 1: 1},  # the sum 2 - 1 does not cancel
-                {0: 1, 9: -2},  # x9 is free: it reduces, but not this way
-                {0: 1, 4: -2},  # x4 has a two-term row
-                {0: 1, 3: -2},  # x3 lies on another free column
-                {0: 1, 1: 2, 3: 1, 5: 1}):  # cancels, on two columns
-        assert not centroid._implied(pivots, row)
-    # every row it drops reduces to nothing; the one on two free columns
-    # does too, and is left to the eliminator
-    for row in ({0: 1, 1: 2}, {0: z, 2: -2}, {0: 1, 1: 2 + z, 2: 1},
-                {0: 1, 1: 2, 3: 1, 5: 1}):
-        assert _reduce_against(pivots, row) == ({}, None)
 
 
 def test_rows_start_at_the_lightest_record_and_the_highest_exponent():

@@ -766,6 +766,18 @@ def test_non_utf8_source_exits_2_across_the_process_boundary(tmp_path):
                    b"(byte 10: invalid start byte)\n")
 
 
+def test_superscript_digit_exits_2_across_the_process_boundary():
+    # '2\u00b2' is no integer literal: the superscript is refused at its own
+    # column, not read as a literal that int() cannot take
+    proc = csalg_process(["bracket", "n2.csa", "L", "2\u00b2*J"],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert out == b""
+    assert err.decode("utf-8") == ("error: right element: line 1, col 2: "
+                                   "unexpected character '\u00b2'\n")
+
+
 def test_check_prints_the_first_jacobi_failures_in_the_oracle_order(
         tmp_path):
     # N4 with [J1 lambda J2] = -i J3, i = zeta^6, fails CS5 on many cells;

@@ -1,6 +1,7 @@
 """Parsing and printing of .csa / .csm sources."""
 
 import random
+import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -280,6 +281,27 @@ def test_malformed_sources_are_refused_at_their_token(parser, text, reason,
         parse()
     assert (err.value.reason, err.value.line, err.value.col) == \
         (reason, line, col)
+
+
+#: The code points that are digits but not decimal digits: superscripts,
+#: circled digits and the like, which int() does not read.
+NOT_DECIMAL = [chr(c) for c in range(sys.maxunicode + 1)
+               if chr(c).isdigit() and not chr(c).isdecimal()]
+
+
+def test_digits_that_are_not_decimal_are_unexpected_characters():
+    # an integer literal is a run of decimal digits, the set int() reads;
+    # any other digit is refused at its own column, as '1/2' written as
+    # one character is
+    assert len(NOT_DECIMAL) >= 128
+    assert {"\u00b2", "\u00b3", "\u2460"} <= set(NOT_DECIMAL)
+    for ch in NOT_DECIMAL + ["\u00bd"]:
+        for text, col in ((ch + "*J", 1), ("2" + ch + "*J", 2),
+                          ("L + 12" + ch, 7)):
+            with pytest.raises(ParseError) as err:
+                parse_element(N2, text)
+            assert (err.value.reason, err.value.line, err.value.col) == \
+                ("unexpected character %r" % ch, 1, col), text
 
 
 # -- morphism files ----------------------------------------------------------

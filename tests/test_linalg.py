@@ -487,12 +487,58 @@ def test_echelon_inverts_each_irrational_lead_value_once(monkeypatch):
     columns = set().union(*rows)
     basis = _null_basis(pivots, columns)
     assert len(basis) == len(columns) - len(pivots) == 4
-    for vec in basis:
+    for vec in basis.values():
         for row in rows:
             acc = FIELD.zero()
             for c, v in row.items():
                 acc = acc + v * vec.get(c, 0)
             assert acc.is_zero()
+
+
+def _one_term_pivots(z):
+    # x0 = 2 x9, x1 = -x9, x2 = z x9, x3 = x8, x4 = x8 + x9, x5 = -x8
+    pivots = Echelon()
+    for row in ({0: 1, 9: -2}, {1: 1, 9: 1}, {2: 1, 9: -z}, {3: 1, 8: -1},
+                {4: 1, 8: -1, 9: -1}, {5: 1, 8: 1}):
+        _echelon_insert(pivots, row)
+    return pivots
+
+
+def test_refusal_needs_one_term_pivots_on_one_free_column_that_cancel(
+        monkeypatch):
+    z = FIELD.zeta(3)
+    calls = []
+
+    def counted(pivots, row):
+        calls.append(row)
+        return _reduce_against(pivots, row)
+
+    monkeypatch.setattr(linalg, "_reduce_against", counted)
+    pivots = _one_term_pivots(z)
+    rows = {u: dict(row) for u, row in pivots.items()}
+    users = {u: set(leads) for u, leads in pivots.users.items()}
+    for row in ({0: 1, 1: 2}, {0: Fraction(1, 2), 1: 1}, {0: z, 2: -2},
+                {0: 1, 1: 2 + z, 2: 1}):
+        calls.clear()
+        assert _echelon_insert(pivots, row) is None
+        assert calls == []  # refused before any reduction
+        assert _reduce_against(pivots, row) == ({}, None)
+    assert dict(pivots) == rows
+    assert pivots.users == users
+    assert pivots.pins == []
+    for row in ({0: 1, 1: 1},  # the sum 2 - 1 does not cancel
+                {0: 1, 9: -2},  # x9 is free: it reduces, but not this way
+                {0: 1, 4: -2},  # x4 has a two-term row
+                {0: 1, 3: -2},  # x3 lies on another free column
+                {0: 1, 1: 2, 3: 1, 5: 1}):  # cancels, on two columns
+        pivots = _one_term_pivots(z)
+        calls.clear()
+        _echelon_insert(pivots, row)
+        assert calls == [row]
+    # the rows that reduce to nothing take the full reduction too: the
+    # one on two free columns, and the free column against its own pivot
+    for row in ({0: 1, 9: -2}, {0: 1, 1: 2, 3: 1, 5: 1}):
+        assert _reduce_against(_one_term_pivots(z), row) == ({}, None)
 
 
 def test_int_entries_that_cancel_leave_no_key(monkeypatch):
