@@ -29,7 +29,9 @@ fixed list of trials; CS1 and CS3 read the kernel's maps as they are,
 against one public bracket per trial.  Its Jacobi sweep has only t-free
 arguments, so it sums the cached decorated pairs directly, read flat as
 int polynomials in zeta, and builds each nested bracket once for the two
-triples that share it.
+triples that share it.  On a skew-symmetric table it first checks one
+ordering of each generator multiset, and each skew-symmetry pair is
+first checked in one orientation.
 """
 
 from __future__ import annotations
@@ -786,6 +788,21 @@ def check_axioms(A, seed=0):
     checked together: the nested brackets [a_(m) [b_(n) c]] and
     [b_(n) [a_(m) c]] are the first and third terms of both, so they are
     built once into one map shared by the two.
+
+    Both sweeps first ask each unordered case once.  ``cs4_transform`` is
+    an involution, so CS4 holds on (j, i) when it holds on (i, j): the
+    pairs i <= j are checked first, and the pairs i > j only when one of
+    them fails.  Skew-symmetry turns the Jacobi identity of (a, b, c)
+    into that of each permutation, by the substitution mu -> -lambda -
+    mu - D, so CS5 first checks one ordering a <= b <= c of each
+    generator multiset.  That needs CS1-CS4 to have passed in this report
+    (skew-symmetry and a sesquilinear evaluator), a table whose every
+    entry (i, j) lies in parity p(i) + p(j), and a lambda-degree of at
+    most 2, below which the sweep visits every nonzero cell (see
+    ``_sweep_cs5``).  A failing multiset sends CS5 through every ordered
+    triple, whose failures alone are reported.  So every verdict, count
+    and failure, and their order, is that of a sweep over every ordered
+    pair and triple.
     """
     A = _integral(A)
     report = AxiomReport(A.name)
@@ -871,19 +888,56 @@ def check_axioms(A, seed=0):
 
 
 def _sweep_cs4(A, report):
-    """CS4 (skew-symmetry) on every ordered generator pair, into ``report``."""
+    """CS4 (skew-symmetry) on every ordered generator pair, into ``report``.
+
+    ``cs4_transform`` is an involution: a stored (i, j) equal to the
+    transform of (j, i) has (j, i) equal to the transform of (i, j).  So
+    the pairs i <= j are asked first, and only when one of them fails are
+    the pairs i > j asked too, and the failures reported in the order of
+    all ordered pairs.  The pairs i <= j read every entry, each first
+    where the ordered pairs read it, so a missing entry is named as a
+    sweep over the ordered pairs names it.
+    """
     ngen = A.ngens()
     report.verdicts.setdefault("CS4", True)
-    for i in range(ngen):
-        for j in range(ngen):
-            expect = cs4_transform(A, i, j)
-            stored = _table_poly(A, i, j)
-            if stored != expect:
-                n = _first_mismatch(stored, expect)
-                report.fail("CS4",
-                            (A.generators[i].name, A.generators[j].name),
-                            "n=%d" % n)
+
+    def mismatch(i, j):
+        """The lowest degree where (i, j) and its transform differ, or
+        None."""
+        expect = cs4_transform(A, i, j)
+        stored = _table_poly(A, i, j)
+        return _first_mismatch(stored, expect) if stored != expect else None
+
+    found = {(i, j): mismatch(i, j)
+             for i in range(ngen) for j in range(i, ngen)}
+    if any(n is not None for n in found.values()):
+        for i in range(ngen):
+            for j in range(ngen):
+                n = found[i, j] if i <= j else mismatch(i, j)
+                if n is not None:
+                    report.fail("CS4",
+                                (A.generators[i].name, A.generators[j].name),
+                                "n=%d" % n)
     report.counts["CS4"] = "%d pairs" % (ngen * ngen)
+
+
+def _jacobi_triples(ngen, reduced):
+    """The triples (a, b, c), a <= b, that head the CS5 sweep.
+
+    The full sweep takes every c and checks (b, a, c) beside each head
+    with a < b, so it visits every ordered triple once.  The reduced
+    sweep takes c >= b, one ordering of each generator multiset, and
+    checks the head alone.
+    """
+    return [(a, b, c) for a in range(ngen) for b in range(a, ngen)
+            for c in range(b if reduced else 0, ngen)]
+
+
+def _parity_graded(A):
+    """Whether each table entry (i, j) lies in parity p(i) + p(j)."""
+    return all(A.parity(g) == A.parity(i) ^ A.parity(j)
+               for (i, j), poly in A.table.items()
+               for e in poly.coeffs.values() for g, _, _ in e.terms)
 
 
 class _FlatPairs(dict):
@@ -945,6 +999,18 @@ def _sweep_cs5(A, report):
     are buffered and reported in (a, b, c) order, n-major, m-minor within
     a triple.  Only the middle term reaches past the bound, at m > bound,
     and those cells are left out.
+
+    The triples come from ``_jacobi_triples``.  The reduced sweep checks
+    only its heads (a, b, c), a <= b <= c, each on one map N(a, b, c)
+    - p(a, b) N^T plus its middle term, and stops at the first failing
+    one.  By skew-symmetry the identity of (a, b, c) is that of every
+    permutation, under a substitution of lambda and mu that moves cells,
+    so it is taken only when every cell lies inside the bound: the middle
+    term reaches m = 2 maxl + maxd, at most the bound exactly when
+    maxl <= 2.  It also needs skew-symmetry, a sesquilinear evaluator and
+    a parity-graded table (``check_axioms``), so it runs only when CS1-CS4
+    have passed in ``report`` and ``_parity_graded`` holds.  When it finds
+    a failure, the full ordered sweep runs and reports.
     """
     ngen = A.ngens()
     report.verdicts.setdefault("CS5", True)
@@ -999,12 +1065,11 @@ def _sweep_cs5(A, report):
                     key = (k1, k2, g2, j2, e)
                     out[key] = get(key, 0) + f * v
 
-    failed = {}  # triple -> its failing cells (m, n), n-major
-
-    def check(triple, diff, swap):
-        """Record the nonzero cells of the difference map of ``triple``."""
+    def check(failed, triple, diff, swap):
+        """Record the nonzero cells of the difference map of ``triple`` in
+        ``failed``; whether there are any."""
         if not any(diff.values()):
-            return
+            return False
         cells = {}
         for (k1, k2, g, j, e), x in diff.items():
             if x:
@@ -1014,24 +1079,40 @@ def _sweep_cs5(A, report):
                if any(map(field.reduce_terms, cells[(n, m)].values()))]
         if bad:
             failed[triple] = bad
+        return bool(bad)
 
-    for a in range(ngen):
-        for b in range(a, ngen):
+    def sweep(reduced):
+        """{triple: its failing cells (m, n), n-major} over the triples of
+        the sweep, or None when the reduced sweep meets a failing one."""
+        failed = {}
+        for a, b, c in _jacobi_triples(ngen, reduced):
             p = A.parity_sign(a, b)
-            for c in range(ngen):
-                # shared = N(a, b, c) - p N(b, a, c) with its m and n
-                # swapped: the first and third terms of (a, b, c), and
-                # keyed (n, m) -p times those of (b, a, c)
-                shared = {}
-                nested(a, b, c, shared, 1, False)
-                nested(b, a, c, shared, -p, True)
-                diff = dict(shared) if a != b else shared
-                middle(a, b, c, diff, -1, False)
-                check((a, b, c), diff, False)
-                if a != b:
-                    # -p times the difference map of (b, a, c)
-                    middle(b, a, c, shared, p, True)
-                    check((b, a, c), shared, True)
+            # shared = N(a, b, c) - p N(b, a, c) with its m and n swapped:
+            # the first and third terms of (a, b, c), and keyed (n, m) -p
+            # times those of (b, a, c)
+            shared = {}
+            nested(a, b, c, shared, 1, False)
+            nested(b, a, c, shared, -p, True)
+            if reduced:
+                middle(a, b, c, shared, -1, False)
+                if check(failed, (a, b, c), shared, False):
+                    return None
+                continue
+            diff = dict(shared) if a != b else shared
+            middle(a, b, c, diff, -1, False)
+            check(failed, (a, b, c), diff, False)
+            if a != b:
+                # -p times the difference map of (b, a, c)
+                middle(b, a, c, shared, p, True)
+                check(failed, (b, a, c), shared, True)
+        return failed
+
+    failed = None
+    if (all(report.verdicts.get("CS%d" % k) for k in range(1, 5))
+            and maxl <= 2 and _parity_graded(A)):
+        failed = sweep(True)
+    if failed is None:
+        failed = sweep(False)
     for triple in sorted(failed):
         a, b, c = triple
         for m, n in failed[triple]:

@@ -498,7 +498,11 @@ def l0_spectrum(L, parity, window):
 
     lmode = L.mode(vira, 1)
     values = set()
+    zero = L.base.field.zero()
     for i, a in chosen:
+        # every mode of a record has the record's first coefficient first
+        (g0, _, _), c0 = next(iter(a.terms.items()))
+        inverse = c0.inverse()
         for mu in L.exponents(i, -W, W):
             am = AlgElt._trusted(
                 L, {(g, mu): c for (g, _, _), c in a.terms.items()})
@@ -506,9 +510,8 @@ def l0_spectrum(L, parity, window):
             if image.is_zero():
                 values.add(Fraction(0))
                 continue
-            (k0, c0) = next(iter(am.terms.items()))
             # a zero ratio scales am to zero, which the nonzero image is not
-            ratio = image.terms.get(k0, L.base.field.zero()) / c0
+            ratio = image.terms.get((g0, mu), zero) * inverse
             if image != am.scale(ratio):
                 raise DomainError(
                     "L_1 action is not diagonal on the mode basis: "

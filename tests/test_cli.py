@@ -797,10 +797,21 @@ def test_check_prints_the_first_jacobi_failures_in_the_oracle_order(
                           "  CS4: pass (64 pairs)",
                           "  CS5: FAIL (512 triples)"]
     want = _cs5_failures_by_dense_sweep(parse_algebra(flipped))
-    assert len(want) > 10
+    assert len(want) == 88
     assert lines[7:] == ["    CS5 at %s %s" % failure
                          for failure in want[:10]]
     assert lines[7] == "    CS5 at ('J1', 'J2', 'G1') m=0 n=0"
+    # (J1, G1, J2) is no ordering a <= b <= c of its multiset: the sweep
+    # that asks one ordering per multiset met a failure, and the full
+    # ordered sweep reported
+    assert "    CS5 at ('J1', 'G1', 'J2') m=0 n=0" in lines
+    proc = csalg_process(["check", "n4flip.csa", "--json"], cwd=tmp_path,
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1 and err == b""
+    assert json.loads(out)["failures"] == [
+        {"axiom": "CS5", "location": str(location), "detail": detail}
+        for location, detail in want]
 
 
 def readme_commands():

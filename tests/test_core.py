@@ -2,7 +2,7 @@ import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
+from itertools import combinations_with_replacement, count, product
 from math import comb, factorial, lcm
 
 import pytest
@@ -33,7 +33,7 @@ from csalg.cyclotomic import CycloField, CycloScalar, _add_to, _lower, _q
 from csalg.dsl import parse_algebra
 from csalg.errors import ConductorError, CsalgError, TableInconsistencyError
 from csalg.laurent import binom_frac
-from test_dsl import data_text
+from test_dsl import data_text, random_algebra
 
 N2 = make_n2()
 HALF = Fraction(1, 2)
@@ -379,6 +379,48 @@ def test_cs4_transform_matches_the_skew_symmetry_expansion():
             # the transform of the derived orientation gives back the entry
             back = AlgebraDef("Y", field, gens, {(j, i): derived})
             assert cs4_transform(back, i, j) == given
+
+
+def test_cs4_transform_is_an_involution_on_every_pair():
+    # the CS4 sweep asks only the pairs i <= j when they all pass, which
+    # is sound because the transform undoes itself on every entry
+    rng = random.Random(39)
+    tables = [N2, make_n4(), make_current(sl2_constants())] + [
+        random_algebra(rng, tag) for tag in range(20)]
+    for A in tables:
+        for (i, j), entry in A.table.items():
+            there = cs4_transform(A, j, i)  # from the entry (i, j)
+            B = AlgebraDef(A.name, A.field, A.generators,
+                           {**A.table, (j, i): there})
+            assert cs4_transform(B, i, j) == entry
+
+
+def _cs4_failures_by_ordered_pairs(A):
+    """The CS4 failures of every ordered pair, in order, each at the
+    lowest degree where the stored entry and its transform differ."""
+    failures = []
+    for i, j in product(range(A.ngens()), repeat=2):
+        stored, derived = A.table[(i, j)], cs4_transform(A, i, j)
+        if stored != derived:
+            n = min(n for n in set(stored.coeffs) | set(derived.coeffs)
+                    if stored.get(n) != derived.get(n))
+            failures.append(((A.generators[i].name, A.generators[j].name),
+                             "n=%d" % n))
+    return failures
+
+
+def test_cs4_sweep_matches_a_loop_over_ordered_pairs():
+    tables = [N2, make_n4(), make_current(sl2_constants())]
+    mutants = [M for A in tables for M in _times_three_mutants(A)]
+    assert len(mutants) == 23 + 85 + 6
+    for M in tables + mutants:
+        report = core.AxiomReport(M.name)
+        core._sweep_cs4(M, report)
+        want = _cs4_failures_by_ordered_pairs(M)
+        assert [(f.location, f.detail) for f in report.failures] == want
+        assert report.verdicts == {"CS4": not want}
+        assert report.counts == {"CS4": "%d pairs" % M.ngens() ** 2}
+        assert bool(want) is (M not in tables)
 
 
 def test_completion_idempotent_on_complete_table():
@@ -752,6 +794,149 @@ def test_sparse_jacobi_sweep_matches_the_dense_sweep():
         assert report.counts["CS5"] == "%d triples" % A.ngens() ** 3
         failing += bool(want)
     assert failing == 49
+
+
+def test_jacobi_triples_cover_each_ordered_triple_or_multiset_once():
+    for ngen, heads in ((0, 0), (1, 1), (4, 20), (8, 120)):
+        reduced = core._jacobi_triples(ngen, True)
+        assert len(reduced) == heads
+        assert sorted(tuple(sorted(t)) for t in reduced) == \
+            list(combinations_with_replacement(range(ngen), 3))
+        # the full sweep checks (b, a, c) beside each head with a < b
+        full = core._jacobi_triples(ngen, False)
+        visited = full + [(b, a, c) for a, b, c in full if a != b]
+        assert sorted(visited) == list(product(range(ngen), repeat=3))
+
+
+def _sweeps_taken(monkeypatch):
+    """The ``reduced`` flag of each CS5 sweep run from now on, in order."""
+    taken = []
+    triples = core._jacobi_triples
+
+    def recorded(ngen, reduced):
+        taken.append(reduced)
+        return triples(ngen, reduced)
+
+    monkeypatch.setattr(core, "_jacobi_triples", recorded)
+    return taken
+
+
+def _full_sweep_failures(A):
+    """The CS5 failures of the full ordered sweep alone: a report holding
+    no CS1-CS4 verdicts never takes the reduced sweep."""
+    report = core.AxiomReport(A.name)
+    core._sweep_cs5(core._integral(A), report)
+    return _cs5_failures(report)
+
+
+def _skew_mutants(A):
+    """For each coefficient of an entry (i, j) with i < j, a copy of A with
+    it tripled, (j, i) dropped and the table completed by skew-symmetry,
+    so CS4 holds on each."""
+    for (i, j), entry in sorted(A.table.items()):
+        if i >= j:
+            continue
+        for n, e in sorted(entry.coeffs.items()):
+            for k, v in sorted(e.terms.items()):
+                table = dict(A.table)
+                tripled = ConfElt(A.field, {**e.terms, k: 3 * v})
+                table[(i, j)] = LambdaPoly(A.field,
+                                           {**entry.coeffs, n: tripled})
+                del table[(j, i)]
+                yield complete_table_cs4(
+                    AlgebraDef(A.name, A.field, A.generators, table))
+
+
+def test_reduced_jacobi_sweep_on_skew_symmetric_mutants(monkeypatch):
+    # each mutant passes CS1-CS4, so the sweep asks one ordering of each
+    # generator multiset first; every one fails there, and the full
+    # ordered sweep then reports, matching the dense sweep on N2 and the
+    # full sweep alone on a slice of N4
+    n4 = make_n4()
+    n2_mutants = list(_skew_mutants(N2))
+    n4_mutants = list(_skew_mutants(n4))
+    assert (len(n2_mutants), len(n4_mutants)) == (11, 43)
+    taken = _sweeps_taken(monkeypatch)
+    for A in [N2, n4] + n2_mutants + n4_mutants[::3]:
+        if A.ngens() == 4:
+            want = _cs5_failures_by_dense_sweep(A)
+        else:
+            want = _full_sweep_failures(A)
+        taken.clear()
+        report = check_axioms(A)
+        assert report.verdicts["CS4"]
+        assert _cs5_failures(report) == want
+        assert taken == ([True, False] if want else [True])
+        assert bool(want) is (A not in (N2, n4))
+
+
+def test_reduced_jacobi_sweep_on_random_tables(monkeypatch):
+    # random skew-symmetric tables of lambda-degree at most 2, graded by
+    # parity: the reduced sweep settles every passing one alone
+    rng = random.Random(3939)
+    taken = _sweeps_taken(monkeypatch)
+    passing = failing = 0
+    for tag in range(60):
+        A = random_algebra(rng, tag)
+        want = _full_sweep_failures(A)
+        taken.clear()
+        report = check_axioms(A)
+        assert _cs5_failures(report) == want
+        assert taken == ([True, False] if want else [True])
+        failing += bool(want)
+        passing += not want and any(
+            e.terms for p in A.table.values() for e in p.coeffs.values())
+    assert (passing, failing) == (7, 34)
+
+
+def test_lambda_degree_three_takes_the_full_jacobi_sweep(monkeypatch):
+    # a lambda^(3) term puts middle-term cells past the vanishing bound,
+    # which the sweep leaves out, and the substitution between orderings
+    # moves cells across it
+    rng = random.Random(393)
+    taken = _sweeps_taken(monkeypatch)
+    tables = 0
+    for tag in range(40):
+        A = random_algebra(rng, tag)
+        upper = sorted((i, j) for (i, j), entry in A.table.items()
+                       if i < j and entry.coeffs)
+        if not upper:
+            continue
+        i, j = rng.choice(upper)
+        entry = A.table[(i, j)]
+        table = dict(A.table)
+        lowest = entry.coeffs[min(entry.coeffs)]
+        table[(i, j)] = LambdaPoly(A.field, {**entry.coeffs, 3: lowest})
+        del table[(j, i)]
+        A = complete_table_cs4(
+            AlgebraDef(A.name, A.field, A.generators, table))
+        assert A.table_degrees()[0] == 3
+        taken.clear()
+        report = check_axioms(A)
+        assert report.verdicts["CS4"]
+        assert taken == [False]
+        tables += 1
+    assert tables > 20
+
+
+def test_a_table_off_its_parity_grading_takes_the_full_jacobi_sweep(
+        monkeypatch):
+    # [E lambda A] = 2E with E even and A odd: the entry lies in the wrong
+    # parity, skew-symmetry then carries the Jacobi identity from one
+    # ordering to another only up to a sign, and the reduced sweep alone
+    # would pass a table whose other orderings fail
+    F = CycloField.get(24)
+    A = complete_table_cs4(AlgebraDef(
+        "X", F, [Generator("E", EVEN), Generator("A", ODD)],
+        {(0, 1): LambdaPoly(F, {0: ConfElt(F, {(0, 0, 0): F.rational(2)})})}))
+    taken = _sweeps_taken(monkeypatch)
+    report = check_axioms(A)
+    want = _cs5_failures_by_dense_sweep(A)
+    assert want and _cs5_failures(report) == want
+    assert taken == [False]
+    assert all(report.verdicts["CS%d" % k] for k in range(1, 5))
+    monkeypatch.setattr(core, "_parity_graded", lambda A: True)
+    assert check_axioms(A).verdicts["CS5"]
 
 
 def _scaled(A, s):

@@ -7,7 +7,7 @@ from csalg.algebras import make_current, make_n2, make_n4, sl2_constants
 from csalg.core import (EVEN, ODD, AlgebraDef, Generator, LambdaPoly,
                         apply_partial, check_axioms, lambda_bracket)
 from csalg import loops
-from csalg.cyclotomic import CycloField
+from csalg.cyclotomic import CycloField, CycloScalar
 from csalg.dsl import parse_algebra
 from csalg.errors import ConductorError, CsalgError, DomainError
 from csalg.laurent import LaurentElt
@@ -529,6 +529,28 @@ def test_l0_spectrum_separates_the_n2_twists():
 def test_l0_spectrum_quarter_twist():
     spec = l0_spectrum(QUARTER_LOOP, "odd", 2)
     assert spec.fractional_parts == {Fraction(1, 4), Fraction(3, 4)}
+
+
+@pytest.mark.parametrize("loop", [UNTWISTED, OMEGA_LOOP, QUARTER_LOOP],
+                         ids=["untwisted", "omega", "quarter"])
+def test_l0_spectrum_inverts_each_record_once(monkeypatch, loop):
+    # a record's first coefficient leads each of its modes, so one inverse
+    # serves every mode of the record
+    calls = []
+    inverse = CycloScalar.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    want = l0_spectrum(loop, ODD, 2)
+    monkeypatch.setattr(CycloScalar, "inverse", counted)
+    assert l0_spectrum(loop, ODD, 2).eigenvalues == want.eigenvalues
+    records = [a for _, a, _, parity in loop.basis if parity == ODD]
+    assert calls == [next(iter(a.terms.values())) for a in records]
+    modes = sum(len(loop.exponents(res, -2, 2))
+                for res, _, _, parity in loop.basis if parity == ODD)
+    assert modes > 2 * len(records)
 
 
 def test_l0_spectrum_requires_fixed_virasoro():
