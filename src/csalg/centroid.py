@@ -156,7 +156,7 @@ def _unknowns_estimate(loop, window, interior):
     reach = min(window, 2 * interior + maxl + maxd)
 
     def count(res, radius):
-        return 2 * len(loop._exponent_steps(res, -radius, radius)[1])
+        return 2 * loop._exponent_count(res, -radius, radius)
 
     codomain = {}
     for res, _, _, parity in loop.basis:

@@ -28,15 +28,18 @@ weights C(q, l) sit over one denominator S per bracket, as ints.
 fixed list of trials; CS1 and CS3 read the kernel's maps as they are,
 against one public bracket per trial.  Its Jacobi sweep has only t-free
 arguments, so it sums the cached decorated pairs directly, read flat as
-int polynomials in zeta, and builds each nested bracket once for the two
-triples that share it.  On a skew-symmetric table it first checks one
-ordering of each generator multiset, and each skew-symmetry pair is
-first checked in one orientation.
+int polynomials in zeta, into one difference map per triple.  Under
+skew-symmetry J_abc(lambda, mu) = -p(a, b) J_bac(mu, lambda), so every
+nonzero cell lies inside the vanishing bound maxl + maxd + 2 in lambda,
+and a skew-symmetric table first has one ordering of each generator
+multiset checked; each skew-symmetry pair is first checked in one
+orientation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 from math import comb, factorial, lcm
 
 from .cyclotomic import (CycloScalar, _add_to, _denominator, _lower, _q,
@@ -784,10 +787,10 @@ def check_axioms(A, seed=0):
     sums the three Jacobi terms of a triple into one difference map of
     unreduced int polynomials in zeta, with zeta^e for e >= N/2 folded to
     -zeta^{e-N/2} when the conductor N is even, and reports its nonzero
-    cells n-major, m-minor.  The triples (a, b, c) and (b, a, c) are
-    checked together: the nested brackets [a_(m) [b_(n) c]] and
-    [b_(n) [a_(m) c]] are the first and third terms of both, so they are
-    built once into one map shared by the two.
+    cells n-major, m-minor.  It stops at the vanishing bound maxl + maxd
+    + 2 in lambda.  Only the middle term reaches past it, and under CS4
+    those cells are zero: J_abc(lambda, mu) = -p(a, b) J_bac(mu, lambda),
+    whose every term has lambda-degree at most maxl + maxd.
 
     Both sweeps first ask each unordered case once.  ``cs4_transform`` is
     an involution, so CS4 holds on (j, i) when it holds on (i, j): the
@@ -796,11 +799,11 @@ def check_axioms(A, seed=0):
     into that of each permutation, by the substitution mu -> -lambda -
     mu - D, so CS5 first checks one ordering a <= b <= c of each
     generator multiset.  That needs CS1-CS4 to have passed in this report
-    (skew-symmetry and a sesquilinear evaluator), a table whose every
-    entry (i, j) lies in parity p(i) + p(j), and a lambda-degree of at
-    most 2, below which the sweep visits every nonzero cell (see
-    ``_sweep_cs5``).  A failing multiset sends CS5 through every ordered
-    triple, whose failures alone are reported.  So every verdict, count
+    (skew-symmetry and a sesquilinear evaluator) and a table whose every
+    entry (i, j) lies in parity p(i) + p(j).  No lambda-degree is asked
+    for: by the identity above, every ordering has all its nonzero cells
+    inside the bound (see ``_sweep_cs5``).  A failing multiset sends CS5
+    through every ordered triple, whose failures alone are reported.  So every verdict, count
     and failure, and their order, is that of a sweep over every ordered
     pair and triple.
     """
@@ -922,15 +925,12 @@ def _sweep_cs4(A, report):
 
 
 def _jacobi_triples(ngen, reduced):
-    """The triples (a, b, c), a <= b, that head the CS5 sweep.
-
-    The full sweep takes every c and checks (b, a, c) beside each head
-    with a < b, so it visits every ordered triple once.  The reduced
-    sweep takes c >= b, one ordering of each generator multiset, and
-    checks the head alone.
-    """
-    return [(a, b, c) for a in range(ngen) for b in range(a, ngen)
-            for c in range(b if reduced else 0, ngen)]
+    """The triples (a, b, c) that the CS5 sweep checks, in order: every
+    ordered triple for the full sweep, and for the reduced one a single
+    ordering a <= b <= c of each generator multiset."""
+    if reduced:
+        return list(combinations_with_replacement(range(ngen), 3))
+    return list(product(range(ngen), repeat=3))
 
 
 def _parity_graded(A):
@@ -973,44 +973,39 @@ def _sweep_cs5(A, report):
     [[a_(jj) b]_(k) c] with -C(m, jj) s on every m + n = jj + k, m >= jj,
     and [b_(n) [a_(m) c]] with -p(a, b) s.  The pairs are read flat
     (``_FlatPairs``), as int coefficients c of zeta^e on an ``_integral``
-    table, and every product adds in place into a map keyed
-    (m, n, g, j, e1 + e2) whose values are sums of unreduced int products.
-    For an even conductor N a product exponent e1 + e2 >= N/2 is folded to
-    e1 + e2 - N/2 with the product negated, as zeta^{N/2} = -1, so such
-    products cancel raw against rational ones; an odd N is not folded.
-    The cells (m, n) that one middle product feeds, with their weights
-    C(m, jj), are listed once per sweep for each (jj, k).
-
-    The nested map N(x, y, c) of [x_(m) [y_(n) c]] is the first term of
-    (x, y, c), and, read at (n, m) with weight -p(x, y), the third term of
-    (y, x, c).  So for a <= b the triples (a, b, c) and (b, a, c) are
-    checked together from one shared map S = N(a, b, c) - p(a, b) N^T,
-    N^T the map N(b, a, c) with m and n swapped: keyed (m, n), S holds the
-    first and third terms of (a, b, c); keyed (n, m), it is -p(a, b) times
-    those of (b, a, c), a sign that changes no cell's verdict.  A copy of S
-    takes the middle term of (a, b, c) and S itself that of (b, a, c),
-    scaled alike, so at most two maps are alive at once.  Each nested
-    bracket is built once per sweep, and twice on the diagonal a = b.
+    table, and every product adds in place into one difference map per
+    triple, keyed (n, m, g, j, e1 + e2), whose values are sums of
+    unreduced int products.  For an even conductor N a product exponent
+    e1 + e2 >= N/2 is folded to e1 + e2 - N/2 with the product negated,
+    as zeta^{N/2} = -1, so such products cancel raw against rational
+    ones; an odd N is not folded.  The cells (n, m) that one middle
+    product feeds, with their weights C(m, jj), are listed once per sweep
+    for each (jj, k).
 
     A map whose values are all zero has no failing cell.  Otherwise a cell
     (m, n) is called nonzero only after each of its coefficients at
     D^{(j)} v_g is reduced modulo the cyclotomic polynomial once, by
-    ``CycloField.reduce_terms``.  The nonzero cells are the failures; they
-    are buffered and reported in (a, b, c) order, n-major, m-minor within
-    a triple.  Only the middle term reaches past the bound, at m > bound,
-    and those cells are left out.
+    ``CycloField.reduce_terms``.  The nonzero cells are the failures,
+    reported in (a, b, c) order, n-major, m-minor within a triple.
 
-    The triples come from ``_jacobi_triples``.  The reduced sweep checks
-    only its heads (a, b, c), a <= b <= c, each on one map N(a, b, c)
-    - p(a, b) N^T plus its middle term, and stops at the first failing
-    one.  By skew-symmetry the identity of (a, b, c) is that of every
-    permutation, under a substitution of lambda and mu that moves cells,
-    so it is taken only when every cell lies inside the bound: the middle
-    term reaches m = 2 maxl + maxd, at most the bound exactly when
-    maxl <= 2.  It also needs skew-symmetry, a sesquilinear evaluator and
-    a parity-graded table (``check_axioms``), so it runs only when CS1-CS4
-    have passed in ``report`` and ``_parity_graded`` holds.  When it finds
-    a failure, the full ordered sweep runs and reports.
+    Only the middle term reaches past the bound maxl + maxd + 2, up to
+    m = 2 maxl + maxd, and those cells are left out.  Under CS4 they are
+    zero: with a sesquilinear evaluator D acts as -(lambda + mu) in the
+    outer bracket, so [[a_lambda b]_{lambda+mu} c] = -p(a, b)
+    [[b_mu a]_{lambda+mu} c] and J_abc(lambda, mu) = -p(a, b)
+    J_bac(mu, lambda).  Every term of J_bac(mu, lambda) has lambda-degree
+    at most maxl + maxd, so every nonzero cell of J_abc lies inside the
+    bound, whatever maxl is.
+
+    The triples come from ``_jacobi_triples``.  By skew-symmetry the
+    identity of (a, b, c) is that of every permutation, under a
+    substitution of lambda and mu that moves cells, all of them inside
+    the bound.  So when skew-symmetry, a sesquilinear evaluator and a
+    parity-graded table hold (``check_axioms``), that is when CS1-CS4
+    have passed in ``report`` and ``_parity_graded`` holds, the reduced
+    sweep runs first: one ordering a <= b <= c of each generator
+    multiset, stopping at the first failing one.  When it finds a
+    failure, the full ordered sweep runs and reports.
     """
     ngen = A.ngens()
     report.verdicts.setdefault("CS5", True)
@@ -1022,19 +1017,15 @@ def _sweep_cs5(A, report):
     # flat exponents stay below phi(N), so an odd N, with 2 N, folds nothing
     half = N // 2 if N % 2 == 0 else 2 * N
     flats = _FlatPairs(A)
-    # (jj, k) -> the cells (m, n) of the middle term, m + n = jj + k and
-    # jj <= m <= bound, as (m, n, C(m, jj)); swapped as (n, m, C(m, jj))
-    spans = ({}, {})
-    for jj in range(maxl + 1):
-        for k in range(maxl + maxd + 1):
-            fed = [(m, jj + k - m, comb(m, jj))
-                   for m in range(jj, min(jj + k, bound) + 1)]
-            spans[0][jj, k] = fed
-            spans[1][jj, k] = [(n, m, f) for m, n, f in fed]
+    # (jj, k) -> the cells of the middle term, m + n = jj + k and
+    # jj <= m <= bound, as (n, m, C(m, jj))
+    spans = {(jj, k): [(jj + k - m, m, comb(m, jj))
+                       for m in range(jj, min(jj + k, bound) + 1)]
+             for jj in range(maxl + 1) for k in range(maxl + maxd + 1)}
 
     def nested(x, y, c, out, w, swap):
-        """Add w N(x, y, c), N(x, y, c) = [x_(m) [y_(n) c]], into ``out``
-        keyed (m, n, g, j, e), or (n, m, g, j, e) when ``swap``."""
+        """Add w [x_(m) [y_(n) c]] into ``out`` keyed (n, m, g, j, e), or
+        (m, n, g, j, e) when ``swap``."""
         get = out.get
         for n, g, j, e1, c1 in flats[y, 0, c, 0]:
             c1 *= w
@@ -1044,78 +1035,60 @@ def _sweep_cs5(A, report):
                 if e >= half:
                     e -= half
                     v = -v
-                key = (n, m, g2, j2, e) if swap else (m, n, g2, j2, e)
+                key = (m, n, g2, j2, e) if swap else (n, m, g2, j2, e)
                 out[key] = get(key, 0) + v
 
-    def middle(x, y, c, out, w, swap):
-        """Add w sum_jj C(m, jj) [[x_(jj) y]_(m+n-jj) c] into ``out``, keyed
-        as by ``nested``: [[x_(jj) y]_(k) c] feeds the cells of
-        ``spans``."""
+    def middle(a, b, c, out):
+        """Subtract sum_jj C(m, jj) [[a_(jj) b]_(m+n-jj) c] from ``out``:
+        [[a_(jj) b]_(k) c] feeds the cells of ``spans``."""
         get = out.get
-        span = spans[swap]
-        for jj, g, j, e1, c1 in flats[x, 0, y, 0]:
-            c1 *= w
+        for jj, g, j, e1, c1 in flats[a, 0, b, 0]:
+            c1 = -c1
             for k, g2, j2, e2, c2 in flats[g, j, c, 0]:
                 e = e1 + e2
                 v = c1 * c2
                 if e >= half:
                     e -= half
                     v = -v
-                for k1, k2, f in span[jj, k]:
-                    key = (k1, k2, g2, j2, e)
+                for n, m, f in spans[jj, k]:
+                    key = (n, m, g2, j2, e)
                     out[key] = get(key, 0) + f * v
 
-    def check(failed, triple, diff, swap):
-        """Record the nonzero cells of the difference map of ``triple`` in
-        ``failed``; whether there are any."""
+    def failing(diff):
+        """The nonzero cells (m, n) of a difference map, n-major."""
         if not any(diff.values()):
-            return False
+            return []
         cells = {}
-        for (k1, k2, g, j, e), x in diff.items():
+        for (n, m, g, j, e), x in diff.items():
             if x:
-                cells.setdefault((k1, k2) if swap else (k2, k1),
-                                 {}).setdefault((g, j), {})[e] = x
-        bad = [(m, n) for n, m in sorted(cells)
-               if any(map(field.reduce_terms, cells[(n, m)].values()))]
-        if bad:
-            failed[triple] = bad
-        return bool(bad)
+                cells.setdefault((n, m), {}).setdefault((g, j), {})[e] = x
+        return [(m, n) for n, m in sorted(cells)
+                if any(map(field.reduce_terms, cells[n, m].values()))]
 
     def sweep(reduced):
-        """{triple: its failing cells (m, n), n-major} over the triples of
-        the sweep, or None when the reduced sweep meets a failing one."""
+        """{triple: its failing cells (m, n)} in sweep order, or None when
+        the reduced sweep meets a failing triple."""
         failed = {}
         for a, b, c in _jacobi_triples(ngen, reduced):
-            p = A.parity_sign(a, b)
-            # shared = N(a, b, c) - p N(b, a, c) with its m and n swapped:
-            # the first and third terms of (a, b, c), and keyed (n, m) -p
-            # times those of (b, a, c)
-            shared = {}
-            nested(a, b, c, shared, 1, False)
-            nested(b, a, c, shared, -p, True)
-            if reduced:
-                middle(a, b, c, shared, -1, False)
-                if check(failed, (a, b, c), shared, False):
+            diff = {}
+            nested(a, b, c, diff, 1, False)
+            nested(b, a, c, diff, -A.parity_sign(a, b), True)
+            middle(a, b, c, diff)
+            bad = failing(diff)
+            if bad:
+                if reduced:
                     return None
-                continue
-            diff = dict(shared) if a != b else shared
-            middle(a, b, c, diff, -1, False)
-            check(failed, (a, b, c), diff, False)
-            if a != b:
-                # -p times the difference map of (b, a, c)
-                middle(b, a, c, shared, p, True)
-                check(failed, (b, a, c), shared, True)
+                failed[a, b, c] = bad
         return failed
 
     failed = None
     if (all(report.verdicts.get("CS%d" % k) for k in range(1, 5))
-            and maxl <= 2 and _parity_graded(A)):
+            and _parity_graded(A)):
         failed = sweep(True)
     if failed is None:
         failed = sweep(False)
-    for triple in sorted(failed):
-        a, b, c = triple
-        for m, n in failed[triple]:
+    for (a, b, c), cells in failed.items():
+        for m, n in cells:
             report.fail("CS5", (names[a], names[b], names[c]),
                         "m=%d n=%d" % (m, n))
     report.counts["CS5"] = "%d triples" % ngen ** 3

@@ -161,6 +161,12 @@ class LoopAlgebra:
         start = _q(Fraction(res, self.order))
         return start, range(math.ceil(lo - start), math.floor(hi - start) + 1)
 
+    def _exponent_count(self, res, lo, hi):
+        """How many exponents ``exponents(res, lo, hi)`` lists, counted in
+        int arithmetic: ``len`` refuses a range past ``sys.maxsize``."""
+        steps = self._exponent_steps(res, lo, hi)[1]
+        return max(0, steps.stop - steps.start)
+
     def exponents(self, res, lo, hi):
         """The exponents res/m + k with lo <= q <= hi, in increasing order."""
         start, steps = self._exponent_steps(res, lo, hi)
@@ -194,6 +200,8 @@ def eigenspaces(A, sigma, m):
     cols = [_plain_vector(A, sigma.images[i],
                           "image of %s" % A.generators[i].name)
             for i in range(n)]
+    if m < 1:
+        raise DomainError("twist order must be positive")
     # The conductor bounds the order before any null space is built.
     xi = field.root_of_unity(m)
 
@@ -490,7 +498,7 @@ def l0_spectrum(L, parity, window):
         raise DomainError("twist does not fix the Virasoro generator")
 
     chosen = [(i, a) for i, a, _, par in L.basis if par == parity]
-    count = sum(len(L._exponent_steps(i, -W, W)[1]) for i, _ in chosen)
+    count = sum(L._exponent_count(i, -W, W) for i, _ in chosen)
     if count > MAX_SPECTRUM_MODES:
         raise DomainError(
             "window %s holds %d modes, above the bound %d"

@@ -301,6 +301,37 @@ def test_loop_window_is_bounded(capsys):
     assert time.perf_counter() - start < 10
 
 
+def test_huge_windows_are_refused_by_their_bounds(capsys):
+    # exponent ranges longer than sys.maxsize, which len() refuses: the
+    # odd modes number 4W + 1 under omega and 4W + 2 untwisted
+    from csalg.centroid import MAX_UNKNOWNS
+    for auto, window, W, modes in (
+            ("omega", "1e19", 10 ** 19, 4 * 10 ** 19 + 1),
+            ("id", "1e30", 10 ** 30, 4 * 10 ** 30 + 2)):
+        code, out, err = run(capsys, ["loop", "n2.csa", "--auto", auto,
+                                      "--window", window])
+        assert (code, out) == (3, "")
+        assert err == ("error: window %d holds %d modes, above the bound "
+                       "%d\n" % (W, modes, loops.MAX_SPECTRUM_MODES))
+    code, out, err = run(capsys, ["centroid", "n2.csa", "--auto", "id",
+                                  "--window", "1e400", "--interior", "1e399"])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: window %d (interior %d) needs up to "
+                          % (10 ** 400, 10 ** 399))
+    assert err.endswith(" unknowns, above the bound %d\n" % MAX_UNKNOWNS)
+
+
+@pytest.mark.parametrize("order", ["0", "-2"])
+def test_a_twist_order_below_one_is_refused(capsys, order):
+    # loop, alg and centroid build their loop through one path
+    loop = ["n2.csa", "--auto", "id", "--order", order]
+    for argv in (["loop"] + loop + ["--window", "3"],
+                 ["alg"] + loop + ["--bracket", "L[0] L[0]"],
+                 ["centroid"] + loop + ["--window", "3", "--interior", "1"]):
+        assert run(capsys, argv) == \
+            (3, "", "error: twist order must be positive\n"), argv
+
+
 def test_twisted_modes_follow_the_lattice(capsys):
     code, _, err = run(capsys, ["alg", "n2.csa", "--auto", "omega",
                                 "--bracket", "L[1] G+[1/2]"])

@@ -721,14 +721,16 @@ def test_spot_checks_match_the_laws_on_public_objects(monkeypatch, kernel):
     assert failing == (0 if kernel is _KERNEL else 2)
 
 
-def _cs5_failures_by_dense_sweep(A):
+def _cs5_failures_by_dense_sweep(A, bound=None):
     """The CS5 failures of check_axioms from a visit to every (m, n) cell
-    up to the vanishing bound, each side built as a ConfElt:
+    up to ``bound``, by default the vanishing bound maxl + maxd + 2, each
+    side built as a ConfElt:
     [a_(m) [b_(n) c]] = sum_jj C(m, jj) [[a_(jj) b]_(m+n-jj) c]
                         + p(a, b) [b_(n) [a_(m) c]]."""
     ngen = A.ngens()
     maxl, maxd = A.table_degrees()
-    bound = maxl + maxd + 2
+    if bound is None:
+        bound = maxl + maxd + 2
     gens = [A.elt(i) for i in range(ngen)]
     names = [g.name for g in A.generators]
     failures = []
@@ -802,10 +804,9 @@ def test_jacobi_triples_cover_each_ordered_triple_or_multiset_once():
         assert len(reduced) == heads
         assert sorted(tuple(sorted(t)) for t in reduced) == \
             list(combinations_with_replacement(range(ngen), 3))
-        # the full sweep checks (b, a, c) beside each head with a < b
-        full = core._jacobi_triples(ngen, False)
-        visited = full + [(b, a, c) for a, b, c in full if a != b]
-        assert sorted(visited) == list(product(range(ngen), repeat=3))
+        # the full sweep checks every ordered triple once, in order
+        assert core._jacobi_triples(ngen, False) == \
+            list(product(range(ngen), repeat=3))
 
 
 def _sweeps_taken(monkeypatch):
@@ -889,34 +890,95 @@ def test_reduced_jacobi_sweep_on_random_tables(monkeypatch):
     assert (passing, failing) == (7, 34)
 
 
-def test_lambda_degree_three_takes_the_full_jacobi_sweep(monkeypatch):
+def _with_lambda_degree(A, rng, degree):
+    """A copy of A with the lowest coefficient of one random entry (i, j),
+    i < j, repeated at lambda^(degree) and (j, i) completed by
+    skew-symmetry, or None when no such entry is nonzero."""
+    upper = sorted((i, j) for (i, j), entry in A.table.items()
+                   if i < j and entry.coeffs)
+    if not upper:
+        return None
+    i, j = rng.choice(upper)
+    entry = A.table[(i, j)]
+    table = dict(A.table)
+    lowest = entry.coeffs[min(entry.coeffs)]
+    table[(i, j)] = LambdaPoly(A.field, {**entry.coeffs, degree: lowest})
+    del table[(j, i)]
+    return complete_table_cs4(
+        AlgebraDef(A.name, A.field, A.generators, table))
+
+
+def _h3():
+    """A, B even of weight 2, C even of weight 0, [A lambda B] =
+    lambda^(3) C.  Every bracket lands in the span of the D^(k) C, which
+    bracket to zero, so CS5 holds."""
+    F = CycloField.get(24)
+    return complete_table_cs4(AlgebraDef(
+        "H3", F, [Generator("A", EVEN, 2), Generator("B", EVEN, 2),
+                  Generator("C", EVEN, 0)],
+        {(0, 1): LambdaPoly(F, {3: ConfElt(F, {(2, 0, 0): F.rational(1)})})}))
+
+
+def test_lambda_degree_three_takes_the_reduced_jacobi_sweep_first(
+        monkeypatch):
     # a lambda^(3) term puts middle-term cells past the vanishing bound,
-    # which the sweep leaves out, and the substitution between orderings
-    # moves cells across it
+    # which the sweep leaves out; under skew-symmetry they are zero, so
+    # the reduced sweep runs first and the report is that of the full one
     rng = random.Random(393)
     taken = _sweeps_taken(monkeypatch)
     tables = 0
     for tag in range(40):
-        A = random_algebra(rng, tag)
-        upper = sorted((i, j) for (i, j), entry in A.table.items()
-                       if i < j and entry.coeffs)
-        if not upper:
+        A = _with_lambda_degree(random_algebra(rng, tag), rng, 3)
+        if A is None:
             continue
-        i, j = rng.choice(upper)
-        entry = A.table[(i, j)]
-        table = dict(A.table)
-        lowest = entry.coeffs[min(entry.coeffs)]
-        table[(i, j)] = LambdaPoly(A.field, {**entry.coeffs, 3: lowest})
-        del table[(j, i)]
-        A = complete_table_cs4(
-            AlgebraDef(A.name, A.field, A.generators, table))
         assert A.table_degrees()[0] == 3
+        want = _full_sweep_failures(A)
         taken.clear()
         report = check_axioms(A)
         assert report.verdicts["CS4"]
-        assert taken == [False]
+        assert _cs5_failures(report) == want
+        assert taken == ([True, False] if want else [True])
         tables += 1
     assert tables > 20
+
+
+def test_no_jacobi_failure_lies_past_the_vanishing_bound():
+    # under CS4, J_abc(lambda, mu) = -p(a, b) J_bac(mu, lambda), whose
+    # every term has lambda-degree at most maxl + maxd: the dense sweep
+    # raised to 2 maxl + maxd, where the middle term stops, finds the
+    # failures of the vanishing bound and no more (the cells up to the
+    # vanishing bound are visited as by the default sweep, and in order).
+    # The middle term reaches maxl - 2 cells past the bound whatever maxd
+    # is, so to keep the dense sweeps small, tables with maxd > maxl are
+    # skipped and those of lambda-degree 4 and 5 have two generators
+    report = check_axioms(_h3())
+    assert report.ok
+    assert (report.counts["CS4"], report.counts["CS5"]) == \
+        ("9 pairs", "27 triples")
+    rng = random.Random(4040)
+    tables = [_h3()]
+    while len(tables) < 21:
+        degree = 3 + len(tables) % 3
+        A = random_algebra(rng, len(tables))
+        if A.ngens() <= (3 if degree == 3 else 2):
+            A = _with_lambda_degree(A, rng, degree)
+            if A is not None and A.table_degrees()[1] <= degree:
+                tables.append(A)
+    failing = 0
+    for A in tables:
+        maxl, maxd = A.table_degrees()
+        report = check_axioms(A)
+        assert report.verdicts["CS4"]
+        bound = maxl + maxd + 2
+        raised = _cs5_failures_by_dense_sweep(A, 2 * maxl + maxd)
+        # a cell reads "m=<m> n=<n>"
+        want = [(triple, cell) for triple, cell in raised
+                if all(int(part[2:]) <= bound for part in cell.split())]
+        assert raised == want
+        assert _cs5_failures(report) == want
+        failing += bool(want)
+    assert failing == 15
+    assert {A.table_degrees()[0] for A in tables} == {3, 4, 5}
 
 
 def test_a_table_off_its_parity_grading_takes_the_full_jacobi_sweep(

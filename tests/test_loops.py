@@ -674,6 +674,10 @@ def test_loop_algebra_refuses_malformed_eigenspace_data():
 def test_loop_operations_refuse_their_domain_errors():
     assert _refusal(lambda: eigenspaces(N4, identity_morphism(N2), 1)) == \
         "morphism is defined on a different algebra"
+    for order in (0, -2):
+        assert _refusal(lambda: eigenspaces(N2, identity_morphism(N2),
+                                            order)) == \
+            "twist order must be positive"
     for window in (0, -1):
         assert _refusal(lambda: split_check(UNTWISTED, window)) == \
             "window must be positive"
