@@ -803,9 +803,9 @@ def check_axioms(A, seed=0):
     entry (i, j) lies in parity p(i) + p(j).  No lambda-degree is asked
     for: by the identity above, every ordering has all its nonzero cells
     inside the bound (see ``_sweep_cs5``).  A failing multiset sends CS5
-    through every ordered triple, whose failures alone are reported.  So every verdict, count
-    and failure, and their order, is that of a sweep over every ordered
-    pair and triple.
+    through every ordered triple, whose failures alone are reported.  So
+    every verdict, count and failure, and their order, is that of a sweep
+    over every ordered pair and triple.
     """
     A = _integral(A)
     report = AxiomReport(A.name)

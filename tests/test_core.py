@@ -745,12 +745,15 @@ def _cs5_failures_by_dense_sweep(A, bound=None):
                 for n in range(bound + 1):
                     lhs = lambda_bracket(A, gens[a], A.table[(b, c)].get(n))
                     for m in range(bound + 1):
+                        # a missing degree adds nothing, so it is skipped
                         rhs = A.zero_elt()
                         for jj in range(min(m, len(abj_c) - 1) + 1):
-                            rhs = rhs + abj_c[jj].get(m + n - jj).scale(
-                                comb(m, jj))
-                        rhs = rhs + b_amc[m].get(n).scale(
-                            A.parity_sign(a, b))
+                            term = abj_c[jj].coeffs.get(m + n - jj)
+                            if term is not None:
+                                rhs = rhs + term.scale(comb(m, jj))
+                        term = b_amc[m].coeffs.get(n)
+                        if term is not None:
+                            rhs = rhs + term.scale(A.parity_sign(a, b))
                         if lhs.get(m) != rhs:
                             failures.append(
                                 ((names[a], names[b], names[c]),
