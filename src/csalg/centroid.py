@@ -100,25 +100,49 @@ where the table allows.  ``_Frame`` lowers the entries of its eigenbasis
 inverse once, and ``_Frame.coords`` lowers each finished rational
 coordinate to its ``_q`` value (an int when integral, else a Fraction);
 only an irrational one, such as the zeta^6 coefficients of the N=4 table,
-stays a ``CycloScalar``.  ``_interior_brackets`` then multiplies the
-coordinates of the record-pair brackets by K, the lcm of their
-denominators (those inside a ``CycloScalar`` too): 2 for the 1/2 and 3/2
-of the N=2 and N=4 tables and of the eigenbasis inverse, 1 for the sl2
-current algebra.  Every product, column and row is linear in these
-brackets, since both sides of chi(a_(n) b) = a_(n) chi(b) read them, so
-each row is K times the unscaled one.  The eliminator normalizes each pivot by its lead, so the
-pivots, the pins, the null space and every solution are those of the
-unscaled system, entry for entry.  On the N=2 and N=4 loops of order 1 and
-2 no Fraction then reaches a row; the thirds of an order-3 shift still do,
-through ``times``.  ``times``, the columns, the rows and the ``linalg``
-eliminator work on these mixed exact scalars through Python's numeric
-coercion, and ``_add_to`` and the eliminator keep every integral result an
-int.  The eliminator normalizes an int pivot by exact division where its
-lead divides the entry and lowers a rational product of two irrational
-entries, such as zeta^6 * zeta^6 = -1, so the pivots and the null vectors
-read off them hold the same three kinds of scalar.  ``CentroidSolution``
-lifts its entries back through ``field.scalar``, so the entries a caller
-reads are ``CycloScalar``s.
+stays a ``CycloScalar``.  ``_gauge`` then looks for the basis
+u_alpha v_alpha, u_alpha = i^{x_alpha} with x_alpha in {0, 1}, one power
+per record, on which every record-pair coordinate is rational: the
+coordinate c of [v_alpha lambda v_beta] at a key of record gamma becomes
+c u_alpha u_beta / u_gamma, rational when c is rational and x_alpha +
+x_beta + x_gamma is even, or when c is a rational multiple of i and the
+sum is odd.  One elimination over GF(2), on bit masks of the records
+(``_solve_mod2``), solves these parities, and each coordinate becomes r
+or -r, its rational part read off its coefficients with no field product
+and no inverse.  The N=4 table is a rational form in disguise: J2 times i
+makes every structure constant rational, and the solve takes that basis
+on every N=4 loop.  Every record keeps u = 1, the solve on the records
+themselves, when every coordinate is rational already (every N=2 loop),
+when one is neither rational nor a rational multiple of i, or when the
+parities are inconsistent.  ``_interior_brackets`` then multiplies the
+coordinates by K, the lcm of their denominators (those inside a
+``CycloScalar`` too): 2 for the 1/2 and 3/2 of the N=2 and N=4 tables and
+of the eigenbasis inverse, 1 for the sl2 current algebra.  Every product,
+column and row is linear in these brackets, since both sides of
+chi(a_(n) b) = a_(n) chi(b) read them, so each row is K times the
+unscaled one on the basis u_alpha v_alpha, whose unknowns are those of
+the records scaled by u_rec(c) / u_rec(d).  The eliminator normalizes each
+pivot by its lead, and scaling the unknowns moves no pivot and no pin, so
+the null space is that of the records' system, scaled back entry by
+entry.  No ``CycloScalar`` then reaches a row of an N=4 loop, and on the
+N=2 and N=4 loops of order 1 and 2 no Fraction does either; the thirds
+and quarters of an order-3 or order-4 shift reach one as Fractions,
+through ``times``.
+``times``, the columns, the rows and the ``linalg`` eliminator work on
+these mixed exact scalars through Python's numeric coercion, and
+``_add_to`` and the eliminator keep every integral result an int.  The
+eliminator normalizes an int pivot by exact division where its lead
+divides the entry, and on a table that keeps irrational coordinates it
+lowers a rational product of two of them, so the pivots and the null
+vectors read off them hold the same kinds of scalar as the rows.  A
+solution maps back to the records' basis: entry (d, c) times
+u_rec(c) / u_rec(d) (``_ungauged``).  A monomial t^j has same-record
+entries alone and is left as it is; a leftover direction is divided by
+the factor at its lead too, so it stays 1 there, as ``_pivot_vector``
+normalizes it.  So every solution is the one the records' own system
+gives, entry for entry.  ``CentroidSolution`` lifts its entries back
+through ``field.scalar``, so the entries a caller reads are
+``CycloScalar``s.
 """
 
 import math
@@ -126,7 +150,8 @@ from fractions import Fraction
 
 from .core import (_binomials, _hat_sum, apply_partial_power,
                    lambda_bracket, to_hat_basis)
-from .cyclotomic import CycloScalar, _add_to, _denominator, _lower, _q
+from .cyclotomic import (CycloScalar, _add_to, _denominator, _lower, _q,
+                         _ratio)
 from .errors import DomainError
 from .laurent import LaurentElt
 from .linalg import (Echelon, _echelon_insert, _in_null_span, _null_basis,
@@ -232,6 +257,8 @@ class _Frame:
         self.sigs = []  # id -> (parity, residue)
         self.degrees = []  # id -> M * degree, 0 when the weights do not grade
         self.domain = set()  # ids of the solved domain, set by centroid_basis
+        # power of i per record of the solved basis, set by _interior_brackets
+        self.gauge = [0] * n
         self.interior0 = [self.key_id((ai, 0, q))
                           for ai, (res, _, _, _) in enumerate(self.alphas)
                           for q in loop.exponents(res, -self.interior,
@@ -442,18 +469,92 @@ class CentroidSolution:
             len(self.entries), self._frame.window)
 
 
+def _solve_mod2(equations, n):
+    """One solution x of a linear system over GF(2), as a bit mask with
+    every free unknown 0, or None when the system is inconsistent.  Bits
+    0 .. n - 1 of an equation mark its unknowns, bit n its right-hand
+    side."""
+    pivots = {}  # lowest bit -> equation
+    for eq in equations:
+        while eq:
+            low = eq & -eq
+            if low >> n:  # the right-hand side alone: 0 = 1
+                return None
+            piv = pivots.get(low)
+            if piv is None:
+                pivots[low] = eq
+                break
+            eq ^= piv
+    # every other bit of a pivot lies above its lead, so solve top down
+    x = 0
+    for low in sorted(pivots, reverse=True):
+        eq = pivots[low]
+        if (bin(eq & x).count("1") + (eq >> n)) & 1:
+            x |= low
+    return x
+
+
+def _gauge(frame, pairs):
+    """Powers x_alpha in {0, 1} of i, one per record, on whose basis
+    i^{x_alpha} v_alpha every record-pair coordinate is rational; the
+    coordinates of ``pairs`` are rewritten on that basis in place.  All 0,
+    with ``pairs`` left as they are, when every coordinate is rational
+    already, when one is neither rational nor a rational multiple of i, or
+    when no choice of powers clears them all (see the module docstring)."""
+    keys = frame.keys
+    field = frame.field
+    n = len(frame.alphas)
+    none = [0] * n
+    i = None
+    # [v_alpha lambda v_beta] has the coordinate c at a key of record
+    # gamma; on the new basis it reads c i^{x_alpha + x_beta - x_gamma},
+    # rational when c is and x_alpha + x_beta + x_gamma is even, or when c
+    # is a rational multiple of i and the sum is odd
+    equations = set()
+    for (ai, bi), poly in pairs.items():
+        for coords in poly.values():
+            for k, v in coords.items():
+                eq = 1 << ai ^ 1 << bi ^ 1 << keys[k][0]
+                if v.__class__ is CycloScalar:
+                    if i is None:
+                        if field.conductor % 4:
+                            return none
+                        i = field.zeta(field.conductor // 4)
+                    if _ratio(v, i) is None:
+                        return none
+                    eq |= 1 << n
+                equations.add(eq)
+    if i is None:
+        return none
+    x = _solve_mod2(equations, n)
+    if x is None:
+        return none
+    gauge = [x >> ai & 1 for ai in range(n)]
+    # c = r i^m times i^s is r i^{m + s}, and m + s is even: r or -r
+    for (ai, bi), poly in pairs.items():
+        for coords in poly.values():
+            for k, v in coords.items():
+                s = gauge[ai] + gauge[bi] - gauge[keys[k][0]]
+                if v.__class__ is CycloScalar:
+                    v, s = _ratio(v, i), s + 1
+                coords[k] = v if s % 4 == 0 else -v
+    return gauge
+
+
 def _interior_brackets(frame):
     """(brackets, K): brackets[a][beta][n] is K times the coordinates of
-    [hat(a) lambda v_beta]_n for interior keys a and records beta, derived
-    from one bracket per record pair by CS3 on the left slot (see the
-    module docstring).  K is the lcm of the denominators of the record-pair
-    coordinates, those inside a CycloScalar included.  Every product and
-    column of the solve is a t-shift of these, or derived."""
+    [hat(a) lambda v_beta]_n for interior keys a and records beta, on the
+    basis i^{x_alpha} v_alpha, x = ``frame.gauge`` as ``_gauge`` sets it,
+    derived from one bracket per record pair by CS3 on the left slot (see
+    the module docstring).  K is the lcm of the denominators of the
+    record-pair coordinates, those inside a CycloScalar included.  Every
+    product and column of the solve is a t-shift of these, or derived."""
     records = sorted({frame.keys[b][0] for b in frame.interior0})
     pairs = {(ai, bi): {n: frame.coords(e) for n, e in lambda_bracket(
                 frame.algebra, frame.alphas[ai][1],
                 frame.alphas[bi][1]).coeffs.items()}
              for ai in records for bi in records}
+    frame.gauge = _gauge(frame, pairs)
     K = math.lcm(*(_denominator(v) for poly in pairs.values()
                    for coords in poly.values() for v in coords.values()))
     if K > 1:
@@ -475,6 +576,23 @@ def _interior_brackets(frame):
                         _add_to(got.setdefault(n - l, {}), i, v)
             brackets[a][bi] = {n: comps for n, comps in got.items() if comps}
     return brackets, K
+
+
+def _ungauged(frame, unknowns, vec, lead):
+    """The null vector ``vec`` of the system on the basis of ``_gauge``,
+    on the records' own basis: entry (d, c) times i^{x_rec(c) - x_rec(d)},
+    x = ``frame.gauge``, and the whole divided by that factor at ``lead``,
+    so it stays 1 there, as ``_pivot_vector`` normalizes it."""
+    keys, gauge = frame.keys, frame.gauge
+    i = frame.field.zeta(frame.field.conductor // 4)
+    units = (1, i, -1, -i)  # i^s, s mod 4
+
+    def power(uid):
+        d, c = unknowns[uid]
+        return gauge[keys[c][0]] - gauge[keys[d][0]]
+
+    s0 = power(lead)
+    return {uid: v * units[(power(uid) - s0) % 4] for uid, v in vec.items()}
 
 
 def _columns(frame, brackets, products, wanted):
@@ -544,8 +662,9 @@ def centroid_basis(L, window, interior):
     keys = frame.keys
     interior0 = frame.interior0
 
-    # K times the brackets: every row below is K times the unscaled one,
-    # with the same pivots and null space
+    # K times the brackets on the gauged basis: every row below is K times
+    # the unscaled one, with the same pivots, and its null space maps back
+    # to the records' own basis entry by entry
     brackets, _ = _interior_brackets(frame)
 
     # product closure: the solved domain is the interior and every
@@ -688,7 +807,10 @@ def centroid_basis(L, window, interior):
         for vec in raw.values():
             lead = _echelon_insert(chosen, vec)
             if lead is not None:
-                solutions.append(solution(_pivot_vector(chosen, lead)))
+                vec = _pivot_vector(chosen, lead)
+                if any(frame.gauge):
+                    vec = _ungauged(frame, unknowns, vec, lead)
+                solutions.append(solution(vec))
     return solutions
 
 

@@ -21,7 +21,10 @@ irrational ``CycloScalar`` ones: ``_lower`` turns a rational
 and ``_add_to`` keeps an int or ``Fraction`` sum under the rule.
 ``_denominator`` reads the lcm of the denominators of any of these
 scalars; the axiom checks and the centroid solve multiply their inputs by
-it, so that their rational arithmetic runs on ints.
+it, so that their rational arithmetic runs on ints.  ``_ratio`` reads the
+quotient of two ``CycloScalar``s off their coefficients when it is
+rational; the centroid solve uses it to find coordinates that are rational
+multiples of i.
 """
 
 from __future__ import annotations
@@ -66,6 +69,22 @@ def _lower(v):
         if len(c) == 1 and 0 in c:
             return c[0]  # held under the rule already
     return v
+
+
+def _ratio(v, w):
+    """The rational v / w of two nonzero CycloScalars of one field, or
+    None when it is irrational.  The quotient is rational exactly when the
+    reduced coefficients are proportional, so it is read off them with no
+    field product."""
+    vc, wc = v.coeffs, w.coeffs
+    if vc.keys() != wc.keys():
+        return None
+    e, c = next(iter(wc.items()))
+    r = Fraction(vc[e], c)
+    for e, c in wc.items():
+        if vc[e] != r * c:
+            return None
+    return _q(r)
 
 
 def _denominator(v):

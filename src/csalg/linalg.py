@@ -55,10 +55,12 @@ from .errors import DomainError
 # and one that cancels drops its key.  Every other sum goes through
 # ``_add_to``.
 # An irrational lead takes a norm and a product over the conjugates to
-# invert, and the centroid rows repeat a few lead values (-2 zeta^6,
-# 2 zeta^6 and -8 zeta^6 on the N=4 loops), so each ``Echelon`` keeps
-# -1/lead per lead value in ``inverses``; the cache lives and dies with its
-# echelon, and an echelon holds the scalars of one field.
+# invert.  The centroid solve runs the N=4 loops on rationals (it takes J2
+# times i, see ``centroid``), so its rows meet an irrational lead only on a
+# table that no power of i per record makes rational, such as one with a
+# generator times zeta_24; those rows repeat a few lead values, so each
+# ``Echelon`` keeps -1/lead per lead value in ``inverses``; the cache lives
+# and dies with its echelon, and an echelon holds the scalars of one field.
 #
 # A row whose unknowns are all pivots with one-term rows x_u = m_u x_f on
 # one free column f, and whose c_u m_u cancel, would reduce to nothing, so

@@ -2,6 +2,7 @@
 
 import time
 from collections import Counter
+from itertools import combinations
 from fractions import Fraction
 
 import pytest
@@ -12,15 +13,15 @@ from csalg.algebras import (StructureConstants, gl2_constants, make_current,
 from csalg.centroid import _Frame, centroid_basis, is_scalar_action
 from csalg.core import (EVEN, AlgebraDef, ConfElt, Generator, LambdaPoly,
                         apply_partial, lambda_bracket, to_hat_basis)
-from csalg.cyclotomic import CycloField, CycloScalar, _add_to
+from csalg.cyclotomic import CycloField, CycloScalar, _add_to, _lower
 from csalg.dsl import parse_algebra, parse_morphism
 from csalg.errors import ConductorError, DomainError
 from csalg.linalg import _echelon_insert, _reduce_against
 from csalg.laurent import LaurentElt, delta_t
 from csalg.loops import LoopAlgebra, eigenspaces
 from csalg.morphisms import identity_morphism, n2_omega, n4_auto
-from test_cli import ROT3_CSM
-from test_core import N2J3_SOURCE, _scaled
+from test_cli import ROT3_CSM, data_text
+from test_core import N2J3_SOURCE, _rescaled, _scaled
 
 N2 = make_n2()
 FIELD = N2.field
@@ -472,6 +473,49 @@ def test_leftover_direction_is_a_raw_vector_reduced_by_the_least_column():
     assert is_scalar_action(leftover) is None
 
 
+#: sl2 + sl2 on the basis a = e + E, b = h + H, c = f + F, d = iE, g = iH,
+#: k = iF, bracketed by hand from [h e] = 2e, [h f] = -2f, [e f] = h, the
+#: same on E, H, F, and [x y] = 0 across the summands: [d g] = -[E H] =
+#: 2E = -2i d, [d k] = -[E F] = -H = i g, [g k] = -[H F] = 2F = -2i k.
+SL2_SUM_ACROSS_UNITS = (
+    "algebra mix\ncyclotomic 24\n\n"
+    + "".join("generator %s parity=even\n" % x for x in "abcdgk")
+    + "\nbracket b a = 2*a\nbracket b c = -2*c\nbracket a c = b\n"
+    "bracket b d = 2*d\nbracket b k = -2*k\nbracket a g = -2*d\n"
+    "bracket a k = g\nbracket c d = -g\nbracket c g = 2*k\n"
+    "bracket d g = -2*zeta^6*d\nbracket d k = zeta^6*g\n"
+    "bracket g k = -2*zeta^6*k\n")
+SL2_SUM = parse_algebra(SL2_SUM_ACROSS_UNITS)
+SL2_SUM_LOOP = eigenspaces(SL2_SUM, identity_morphism(SL2_SUM), 1)
+
+
+def test_a_direction_across_records_of_different_units_maps_back():
+    # the centroid is spanned by 1 and P, the projection onto the second
+    # summand: P a = E = -i d, P d = d, and so for b, g and c, k.  The
+    # solve multiplies its records by powers of i that make every
+    # coordinate rational, and a and d get different ones, so the entry
+    # (a, d) maps back with the factor u_d / u_a.  The leftover direction
+    # is reduced against r = 1, which pivots on its least unknown (a, a),
+    # and scaled to 1 at its own least one, (a, d): it is i P
+    A = SL2_SUM
+    first, leftover = centroid_basis(SL2_SUM_LOOP, 3, 1)
+    assert is_scalar_action(first) == LaurentElt(A.field, {0: 1})
+    assert is_scalar_action(leftover) is None
+    frame = leftover._frame
+    assert [A.elt_string(v) for _, v, _, _ in frame.alphas] == list("abcdgk")
+    assert frame.gauge[0] != frame.gauge[3]
+    i = A.field.root_of_unity(4)
+    # i P: a -> d, b -> g, c -> k, and i on each of d, g, k
+    image = {0: (3, 1), 1: (4, 1), 2: (5, 1), 3: (3, i), 4: (4, i), 5: (5, i)}
+    want = {}
+    for d in frame.domain:
+        ai, l, q = frame.entry_key(d)
+        bi, v = image[ai]
+        want[(ai, l, q), (bi, l, q)] = A.field.scalar(v)
+    assert len(want) == 30
+    assert leftover.entries == want
+
+
 @pytest.mark.parametrize("loop", [OMEGA_LOOP, N4_MINUS, N4_Z3, N4_I,
                                   CURRENT_LOOP],
                          ids=["n2_omega", "n4_minus", "n4_z3", "n4_i",
@@ -542,13 +586,30 @@ def test_an_exponent_off_the_lattice_is_refused_by_name(loop, generator, q):
     assert len(frame.keys) == size
 
 
+def _gauged(frame, ra, rb, coords, K):
+    """K times ``coords``, the coordinates of a bracket of elements of the
+    records ra and rb, on the basis i^{x_alpha} v_alpha, x = frame.gauge:
+    the coordinate at an id of record gamma gains the factor
+    i^{x_ra + x_rb - x_gamma}.  Each result must be rational."""
+    x = frame.gauge
+    i = frame.field.root_of_unity(4)
+    out = {}
+    for c, v in coords.items():
+        s = x[ra] + x[rb] - x[frame.keys[c][0]]
+        out[c] = _lower(v * K * i ** (s % 4))
+        assert out[c].__class__ is not CycloScalar, (frame.entry_key(c), v)
+    return out
+
+
 @pytest.mark.parametrize("loop", [OMEGA_LOOP, N4_MINUS],
                          ids=["n2_omega", "n4_minus"])
 def test_derived_columns_match_direct_brackets(loop):
     # oracle: bracket each interior key with each codomain element directly
     # and decompose the result, with no t-shift and no derivation rule.
-    # The columns read the brackets as the solve does, scaled by K, and
-    # take the interior ones from the product closure as they are
+    # The columns read the brackets as the solve does, scaled by K and on
+    # the basis of powers of i that makes every coordinate rational (J2
+    # gains i on N4), and take the interior ones from the product closure
+    # as they are
     frame = _Frame(loop, 3, 1)
     A = frame.algebra
     reach = frame.window + frame.maxl  # the codomain never reaches past
@@ -556,6 +617,7 @@ def test_derived_columns_match_direct_brackets(loop):
                for bi, (res, _, _, _) in enumerate(frame.alphas)
                for q in loop.exponents(res, -reach, reach) for l in (0, 1)]
     brackets, K = centroid._interior_brackets(frame)
+    assert any(frame.gauge) == (A is N4)
     closure = {a: centroid._columns(frame, brackets[a], {}, frame.interior0)
                for a in frame.interior0}
     for a in frame.interior0:
@@ -564,7 +626,8 @@ def test_derived_columns_match_direct_brackets(loop):
         assert sorted(got) == sorted(columns)
         for c in columns:
             poly = lambda_bracket(A, xa, frame.hat(c))
-            want = {n: {i: v * K for i, v in frame.coords(elt).items()}
+            want = {n: _gauged(frame, frame.keys[a][0], frame.keys[c][0],
+                               frame.coords(elt), K)
                     for n, elt in poly.coeffs.items()}
             assert got[c] == want, (frame.entry_key(a),
                                     frame.entry_key(c))
@@ -581,24 +644,27 @@ def test_interior_brackets_match_direct_brackets(loop):
     # lambda_bracket applies the base-change rule, and decompose the result;
     # the exponents p run over half-integers, thirds and quarters.  The
     # brackets come scaled by K, which clears the 1/2 of the N=2 and N=4
-    # tables and of the eigenbasis inverse
+    # tables and of the eigenbasis inverse, and on the basis of powers of i
+    # that makes every coordinate rational: J2 gains i on every N4 loop
     frame = _Frame(loop, 3, 1)
     A = frame.algebra
     got, K = centroid._interior_brackets(frame)
     assert K == 2
+    assert any(frame.gauge) == (A is N4)
     records = sorted({frame.keys[b][0] for b in frame.interior0})
     assert sorted(got) == sorted(frame.interior0)
     for a in frame.interior0:
         assert sorted(got[a]) == records
         for bi in records:
             poly = lambda_bracket(A, frame.hat(a), frame.alphas[bi][1])
-            want = {n: {i: v * K for i, v in frame.coords(e).items()}
+            want = {n: _gauged(frame, frame.keys[a][0], bi, frame.coords(e),
+                               K)
                     for n, e in poly.coeffs.items()}
             assert got[a][bi] == want, (frame.entry_key(a), bi)
 
 
-@pytest.mark.parametrize("loop", [N4_Z3, N4_I, CURRENT_LOOP],
-                         ids=["n4_z3", "n4_i", "sl2_current"])
+@pytest.mark.parametrize("loop", [N4_Z3, N4_I, CURRENT_LOOP, SL2_SUM_LOOP],
+                         ids=["n4_z3", "n4_i", "sl2_current", "sl2_sum"])
 def test_solutions_commute_with_every_interior_product(loop):
     # chi(a_(n) b) = a_(n) chi(b) for interior a, b and n <= maxl + 1, both
     # sides through lambda_bracket and apply, never through the rows: an
@@ -716,6 +782,92 @@ def test_a_rescaled_generator_solves_to_the_unit_monomials():
         [LaurentElt(A.field, {q: 1}) for q in (-1, 0, 1)]
 
 
+def test_mod2_solve_matches_a_brute_force_search():
+    # every set of at most three equations on up to three unknowns: the
+    # solve answers None exactly when no assignment satisfies them all,
+    # and otherwise one that does
+    for n in (1, 2, 3):
+        for size in range(4):
+            for eqs in combinations(range(1, 1 << (n + 1)), size):
+                def holds(x):
+                    return all(not (bin(eq & x).count("1") + (eq >> n)) & 1
+                               for eq in eqs)
+
+                got = centroid._solve_mod2(eqs, n)
+                if got is None:
+                    assert not any(map(holds, range(1 << n))), eqs
+                else:
+                    assert got < 1 << n and holds(got), eqs
+
+
+@pytest.mark.parametrize("source", ["n4_zeta", "n2_conductor_15",
+                                    "inconsistent", "rational"])
+def test_records_keep_their_basis_where_no_power_of_i_clears_the_table(
+        source):
+    # the three cases the solve keeps its own basis in: a coordinate that
+    # is no rational multiple of i (zeta_24 from G1 -> zeta G1; zeta_15,
+    # in a field without i), powers of i that cannot clear every
+    # coordinate (b acts on a by i, which needs u_b = i, and on c by 1,
+    # which needs u_b = 1), and a table that is rational already
+    if source == "inconsistent":
+        A = parse_algebra(
+            "algebra tri\ncyclotomic 24\n\ngenerator a parity=even\n"
+            "generator b parity=even\ngenerator c parity=even\n\n"
+            "bracket b a = zeta^6*a\nbracket b c = c\n")
+    elif source == "rational":
+        A = N2
+    else:
+        A = (_rescaled(N4, {"G1": 1}) if source == "n4_zeta"
+             else _rescaled(make_n2(15), {"G+": 1}))
+    frame = _Frame(eigenspaces(A, identity_morphism(A), 1), 3, 1)
+    brackets, K = centroid._interior_brackets(frame)
+    assert frame.gauge == [0] * A.ngens()
+    irrational = any(v.__class__ is CycloScalar for by_record in
+                     brackets.values() for poly in by_record.values()
+                     for coords in poly.values() for v in coords.values())
+    assert irrational == (source != "rational")
+
+
+#: N4 loops solved on both the shipped table and J2 -> i J2: (X of
+#: ``n4_auto(I, X)``, twist order, window, interior).
+N4_RATIONAL_FORM_CASES = {
+    "id_w3": ([[1, 0], [0, 1]], 1, 3, 1),
+    "id_half": ([[1, 0], [0, 1]], 1, 3, Fraction(1, 2)),
+    "minus_w3": ([[-1, 0], [0, -1]], 2, 3, 1),
+    "minus_w5": ([[-1, 0], [0, -1]], 2, 5, 2),
+    "x4_w3": ([[I4, 0], [0, -I4]], 4, 3, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(N4_RATIONAL_FORM_CASES))
+def test_n4_solves_as_its_rational_form(name):
+    # oracle: the change of basis J2 -> i J2 multiplies the coefficient at
+    # v_g of [v_a lambda v_b] by u_a u_b / u_g, and it makes every N4
+    # structure constant rational.  Each twist here is diagonal on the
+    # generators, so both loops have the same records, and the solutions,
+    # monic monomials with same-record entries alone, must agree entry for
+    # entry and in order
+    A = parse_algebra(data_text("n4.csa"))
+    R = _rescaled(A, {"J2": A.field.conductor // 4})
+
+    def rational(B):
+        return all(v.as_rational() is not None for p in B.table.values()
+                   for e in p.coeffs.values() for v in e.terms.values())
+
+    assert rational(R) and not rational(A)
+    X, order, window, interior = N4_RATIONAL_FORM_CASES[name]
+    loops = [eigenspaces(B, n4_auto([[1, 0], [0, 1]], X, B), order)
+             for B in (A, R)]
+    assert [[B.elt_string(v) for _, v, _, _ in loop.basis]
+            for B, loop in zip((A, R), loops)] == \
+        [[g.name for g in A.generators]] * 2
+    want, got = ([list(chi.entries.items())
+                  for chi in centroid_basis(loop, window, interior)]
+                 for loop in loops)
+    assert len(want) == 3
+    assert got == want
+
+
 #: The four perfbench centroid cases and N4 twisted by order 3:
 #: (loop, window, interior).
 ROW_CASES = {
@@ -728,11 +880,9 @@ ROW_CASES = {
 
 
 def _check_exact(v):
-    """v is an int, a non-integral Fraction or an irrational CycloScalar."""
+    """v is an int or a non-integral Fraction."""
     if v.__class__ is Fraction:
         assert v.denominator != 1, v
-    elif v.__class__ is CycloScalar:
-        assert v.as_rational() is None, v
     else:
         assert v.__class__ is int, v
 
@@ -740,8 +890,9 @@ def _check_exact(v):
 @pytest.mark.parametrize("name", sorted(ROW_CASES))
 def test_rows_hold_rationals_as_python_numbers(monkeypatch, name):
     # the solve runs on rationals under the _q rule: an int when integral,
-    # else a Fraction, and a CycloScalar only when irrational; the rows and
-    # the pivots the eliminator keeps, products of zeta^6 entries included
+    # else a Fraction, in the rows and in the pivots the eliminator keeps.
+    # No CycloScalar reaches either: the N4 tables carry zeta^6
+    # coefficients, and on the basis with J2 times i they are rational
     seen = Counter()
     echelons = {}
 
@@ -764,8 +915,7 @@ def test_rows_hold_rationals_as_python_numbers(monkeypatch, name):
     # the perfbench cases; the thirds of the order-3 shifts stay
     assert seen[int]
     assert bool(seen[Fraction]) == (name == "n4_z3_w3")
-    # the N4 tables carry zeta^6 coefficients, so their rows mix both kinds
-    assert bool(seen[CycloScalar]) == name.startswith("n4")
+    assert set(seen) <= {int, Fraction}
 
 
 def test_scalar_action_reads_r_off_the_first_interior_column():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from csalg.cyclotomic import (MAX_CONDUCTOR, CycloField, _add_to,
+from csalg.cyclotomic import (MAX_CONDUCTOR, CycloField, _add_to, _ratio,
                               cyclotomic_poly, root_of_unity)
 from csalg.errors import ConductorError, DomainError
 
@@ -411,3 +411,20 @@ def test_add_to_keeps_rational_sums_under_the_q_rule():
     assert acc["z"] == field.zeta(1) + field.rational(2)
     _add_to(acc, "z", -field.zeta(1))
     assert acc["z"] == 2
+
+
+def test_ratio_is_rational_exactly_on_proportional_coefficients():
+    # oracle: the field product r * w for a rational quotient, and the
+    # field quotient for an irrational one
+    F = CycloField.get(24)
+    i = F.root_of_unity(4)
+    w = F.element({1: 1, 3: 2})
+    for r in (3, Fraction(-5, 7)):
+        assert _ratio(i * r, i) == r
+        assert _ratio(w * r, w) == r
+    got = _ratio(w * 4, w)
+    assert got == 4 and got.__class__ is int
+    # other exponents, or the same ones with coefficients not in proportion
+    for v, u in ((i + 1, i), (F.zeta(3), i), (F.element({1: 1, 3: 3}), w)):
+        assert (v / u).as_rational() is None
+        assert _ratio(v, u) is None
