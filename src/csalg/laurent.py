@@ -53,6 +53,18 @@ class LaurentElt:
         self.level = _declared_level(
             level, lcm(1, *(q.denominator for q in clean)), "exponents")
 
+    @classmethod
+    def _trusted(cls, field, terms, level):
+        """An element on ``terms`` as given, for callers whose terms are
+        valid already: Fraction exponents whose denominators divide
+        ``level``, each with a nonzero scalar of ``field``.  Skips the
+        checks and the zero filter of ``__init__``."""
+        self = object.__new__(cls)
+        self.field = field
+        self.terms = terms
+        self.level = level
+        return self
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
@@ -84,18 +96,28 @@ class LaurentElt:
             return other
         return LaurentElt(self.field, {Fraction(0): other})
 
+    def _result(self, other, terms):
+        """The element on ``terms``, the sum or product of self and the
+        LaurentElt other, at the lcm of their levels.  Over one field the
+        terms are valid as they are; scalars of another field's operand are
+        embedded, or refused, by ``__init__``."""
+        level = lcm(self.level, other.level)
+        if other.field is self.field:
+            return LaurentElt._trusted(self.field, terms, level)
+        return LaurentElt(self.field, terms, level=level)
+
     def __add__(self, other):
         other = self._coerce(other)
         out = dict(self.terms)
         for q, c in other.terms.items():
             _add_to(out, q, c)
-        return LaurentElt(self.field, out, level=lcm(self.level, other.level))
+        return self._result(other, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentElt(self.field, {q: -c for q, c in self.terms.items()},
-                          level=self.level)
+        return LaurentElt._trusted(
+            self.field, {q: -c for q, c in self.terms.items()}, self.level)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -113,7 +135,7 @@ class LaurentElt:
         for q1, c1 in self.terms.items():
             for q2, c2 in other.terms.items():
                 _add_to(out, q1 + q2, c1 * c2)
-        return LaurentElt(self.field, out, level=lcm(self.level, other.level))
+        return self._result(other, out)
 
     __rmul__ = __mul__
 

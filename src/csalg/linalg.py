@@ -54,19 +54,13 @@ from .errors import DomainError
 # lead: an int sum needs neither the ``_q`` rule nor an ``is_zero`` call,
 # and one that cancels drops its key.  Every other sum goes through
 # ``_add_to``.
-# An irrational lead takes a norm and a product over the conjugates to
-# invert.  The centroid solve runs the N=4 loops on rationals (it takes J2
-# times i, see ``centroid``), so its rows meet an irrational lead only on a
-# table that no power of i per record makes rational, such as one with a
-# generator times zeta_24; those rows repeat a few lead values, so each
-# ``Echelon`` keeps -1/lead per lead value in ``inverses``; the cache lives
-# and dies with its echelon, and an echelon holds the scalars of one field.
 #
 # A row whose unknowns are all pivots with one-term rows x_u = m_u x_f on
 # one free column f, and whose c_u m_u cancel, would reduce to nothing, so
 # ``_echelon_insert`` returns None for it before any reduction: 4,154 of
-# the 7,136 nonempty rows of the four perfbench centroid solves.  A row
-# that cancels on several free columns takes the full reduction.
+# the 7,136 nonempty rows of the four perfbench centroid solves, out of the
+# 4,238 that add no pivot.  A row that cancels on several free columns
+# takes the full reduction.
 
 
 class Echelon(dict):
@@ -77,8 +71,6 @@ class Echelon(dict):
         super().__init__()
         self.users = {}  # column -> leads whose row may mention it
         self.pins = []  # leads pinned to 0 since the caller last drained it
-        # (field, coefficients) of an irrational lead -> -1/lead
-        self.inverses = {}
 
 
 def _product(c, f):
@@ -159,10 +151,7 @@ def _echelon_insert(pivots, row):
                     new[u] = _product(c, ninv)
         elif new:
             if coef.__class__ is CycloScalar:
-                key = coef.field, frozenset(coef.coeffs.items())
-                ninv = pivots.inverses.get(key)
-                if ninv is None:
-                    ninv = pivots.inverses[key] = -coef.inverse()
+                ninv = -coef.inverse()
             else:
                 ninv = _q(Fraction(-1, coef))
             for u, c in new.items():

@@ -207,11 +207,13 @@ def eigenspaces(A, sigma, m):
 
     # x^m - 1 has distinct roots in characteristic 0, so sigma^m = 1
     # exactly when the xi^i-eigenspaces, i < m, fill V.
+    matrix = [[cols[c][r] for c in range(n)] for r in range(n)]
     eigenbasis = []
     for i in range(m):
         shift = xi ** i
-        rows = [[cols[c][r] - (shift if r == c else field.zero())
-                 for c in range(n)] for r in range(n)]
+        rows = [list(row) for row in matrix]
+        for r in range(n):
+            rows[r][r] = matrix[r][r] - shift
         basis = null_space(rows, n, field.zero())
         eigenbasis.append([ConfElt(field, {(g, 0, 0): c
                                            for g, c in enumerate(vec)})

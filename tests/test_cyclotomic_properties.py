@@ -21,7 +21,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from csalg.algebras import make_n2, make_n4  # noqa: E402
 from csalg.centroid import centroid_basis  # noqa: E402
-from csalg.cyclotomic import CycloField  # noqa: E402
+from csalg.cyclotomic import CycloField, cyclotomic_poly  # noqa: E402
 from csalg.dsl import parse_algebra  # noqa: E402
 from csalg.laurent import LaurentElt  # noqa: E402
 from csalg.loops import eigenspaces, l0_spectrum  # noqa: E402
@@ -133,6 +133,19 @@ def test_every_result_keeps_the_representation_rule(case, r):
         results.append(a.inverse())
     for x in results:
         _assert_rule(x)
+
+
+def test_cyclotomic_polynomials_match_sympy():
+    # sympy's integer cyclotomic polynomial, big-endian, shares no code with
+    # the product over the radical; besides every n <= 210, the conductors
+    # up to MAX_CONDUCTOR with the most divisors, the most prime factors
+    # or the largest prime
+    from sympy.polys.domains import ZZ
+    from sympy.polys.specialpolys import dup_zz_cyclotomic_poly
+
+    for n in [*range(1, 211), 840, 910, 924, 935, 960, 990, 997]:
+        want = tuple(int(c) for c in reversed(dup_zz_cyclotomic_poly(n, ZZ)))
+        assert cyclotomic_poly(n) == want, n
 
 
 def test_public_values_stay_fractions_and_internal_keys_are_ints():

@@ -1,10 +1,11 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
 from csalg.cyclotomic import CycloField
-from csalg.errors import DomainError
+from csalg.errors import ConductorError, DomainError
 from csalg.laurent import LaurentElt, binom_frac, delta_t, galois_act
 
 F = CycloField.get(24)
@@ -186,6 +187,35 @@ def test_coefficients_from_other_fields():
     assert LaurentElt(F, {0: i4}).terms == {Fraction(0): F.zeta(6)}
     with pytest.raises(DomainError, match="zeta_5"):
         LaurentElt(F, {0: CycloField.get(5).zeta(1)})
+
+
+def test_sums_and_products_across_fields_keep_the_field_check():
+    # zeta_8 = zeta_24^3: an element over Q(zeta_8) embeds into Q(zeta_24)
+    # on the right of a sum or product over Q(zeta_24), and a result over
+    # Q(zeta_8) cannot hold the Q(zeta_24) terms
+    F8, F5 = CycloField.get(8), CycloField.get(5)
+    a = LaurentElt(F, {0: F.zeta(3), HALF: 1})
+    b = LaurentElt(F8, {0: F8.zeta(1), 1: 2})
+    got = a + b
+    assert got.field is F and got.level == 2
+    assert got.terms == {Fraction(0): F.zeta(3) * 2, HALF: F.one(),
+                         Fraction(1): F.rational(2)}
+    got = a * b
+    assert got.field is F and got.level == 2
+    assert got.terms == {Fraction(0): F.zeta(6), HALF: F.zeta(3),
+                         Fraction(1): F.zeta(3) * 2,
+                         Fraction(3, 2): F.rational(2)}
+    for x in (a + b, a - b, a * b):
+        assert all(c.field is F for c in x.terms.values())
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ConductorError, match="^scalar from Q\\(zeta_24\\) "
+                           "does not embed in Q\\(zeta_8\\)$"):
+            op(b, a)
+    c = LaurentElt(F5, {0: F5.zeta(1)})
+    for x, y in ((a, c), (c, a)):
+        with pytest.raises(ConductorError, match="^incompatible "
+                           "conductors (24 and 5|5 and 24)$"):
+            x * y
 
 
 def test_galois_needs_a_level_dividing_the_conductor():

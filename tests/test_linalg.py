@@ -460,10 +460,11 @@ def test_adjugate_matches_the_cofactors_and_the_determinant():
                 assert (prod[i][j] - expect).is_zero(), (i, j)
 
 
-def test_echelon_inverts_each_irrational_lead_value_once(monkeypatch):
+def test_echelon_inverts_each_irrational_lead_it_normalizes_by(monkeypatch):
     # every row leads at its own column k, and the tail columns 20.. never
     # pivot, so no row reduces and each insert normalizes by its given lead;
-    # the leads repeat -2 zeta^6, 2 zeta^6 and -8 zeta^6 as fresh objects
+    # the leads repeat -2 zeta^6, 2 zeta^6 and -8 zeta^6 as fresh objects,
+    # each inverted at every insert it leads, and no rational lead is
     z6 = FIELD.zeta(6)
     calls = Counter()
     inverse = CycloScalar.inverse
@@ -482,8 +483,8 @@ def test_echelon_inverts_each_irrational_lead_value_once(monkeypatch):
                23: Fraction(k, 3) or 1}
         rows.append(row)
         assert _echelon_insert(pivots, row) == k
-    assert dict(calls) == {str(z6 * -2): 1, str(z6 * 2): 1,
-                           str(z6 * -8): 1}
+    assert dict(calls) == {str(z6 * -2): 2, str(z6 * 2): 3,
+                           str(z6 * -8): 2}
     columns = set().union(*rows)
     basis = _null_basis(pivots, columns)
     assert len(basis) == len(columns) - len(pivots) == 4
