@@ -7,170 +7,25 @@ carries out the Galois-cocycle bookkeeping that classifies the twisted
 forms of the N=2 and N=4 superconformal algebras.
 """
 
-from .algebras import (
-    StructureConstants,
-    gl2_constants,
-    make_current,
-    make_n2,
-    make_n4,
-    sl2_constants,
-)
-from .core import (
-    EVEN,
-    ODD,
-    AlgebraDef,
-    AxiomReport,
-    ConfElt,
-    Generator,
-    LambdaPoly,
-    apply_partial,
-    apply_partial_algebra,
-    check_axioms,
-    complete_table_cs4,
-    find_virasoro,
-    from_hat_basis,
-    lambda_bracket,
-    n_product,
-    to_hat_basis,
-)
-from .cyclotomic import DEFAULT_CONDUCTOR, CycloField, CycloScalar, root_of_unity
-from .errors import (
-    ConductorError,
-    CsalgError,
-    DomainError,
-    ParseError,
-    TableInconsistencyError,
-)
-from .laurent import LaurentElt, binom_frac, delta_t, galois_act
-from .centroid import CentroidSolution, centroid_basis, is_scalar_action
-from .cohomology import (
-    Cocycle,
-    N2AutElt,
-    N4AutElt,
-    RootPair,
-    check_cocycle,
-    coboundary,
-    cocycle_of,
-    n2_component,
-    n4_invariant,
-    pgl2_classes,
-)
-from .dsl import (
-    SourceFile,
-    format_algebra,
-    format_element,
-    format_morphism,
-    parse_algebra,
-    parse_element,
-    parse_morphism,
-    parse_scalar,
-)
-from .loops import (
-    AlgElt,
-    L0Spectrum,
-    LoopAlgebra,
-    SplitReport,
-    alg_bracket,
-    alg_reduce,
-    bracket_closure,
-    eigenspaces,
-    l0_spectrum,
-    loop_membership,
-    split_check,
-)
-from .morphisms import (
-    GenMorphism,
-    HomReport,
-    SL2MatrixOverS,
-    check_hom,
-    compose,
-    extend_apply,
-    identity_morphism,
-    invert,
-    n2_omega,
-    n2_theta,
-    n4_auto,
-    order_of,
-)
+from .cyclotomic import *
+from .errors import *
+from .laurent import *
+from .core import *
+from .algebras import *
+from .morphisms import *
+from .loops import *
+from .cohomology import *
+from .centroid import *
+from .dsl import *
 
-__all__ = [
-    "DEFAULT_CONDUCTOR",
-    "CycloField",
-    "CycloScalar",
-    "root_of_unity",
-    "ConductorError",
-    "CsalgError",
-    "DomainError",
-    "ParseError",
-    "TableInconsistencyError",
-    "LaurentElt",
-    "binom_frac",
-    "delta_t",
-    "galois_act",
-    "EVEN",
-    "ODD",
-    "AlgebraDef",
-    "AxiomReport",
-    "ConfElt",
-    "Generator",
-    "LambdaPoly",
-    "apply_partial",
-    "apply_partial_algebra",
-    "check_axioms",
-    "complete_table_cs4",
-    "find_virasoro",
-    "from_hat_basis",
-    "lambda_bracket",
-    "n_product",
-    "to_hat_basis",
-    "StructureConstants",
-    "gl2_constants",
-    "make_current",
-    "make_n2",
-    "make_n4",
-    "sl2_constants",
-    "GenMorphism",
-    "HomReport",
-    "SL2MatrixOverS",
-    "check_hom",
-    "compose",
-    "extend_apply",
-    "identity_morphism",
-    "invert",
-    "n2_omega",
-    "n2_theta",
-    "n4_auto",
-    "order_of",
-    "AlgElt",
-    "L0Spectrum",
-    "LoopAlgebra",
-    "SplitReport",
-    "alg_bracket",
-    "alg_reduce",
-    "bracket_closure",
-    "eigenspaces",
-    "l0_spectrum",
-    "loop_membership",
-    "split_check",
-    "Cocycle",
-    "N2AutElt",
-    "N4AutElt",
-    "RootPair",
-    "check_cocycle",
-    "coboundary",
-    "cocycle_of",
-    "n2_component",
-    "n4_invariant",
-    "pgl2_classes",
-    "CentroidSolution",
-    "centroid_basis",
-    "is_scalar_action",
-    "SourceFile",
-    "format_algebra",
-    "format_element",
-    "format_morphism",
-    "parse_algebra",
-    "parse_element",
-    "parse_morphism",
-    "parse_scalar",
-]
+__all__ = []
+__all__ += cyclotomic.__all__
+__all__ += errors.__all__
+__all__ += laurent.__all__
+__all__ += core.__all__
+__all__ += algebras.__all__
+__all__ += morphisms.__all__
+__all__ += loops.__all__
+__all__ += cohomology.__all__
+__all__ += centroid.__all__
+__all__ += dsl.__all__

@@ -19,6 +19,15 @@ from .core import (EVEN, ODD, AlgebraDef, AxiomReport, ConfElt, Generator,
 from .cyclotomic import DEFAULT_CONDUCTOR, CycloField, _add_to
 from .errors import ConductorError, CsalgError
 
+__all__ = [
+    "StructureConstants",
+    "gl2_constants",
+    "make_current",
+    "make_n2",
+    "make_n4",
+    "sl2_constants",
+]
+
 
 class StructureConstants:
     """Structure constants of a finite-dimensional Lie superalgebra.

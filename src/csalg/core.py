@@ -47,6 +47,25 @@ from .cyclotomic import (CycloScalar, _add_to, _denominator, _lower, _q,
 from .errors import CsalgError, DomainError, TableInconsistencyError
 from .laurent import binom_frac
 
+__all__ = [
+    "EVEN",
+    "ODD",
+    "AlgebraDef",
+    "AxiomReport",
+    "ConfElt",
+    "Generator",
+    "LambdaPoly",
+    "apply_partial",
+    "apply_partial_algebra",
+    "check_axioms",
+    "complete_table_cs4",
+    "find_virasoro",
+    "from_hat_basis",
+    "lambda_bracket",
+    "n_product",
+    "to_hat_basis",
+]
+
 EVEN = 0
 ODD = 1
 
@@ -623,9 +642,8 @@ def complete_table_cs4(A):
             have_ij = (i, j) in A.table
             have_ji = (j, i) in A.table
             if have_ij and have_ji:
-                derived = cs4_transform(A, i, j)
-                if derived != table[(i, j)]:
-                    bad = _first_mismatch(derived, table[(i, j)])
+                bad = _cs4_mismatch(A, i, j)
+                if bad is not None:
                     raise TableInconsistencyError(
                         (A.generators[i].name, A.generators[j].name), bad)
             elif have_ji:
@@ -638,10 +656,15 @@ def complete_table_cs4(A):
     return AlgebraDef(A.name, A.field, A.generators, table)
 
 
-def _first_mismatch(p1, p2):
-    """The lowest degree where p1 and p2 differ; they must not be equal."""
-    return min(n for n in set(p1.coeffs) | set(p2.coeffs)
-               if p1.get(n) != p2.get(n))
+def _cs4_mismatch(A, i, j):
+    """The lowest degree where the stored (i, j) and the transform of
+    (j, i) differ, or None."""
+    expect = cs4_transform(A, i, j)
+    stored = _table_poly(A, i, j)
+    if stored == expect:
+        return None
+    return min(n for n in set(stored.coeffs) | set(expect.coeffs)
+               if stored.get(n) != expect.get(n))
 
 
 # -- axiom verification ----------------------------------------------------
@@ -903,20 +926,12 @@ def _sweep_cs4(A, report):
     """
     ngen = A.ngens()
     report.verdicts.setdefault("CS4", True)
-
-    def mismatch(i, j):
-        """The lowest degree where (i, j) and its transform differ, or
-        None."""
-        expect = cs4_transform(A, i, j)
-        stored = _table_poly(A, i, j)
-        return _first_mismatch(stored, expect) if stored != expect else None
-
-    found = {(i, j): mismatch(i, j)
+    found = {(i, j): _cs4_mismatch(A, i, j)
              for i in range(ngen) for j in range(i, ngen)}
     if any(n is not None for n in found.values()):
         for i in range(ngen):
             for j in range(ngen):
-                n = found[i, j] if i <= j else mismatch(i, j)
+                n = found[i, j] if i <= j else _cs4_mismatch(A, i, j)
                 if n is not None:
                     report.fail("CS4",
                                 (A.generators[i].name, A.generators[j].name),

@@ -35,6 +35,8 @@ from functools import lru_cache
 
 from .errors import ConductorError, DomainError
 
+__all__ = ["DEFAULT_CONDUCTOR", "CycloField", "CycloScalar", "root_of_unity"]
+
 #: Conductor used when none is given.  Covers orders 1,2,3,4,6,8,12,24.
 DEFAULT_CONDUCTOR = 24
 

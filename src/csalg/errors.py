@@ -1,5 +1,13 @@
 """Exception hierarchy shared by the whole package."""
 
+__all__ = [
+    "ConductorError",
+    "CsalgError",
+    "DomainError",
+    "ParseError",
+    "TableInconsistencyError",
+]
+
 
 class CsalgError(Exception):
     """Base class for every error raised by this package."""

@@ -14,6 +14,8 @@ from .cyclotomic import (DEFAULT_CONDUCTOR, CycloField, CycloScalar,
                          _add_to, _declared_level, _q, _signed_sum, _times)
 from .errors import DomainError
 
+__all__ = ["LaurentElt", "binom_frac", "delta_t", "galois_act"]
+
 
 def binom_frac(q, j):
     """Generalized binomial C(q, j) = q(q-1)...(q-j+1)/j! for rational q."""

@@ -31,6 +31,7 @@ from .linalg import _echelon, _reduce_against, null_space, rank, solve
 
 __all__ = [
     "AlgElt",
+    "L0Spectrum",
     "LoopAlgebra",
     "SplitReport",
     "alg_bracket",

@@ -20,6 +20,21 @@ from .errors import CsalgError, DomainError
 from .laurent import LaurentElt, delta_t
 from .linalg import det, mat_inverse_laurent, mat_mul
 
+__all__ = [
+    "GenMorphism",
+    "HomReport",
+    "SL2MatrixOverS",
+    "check_hom",
+    "compose",
+    "extend_apply",
+    "identity_morphism",
+    "invert",
+    "n2_omega",
+    "n2_theta",
+    "n4_auto",
+    "order_of",
+]
+
 
 class GenMorphism:
     """A morphism recorded by its generator images.
