@@ -142,7 +142,19 @@ the factor at its lead too, so it stays 1 there, as ``_pivot_vector``
 normalizes it.  So every solution is the one the records' own system
 gives, entry for entry.  ``CentroidSolution`` lifts its entries back
 through ``field.scalar``, so the entries a caller reads are
-``CycloScalar``s.
+``CycloScalar``s; it lifts each distinct rational once per solution and
+shares that lift between the entries that hold it, as CycloScalars are
+immutable.
+
+Row loop: a row is a dict {unknown id: scalar} and the loop builds
+nothing a row does not keep.  A degree n that a column does not reach is
+skipped, not read as an empty map; the unknowns of a domain key are the
+codomain keys of its parity and residue whose degree lies within maxl
+(times M) of its own, bounds read once per domain key.  Most rows are
+short, and two kinds take no reduction in the eliminator (see
+``linalg``): in the four perfbench solves, 4,154 of the 7,136 rows are
+implied by one-term pivots and refused, and 1,217 are one-entry rows on a
+column that is no pivot, which pin that unknown to 0 directly.
 """
 
 import math
@@ -417,6 +429,9 @@ class CentroidSolution:
         self.entries = {}
         self._images = {}  # domain id -> {codomain id: lowered scalar}
         scalar = frame.field.scalar
+        entry_key = frame.entry_key
+        # one lift per distinct rational, shared: CycloScalars are immutable
+        lifts = {}
         for (d, c), v in entries.items():
             # the lowered value, read once, and its lift
             if v.__class__ is CycloScalar:
@@ -424,9 +439,11 @@ class CentroidSolution:
                 low = _lower(v)
             else:
                 low = _q(v)
-                v = scalar(low)
+                v = lifts.get(low)
+                if v is None:
+                    v = lifts[low] = scalar(low)
             if low:
-                self.entries[frame.entry_key(d), frame.entry_key(c)] = v
+                self.entries[entry_key(d), entry_key(c)] = v
                 image = self._images.get(d)
                 if image is None:
                     image = self._images[d] = {}
@@ -718,9 +735,10 @@ def centroid_basis(L, window, interior):
     cols = {}  # domain id -> {codomain id: unknown id}, the unpinned ones
     for d in domain:
         col = cols[d] = {}
-        ddeg = degrees[d]
+        lo = degrees[d] - bound
+        hi = degrees[d] + bound
         for c in cod_of[sigs[d]]:
-            if abs(degrees[c] - ddeg) <= bound:
+            if lo <= degrees[c] <= hi:
                 col[c] = len(unknowns)
                 unknowns.append((d, c))
 
@@ -734,32 +752,42 @@ def centroid_basis(L, window, interior):
     # unknown an insert pins to 0, at the row that reduces to it alone or
     # at a substitution that empties its pivot row (``Echelon.pins``)
     pivots = Echelon()
+    pins = pivots.pins
     for a in _row_order(frame):
         # b is its own level-0 column, for the product a_(n) b
-        columns = _columns(frame, brackets[a], closure.pop(a),
-                           set(interior0).union(*(cols[b] for b in interior0)))
+        wanted = set(interior0)
+        for b in interior0:
+            wanted.update(cols[b])
+        columns = _columns(frame, brackets[a], closure.pop(a), wanted)
         # a degree no column reaches gives only empty rows
         reached = set().union(*columns.values())
         degrees = [n for n in range(frame.maxl + 2) if n in reached]
         for b in interior0:
             product = columns[b]
+            colb = cols[b]
             for n in degrees:
                 eq = {}
+                get = eq.get
                 # row e reads a_(n) chi(b) - chi(a_(n) b): each unknown
                 # (d, e) of chi(a_(n) b) meets it once, and so does each
                 # unknown (b, c) of a_(n) chi(b), which the first side
                 # holds too only when b is a component of a_(n) b
-                for d, w in product.get(n, {}).items():
-                    w = -w
-                    for c, uid in cols[d].items():
-                        row = eq.get(c)
-                        if row is None:
-                            eq[c] = {uid: w}
-                        else:
-                            row[uid] = w
-                for c, uid in cols[b].items():
-                    for e, v in columns[c].get(n, {}).items():
-                        row = eq.get(e)
+                comps = product.get(n)
+                if comps is not None:
+                    for d, w in comps.items():
+                        w = -w
+                        for c, uid in cols[d].items():
+                            row = get(c)
+                            if row is None:
+                                eq[c] = {uid: w}
+                            else:
+                                row[uid] = w
+                for c, uid in colb.items():
+                    comps = columns[c].get(n)
+                    if comps is None:
+                        continue
+                    for e, v in comps.items():
+                        row = get(e)
                         if row is None:
                             eq[e] = {uid: v}
                         elif uid in row:
@@ -769,11 +797,11 @@ def centroid_basis(L, window, interior):
                 for row in eq.values():
                     if row:
                         _echelon_insert(pivots, row)
-                        if pivots.pins:
-                            for lead in pivots.pins:
+                        if pins:
+                            for lead in pins:
                                 d, c = unknowns[lead]
                                 del cols[d][c]
-                            pivots.pins.clear()
+                            pins.clear()
         del columns  # free these columns before the next key's
 
     # the columns the rows mention are the leads and the keys of users, so

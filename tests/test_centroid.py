@@ -828,6 +828,36 @@ def test_records_keep_their_basis_where_no_power_of_i_clears_the_table(
     assert irrational == (source != "rational")
 
 
+@pytest.mark.parametrize("source", ["n2_conductor_15", "n4_zeta"])
+def test_tables_whose_rows_stay_irrational_solve_to_the_unit_monomials(
+        monkeypatch, source):
+    # rescaling a generator by a root of unity is an isomorphism, so the
+    # untwisted loop solves to t^{-1}, 1 and t as on the shipped table; no
+    # power of i per record clears these tables, so CycloScalars reach the
+    # rows, and the one-entry ones among them take the pin path
+    B, g = (N4, "G1") if source == "n4_zeta" else (make_n2(15), "G+")
+    A = _rescaled(B, {g: 1})
+    seen = Counter()
+
+    def counted(pivots, row):
+        seen["rows"] += 1
+        seen["irrational"] += sum(v.__class__ is CycloScalar
+                                  for v in row.values())
+        if len(row) == 1 and next(iter(row)) not in pivots:
+            seen["pins"] += 1
+        return _echelon_insert(pivots, row)
+
+    monkeypatch.setattr(centroid, "_echelon_insert", counted)
+    sols = centroid_basis(eigenspaces(A, identity_morphism(A), 1), 3, 1)
+    assert [is_scalar_action(chi) for chi in sols] == \
+        [LaurentElt(A.field, {q: 1}) for q in (-1, 0, 1)]
+    assert seen["irrational"] and seen["pins"]
+    # t^j has same-record entries alone, so no basis scaling moves them
+    want = centroid_basis(eigenspaces(B, identity_morphism(B), 1), 3, 1)
+    assert [list(chi.entries.items()) for chi in sols] == \
+        [list(chi.entries.items()) for chi in want]
+
+
 #: N4 loops solved on both the shipped table and J2 -> i J2: (X of
 #: ``n4_auto(I, X)``, twist order, window, interior).
 N4_RATIONAL_FORM_CASES = {
@@ -984,14 +1014,8 @@ def _final_echelon(monkeypatch, case, insert):
     return _solved(case), seen[0]
 
 
-@pytest.mark.parametrize("name", sorted(ORDER_CASES))
-def test_refused_rows_reduce_to_nothing_and_leave_the_echelon_as_it_is(
-        monkeypatch, name):
-    # the eliminator refuses a row before any reduction only when it
-    # reduces to nothing against the pivots of that moment, and the echelon
-    # then ends as the full reduction of every row leaves it: the same
-    # pivots and users, and no pending pins
-    case = ORDER_CASES[name]
+def _counting_reductions(monkeypatch):
+    """The list that every ``_reduce_against`` call appends its row to."""
     calls = []
 
     def counted(pivots, row):
@@ -999,23 +1023,46 @@ def test_refused_rows_reduce_to_nothing_and_leave_the_echelon_as_it_is(
         return _reduce_against(pivots, row)
 
     monkeypatch.setattr(linalg, "_reduce_against", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_CASES))
+def test_refused_rows_reduce_to_nothing_and_leave_the_echelon_as_it_is(
+        monkeypatch, name):
+    # the eliminator takes a row without any reduction in two cases: it
+    # refuses a row (None) only when the row reduces to nothing against the
+    # pivots of that moment, and it pins the column of a one-entry row
+    # that is no pivot.  The echelon then ends as the full reduction of
+    # every row leaves it: the same pivots and users, and no pending pins
+    case = ORDER_CASES[name]
+    calls = _counting_reductions(monkeypatch)
     refused = Counter()
+    pinned = []
 
     def checked(pivots, row):
         before = len(calls)
+        fresh = len(row) == 1 and next(iter(row)) not in pivots
         lead = _echelon_insert(pivots, row)
         if len(calls) == before:
-            assert lead is None
-            assert _reduce_against(pivots, row) == ({}, None)
-            refused[len(row)] += 1
+            if lead is None:
+                assert _reduce_against(pivots, row) == ({}, None)
+                refused[len(row)] += 1
+            else:
+                # a pin: one entry, on a column that was no pivot, whose
+                # row is left empty and goes out last
+                assert fresh and list(row) == [lead]
+                assert pivots[lead] == {} and pivots.pins[-1] == lead
+                pinned.append(lead)
+        else:
+            assert not fresh
         return lead
 
     solved, pivots = _final_echelon(monkeypatch, case, checked)
-    assert refused[2]
+    assert refused[2] and pinned
 
     def reduced(pivots, row):
         # a zero entry on a column no row mentions stops the refusal and
-        # leaves the reduction as it is
+        # the pin, and leaves the reduction as it is
         before = len(calls)
         lead = _echelon_insert(pivots, {**row, -1: 0})
         assert len(calls) == before + 1
@@ -1026,6 +1073,30 @@ def test_refused_rows_reduce_to_nothing_and_leave_the_echelon_as_it_is(
     assert dict(pivots) == dict(inserted)
     assert pivots.users == inserted.users
     assert pivots.pins == inserted.pins == []
+
+
+def test_eliminator_figures_on_the_perfbench_solves(monkeypatch):
+    # the figures the ``linalg`` comment cites, over the four perfbench
+    # centroid solves: rows refused before any reduction, rows that reduce
+    # to nothing, and one-entry rows pinned on a column that is no pivot
+    calls = _counting_reductions(monkeypatch)
+    seen = Counter()
+
+    def counted(pivots, row):
+        before = len(calls)
+        lead = _echelon_insert(pivots, row)
+        if len(calls) == before:
+            seen["refused" if lead is None else "pinned"] += 1
+        elif lead is None:
+            seen["reduced to nothing"] += 1
+        seen["rows"] += 1
+        return lead
+
+    monkeypatch.setattr(centroid, "_echelon_insert", counted)
+    for name in ("n2_id_w3", "n2_omega_w3", "n2_omega_w5", "n4_minus_w3"):
+        assert len(centroid_basis(*ROW_CASES[name])) == 3
+    assert seen == {"rows": 7136, "refused": 4154, "reduced to nothing": 84,
+                    "pinned": 1217}
 
 
 def test_rows_start_at_the_lightest_record_and_the_highest_exponent():

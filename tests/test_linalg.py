@@ -218,6 +218,91 @@ def test_echelon_pivots_stay_fully_reduced():
     assert pinned["substitution"] and pinned["insert"]
 
 
+def _sparse_row(rng, pivots, ncols, kind):
+    """A seeded sparse rational row of one kind: one entry on a fresh
+    column, on a pivot column or on a column that some pivot mentions,
+    or two or three entries anywhere; None when no column fits."""
+    def value():
+        return _q(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                           rng.choice((1, 1, 2, 3))))
+
+    if kind == "several":
+        return {c: value() for c in rng.sample(range(ncols),
+                                               rng.randrange(2, 4))}
+    if kind == "fresh":
+        cols = [c for c in range(ncols)
+                if c not in pivots and c not in pivots.users]
+    elif kind == "pivot":
+        cols = list(pivots)
+    else:
+        cols = sorted({u for row in pivots.values() for u in row})
+    return {rng.choice(cols): value()} if cols else None
+
+
+def test_one_entry_rows_pin_as_the_reduction_does():
+    """Sparse rational rows with one-entry rows on fresh columns, on pivot
+    columns and on columns other pivots mention: after every insert the
+    pivots are fully reduced, ``users`` and ``pins`` hold, and the echelon
+    is the one that reducing every row leaves, pins in the same order.  At
+    the end the pivots are sympy's rref, and the leads with an empty row
+    are the columns every null vector sets to 0."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2044)
+    kinds = Counter()
+    emptied_by_pins = 0
+    for _ in range(60):
+        ncols = rng.randrange(3, 13)
+        pivots, reduced = Echelon(), Echelon()
+        rows = []
+        for _ in range(rng.randrange(1, 16)):
+            kind = rng.choice(("fresh", "pivot", "mentioned", "several"))
+            row = _sparse_row(rng, pivots, ncols, kind)
+            if row is None:
+                continue
+            kinds[kind] += 1
+            rows.append(row)
+            before = {lead for lead, piv in pivots.items() if piv}
+            new = _echelon_insert(pivots, row)
+            # a zero entry on a column no row mentions takes the reduction
+            assert _echelon_insert(reduced, {**row, -1: 0}) == new
+            assert dict(pivots) == dict(reduced)
+            assert pivots.users == reduced.users
+            assert pivots.pins == reduced.pins
+            emptied = {u for u in before if not pivots[u]}
+            fresh = {new} if new is not None and not pivots[new] else set()
+            assert sorted(pivots.pins) == sorted(emptied | fresh)
+            if kind in ("fresh", "mentioned"):
+                assert new in fresh and pivots.pins[-1] == new
+                emptied_by_pins += len(emptied)
+            pivots.pins.clear()
+            reduced.pins.clear()
+            for lead, piv in pivots.items():
+                assert all(u > lead and u not in pivots for u in piv)
+                assert all(v for v in piv.values())
+                assert all(lead in pivots.users[u] for u in piv)
+            assert not set(pivots.users) & set(pivots)
+        if not rows:
+            continue
+        matrix = sympy.Matrix([[sympy.Rational(row.get(c, 0).numerator,
+                                               row.get(c, 0).denominator)
+                                for c in range(ncols)] for row in rows])
+        want, want_leads = matrix.rref()
+        assert sorted(pivots) == list(want_leads)
+        for i, lead in enumerate(sorted(pivots)):
+            got = [0] * ncols
+            got[lead] = 1
+            for u, m in pivots[lead].items():
+                got[u] = -m
+            assert [Fraction(int(sympy.numer(e)), int(sympy.denom(e)))
+                    for e in want.row(i)] == got
+        null = matrix.nullspace()
+        zero_everywhere = {c for c in range(ncols)
+                           if all(v[c] == 0 for v in null)}
+        assert {lead for lead, piv in pivots.items() if not piv} == \
+            zero_everywhere
+    assert min(kinds.values()) > 20 and emptied_by_pins
+
+
 def _mixed_matrix(rng, nrows, ncols):
     """Entries an int, a Fraction or c * zeta^k with zeta^k irrational, the
     rationals under the ``_q`` rule, with zero entries and zero rows."""
